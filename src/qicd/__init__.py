@@ -2,7 +2,6 @@
 refinement (QICD), and a benchmark/statistics layer."""
 
 from .bench import (
-    ExperimentOptions,
     MrgReport,
     PlantedSpec,
     TrialSample,

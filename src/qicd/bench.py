@@ -9,7 +9,6 @@ driver, and the MRG significance report against rewired nulls.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from .engine import QicdConfig, run_qicd
 from .graph import Graph, build_graph
 from .partition import Partition, modularity
 from .rng import make_rng, mix
-from .sampling import HyperuniformParams, PerturbationKind
+from .sampling import PerturbationKind
 
 
 @dataclass(frozen=True)
@@ -283,44 +282,29 @@ METHODS: dict[str, tuple[str, str | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentOptions:
-    """Shared knobs for the QICD variants run by an experiment."""
+def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) -> float:
+    """Run one method once; returns the modularity of its result.
 
-    iterations: int = 10
-    stall_limit: int = 5
-    proposal_seeds: int | None = None
-    hu: HyperuniformParams = HyperuniformParams()
-    refine_before_accept: bool = False
-    resolution: float = 1.0
-
-
-def method_q(
-    name: str,
-    graph: Graph,
-    seed: int,
-    options: ExperimentOptions | None = None,
-) -> float:
-    """Run one method once; returns the modularity of its result."""
+    The method name sets the base optimizer and the proposal kind (keeping
+    cfg's proposal seed count); everything else comes from cfg, reseeded
+    from `seed`.
+    """
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
-    opts = options or ExperimentOptions()
+    cfg = cfg or QicdConfig()
     base, kind = METHODS[name]
-    det = DetectorConfig(seed=seed, resolution=opts.resolution)
+    det = replace(cfg.detector, seed=seed)
     if kind is None:
         part = louvain(graph, det) if base == "louvain" else leiden(graph, det)
-        return modularity(graph, part, opts.resolution)
-    cfg = QicdConfig(
-        kind=PerturbationKind(kind, opts.proposal_seeds),
-        iterations=opts.iterations,
-        stall_limit=opts.stall_limit,
-        hu=opts.hu,
-        detector=det,
+        return modularity(graph, part, det.resolution)
+    run_cfg = replace(
+        cfg,
+        kind=PerturbationKind(kind, cfg.kind.seed_count),
         base=base,
-        refine_before_accept=opts.refine_before_accept,
+        detector=det,
         seed=mix(seed, 1),
     )
-    return run_qicd(graph, cfg).q_star
+    return run_qicd(graph, run_cfg).q_star
 
 
 def run_experiment(
@@ -329,16 +313,15 @@ def run_experiment(
     runs_per_method: int | dict[str, int],
     base_seed: int,
     *,
-    options: ExperimentOptions | None = None,
-    jobs: int = 1,
+    cfg: QicdConfig | None = None,
     graph_factory=None,
 ) -> list[TrialSample]:
     """Run each method several times with decoupled per-run seeds.
 
     runs_per_method is a single count or a per-method mapping. Runs execute
-    independently (optionally across jobs threads); results depend only on
-    the seeds, not on the schedule. graph_factory(seed) may supply a fresh
-    graph per run instead of the shared one.
+    one after another; each result depends only on its seed.
+    graph_factory(seed) may supply a fresh graph per run instead of the
+    shared one.
     """
     if graph is None and graph_factory is None:
         raise ValueError("either a graph or a graph_factory is required")
@@ -353,33 +336,17 @@ def run_experiment(
         if runs.get(m, 0) < 1:
             raise ValueError(f"method {m!r} needs at least 1 run")
 
-    tasks = []
-    for mi, name in enumerate(methods):
-        for ri in range(runs[name]):
-            tasks.append((mi, name, ri, mix(base_seed, mi, ri)))
-
-    def one(task):
-        mi, name, ri, seed = task
-        try:
-            g = graph_factory(mix(seed, 0xF)) if graph_factory is not None else graph
-            return method_q(name, g, seed, options)
-        except Exception as exc:
-            raise RuntimeError(f"method {name!r} run {ri} failed: {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(one, tasks))
-    else:
-        values = [one(t) for t in tasks]
-
     samples = []
-    cursor = 0
     for mi, name in enumerate(methods):
-        count = runs[name]
-        qs = tuple(values[cursor : cursor + count])
-        seeds = tuple(mix(base_seed, mi, ri) for ri in range(count))
-        samples.append(TrialSample(name, qs, seeds))
-        cursor += count
+        seeds = tuple(mix(base_seed, mi, ri) for ri in range(runs[name]))
+        qs = []
+        for ri, seed in enumerate(seeds):
+            try:
+                g = graph_factory(mix(seed, 0xF)) if graph_factory is not None else graph
+                qs.append(method_q(name, g, seed, cfg))
+            except Exception as exc:
+                raise RuntimeError(f"method {name!r} run {ri} failed: {exc}") from exc
+        samples.append(TrialSample(name, tuple(qs), seeds))
     return samples
 
 

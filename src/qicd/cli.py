@@ -10,6 +10,7 @@ errors, 2 for data or domain errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,7 +21,6 @@ from pathlib import Path
 from . import __version__
 from .bench import (
     METHODS,
-    ExperimentOptions,
     PlantedSpec,
     calibrate_planted,
     clique_ring_truth,
@@ -31,18 +31,31 @@ from .bench import (
     run_experiment,
 )
 from .detect import DetectorConfig, leiden, louvain
-from .engine import PerturbationKind, QicdConfig, result_to_json, run_qicd, trace_to_csv
+from .engine import BASE_METHODS, INIT_MODES, QicdConfig, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list, load_labeled_edge_list
 from .partition import modularity, partition_to_csv
 from .rng import RNG_NAME, mix
-from .sampling import HyperuniformParams
+from .sampling import KIND_NAMES
 from .stats import summarize, welch_t_test
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+# Exceptions that mean bad data or a domain error: exit 2 with the message.
+DATA_ERRORS = (ValueError, ArithmeticError, OSError, KeyError)
 
-KIND_CHOICES = ("pt", "haar", "hu", "pt-hu", "haar-hu")
+# Runs per benchmark method when --runs names no count for it.
+BENCHMARK_RUNS = 6
+
+# Flag defaults, and the values of keys that a manifest lacks, come from the
+# config dataclasses and the library functions' own defaults; the CLI
+# restates none of them. The maps below send manifest keys to field names.
+_QICD = QicdConfig()
+_DETECTOR_KEYS = {k: k for k in ("max_levels", "min_gain", "resolution", "random_ties")}
+_DETECTOR_KEYS["max_sweeps"] = "max_sweeps_per_level"
+_KIND_KEYS = {"kind": "name", "proposal_seeds": "seed_count"}
+_HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
+_QICD_KEYS = {k: k for k in ("iterations", "stall_limit", "init_mode", "base", "refine_before_accept")}
 
 
 class UsageError(Exception):
@@ -50,6 +63,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # No prefix matching: a retired flag such as benchmark's --base must
+        # be rejected, not read as --baseline.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise UsageError(message)
 
@@ -92,28 +110,29 @@ def _write_manifest(stem: Path, command: str, config: dict, inputs: dict, output
     return path
 
 
+def _default(fn, name: str):
+    """The default of fn's parameter `name`."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _pick(config: dict, keys: dict[str, str]) -> dict:
+    """The fields or keyword arguments, named through `keys`, that config
+    sets; a key that config lacks keeps its default."""
+    return {field: config[key] for key, field in keys.items() if key in config}
+
+
 def _detector_from(config: dict) -> DetectorConfig:
-    return DetectorConfig(
-        seed=config["seed"],
-        max_levels=config.get("max_levels", 20),
-        max_sweeps_per_level=config.get("max_sweeps", 100),
-        min_gain=config.get("min_gain", 1e-7),
-        resolution=config.get("resolution", 1.0),
-        random_ties=config.get("random_ties", False),
-    )
+    return DetectorConfig(seed=config["seed"], **_pick(config, _DETECTOR_KEYS))
 
 
 def _qicd_config(config: dict) -> QicdConfig:
-    return QicdConfig(
-        kind=PerturbationKind(config["kind"], config.get("proposal_seeds")),
-        iterations=config.get("iterations", 10),
-        stall_limit=config.get("stall_limit", 5),
-        hu=HyperuniformParams(config.get("alpha", 2.0), config.get("fraction", 0.1)),
+    return replace(
+        _QICD,
+        kind=replace(_QICD.kind, **_pick(config, _KIND_KEYS)),
+        hu=replace(_QICD.hu, **_pick(config, _HU_KEYS)),
         detector=_detector_from(config),
-        init_mode=config.get("init_mode", "quick-leiden"),
-        base=config.get("base", "leiden"),
-        refine_before_accept=config.get("refine_before_accept", False),
         seed=mix(config["seed"], 1),
+        **_pick(config, _QICD_KEYS),
     )
 
 
@@ -151,10 +170,8 @@ def _run_generate_calibrated(config: dict) -> int:
         config["n"],
         config["k"],
         config["target_q"],
-        config.get("tolerance", 0.01),
-        avg_degree=config.get("avg_degree", 20.0),
         seed=config["seed"],
-        runs=config.get("calibration_runs", 3),
+        **_pick(config, {"tolerance": "tolerance", "avg_degree": "avg_degree", "calibration_runs": "runs"}),
     )
     graph, truth = generate_planted(spec)
     config = dict(config)
@@ -179,7 +196,8 @@ def _run_generate_rewire(config: dict) -> int:
     started = time.perf_counter()
     with open(config["input"], "r", encoding="utf-8") as fh:
         graph = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False))
-    rewired = degree_preserving_rewire(graph, config.get("swap_factor", 10.0), config["seed"])
+    swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
+    rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])
     _emit_graph_files(rewired, None, config, "generate-rewire", started)
     print(f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})")
     return EXIT_OK
@@ -234,7 +252,7 @@ def _run_qicd_cmd(config: dict) -> int:
 
 
 def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
-    default = 6
+    default = BENCHMARK_RUNS
     overrides: dict[str, int] = {}
     for part in str(spec).split(","):
         part = part.strip()
@@ -274,9 +292,8 @@ def _graph_from_spec(kind: str, params: dict, seed: int):
             int(params["n"]),
             int(params["k"]),
             params["target_q"],
-            params.get("tolerance", 0.01),
-            avg_degree=params.get("avg_degree", 20.0),
             seed=seed,
+            **_pick(params, {"tolerance": "tolerance", "avg_degree": "avg_degree"}),
         )
         return generate_planted(spec)[0]
     if kind == "clique-ring":
@@ -310,11 +327,11 @@ def _run_benchmark(config: dict) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise UsageError(f"unknown method names: {', '.join(unknown)}")
-    runs = _parse_runs_spec(config.get("runs", "6"), methods)
+    runs = _parse_runs_spec(config["runs"], methods)
     for name, count in runs.items():
         if count < 2:
             raise UsageError(f"method {name!r} needs at least 2 runs for statistics, got {count}")
-    baseline = config.get("baseline", "leiden")
+    baseline = config["baseline"]
     if len(methods) > 1 and baseline not in methods:
         raise UsageError(f"baseline {baseline!r} must be one of --methods")
 
@@ -334,23 +351,15 @@ def _run_benchmark(config: dict) -> int:
         else:
             graph = _graph_from_spec(kind, params, mix(seed, 71))
 
-    options = ExperimentOptions(
-        iterations=config.get("iterations", 10),
-        stall_limit=config.get("stall_limit", 5),
-        proposal_seeds=config.get("proposal_seeds"),
-        hu=HyperuniformParams(config.get("alpha", 2.0), config.get("fraction", 0.1)),
-        refine_before_accept=config.get("refine_before_accept", False),
-        resolution=config.get("resolution", 1.0),
-    )
-    samples = run_experiment(
-        graph,
-        methods,
-        runs,
-        seed,
-        options=options,
-        jobs=config.get("jobs", 1),
-        graph_factory=factory,
-    )
+    # Each method name sets its own kind and base, so any kind or base key
+    # in an older manifest has no effect.
+    try:
+        samples = run_experiment(graph, methods, runs, seed, cfg=_qicd_config(config), graph_factory=factory)
+    except RuntimeError as exc:
+        # The message names the failed method and run.
+        if isinstance(exc.__cause__, DATA_ERRORS):
+            raise ValueError(str(exc)) from exc
+        raise
 
     stem = _stem(config["out"])
     runs_path = Path(str(stem) + ".runs.csv")
@@ -411,12 +420,13 @@ def _run_benchmark(config: dict) -> int:
 
 def _run_mrg(config: dict) -> int:
     started = time.perf_counter()
-    nulls = config.get("nulls", 20)
+    nulls = config.get("nulls", _default(mrg_significance, "null_count"))
+    swap_factor = config.get("swap_factor", _default(mrg_significance, "swap_factor"))
     if nulls < 5:
         raise UsageError("--nulls must be at least 5")
     graph = _load_graph(config)
     cfg = _qicd_config(config)
-    report = mrg_significance(graph, cfg, nulls, seed=mix(config["seed"], 2), swap_factor=config.get("swap_factor", 10.0))
+    report = mrg_significance(graph, cfg, nulls, seed=mix(config["seed"], 2), swap_factor=swap_factor)
     stem = _stem(config["out"])
     path = Path(str(stem) + ".mrg.json")
     payload = {
@@ -426,7 +436,7 @@ def _run_mrg(config: dict) -> int:
         "percentile": report.percentile,
         "null_gaps": list(report.null_gaps),
         "null_count": nulls,
-        "swap_factor": config.get("swap_factor", 10.0),
+        "swap_factor": swap_factor,
     }
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest(stem, "mrg", config, {"graph": config["graph"]}, {"report": str(path)}, started)
@@ -456,23 +466,27 @@ def _add_graph_input(p: _Parser) -> None:
 
 
 def _add_detector_flags(p: _Parser) -> None:
-    p.add_argument("--max-levels", type=int, default=20)
-    p.add_argument("--max-sweeps", type=int, default=100)
-    p.add_argument("--min-gain", type=float, default=1e-7)
-    p.add_argument("--resolution", type=float, default=1.0)
+    det = DetectorConfig()
+    p.add_argument("--max-levels", type=int, default=det.max_levels)
+    p.add_argument("--max-sweeps", type=int, default=det.max_sweeps_per_level)
+    p.add_argument("--min-gain", type=float, default=det.min_gain)
+    p.add_argument("--resolution", type=float, default=det.resolution)
     p.add_argument("--random-ties", action="store_true")
 
 
-def _add_qicd_flags(p: _Parser) -> None:
-    p.add_argument("--kind", choices=KIND_CHOICES, default="haar")
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seeds", dest="proposal_seeds", type=int, default=None,
+def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
+    """QICD flags; `benchmark` omits --kind and --base, which each of its
+    method names sets."""
+    if kind_and_base:
+        p.add_argument("--kind", choices=KIND_NAMES, default=_QICD.kind.name)
+        p.add_argument("--base", choices=BASE_METHODS, default=_QICD.base)
+    p.add_argument("--iterations", type=int, default=_QICD.iterations)
+    p.add_argument("--seeds", dest="proposal_seeds", type=int, default=_QICD.kind.seed_count,
                    help="proposal seed count K (default: ceil(sqrt(n)))")
-    p.add_argument("--alpha", type=float, default=2.0, help="oversize threshold factor")
-    p.add_argument("--fraction", type=float, default=0.1, help="reassignment fraction")
-    p.add_argument("--stall-limit", type=int, default=5)
-    p.add_argument("--init-mode", choices=("singleton", "quick-leiden"), default="quick-leiden")
-    p.add_argument("--base", choices=("leiden", "louvain"), default="leiden")
+    p.add_argument("--alpha", type=float, default=_QICD.hu.skew_factor, help="oversize threshold factor")
+    p.add_argument("--fraction", type=float, default=_QICD.hu.reassign_fraction, help="reassignment fraction")
+    p.add_argument("--stall-limit", type=int, default=_QICD.stall_limit)
+    p.add_argument("--init-mode", choices=INIT_MODES, default=_QICD.init_mode)
     p.add_argument("--refine-before-accept", action="store_true",
                    help="polish proposals with a full seeded pass before the acceptance check")
 
@@ -499,9 +513,9 @@ def build_parser(default_seed: int) -> _Parser:
     g_cal.add_argument("--n", type=int, required=True)
     g_cal.add_argument("--k", type=int, required=True)
     g_cal.add_argument("--target-q", type=float, required=True)
-    g_cal.add_argument("--tolerance", type=float, default=0.01)
-    g_cal.add_argument("--avg-degree", type=float, default=20.0)
-    g_cal.add_argument("--calibration-runs", type=int, default=3)
+    g_cal.add_argument("--tolerance", type=float, default=_default(calibrate_planted, "tolerance"))
+    g_cal.add_argument("--avg-degree", type=float, default=_default(calibrate_planted, "avg_degree"))
+    g_cal.add_argument("--calibration-runs", type=int, default=_default(calibrate_planted, "runs"))
     g_cal.add_argument("--seed", type=int, default=default_seed)
     g_cal.add_argument("--out", required=True)
 
@@ -513,14 +527,14 @@ def build_parser(default_seed: int) -> _Parser:
 
     g_rw = gen_sub.add_parser("rewire", help="degree-preserving rewiring of an existing graph")
     g_rw.add_argument("--input", required=True)
-    g_rw.add_argument("--swap-factor", type=float, default=10.0)
+    g_rw.add_argument("--swap-factor", type=float, default=_default(degree_preserving_rewire, "swap_factor"))
     g_rw.add_argument("--merge-duplicates", action="store_true")
     g_rw.add_argument("--seed", type=int, default=default_seed)
     g_rw.add_argument("--out", required=True)
 
     det = sub.add_parser("detect", help="run a classical detector")
     _add_graph_input(det)
-    det.add_argument("--method", choices=("louvain", "leiden"), required=True)
+    det.add_argument("--method", choices=BASE_METHODS, required=True)
     _add_detector_flags(det)
     det.add_argument("--seed", type=int, default=default_seed)
     det.add_argument("--out", required=True)
@@ -539,17 +553,16 @@ def build_parser(default_seed: int) -> _Parser:
     ben.add_argument("--generate-spec", help="e.g. planted:n=1000,k=10,p_in=0.05,p_out=0.02")
     ben.add_argument("--fresh-graphs", action="store_true", help="new graph per run (with --generate-spec)")
     ben.add_argument("--methods", required=True, help="comma list of method names")
-    ben.add_argument("--runs", default="6", help="run count, with name=count overrides")
+    ben.add_argument("--runs", default=str(BENCHMARK_RUNS), help="run count, with name=count overrides")
     ben.add_argument("--baseline", default="leiden")
-    ben.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    _add_qicd_flags(ben)
+    _add_qicd_flags(ben, kind_and_base=False)
     ben.add_argument("--seed", type=int, default=default_seed)
     ben.add_argument("--out", required=True)
 
     mrg_p = sub.add_parser("mrg", help="MRG significance against rewired null graphs")
     _add_graph_input(mrg_p)
-    mrg_p.add_argument("--nulls", type=int, default=20)
-    mrg_p.add_argument("--swap-factor", type=float, default=10.0)
+    mrg_p.add_argument("--nulls", type=int, default=_default(mrg_significance, "null_count"))
+    mrg_p.add_argument("--swap-factor", type=float, default=_default(mrg_significance, "swap_factor"))
     _add_qicd_flags(mrg_p)
     _add_detector_flags(mrg_p)
     mrg_p.add_argument("--seed", type=int, default=default_seed)
@@ -579,6 +592,13 @@ _COMMON_KEYS = (
     "base",
     "refine_before_accept",
 )
+# The keys each command records besides the common ones it has flags for.
+_COMMAND_KEYS = {
+    "detect": ("method",),
+    "qicd": (),
+    "benchmark": ("generate_spec", "fresh_graphs", "methods", "runs", "baseline"),
+    "mrg": ("nulls", "swap_factor"),
+}
 
 
 def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
@@ -594,33 +614,13 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
             "rewire": ("input", "swap_factor", "merge_duplicates", "seed", "out"),
         }[generator]
         return command, {k: getattr(args, k) for k in keys}
-    if args.command == "detect":
-        config = {k: getattr(args, k) for k in _COMMON_KEYS if hasattr(args, k)}
-        config["method"] = args.method
-        return "detect", config
-    if args.command == "qicd":
-        return "qicd", {k: getattr(args, k) for k in _COMMON_KEYS if hasattr(args, k)}
-    if args.command == "benchmark":
-        config = {k: getattr(args, k) for k in _COMMON_KEYS if hasattr(args, k)}
-        config.update(
-            {
-                "generate_spec": args.generate_spec,
-                "fresh_graphs": args.fresh_graphs,
-                "methods": args.methods,
-                "runs": args.runs,
-                "baseline": args.baseline,
-                "jobs": args.jobs,
-            }
-        )
-        if bool(config.get("graph")) == bool(config.get("generate_spec")):
-            raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
-        return "benchmark", config
-    if args.command == "mrg":
-        config = {k: getattr(args, k) for k in _COMMON_KEYS if hasattr(args, k)}
-        config["nulls"] = args.nulls
-        config["swap_factor"] = args.swap_factor
-        return "mrg", config
-    raise UsageError("a command is required; see --help")
+    if args.command not in _COMMAND_KEYS:
+        raise UsageError("a command is required; see --help")
+    keys = _COMMON_KEYS + _COMMAND_KEYS[args.command]
+    config = {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    if args.command == "benchmark" and bool(config.get("graph")) == bool(config.get("generate_spec")):
+        raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
+    return args.command, config
 
 
 def _inject_config_file(argv: list[str]) -> list[str]:
@@ -691,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except DATA_ERRORS as exc:
         message = str(exc) or exc.__class__.__name__
         print(message, file=sys.stderr)
         return EXIT_DATA

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -83,17 +83,22 @@ class Graph:
         return cached
 
 
+def _edge_index(idx: int) -> str:
+    return f"edge {idx}"
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int, float]],
     *,
     merge_duplicates: bool = False,
+    where: Callable[[int], str] = _edge_index,
 ) -> Graph:
     """Build a Graph from (u, v, weight) triples over nodes 0..n-1.
 
     Isolated nodes are permitted. Duplicate undirected pairs are rejected
     unless merge_duplicates is set, in which case their weights are summed.
-    Errors name the offending edge index.
+    Errors name the offending edge as where(index), by default its index.
     """
     if n < 0:
         raise EdgeListError(f"node count must be non-negative, got {n}")
@@ -102,19 +107,19 @@ def build_graph(
         try:
             u, v, w = edge
         except (TypeError, ValueError):
-            raise EdgeListError(f"edge {idx}: expected a (u, v, weight) triple") from None
+            raise EdgeListError(f"{where(idx)}: expected a (u, v, weight) triple") from None
         u, v = int(u), int(v)
         if not (0 <= u < n) or not (0 <= v < n):
-            raise EdgeListError(f"edge {idx}: endpoint out of range for n={n}: ({u}, {v})")
+            raise EdgeListError(f"{where(idx)}: endpoint out of range for n={n}: ({u}, {v})")
         if u == v:
-            raise EdgeListError(f"edge {idx}: self-loop at node {u}")
+            raise EdgeListError(f"{where(idx)}: self-loop at node {u}")
         w = float(w)
         if not math.isfinite(w) or w <= 0.0:
-            raise EdgeListError(f"edge {idx}: weight must be finite and positive, got {w}")
+            raise EdgeListError(f"{where(idx)}: weight must be finite and positive, got {w}")
         key = (u, v) if u < v else (v, u)
         if key in pair_weight:
             if not merge_duplicates:
-                raise EdgeListError(f"edge {idx}: duplicate edge {key[0]}-{key[1]}")
+                raise EdgeListError(f"{where(idx)}: duplicate edge {key[0]}-{key[1]}")
             pair_weight[key] += w
         else:
             pair_weight[key] = w
@@ -149,6 +154,19 @@ def _iter_lines(source: str | IO[str] | Iterable[str]) -> Iterator[str]:
             yield line.rstrip("\n")
 
 
+def _file_lines(skipped: list[int]) -> Callable[[int], str]:
+    """Names edge i by its 1-based file line, given the ascending numbers
+    of the lines that hold no edge (blank lines and comments)."""
+
+    def where(idx: int) -> str:
+        line = idx + 1
+        for s in skipped:
+            line += s <= line
+        return f"line {line}"
+
+    return where
+
+
 def load_edge_list(
     source: str | IO[str] | Iterable[str],
     *,
@@ -162,13 +180,13 @@ def load_edge_list(
     max id + 1. Carriage returns before the newline are tolerated.
     """
     edges: list[tuple[int, int, float]] = []
+    skipped: list[int] = []
     header_n: int | None = None
     max_id = -1
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\r")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
+        if not line.strip() or line.startswith("#"):
+            skipped.append(lineno)
             m = _HEADER_RE.match(line)
             if m:
                 header_n = int(m.group(1))
@@ -193,7 +211,7 @@ def load_edge_list(
         edges.append((u, v, w))
         max_id = max(max_id, u, v)
     n = header_n if header_n is not None else max_id + 1
-    return build_graph(n, edges, merge_duplicates=merge_duplicates)
+    return build_graph(n, edges, merge_duplicates=merge_duplicates, where=_file_lines(skipped))
 
 
 def load_labeled_edge_list(
@@ -209,11 +227,11 @@ def load_labeled_edge_list(
     """
     labels: dict[str, int] = {}
     edges: list[tuple[int, int, float]] = []
+    skipped: list[int] = []
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\r")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
+        if not line.strip() or line.startswith("#"):
+            skipped.append(lineno)
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -227,7 +245,7 @@ def load_labeled_edge_list(
             w = 1.0
         ids = [labels.setdefault(tok, len(labels)) for tok in parts[:2]]
         edges.append((ids[0], ids[1], w))
-    graph = build_graph(len(labels), edges, merge_duplicates=merge_duplicates)
+    graph = build_graph(len(labels), edges, merge_duplicates=merge_duplicates, where=_file_lines(skipped))
     return graph, list(labels)
 
 

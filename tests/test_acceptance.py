@@ -383,7 +383,7 @@ def test_determinism_manifest_rerun(tmp_path, monkeypatch, capsys):
             ["qicd", "--graph", "g.el", "--kind", "haar-hu", "--iterations", "3",
              "--seed", "11", "--out", "run"],
             ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar",
-             "--runs", "2", "--iterations", "2", "--seed", "13", "--jobs", "2", "--out", "bench"],
+             "--runs", "2", "--iterations", "2", "--seed", "13", "--out", "bench"],
             ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2",
              "--seed", "17", "--out", "sig"],
         ]

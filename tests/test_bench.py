@@ -19,7 +19,7 @@ from qicd import (
     ring_of_cliques,
     run_experiment,
 )
-from qicd.bench import METHODS, ExperimentOptions, clique_ring_truth, planted_sizes, spec_for_ratio
+from qicd.bench import METHODS, clique_ring_truth, planted_sizes, spec_for_ratio
 
 
 def test_planted_spec_validation():
@@ -177,23 +177,15 @@ def test_method_registry_covers_expected_grid():
 def test_run_experiment_grid_and_determinism():
     g, _ = generate_planted(PlantedSpec(80, 4, 0.4, 0.05, seed=6))
     methods = ["leiden", "leiden-haar", "louvain"]
-    opts = ExperimentOptions(iterations=2, stall_limit=2)
-    samples_a = run_experiment(g, methods, {"leiden": 2, "leiden-haar": 2, "louvain": 3}, 42, options=opts)
-    samples_b = run_experiment(g, methods, {"leiden": 2, "leiden-haar": 2, "louvain": 3}, 42, options=opts)
+    cfg = QicdConfig(iterations=2, stall_limit=2)
+    samples_a = run_experiment(g, methods, {"leiden": 2, "leiden-haar": 2, "louvain": 3}, 42, cfg=cfg)
+    samples_b = run_experiment(g, methods, {"leiden": 2, "leiden-haar": 2, "louvain": 3}, 42, cfg=cfg)
     assert samples_a == samples_b
     assert [s.method for s in samples_a] == methods
     assert len(samples_a[2].q_values) == 3
     for s in samples_a:
         assert all(-1.0 <= q <= 1.0 for q in s.q_values)
         assert len(s.seeds) == len(s.q_values)
-
-
-def test_run_experiment_schedule_invariance():
-    g, _ = generate_planted(PlantedSpec(60, 3, 0.4, 0.05, seed=2))
-    opts = ExperimentOptions(iterations=2, stall_limit=2)
-    serial = run_experiment(g, ["leiden", "leiden-pt"], 2, 7, options=opts, jobs=1)
-    threaded = run_experiment(g, ["leiden", "leiden-pt"], 2, 7, options=opts, jobs=4)
-    assert serial == threaded
 
 
 def test_run_experiment_validation():
@@ -213,9 +205,9 @@ def test_run_experiment_failure_identifies_run():
 
 
 def test_run_experiment_graph_factory():
-    opts = ExperimentOptions(iterations=1, stall_limit=1)
+    cfg = QicdConfig(iterations=1, stall_limit=1)
     factory = lambda seed: generate_planted(PlantedSpec(50, 2, 0.5, 0.05, seed=seed))[0]
-    samples = run_experiment(None, ["leiden"], 2, 3, options=opts, graph_factory=factory)
+    samples = run_experiment(None, ["leiden"], 2, 3, cfg=cfg, graph_factory=factory)
     assert len(samples[0].q_values) == 2
 
 

@@ -149,7 +149,7 @@ def test_benchmark_full_grid_structure(workdir, capsys):
         [
             "benchmark", "--graph", "g.el", "--methods", methods,
             "--runs", "2,louvain=3", "--baseline", "leiden",
-            "--iterations", "2", "--seed", "9", "--jobs", "2", "--out", "bench",
+            "--iterations", "2", "--seed", "9", "--out", "bench",
         ]
     )
     assert code == 0
@@ -188,6 +188,54 @@ def test_benchmark_usage_errors(workdir, capsys):
     )
     assert main(["benchmark", "--methods", "louvain,leiden", "--baseline", "bogus-name", "--graph", "g.el",
                  "--runs", "2", "--out", "x"]) == 1
+
+
+def test_benchmark_edgeless_is_data_error(workdir, capsys):
+    (workdir / "empty.el").write_text("# nodes: 4\n")
+    code = main(["benchmark", "--graph", "empty.el", "--methods", "leiden", "--runs", "2", "--out", "x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "method 'leiden' run 0 failed: modularity undefined: graph has no edges" in err
+    assert "Traceback" not in err
+
+
+def test_benchmark_passes_init_mode_and_method_kind_base(workdir, capsys, monkeypatch):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    calls = []
+    real_run_qicd = qicd.bench.run_qicd
+
+    def spy(graph, cfg):
+        calls.append((cfg.init_mode, cfg.kind.name, cfg.base))
+        return real_run_qicd(graph, cfg)
+
+    monkeypatch.setattr(qicd.bench, "run_qicd", spy)
+    code = main(
+        [
+            "benchmark", "--graph", "g.el", "--methods", "leiden-haar,leiden-hu", "--baseline", "leiden-haar",
+            "--runs", "2", "--iterations", "2", "--init-mode", "singleton", "--seed", "3", "--out", "b",
+        ]
+    )
+    assert code == 0
+    assert calls == [("singleton", "haar", "leiden")] * 2 + [("singleton", "hu", "leiden")] * 2
+    for flags in (["--kind", "pt"], ["--base", "louvain"], ["--jobs", "2"]):
+        argv = ["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "2", "--out", "x", *flags]
+        assert main(argv) == 1, flags
+
+
+def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
+    """A benchmark manifest written before --kind, --base and --jobs left
+    `benchmark` (it holds those keys and no detector keys) still replays."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    argv = ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2",
+            "--iterations", "2", "--seed", "13", "--out", "fresh"]
+    assert main(argv) == 0
+    manifest = json.loads((workdir / "fresh.manifest.json").read_text())
+    config = manifest["config"]
+    assert not {"max_levels", "max_sweeps", "min_gain", "resolution", "random_ties"} & set(config)
+    config.update({"jobs": 2, "kind": "pt", "base": "louvain", "out": "old"})
+    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    assert main(["--from-manifest", "old.manifest.json"]) == 0
+    assert (workdir / "old.runs.csv").read_bytes() == (workdir / "fresh.runs.csv").read_bytes()
 
 
 def test_benchmark_generate_spec(workdir, capsys):

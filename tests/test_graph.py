@@ -98,6 +98,23 @@ def test_load_parse_error_reports_line():
         load_edge_list("0 1\n# comment\n0 1 2 3\n")
 
 
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (load_edge_list, "# nodes: 3\n# c\n0 1\n0 5\n", "line 4: endpoint out of range"),
+        (load_edge_list, "0 1\n\n1 1\n", "line 3: self-loop"),
+        (load_edge_list, "0 1\n# c\n\n1 2\n1 0\n", "line 5: duplicate edge 0-1"),
+        (load_edge_list, "0 1\n\n# c\n1 2 -2\n", "line 4: weight must be finite and positive"),
+        (load_labeled_edge_list, "a b\n\nb b\n", "line 3: self-loop"),
+        (load_labeled_edge_list, "# c\na b\n\nb a\n", "line 4: duplicate edge 0-1"),
+        (load_labeled_edge_list, "a b\n# c\nb c nan\n", "line 3: weight must be finite and positive"),
+    ],
+)
+def test_load_validation_errors_report_file_line(loader, text, message):
+    with pytest.raises(EdgeListError, match=message):
+        loader(text)
+
+
 def test_load_tolerates_comments_blanks_and_crlf():
     g = load_edge_list("# a comment\r\n\r\n0 1 1.5\r\n2\t3\t2.0\r\n")
     assert g.node_count == 4
