@@ -33,7 +33,6 @@ from .graph import (
     build_graph,
     dump_edge_list,
     load_edge_list,
-    load_labeled_edge_list,
 )
 from .partition import (
     NEW_COMMUNITY,

@@ -106,7 +106,7 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, Partition]:
         raise ValueError(f"expected edge count {expected:.3g} is below 1; spec would be empty")
 
     rng = make_rng(spec.seed)
-    edges: list[tuple[int, int, float]] = []
+    pairs = [np.empty((0, 2), dtype=np.int64)]  # concatenable even if no pair is drawn
     # Intra blocks: sample the full s*s rectangle and keep cells above the
     # diagonal, so each unordered pair is hit with probability exactly p_in.
     for c in range(spec.k):
@@ -117,18 +117,14 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, Partition]:
         i = hits // s
         j = hits % s
         keep = i < j
-        us = (i[keep] + starts[c]).tolist()
-        vs = (j[keep] + starts[c]).tolist()
-        edges.extend((u, v, 1.0) for u, v in zip(us, vs))
+        pairs.append(np.column_stack((i[keep], j[keep])) + starts[c])
     if spec.p_out > 0.0:
         for a in range(spec.k):
             for b in range(a + 1, spec.k):
                 hits = _bernoulli_hits(sizes[a] * sizes[b], spec.p_out, rng)
-                us = (hits // sizes[b] + starts[a]).tolist()
-                vs = (hits % sizes[b] + starts[b]).tolist()
-                edges.extend((u, v, 1.0) for u, v in zip(us, vs))
-
-    graph = build_graph(spec.n, edges)
+                pairs.append(np.column_stack((hits // sizes[b] + starts[a], hits % sizes[b] + starts[b])))
+    ends = np.concatenate(pairs)
+    graph = build_graph(spec.n, np.column_stack((ends, np.ones(len(ends)))))
     return graph, Partition(graph, labels)
 
 
@@ -228,7 +224,8 @@ def degree_preserving_rewire(graph: Graph, swap_factor: float = 10.0, seed: int 
     (c, d) with (a, c) and (b, d) unless that would create a self-loop or a
     duplicate. Weights travel with their rewired edge.
     """
-    edges = list(graph.iter_edges())
+    us, vs, ws = graph.edge_arrays()
+    edges = list(zip(us.tolist(), vs.tolist(), ws.tolist()))
     ne = len(edges)
     if ne < 2:
         raise ValueError("rewiring needs at least 2 edges")

@@ -32,7 +32,7 @@ from .bench import (
 )
 from .detect import DetectorConfig, leiden, louvain
 from .engine import BASE_METHODS, INIT_MODES, QicdConfig, result_to_json, run_qicd, trace_to_csv
-from .graph import dump_edge_list, load_edge_list, load_labeled_edge_list
+from .graph import dump_edge_list, load_edge_list
 from .partition import modularity, partition_to_csv
 from .rng import RNG_NAME, mix
 from .sampling import KIND_NAMES
@@ -86,7 +86,7 @@ def _load_graph(config: dict):
     path = config["graph"]
     with open(path, "r", encoding="utf-8") as fh:
         if config.get("relabel"):
-            graph, labels = load_labeled_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False))
+            graph, labels = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False), relabel=True)
             sidecar = Path(str(_stem(config["out"])) + ".labels.csv")
             _write_text(sidecar, "node_id,label\n" + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels)))
             return graph
@@ -331,7 +331,13 @@ def _run_benchmark(config: dict) -> int:
     for name, count in runs.items():
         if count < 2:
             raise UsageError(f"method {name!r} needs at least 2 runs for statistics, got {count}")
-    baseline = config["baseline"]
+    baseline = config.get("baseline")
+    if baseline is None:
+        # leiden, unless a method list omits it: then the first plain method
+        # it lists. The manifest records the name chosen.
+        plain = [m for m in methods if METHODS[m][1] is None]
+        baseline = plain[0] if len(methods) > 1 and "leiden" not in methods and plain else "leiden"
+        config["baseline"] = baseline
     if len(methods) > 1 and baseline not in methods:
         raise UsageError(f"baseline {baseline!r} must be one of --methods")
 
@@ -554,7 +560,7 @@ def build_parser(default_seed: int) -> _Parser:
     ben.add_argument("--fresh-graphs", action="store_true", help="new graph per run (with --generate-spec)")
     ben.add_argument("--methods", required=True, help="comma list of method names")
     ben.add_argument("--runs", default=str(BENCHMARK_RUNS), help="run count, with name=count overrides")
-    ben.add_argument("--baseline", default="leiden")
+    ben.add_argument("--baseline", help="default: leiden, or the first plain method if --methods omits it")
     _add_qicd_flags(ben, kind_and_base=False)
     ben.add_argument("--seed", type=int, default=default_seed)
     ben.add_argument("--out", required=True)

@@ -43,8 +43,14 @@ class DetectorConfig:
             raise ValueError("resolution must be > 0")
 
 
+def _flat(graph: Graph) -> tuple[list[int], list[int], list[float]]:
+    """The graph's CSR arrays as Python lists, which the interpreted loops
+    below index much faster than numpy arrays."""
+    return graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
+
+
 def _move_pass(
-    graph: Graph,
+    flat: tuple[list[int], list[int], list[float]],
     partition: Partition,
     rng: np.random.Generator,
     resolution: float,
@@ -57,10 +63,11 @@ def _move_pass(
     positive modularity gain; exact ties go to the lowest community id
     (or a seeded random pick when random_ties). When an `active` mask is
     given, only flagged nodes are visited and every move re-flags the
-    mover's neighbors, so later passes skip settled regions. Returns the
-    summed gain of applied moves.
+    mover's neighbors, so later passes skip settled regions. flat is the
+    graph's CSR as lists (see _flat). Returns the summed gain of applied
+    moves.
     """
-    adjacency = graph.adjacency
+    indptr, indices, weights = flat
     labels = partition.labels
     strengths = partition._strengths
     comm_strength = partition.community_strength
@@ -77,16 +84,18 @@ def _move_pass(
     touched: list[int] = []
 
     gain = 0.0
-    for u in rng.permutation(graph.node_count).tolist():
+    for u in rng.permutation(len(labels)).tolist():
         if active is not None:
             if not active[u]:
                 continue
             active[u] = False
-        nbrs = adjacency[u]
-        if not nbrs:
+        lo = indptr[u]
+        hi = indptr[u + 1]
+        if lo == hi:
             continue
+        nbrs = indices[lo:hi]
         a = labels[u]
-        for v, w in nbrs:
+        for v, w in zip(nbrs, weights[lo:hi]):
             c = labels[v]
             if weight_to[c] == 0.0:
                 touched.append(c)
@@ -131,7 +140,7 @@ def _move_pass(
             if active is not None:
                 # Neighbors already in the destination only gained incentive
                 # to stay; everyone else may now prefer a different move.
-                for v, _w in nbrs:
+                for v in nbrs:
                     if labels[v] != best:
                         active[v] = True
         for c in touched:
@@ -147,9 +156,10 @@ def _move_until_stable(
     cfg: DetectorConfig,
 ) -> None:
     """Repeat move passes until a sweep gains less than min_gain."""
+    flat = _flat(graph)
     active = [True] * graph.node_count
     for _ in range(cfg.max_sweeps_per_level):
-        gain = _move_pass(graph, partition, rng, cfg.resolution, cfg.random_ties, active)
+        gain = _move_pass(flat, partition, rng, cfg.resolution, cfg.random_ties, active)
         if gain < cfg.min_gain:
             break
 
@@ -164,12 +174,13 @@ def leiden_local_move(
     if rng is None:
         rng = make_rng(cfg.seed)
     out = partition.copy()
-    _move_pass(graph, out, rng, cfg.resolution, cfg.random_ties)
+    _move_pass(_flat(graph), out, rng, cfg.resolution, cfg.random_ties)
     return out.compact()
 
 
-def _connected_components(graph: Graph, nodes: list[int], labels: list[int], label: int) -> list[list[int]]:
-    """Components of the subgraph induced by `nodes` (all carrying `label`)."""
+def _connected_components(indptr: list[int], indices: list[int], nodes: list[int], labels: list[int], label: int):
+    """Components of the subgraph induced by `nodes` (all carrying `label`),
+    over a CSR given as lists."""
     seen: set[int] = set()
     components: list[list[int]] = []
     for start in nodes:
@@ -180,7 +191,7 @@ def _connected_components(graph: Graph, nodes: list[int], labels: list[int], lab
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v, _w in graph.adjacency[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if labels[v] == label and v not in seen:
                     seen.add(v)
                     comp.append(v)
@@ -195,13 +206,14 @@ def leiden_refine(graph: Graph, partition: Partition) -> Partition:
     Splitting into connected components never decreases Q. Output labels are
     compacted; connected communities pass through unchanged.
     """
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     labels = list(partition.labels)
     next_label = partition.community_count
     changed = False
     for c, nodes in enumerate(community_members(partition)):
         if len(nodes) <= 1:
             continue
-        components = _connected_components(graph, nodes, partition.labels, c)
+        components = _connected_components(indptr, indices, nodes, partition.labels, c)
         if len(components) == 1:
             continue
         changed = True
@@ -216,13 +228,8 @@ def leiden_refine(graph: Graph, partition: Partition) -> Partition:
 
 def community_connectivity_ok(graph: Graph, partition: Partition) -> bool:
     """True when every community induces a connected subgraph (BFS check)."""
-    for c, nodes in enumerate(community_members(partition)):
-        if len(nodes) <= 1:
-            continue
-        components = _connected_components(graph, nodes, partition.labels, c)
-        if len(components) > 1:
-            return False
-    return True
+    part = partition.copy().compact()
+    return leiden_refine(graph, part).community_count == part.community_count
 
 
 def _multilevel(

@@ -1,8 +1,10 @@
 """Immutable weighted undirected graphs and edge-list I/O.
 
-Nodes are dense integer ids ``0..n-1``. Each undirected edge is stored in
-both endpoint adjacency lists; self-loops and duplicate edges are rejected
-at construction. Edge weights are double precision and strictly positive.
+Nodes are dense integer ids ``0..n-1``. A graph is stored once, in
+compressed sparse row (CSR) form, with each undirected edge in the
+neighbour runs of both endpoints. Self-loops and duplicate edges are
+rejected at construction. Edge weights are double precision and strictly
+positive.
 """
 
 from __future__ import annotations
@@ -19,72 +21,51 @@ class EdgeListError(ValueError):
     """Malformed edge input: bad endpoint, weight, duplicate, or parse failure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Weighted undirected graph.
+    """Weighted undirected graph in CSR form.
 
-    adjacency[u] holds (neighbor, weight) pairs sorted by neighbor id.
-    strengths[u] is the total weight incident to u (the degree when all
-    weights are 1). total_weight is half the sum of all adjacency weights.
+    The neighbours of u are indices[indptr[u]:indptr[u + 1]], sorted by id,
+    and weights holds their edge weights at the same positions; the three
+    arrays are read-only. strengths[u] is the math.fsum of u's edge weights
+    (the degree when all weights are 1); total_weight is the math.fsum of
+    the weights of the distinct edges.
     """
 
     node_count: int
-    adjacency: tuple[tuple[tuple[int, float], ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
     strengths: tuple[float, ...]
     total_weight: float
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
-
-    def iter_edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield each undirected edge once as (u, v, w) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v, w in nbrs:
-                if v > u:
-                    yield u, v, w
+        return tuple(np.diff(self.indptr).tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (u, v, w) arrays of the edge list with u < v, cached."""
-        cached = getattr(self, "_edge_arrays", None)
-        if cached is None:
-            us: list[int] = []
-            vs: list[int] = []
-            ws: list[float] = []
-            for u, v, w in self.iter_edges():
-                us.append(u)
-                vs.append(v)
-                ws.append(w)
-            cached = (
-                np.asarray(us, dtype=np.int64),
-                np.asarray(vs, dtype=np.int64),
-                np.asarray(ws, dtype=np.float64),
-            )
-            object.__setattr__(self, "_edge_arrays", cached)
-        return cached
-
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Compressed adjacency: (indptr, neighbor) flat arrays, cached."""
-        cached = getattr(self, "_csr_arrays", None)
-        if cached is None:
-            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-            for u, nbrs in enumerate(self.adjacency):
-                indptr[u + 1] = indptr[u] + len(nbrs)
-            flat = np.fromiter(
-                (v for nbrs in self.adjacency for v, _w in nbrs),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-            cached = (indptr, flat)
-            object.__setattr__(self, "_csr_arrays", cached)
-        return cached
+        """(u, v, w) arrays holding each edge once with u < v, ordered by (u, v)."""
+        us = np.repeat(np.arange(self.node_count, dtype=np.int64), np.diff(self.indptr))
+        upper = self.indices > us
+        return us[upper], self.indices[upper], self.weights[upper]
 
 
 def _edge_index(idx: int) -> str:
     return f"edge {idx}"
+
+
+def _first_malformed(edges) -> int:
+    """Index of the first edge that is not a triple of numbers."""
+    for idx, edge in enumerate(edges):
+        try:
+            u, v, w = edge
+            float(u), float(v), float(w)
+        except (TypeError, ValueError, OverflowError):
+            return idx
+    return 0
 
 
 def build_graph(
@@ -96,50 +77,76 @@ def build_graph(
 ) -> Graph:
     """Build a Graph from (u, v, weight) triples over nodes 0..n-1.
 
-    Isolated nodes are permitted. Duplicate undirected pairs are rejected
-    unless merge_duplicates is set, in which case their weights are summed.
-    Errors name the offending edge as where(index), by default its index.
+    edges may also be an (m, 3) array. Isolated nodes are permitted.
+    Duplicate undirected pairs are rejected unless merge_duplicates is set,
+    in which case their weights are summed in input order. Errors name the
+    first offending edge in input order as where(index), by default its
+    index.
     """
     if n < 0:
         raise EdgeListError(f"node count must be non-negative, got {n}")
-    pair_weight: dict[tuple[int, int], float] = {}
-    for idx, edge in enumerate(edges):
-        try:
-            u, v, w = edge
-        except (TypeError, ValueError):
-            raise EdgeListError(f"{where(idx)}: expected a (u, v, weight) triple") from None
-        u, v = int(u), int(v)
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise EdgeListError(f"{where(idx)}: endpoint out of range for n={n}: ({u}, {v})")
-        if u == v:
-            raise EdgeListError(f"{where(idx)}: self-loop at node {u}")
-        w = float(w)
-        if not math.isfinite(w) or w <= 0.0:
-            raise EdgeListError(f"{where(idx)}: weight must be finite and positive, got {w}")
-        key = (u, v) if u < v else (v, u)
-        if key in pair_weight:
-            if not merge_duplicates:
-                raise EdgeListError(f"{where(idx)}: duplicate edge {key[0]}-{key[1]}")
-            pair_weight[key] += w
-        else:
-            pair_weight[key] = w
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        cols = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
+    except (TypeError, ValueError, OverflowError):
+        raise EdgeListError(f"{where(_first_malformed(edges))}: expected a (u, v, weight) triple") from None
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    # Share one int object per node id and one float per distinct weight;
-    # large graphs then keep the hot leaf objects compact in cache.
-    id_pool = list(range(n))
-    weight_pool: dict[float, float] = {}
-    for (u, v), w in sorted(pair_weight.items()):
-        w = weight_pool.setdefault(w, w)
-        adjacency[u].append((id_pool[v], w))
-        adjacency[v].append((id_pool[u], w))
-    strengths = tuple(math.fsum(w for _, w in nbrs) for nbrs in adjacency)
-    total = math.fsum(pair_weight.values())
+    # Endpoints are truncated towards zero, as int() does.
+    ends = np.trunc(cols[:, :2])
+    weights = cols[:, 2]
+    outside = ~((ends >= 0) & (ends < n)).all(axis=1)
+    loop = ends[:, 0] == ends[:, 1]
+    bad_weight = ~(np.isfinite(weights) & (weights > 0.0))
+    faults = np.flatnonzero(outside | loop | bad_weight)
+    valid = int(faults[0]) if faults.size else len(weights)
+
+    # Every edge before the first fault is well formed; a duplicate among
+    # them comes first in input order.
+    ends = ends[:valid].astype(np.int64)
+    lo = ends.min(axis=1)
+    hi = ends.max(axis=1)
+    order = np.lexsort((hi, lo))  # stable: a repeated pair keeps input order
+    lo, hi, weights = lo[order], hi[order], weights[order]
+    first = np.ones(valid, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    if not merge_duplicates and not first.all():
+        idx = int(order[~first].min())
+        raise EdgeListError(f"{where(idx)}: duplicate edge {ends[idx].min()}-{ends[idx].max()}")
+    if valid < len(cols):
+        u, v = (int(x) for x in cols[valid, :2])
+        if outside[valid]:
+            raise EdgeListError(f"{where(valid)}: endpoint out of range for n={n}: ({u}, {v})")
+        if loop[valid]:
+            raise EdgeListError(f"{where(valid)}: self-loop at node {u}")
+        raise EdgeListError(f"{where(valid)}: weight must be finite and positive, got {float(cols[valid, 2])}")
+
+    starts = np.flatnonzero(first)
+    pair_w = weights[starts]
+    if len(starts) < valid:
+        # A repeated pair's weights add up strictly left to right, in input
+        # order; accumulate, unlike sum, does not regroup the additions.
+        bounds = np.append(starts, valid)
+        for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            pair_w[g] = np.add.accumulate(weights[bounds[g] : bounds[g + 1]])[-1]
+    src = np.concatenate((lo[starts], hi[starts]))
+    dst = np.concatenate((hi[starts], lo[starts]))
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indices = dst[order]
+    weights = np.concatenate((pair_w, pair_w))[order]
+    for array in (indptr, indices, weights):
+        array.flags.writeable = False
+    flat = weights.tolist()
+    bounds = indptr.tolist()
     return Graph(
         node_count=n,
-        adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
-        strengths=strengths,
-        total_weight=total,
+        indptr=indptr,
+        indices=indices,
+        weights=weights,
+        strengths=tuple(math.fsum(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
+        total_weight=math.fsum(pair_w.tolist()),
     )
 
 
@@ -171,14 +178,21 @@ def load_edge_list(
     source: str | IO[str] | Iterable[str],
     *,
     merge_duplicates: bool = False,
-) -> Graph:
+    relabel: bool = False,
+) -> Graph | tuple[Graph, list[str]]:
     """Parse edge-list text into a Graph.
 
     Lines are "u v" or "u v w" with whitespace-separated fields; missing
     weights default to 1.0. Lines starting with '#' are comments; a header
     comment "# nodes: N" fixes the node count, otherwise it is inferred as
     max id + 1. Carriage returns before the newline are tolerated.
+
+    With relabel, node ids are arbitrary whitespace-free labels, mapped to
+    dense ids in order of first appearance, and the result is
+    (graph, labels) with labels[i] the label of node i, so results can be
+    joined back to the input; the header is then ignored.
     """
+    labels: dict[str, int] = {}
     edges: list[tuple[int, int, float]] = []
     skipped: list[int] = []
     header_n: int | None = None
@@ -194,13 +208,17 @@ def load_edge_list(
         parts = line.split()
         if len(parts) not in (2, 3):
             raise EdgeListError(f"line {lineno}: expected 'u v' or 'u v w', got {line!r}")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: node ids must be integers: {line!r}") from None
-        if u < 0 or v < 0:
-            raise EdgeListError(f"line {lineno}: node ids must be non-negative: {line!r}")
+        if relabel:
+            u = labels.setdefault(parts[0], len(labels))
+            v = labels.setdefault(parts[1], len(labels))
+        else:
+            try:
+                u = int(parts[0])
+                v = int(parts[1])
+            except ValueError:
+                raise EdgeListError(f"line {lineno}: node ids must be integers: {line!r}") from None
+            if u < 0 or v < 0:
+                raise EdgeListError(f"line {lineno}: node ids must be non-negative: {line!r}")
         if len(parts) == 3:
             try:
                 w = float(parts[2])
@@ -210,48 +228,17 @@ def load_edge_list(
             w = 1.0
         edges.append((u, v, w))
         max_id = max(max_id, u, v)
-    n = header_n if header_n is not None else max_id + 1
-    return build_graph(n, edges, merge_duplicates=merge_duplicates, where=_file_lines(skipped))
-
-
-def load_labeled_edge_list(
-    source: str | IO[str] | Iterable[str],
-    *,
-    merge_duplicates: bool = False,
-) -> tuple[Graph, list[str]]:
-    """Parse an edge list whose node ids are arbitrary labels.
-
-    Labels (any whitespace-free token) are mapped to dense ids in order of
-    first appearance; the mapping is returned so results can be joined back
-    to the original labels.
-    """
-    labels: dict[str, int] = {}
-    edges: list[tuple[int, int, float]] = []
-    skipped: list[int] = []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            skipped.append(lineno)
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise EdgeListError(f"line {lineno}: expected 'u v' or 'u v w', got {line!r}")
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: bad weight: {line!r}") from None
-        else:
-            w = 1.0
-        ids = [labels.setdefault(tok, len(labels)) for tok in parts[:2]]
-        edges.append((ids[0], ids[1], w))
-    graph = build_graph(len(labels), edges, merge_duplicates=merge_duplicates, where=_file_lines(skipped))
-    return graph, list(labels)
+    if relabel:
+        n = len(labels)
+    else:
+        n = header_n if header_n is not None else max_id + 1
+    graph = build_graph(n, edges, merge_duplicates=merge_duplicates, where=_file_lines(skipped))
+    return (graph, list(labels)) if relabel else graph
 
 
 def dump_edge_list(graph: Graph) -> str:
     """Serialize a Graph to edge-list text that reloads identically."""
+    us, vs, ws = graph.edge_arrays()
     lines = [f"# nodes: {graph.node_count}"]
-    for u, v, w in graph.iter_edges():
-        lines.append(f"{u} {v} {w!r}")
+    lines.extend(f"{u} {v} {w!r}" for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()))
     return "\n".join(lines) + "\n"

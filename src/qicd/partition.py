@@ -25,6 +25,12 @@ from .graph import Graph, build_graph
 NEW_COMMUNITY = -1
 
 
+def _neighbours(graph: Graph, node: int):
+    """(neighbour, weight) pairs of one node, in CSR order."""
+    lo, hi = graph.indptr[node], graph.indptr[node + 1]
+    return zip(graph.indices[lo:hi].tolist(), graph.weights[lo:hi].tolist())
+
+
 class Partition:
     """Community labels over a fixed graph, with consistent aggregates."""
 
@@ -131,7 +137,7 @@ class Partition:
         w_old = 0.0
         w_new = 0.0
         lab = self.labels
-        for v, w in graph.adjacency[node]:
+        for v, w in _neighbours(graph, node):
             c = lab[v]
             if c == a:
                 w_old += w
@@ -223,7 +229,7 @@ def delta_q_move(
     w_old = 0.0
     w_new = 0.0
     lab = partition.labels
-    for v, w in graph.adjacency[node]:
+    for v, w in _neighbours(graph, node):
         c = lab[v]
         if c == a:
             w_old += w
@@ -260,10 +266,7 @@ def aggregate(graph: Graph, partition: Partition) -> tuple[Graph, list[float]]:
     hi = np.maximum(cu[cross], cv[cross])
     keys, inverse = np.unique(lo * c_count + hi, return_inverse=True)
     sums = np.bincount(inverse, weights=ws[cross])
-    edges = [
-        (int(key // c_count), int(key % c_count), float(w)) for key, w in zip(keys, sums)
-    ]
-    collapsed = build_graph(c_count, edges)
+    collapsed = build_graph(c_count, np.column_stack((keys // c_count, keys % c_count, sums)))
     return collapsed, list(partition.internal_weight)
 
 

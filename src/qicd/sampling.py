@@ -22,15 +22,15 @@ KIND_NAMES = ("pt", "haar", "hu", "pt-hu", "haar-hu")
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Per-node non-negative weights; normalized means they sum to 1."""
+    """Per-node non-negative weights as a numpy array; normalized means
+    they sum to 1."""
 
     weights: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size == 0:
+        w = self.weights
+        if not isinstance(w, np.ndarray) or w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d vector")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be finite and non-negative")
@@ -144,7 +144,7 @@ def propose_partition(
     # Community index already encodes (larger weight, then lower id), so the
     # arrival tie rule is "smallest claiming community wins". Layer-by-layer
     # expansion; same-layer ties resolve with a running minimum per node.
-    indptr, flat_nbrs = graph.csr_arrays()
+    indptr, flat_nbrs = graph.indptr, graph.indices
     claim = np.empty(n, dtype=np.int64)
     frontier = np.sort(seeds)
     while frontier.size:

@@ -32,7 +32,8 @@ def modularity_double_sum(graph: Graph, labels, resolution: float = 1.0) -> floa
     n = graph.node_count
     m = graph.total_weight
     weight = [[0.0] * n for _ in range(n)]
-    for u, v, w in graph.iter_edges():
+    us, vs, ws = graph.edge_arrays()
+    for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
         weight[u][v] = w
         weight[v][u] = w
     s = graph.strengths
@@ -74,7 +75,7 @@ def communities_connected(graph: Graph, labels) -> bool:
         queue = deque([nodes[0]])
         while queue:
             u = queue.popleft()
-            for v, _w in graph.adjacency[u]:
+            for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]].tolist():
                 if v in members and v not in seen:
                     seen.add(v)
                     queue.append(v)

@@ -178,6 +178,23 @@ def test_benchmark_single_method_omits_p(workdir, capsys):
     assert "--" in table
 
 
+def test_benchmark_default_baseline(workdir, capsys):
+    """Without --baseline the baseline is leiden, or, when a method list
+    omits leiden, the first plain method it lists; the manifest records it."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    for methods, expected in (("louvain-pt-hu,louvain,leiden-hu", "louvain"), ("louvain,leiden-hu,leiden", "leiden")):
+        argv = ["benchmark", "--graph", "g.el", "--methods", methods, "--runs", "2",
+                "--iterations", "2", "--seed", "3", "--out", "b"]
+        assert main(argv) == 0, methods
+        summary = json.loads((workdir / "b.summary.json").read_text())
+        assert summary["baseline"] == expected
+        assert summary["methods"][expected]["p_vs_baseline"] is None
+        assert json.loads((workdir / "b.manifest.json").read_text())["config"]["baseline"] == expected
+    # no plain method to fall back on: leiden is still required
+    assert main(["benchmark", "--graph", "g.el", "--methods", "louvain-hu,louvain-pt", "--out", "x"]) == 1
+    assert "baseline 'leiden' must be one of --methods" in capsys.readouterr().err
+
+
 def test_benchmark_usage_errors(workdir, capsys):
     _make_graph(workdir)
     assert main(["benchmark", "--graph", "g.el", "--methods", "nope", "--out", "x"]) == 1

@@ -2,18 +2,25 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
-from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list, load_labeled_edge_list
+from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list
 
 from conftest import make_random_graph
+
+
+def load_relabeled(text):
+    return load_edge_list(text, relabel=True)
 
 
 def test_single_edge():
     g = build_graph(2, [(0, 1, 1.0)])
     assert g.total_weight == 1.0
     assert g.strengths == (1.0, 1.0)
-    assert g.adjacency == (((1, 1.0),), ((0, 1.0),))
+    assert g.indptr.tolist() == [0, 1, 2]
+    assert g.indices.tolist() == [1, 0]
+    assert g.weights.tolist() == [1.0, 1.0]
 
 
 def test_triangle():
@@ -26,7 +33,8 @@ def test_isolated_nodes_allowed():
     g = build_graph(4, [(0, 1, 2.0)])
     assert g.node_count == 4
     assert g.strengths[2] == 0.0
-    assert g.adjacency[3] == ()
+    # the isolated last node has an empty neighbour run
+    assert g.indptr[-1] == g.indptr[-2] == 2
 
 
 def test_self_loop_rejected():
@@ -57,24 +65,30 @@ def test_merge_duplicates_sums_weights():
     g = build_graph(2, [(0, 1, 1.0), (1, 0, 2.5)], merge_duplicates=True)
     assert g.total_weight == 3.5
     assert g.strengths == (3.5, 3.5)
+    # A pair listed three times sums in input order: (0.1 + 0.2) + 0.3 is
+    # 0.6000000000000001, while 0.1 + (0.2 + 0.3) would be 0.6.
+    g = build_graph(3, [(0, 1, 0.1), (1, 2, 1.0), (1, 0, 0.2), (0, 1, 0.3)], merge_duplicates=True)
+    assert g.edge_arrays()[2].tolist() == [(0.1 + 0.2) + 0.3, 1.0]
+    assert g.total_weight == math.fsum([(0.1 + 0.2) + 0.3, 1.0])
 
 
 def test_invariants_on_random_graphs():
     rnd = random.Random(7)
     for _ in range(60):
         g = make_random_graph(rnd, n_max=12)
+        runs = [range(g.indptr[u], g.indptr[u + 1]) for u in range(g.node_count)]
         # symmetric adjacency
-        pairs = {(u, v): w for u in range(g.node_count) for v, w in g.adjacency[u]}
+        pairs = {(u, int(g.indices[i])): g.weights[i] for u in range(g.node_count) for i in runs[u]}
         for (u, v), w in pairs.items():
             assert pairs[(v, u)] == w
         # strengths match adjacency sums; total weight is half the strength sum
         for u in range(g.node_count):
-            assert abs(g.strengths[u] - sum(w for _, w in g.adjacency[u])) < 1e-12
+            assert abs(g.strengths[u] - sum(g.weights[i] for i in runs[u])) < 1e-12
         total = sum(g.strengths) / 2.0
         assert abs(g.total_weight - total) <= 1e-9 * max(1.0, abs(total))
         # adjacency lists sorted by neighbor id
         for u in range(g.node_count):
-            nbrs = [v for v, _ in g.adjacency[u]]
+            nbrs = [g.indices[i] for i in runs[u]]
             assert nbrs == sorted(nbrs)
 
 
@@ -105,9 +119,12 @@ def test_load_parse_error_reports_line():
         (load_edge_list, "0 1\n\n1 1\n", "line 3: self-loop"),
         (load_edge_list, "0 1\n# c\n\n1 2\n1 0\n", "line 5: duplicate edge 0-1"),
         (load_edge_list, "0 1\n\n# c\n1 2 -2\n", "line 4: weight must be finite and positive"),
-        (load_labeled_edge_list, "a b\n\nb b\n", "line 3: self-loop"),
-        (load_labeled_edge_list, "# c\na b\n\nb a\n", "line 4: duplicate edge 0-1"),
-        (load_labeled_edge_list, "a b\n# c\nb c nan\n", "line 3: weight must be finite and positive"),
+        (load_relabeled, "a b\n\nb b\n", "line 3: self-loop"),
+        (load_relabeled, "# c\na b\n\nb a\n", "line 4: duplicate edge 0-1"),
+        (load_relabeled, "a b\n# c\nb c nan\n", "line 3: weight must be finite and positive"),
+        # several faults: the first in input order is named, whatever its kind
+        (load_edge_list, "# nodes: 5\n0 1\n1 2\n2 3\n0 9\n3 3\n1 0\n", "line 5: endpoint out of range"),
+        (load_edge_list, "# nodes: 5\n0 1\n1 2\n2 3\n1 0\n3 4\n0 9\n", "line 5: duplicate edge 0-1"),
     ],
 )
 def test_load_validation_errors_report_file_line(loader, text, message):
@@ -137,7 +154,8 @@ def test_round_trip_identity():
         g = make_random_graph(rnd, n_max=10)
         g2 = load_edge_list(dump_edge_list(g))
         assert g2.node_count == g.node_count
-        assert g2.adjacency == g.adjacency
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(g2, name), getattr(g, name))
         assert g2.total_weight == g.total_weight
 
 
@@ -146,11 +164,11 @@ def test_unweighted_strengths_are_integer_degrees():
     for _ in range(20):
         g = make_random_graph(rnd, n_max=10, weighted=False)
         for u in range(g.node_count):
-            assert g.strengths[u] == float(len(g.adjacency[u]))
+            assert g.strengths[u] == float(g.indptr[u + 1] - g.indptr[u])
 
 
 def test_labeled_loader_maps_tokens():
-    g, labels = load_labeled_edge_list("alice bob 2.0\nbob carol\n")
+    g, labels = load_edge_list("alice bob 2.0\nbob carol\n", relabel=True)
     assert labels == ["alice", "bob", "carol"]
     assert g.node_count == 3
     assert g.total_weight == 3.0
@@ -160,4 +178,5 @@ def test_degrees_and_edge_count():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     assert g.degrees() == (1, 2, 1)
     assert g.edge_count == 2
-    assert list(g.iter_edges()) == [(0, 1, 1.0), (1, 2, 1.0)]
+    us, vs, ws = g.edge_arrays()
+    assert (us.tolist(), vs.tolist(), ws.tolist()) == ([0, 1], [1, 2], [1.0, 1.0])
