@@ -51,7 +51,7 @@ BENCHMARK_RUNS = 6
 # config dataclasses and the library functions' own defaults; the CLI
 # restates none of them. The maps below send manifest keys to field names.
 _QICD = QicdConfig()
-_DETECTOR_KEYS = {k: k for k in ("max_levels", "min_gain", "resolution", "random_ties")}
+_DETECTOR_KEYS = {k: k for k in ("max_levels", "min_gain", "resolution")}
 _DETECTOR_KEYS["max_sweeps"] = "max_sweeps_per_level"
 _KIND_KEYS = {"kind": "name", "proposal_seeds": "seed_count"}
 _HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
@@ -477,7 +477,6 @@ def _add_detector_flags(p: _Parser) -> None:
     p.add_argument("--max-sweeps", type=int, default=det.max_sweeps_per_level)
     p.add_argument("--min-gain", type=float, default=det.min_gain)
     p.add_argument("--resolution", type=float, default=det.resolution)
-    p.add_argument("--random-ties", action="store_true")
 
 
 def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
@@ -577,56 +576,22 @@ def build_parser(default_seed: int) -> _Parser:
     return parser
 
 
-_COMMON_KEYS = (
-    "seed",
-    "out",
-    "graph",
-    "merge_duplicates",
-    "relabel",
-    "max_levels",
-    "max_sweeps",
-    "min_gain",
-    "resolution",
-    "random_ties",
-    "kind",
-    "iterations",
-    "proposal_seeds",
-    "alpha",
-    "fraction",
-    "stall_limit",
-    "init_mode",
-    "base",
-    "refine_before_accept",
-)
-# The keys each command records besides the common ones it has flags for.
-_COMMAND_KEYS = {
-    "detect": ("method",),
-    "qicd": (),
-    "benchmark": ("generate_spec", "fresh_graphs", "methods", "runs", "baseline"),
-    "mrg": ("nulls", "swap_factor"),
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
-    if args.command == "generate":
-        generator = getattr(args, "generator", None)
+    """The command and its config: every destination of the chosen
+    subparser."""
+    config = dict(vars(args))
+    command = config.pop("command")
+    generator = config.pop("generator", None)
+    del config["from_manifest"], config["config"]
+    if command == "generate":
         if generator is None:
             raise UsageError("generate requires a subcommand: planted | calibrated | clique-ring | rewire")
         command = f"generate-{generator}"
-        keys = {
-            "planted": ("n", "k", "p_in", "p_out", "seed", "out"),
-            "calibrated": ("n", "k", "target_q", "tolerance", "avg_degree", "calibration_runs", "seed", "out"),
-            "clique-ring": ("cliques", "size", "seed", "out"),
-            "rewire": ("input", "swap_factor", "merge_duplicates", "seed", "out"),
-        }[generator]
-        return command, {k: getattr(args, k) for k in keys}
-    if args.command not in _COMMAND_KEYS:
+    elif command is None:
         raise UsageError("a command is required; see --help")
-    keys = _COMMON_KEYS + _COMMAND_KEYS[args.command]
-    config = {k: getattr(args, k) for k in keys if hasattr(args, k)}
-    if args.command == "benchmark" and bool(config.get("graph")) == bool(config.get("generate_spec")):
+    if command == "benchmark" and bool(config.get("graph")) == bool(config.get("generate_spec")):
         raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
-    return args.command, config
+    return command, config
 
 
 def _inject_config_file(argv: list[str]) -> list[str]:
@@ -689,6 +654,10 @@ def main(argv: list[str] | None = None) -> int:
             command = manifest["command"]
             if command not in RUNNERS:
                 raise UsageError(f"manifest names unknown command {command!r}")
+            if manifest["config"].get("random_ties"):
+                # Ties now always go to the lowest community id; replaying
+                # under that rule would not reproduce the recorded run.
+                raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
             return RUNNERS[command](manifest["config"])
         command, config = _config_from_args(args)
         return RUNNERS[command](config)

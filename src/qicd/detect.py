@@ -2,11 +2,13 @@
 
 Both run the multilevel scheme: greedy single-node moves until a sweep
 gains less than min_gain, then collapse communities and repeat until
-aggregation stops merging. Leiden additionally splits communities that
-induce disconnected subgraphs, and its returned communities are always
-connected. The local-move and refinement phases are exposed on their own
-(leiden_local_move, leiden_refine) for callers that drive the loop
-themselves.
+aggregation stops merging. `leiden` is Louvain plus a connected-component
+split: at each level, and once more on the final partition, every
+community that induces a disconnected subgraph is split into its
+components, so the returned communities are always connected. It is not
+the randomized refinement phase of Traag, Waltman & van Eck (2019). The
+local-move and split phases are exposed on their own (leiden_local_move,
+leiden_refine) for callers that drive the loop themselves.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ class DetectorConfig:
     max_sweeps_per_level: int = 100
     min_gain: float = 1e-7
     resolution: float = 1.0
-    # Equal-gain targets default to the lowest community id, which keeps runs
-    # reproducible; set random_ties to break ties from the seed stream.
-    random_ties: bool = False
 
     def __post_init__(self):
         if self.max_levels < 1:
@@ -54,18 +53,17 @@ def _move_pass(
     partition: Partition,
     rng: np.random.Generator,
     resolution: float,
-    random_ties: bool,
-    active: list[bool] | None = None,
+    active: list[bool],
 ) -> float:
     """One greedy pass over nodes in random order, in place.
 
     Each node moves to the neighboring community with the largest strictly
-    positive modularity gain; exact ties go to the lowest community id
-    (or a seeded random pick when random_ties). When an `active` mask is
-    given, only flagged nodes are visited and every move re-flags the
-    mover's neighbors, so later passes skip settled regions. flat is the
-    graph's CSR as lists (see _flat). Returns the summed gain of applied
-    moves.
+    positive modularity gain; exact ties go to the lowest community id, so
+    a seeded run is reproducible. Only nodes flagged in `active` are
+    visited, and each visit clears the node's flag; every move re-flags the
+    mover's neighbors outside its destination, so later passes skip settled
+    regions. flat is the graph's CSR as lists (see _flat). Returns the
+    summed gain of applied moves.
     """
     indptr, indices, weights = flat
     labels = partition.labels
@@ -85,10 +83,9 @@ def _move_pass(
 
     gain = 0.0
     for u in rng.permutation(len(labels)).tolist():
-        if active is not None:
-            if not active[u]:
-                continue
-            active[u] = False
+        if not active[u]:
+            continue
+        active[u] = False
         lo = indptr[u]
         hi = indptr[u + 1]
         if lo == hi:
@@ -106,27 +103,13 @@ def _move_pass(
         k = coef * s
         best = a
         best_gain = 0.0
-        if random_ties:
-            ties: list[int] = []
-            for c in sorted(touched):
-                if c == a:
-                    continue
-                d = (weight_to[c] - w_old) * inv_m - k * (comm_strength[c] - base)
-                if d > best_gain:
-                    best_gain = d
-                    ties = [c]
-                elif d == best_gain and ties:
-                    ties.append(c)
-            if ties:
-                best = ties[int(rng.integers(len(ties)))]
-        else:
-            for c in touched:
-                if c == a:
-                    continue
-                d = (weight_to[c] - w_old) * inv_m - k * (comm_strength[c] - base)
-                if d > best_gain or (d == best_gain and d > 0.0 and c < best):
-                    best_gain = d
-                    best = c
+        for c in touched:
+            if c == a:
+                continue
+            d = (weight_to[c] - w_old) * inv_m - k * (comm_strength[c] - base)
+            if d > best_gain or (d == best_gain and d > 0.0 and c < best):
+                best_gain = d
+                best = c
         if best != a:
             lw = ledger[u] if ledger is not None else 0.0
             internal[a] -= w_old + lw
@@ -137,12 +120,11 @@ def _move_pass(
             sizes[best] += 1
             labels[u] = best
             gain += best_gain
-            if active is not None:
-                # Neighbors already in the destination only gained incentive
-                # to stay; everyone else may now prefer a different move.
-                for v in nbrs:
-                    if labels[v] != best:
-                        active[v] = True
+            # Neighbors already in the destination only gained incentive to
+            # stay; everyone else may now prefer a different move.
+            for v in nbrs:
+                if labels[v] != best:
+                    active[v] = True
         for c in touched:
             weight_to[c] = 0.0
         touched.clear()
@@ -159,7 +141,7 @@ def _move_until_stable(
     flat = _flat(graph)
     active = [True] * graph.node_count
     for _ in range(cfg.max_sweeps_per_level):
-        gain = _move_pass(flat, partition, rng, cfg.resolution, cfg.random_ties, active)
+        gain = _move_pass(flat, partition, rng, cfg.resolution, active)
         if gain < cfg.min_gain:
             break
 
@@ -174,7 +156,7 @@ def leiden_local_move(
     if rng is None:
         rng = make_rng(cfg.seed)
     out = partition.copy()
-    _move_pass(_flat(graph), out, rng, cfg.resolution, cfg.random_ties)
+    _move_pass(_flat(graph), out, rng, cfg.resolution, [True] * graph.node_count)
     return out.compact()
 
 
@@ -280,7 +262,8 @@ def louvain(graph: Graph, cfg: DetectorConfig) -> Partition:
 
 
 def leiden(graph: Graph, cfg: DetectorConfig) -> Partition:
-    """Louvain plus a refinement phase; returned communities are connected."""
+    """Louvain plus a connected-component split at each level and at the
+    end; returned communities are connected."""
     return _multilevel(graph, cfg, refine=True)
 
 

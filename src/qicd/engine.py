@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -213,32 +213,15 @@ def trace_to_csv(trace: list[IterationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_to_dict(cfg: QicdConfig) -> dict:
-    return {
-        "kind": cfg.kind.name,
-        "proposal_seeds": cfg.kind.seed_count,
-        "iterations": cfg.iterations,
-        "stall_limit": cfg.stall_limit,
-        "hu": {"skew_factor": cfg.hu.skew_factor, "reassign_fraction": cfg.hu.reassign_fraction},
-        "detector": {
-            "seed": cfg.detector.seed,
-            "max_levels": cfg.detector.max_levels,
-            "max_sweeps_per_level": cfg.detector.max_sweeps_per_level,
-            "min_gain": cfg.detector.min_gain,
-            "resolution": cfg.detector.resolution,
-            "random_ties": cfg.detector.random_ties,
-        },
-        "init_mode": cfg.init_mode,
-        "base": cfg.base,
-        "refine_before_accept": cfg.refine_before_accept,
-        "seed": cfg.seed,
-    }
-
-
 def result_to_json(result: QicdResult, cfg: QicdConfig) -> dict:
-    """JSON envelope: config echo plus the headline numbers."""
+    """JSON envelope: config echo plus the headline numbers. The config
+    echo is cfg as nested dicts, with the proposal kind flattened into the
+    "kind" name and "proposal_seeds"."""
+    config = asdict(cfg)
+    kind = config.pop("kind")
+    config.update(kind=kind["name"], proposal_seeds=kind["seed_count"])
     return {
-        "config": config_to_dict(cfg),
+        "config": config,
         "proposal_seed_count": result.proposal_seed_count,
         "Q_baseline": result.q_baseline,
         "Q_star": result.q_star,

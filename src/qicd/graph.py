@@ -21,6 +21,10 @@ class EdgeListError(ValueError):
     """Malformed edge input: bad endpoint, weight, duplicate, or parse failure."""
 
 
+class NodeCountError(EdgeListError):
+    """A node count too large to allocate."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted undirected graph in CSR form.
@@ -85,6 +89,11 @@ def build_graph(
     """
     if n < 0:
         raise EdgeListError(f"node count must be non-negative, got {n}")
+    try:
+        # First, so that a hostile node count fails before any edge work.
+        indptr = np.zeros(n + 1, dtype=np.int64)
+    except (ValueError, OverflowError, MemoryError):
+        raise NodeCountError(f"node count {n} is too large") from None
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
@@ -127,12 +136,12 @@ def build_graph(
         # A repeated pair's weights add up strictly left to right, in input
         # order; accumulate, unlike sum, does not regroup the additions.
         bounds = np.append(starts, valid)
-        for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
-            pair_w[g] = np.add.accumulate(weights[bounds[g] : bounds[g + 1]])[-1]
+        with np.errstate(over="ignore"):  # an infinite sum is reported below
+            for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+                pair_w[g] = np.add.accumulate(weights[bounds[g] : bounds[g + 1]])[-1]
     src = np.concatenate((lo[starts], hi[starts]))
     dst = np.concatenate((hi[starts], lo[starts]))
     order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     indices = dst[order]
     weights = np.concatenate((pair_w, pair_w))[order]
@@ -140,13 +149,25 @@ def build_graph(
         array.flags.writeable = False
     flat = weights.tolist()
     bounds = indptr.tolist()
+    try:
+        strengths = tuple(math.fsum(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        total_weight = math.fsum(pair_w.tolist())
+    except OverflowError:
+        total_weight = math.inf
+    if not math.isfinite(total_weight):
+        # Every merged weight and node strength is part of the total, so the
+        # running total in input order leaves the float range first.
+        with np.errstate(over="ignore"):
+            running = np.cumsum(cols[:, 2])
+        idx = min(int(np.searchsorted(running, math.inf)), valid - 1)
+        raise EdgeListError(f"{where(idx)}: the edge weights sum past the float range")
     return Graph(
         node_count=n,
         indptr=indptr,
         indices=indices,
         weights=weights,
-        strengths=tuple(math.fsum(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
-        total_weight=math.fsum(pair_w.tolist()),
+        strengths=strengths,
+        total_weight=total_weight,
     )
 
 
@@ -196,6 +217,7 @@ def load_edge_list(
     edges: list[tuple[int, int, float]] = []
     skipped: list[int] = []
     header_n: int | None = None
+    header_line = 0
     max_id = -1
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\r")
@@ -204,6 +226,7 @@ def load_edge_list(
             m = _HEADER_RE.match(line)
             if m:
                 header_n = int(m.group(1))
+                header_line = lineno
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -232,7 +255,16 @@ def load_edge_list(
         n = len(labels)
     else:
         n = header_n if header_n is not None else max_id + 1
-    graph = build_graph(n, edges, merge_duplicates=merge_duplicates, where=_file_lines(skipped))
+    where = _file_lines(skipped)
+    try:
+        graph = build_graph(n, edges, merge_duplicates=merge_duplicates, where=where)
+    except NodeCountError as exc:
+        # The count comes from the header, or else from the largest node id.
+        if header_n is not None:
+            origin = f"line {header_line}"
+        else:
+            origin = where(next(i for i, (u, v, _) in enumerate(edges) if max(u, v) == max_id))
+        raise NodeCountError(f"{origin}: {exc}") from None
     return (graph, list(labels)) if relabel else graph
 
 

@@ -306,6 +306,30 @@ def test_manifest_rerun_reproduces_outputs(workdir):
     assert old_rows == new_rows
 
 
+def test_random_ties_is_retired(workdir, capsys):
+    """Ties always go to the lowest community id: the flag is gone, a
+    manifest that broke ties at random is refused, and one that did not
+    replays unchanged."""
+    _make_graph(workdir)
+    for argv in (
+        ["detect", "--method", "leiden"],
+        ["qicd", "--iterations", "1"],
+        ["mrg", "--nulls", "5", "--iterations", "1"],
+    ):
+        assert main(argv + ["--graph", "g.el", "--random-ties", "--out", "r"]) == 1
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "p.csv"]) == 0
+    manifest = json.loads((workdir / "p.manifest.json").read_text())
+    assert "random_ties" not in manifest["config"]
+    for flag, out, code in ((True, "t.csv", 1), (False, "f.csv", 0)):
+        manifest["config"].update(random_ties=flag, out=out)
+        (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["--from-manifest", "old.manifest.json"]) == code
+        assert ("random_ties" in capsys.readouterr().err) == flag
+    assert not (workdir / "t.csv").exists()
+    assert (workdir / "f.csv").read_bytes() == (workdir / "p.csv").read_bytes()
+
+
 def test_config_file_defaults(workdir, capsys):
     _make_graph(workdir)
     (workdir / "conf.txt").write_text("method=leiden\nseed=9\n")

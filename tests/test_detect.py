@@ -161,15 +161,15 @@ def test_q_never_below_singletons():
             assert modularity(g, detector(g, DetectorConfig(seed=1))) >= q0 - 1e-12
 
 
-def test_random_ties_flag_runs():
-    rnd = random.Random(44)
-    g = make_random_graph(rnd, n_max=16)
-    if g.total_weight == 0:
-        g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    cfg = DetectorConfig(seed=2, random_ties=True)
-    p1 = leiden(g, cfg)
-    p2 = leiden(g, cfg)
-    assert p1.labels == p2.labels  # still deterministic under a fixed seed
+def test_equal_gain_tie_goes_to_lowest_community_id():
+    # Node 0 links the symmetric pairs {1, 3} and {2, 4}, so joining either
+    # gains the same. Node 1 comes first in node 0's CSR row but carries the
+    # higher community id 2; node 0 must still join community 1.
+    g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)])
+    p = Partition(g, [0, 2, 1, 2, 1])
+    for seed in range(8):
+        out = leiden_local_move(g, p, DetectorConfig(seed=seed))
+        assert out.labels[0] == out.labels[2] != out.labels[1]
 
 
 def test_seeded_pass_improves_initial(two_triangles):

@@ -1,10 +1,15 @@
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qicd
 from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list
 
 from conftest import make_random_graph
@@ -70,6 +75,9 @@ def test_merge_duplicates_sums_weights():
     g = build_graph(3, [(0, 1, 0.1), (1, 2, 1.0), (1, 0, 0.2), (0, 1, 0.3)], merge_duplicates=True)
     assert g.edge_arrays()[2].tolist() == [(0.1 + 0.2) + 0.3, 1.0]
     assert g.total_weight == math.fsum([(0.1 + 0.2) + 0.3, 1.0])
+    # a merged weight past the float range is an error, not an infinite edge
+    with pytest.raises(EdgeListError, match="edge 1: the edge weights sum past the float range"):
+        build_graph(2, [(0, 1, 1e308), (1, 0, 1e308)], merge_duplicates=True)
 
 
 def test_invariants_on_random_graphs():
@@ -125,11 +133,38 @@ def test_load_parse_error_reports_line():
         # several faults: the first in input order is named, whatever its kind
         (load_edge_list, "# nodes: 5\n0 1\n1 2\n2 3\n0 9\n3 3\n1 0\n", "line 5: endpoint out of range"),
         (load_edge_list, "# nodes: 5\n0 1\n1 2\n2 3\n1 0\n3 4\n0 9\n", "line 5: duplicate edge 0-1"),
+        # a running sum leaves the float range: node 1's strength, then only the total
+        (load_edge_list, "0 1 1e308\n1 2 1e308\n2 3\n", "line 2: the edge weights sum past the float range"),
+        (load_edge_list, "0 1 1e308\n2 3 1e308\n", "line 2: the edge weights sum past the float range"),
+        (load_edge_list, "0 1\n# nodes: 99999999999999999999\n", "line 2: node count 99999999999999999999 is too large"),
+        # without a header, the count comes from the line holding the largest id
+        (load_edge_list, "0 1\n1 99999999999999999999\n", "line 2: node count 100000000000000000000 is too large"),
     ],
 )
 def test_load_validation_errors_report_file_line(loader, text, message):
     with pytest.raises(EdgeListError, match=message):
         loader(text)
+
+
+def test_oversized_header_is_a_data_error_under_a_memory_limit(tmp_path):
+    """A header count whose arrays cannot be allocated (8 TiB here) exits 2
+    naming the header line. The child's address space is capped so that no
+    host ever really allocates it."""
+    (tmp_path / "g.el").write_text("# nodes: 1099511627776\n0 1\n")
+    package_root = str(Path(qicd.__file__).resolve().parent.parent)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))\n"
+        "from qicd.cli import main\n"
+        "sys.exit(main(['detect', '--graph', 'g.el', '--method', 'leiden', '--out', 'p.csv']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.strip() == "line 1: node count 1099511627776 is too large"
 
 
 def test_load_tolerates_comments_blanks_and_crlf():
