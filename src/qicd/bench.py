@@ -159,14 +159,15 @@ def calibrate_planted(
     if not 0.0 < target_q < 0.9:
         raise ValueError("target_q must be in (0, 0.9)")
 
+    det = detector or DetectorConfig()
+
     def mean_q(ratio: float) -> float:
         qs = []
         for i in range(runs):
             spec = spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i))
             graph, _truth = generate_planted(spec)
-            det = detector or DetectorConfig()
             part = leiden(graph, replace(det, seed=mix(seed, 1000 + i)))
-            qs.append(modularity(graph, part, (detector or DetectorConfig()).resolution))
+            qs.append(modularity(graph, part, det.resolution))
         return sum(qs) / len(qs)
 
     lo, hi = 0.0, 1.0  # q decreases as the ratio grows
@@ -217,48 +218,59 @@ def clique_ring_truth(cliques: int, size: int) -> list[int]:
     return [c for c in range(cliques) for _ in range(size)]
 
 
+def _check_swap_factor(swap_factor: float) -> None:
+    if not (math.isfinite(swap_factor) and swap_factor > 0):
+        raise ValueError(f"swap_factor must be finite and > 0, got {swap_factor}")
+
+
 def degree_preserving_rewire(graph: Graph, swap_factor: float = 10.0, seed: int = 0) -> Graph:
     """Randomize a graph by double-edge swaps, preserving every degree.
 
-    Attempts ceil(swap_factor * m) swaps; a swap replaces edges (a, b) and
-    (c, d) with (a, c) and (b, d) unless that would create a self-loop or a
-    duplicate. Weights travel with their rewired edge.
+    Tries ceil(swap_factor * m) swaps in rounds. Each round draws up to
+    m // 2 disjoint edge pairs; a swap replaces edges (a, b) and (c, d)
+    with (a, c) and (b, d), where a random flip may first exchange c and d.
+    All pairs of a round are checked against the edge set at the start of
+    the round, so the rejection is conservative: a swap is refused if it
+    would make a self-loop, if its two new edges coincide, if either new
+    edge is already present (even one that another swap of the round
+    removes), or if either is proposed twice in the round. Each weight
+    stays with its edge slot and so travels with the rewired edge.
     """
+    _check_swap_factor(swap_factor)
     us, vs, ws = graph.edge_arrays()
-    edges = list(zip(us.tolist(), vs.tolist(), ws.tolist()))
-    ne = len(edges)
-    if ne < 2:
+    m = len(us)
+    if m < 2:
         raise ValueError("rewiring needs at least 2 edges")
-    if swap_factor <= 0:
-        raise ValueError("swap_factor must be > 0")
-    attempts = math.ceil(swap_factor * ne)
+    n = graph.node_count
+    attempts = math.ceil(swap_factor * m)
     rng = make_rng(seed)
-    edge_set = {(u, v) for u, v, _w in edges}
-
-    picks = rng.integers(0, ne, size=2 * attempts).tolist()
-    flips = (rng.random(attempts) < 0.5).tolist()
-    for idx in range(attempts):
-        i = picks[2 * idx]
-        j = picks[2 * idx + 1]
-        if i == j:
-            continue
-        a, b, w1 = edges[i]
-        c, d, w2 = edges[j]
-        if flips[idx]:
-            c, d = d, c
-        if a == c or b == d:
-            continue
-        p1 = (a, c) if a < c else (c, a)
-        p2 = (b, d) if b < d else (d, b)
-        if p1 == p2 or p1 in edge_set or p2 in edge_set:
-            continue
-        edge_set.discard((a, b) if a < b else (b, a))
-        edge_set.discard((c, d) if c < d else (d, c))
-        edge_set.add(p1)
-        edge_set.add(p2)
-        edges[i] = (p1[0], p1[1], w1)
-        edges[j] = (p2[0], p2[1], w2)
-    return build_graph(graph.node_count, edges)
+    tried = 0
+    while tried < attempts:
+        pairs = min(m // 2, attempts - tried)
+        tried += pairs
+        order = rng.permutation(m)
+        i, j = order[:pairs], order[pairs : 2 * pairs]
+        flip = rng.random(pairs) < 0.5
+        a, b = us[i], vs[i]
+        c = np.where(flip, vs[j], us[j])
+        d = np.where(flip, us[j], vs[j])
+        lo1, hi1 = np.minimum(a, c), np.maximum(a, c)
+        lo2, hi2 = np.minimum(b, d), np.maximum(b, d)
+        new1, new2 = lo1 * n + hi1, lo2 * n + hi2
+        # Edges are int64 keys min * n + max (us < vs holds throughout).
+        # Sorted needles are looked up in the sorted keys; a key drawn twice
+        # in the round (also both new edges of one pair) rejects its pairs.
+        needles, inverse, counts = np.unique(
+            np.concatenate((new1, new2)), return_inverse=True, return_counts=True
+        )
+        present = np.sort(us * n + vs)
+        hit = present[np.minimum(np.searchsorted(present, needles), m - 1)] == needles
+        bad = (hit | (counts > 1))[inverse]
+        ok = (a != c) & (b != d) & ~bad[:pairs] & ~bad[pairs:]
+        i, j = i[ok], j[ok]
+        us[i], vs[i] = lo1[ok], hi1[ok]
+        us[j], vs[j] = lo2[ok], hi2[ok]
+    return build_graph(n, np.column_stack((us, vs, ws)))
 
 
 # Method labels: the classical optimizers plus every perturbation flavor
@@ -362,6 +374,7 @@ def mrg_significance(
     """
     if null_count < 5:
         raise ValueError("null_count must be >= 5")
+    _check_swap_factor(swap_factor)
     observed = run_qicd(graph, cfg).mrg
     gaps = []
     for i in range(null_count):

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -134,7 +133,6 @@ def test_ring_of_cliques_validation():
 
 
 def test_rewire_preserves_degree_multiset():
-    rnd = random.Random(12)
     for seed in range(5):
         g, _ = generate_planted(PlantedSpec(120, 4, 0.3, 0.05, seed=seed))
         rewired = degree_preserving_rewire(g, 10.0, seed=seed)

@@ -57,6 +57,28 @@ def test_generate_rewire(workdir):
     assert not (workdir / "null.truth.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "rewire", "--input", "g.el", "--swap-factor", "nan", "--out", "null.el"],
+        ["generate", "rewire", "--input", "g.el", "--swap-factor", "inf", "--out", "null.el"],
+        ["mrg", "--graph", "g.el", "--nulls", "5", "--swap-factor", "nan", "--out", "sig"],
+    ],
+)
+def test_swap_factor_must_be_finite(workdir, capsys, monkeypatch, argv):
+    _make_graph(workdir)
+    before = sorted(workdir.iterdir())
+
+    def observed_run(*_args, **_kwargs):
+        raise AssertionError("swap_factor must be checked before the observed run")
+
+    monkeypatch.setattr("qicd.bench.run_qicd", observed_run)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "swap_factor must be finite and > 0" in capsys.readouterr().err
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_generate_calibrated_small(workdir, capsys):
     code = main(
         [

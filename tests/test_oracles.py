@@ -20,20 +20,24 @@ from qicd import (
     DetectorConfig,
     Partition,
     build_graph,
+    degree_preserving_rewire,
     delta_q_move,
     dump_edge_list,
     leiden,
     load_edge_list,
     modularity,
 )
+from qicd.detect import seeded_pass
+
+from conftest import communities_connected
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
 
 @st.composite
-def edge_lists(draw, min_edges=0, weights=st.floats(0.01, 100.0)):
+def edge_lists(draw, min_edges=0, weights=st.floats(0.01, 100.0), min_nodes=2):
     """(n, triples) with distinct pairs in random orientation and order."""
-    n = draw(st.integers(2, 10))
+    n = draw(st.integers(min_nodes, 10))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=min_edges, max_size=len(pairs), unique=True))
     triples = []
@@ -93,6 +97,70 @@ def test_leiden_communities_are_connected_in_networkx(seed):
     assert part.community_count > 1
     for members in communities(part.labels):
         assert nx.is_connected(reference.subgraph(members))
+
+
+# A K6 on 0-5; node 6 tied to each of them with weight 3 and to the
+# triangles 7-8-9 and 10-11-12 by one edge each. From {0..5}, {6..12} the
+# local moves pull node 6 into the K6 and leave the two triangles as one
+# community with no edge between them.
+SPLIT_TRIPLES = (
+    [(u, v, 1.0) for u, v in itertools.combinations(range(6), 2)]
+    + [(6, u, 3.0) for u in range(6)]
+    + [(6, 7, 1.0), (6, 10, 1.0)]
+    + [(u, v, 1.0) for t in (7, 10) for u, v in itertools.combinations(range(t, t + 3), 2)]
+)
+
+
+def test_leiden_split_reconnects_what_the_local_moves_leave_apart():
+    g = build_graph(13, SPLIT_TRIPLES)
+    reference = nx_graph(13, SPLIT_TRIPLES)
+    initial = [0] * 6 + [1] * 7
+    for seed in range(50):
+        cfg = DetectorConfig(seed=seed)
+        split = seeded_pass(g, Partition(g, initial), cfg, refine=True).labels
+        assert communities_connected(g, split)
+        assert all(nx.is_connected(reference.subgraph(members)) for members in communities(split))
+        unsplit = seeded_pass(g, Partition(g, initial), cfg, refine=False).labels
+        assert not communities_connected(g, unsplit)
+        assert not all(nx.is_connected(reference.subgraph(members)) for members in communities(unsplit))
+
+
+def csr_triples(graph):
+    """(u, v, w) with u < v, read straight from the CSR arrays."""
+    indptr, indices, weights = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
+    return [
+        (u, indices[k], weights[k])
+        for u in range(graph.node_count)
+        for k in range(indptr[u], indptr[u + 1])
+        if u < indices[k]
+    ]
+
+
+@PROPERTY
+@given(case=edge_lists(min_edges=2, min_nodes=4), seed=st.integers(0, 2**32), swap_factor=st.floats(0.1, 20.0))
+def test_rewire_keeps_each_degree_and_weight_in_networkx(case, seed, swap_factor):
+    n, triples = case
+    g = build_graph(n, triples)
+    null = degree_preserving_rewire(g, swap_factor, seed=seed)
+    rewired = csr_triples(null)
+    before, after = nx_graph(n, triples), nx_graph(n, rewired)
+    assert after.number_of_edges() == len(rewired) == len(triples)  # no duplicate pairs
+    assert nx.number_of_selfloops(after) == 0
+    assert dict(after.degree()) == dict(before.degree())
+    assert sorted(w for _u, _v, w in rewired) == sorted(w for _u, _v, w in triples)
+    again = degree_preserving_rewire(g, swap_factor, seed=seed)
+    for name in ("indptr", "indices", "weights"):
+        assert np.array_equal(getattr(again, name), getattr(null, name)), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rewire_moves_nearly_every_edge(seed):
+    triples = _planted_triples(random.Random(seed))
+    null = degree_preserving_rewire(build_graph(300, triples), 10.0, seed=seed)
+    before = {frozenset((u, v)) for u, v, _w in triples}
+    rewired = csr_triples(null)
+    moved = sum(frozenset((u, v)) not in before for u, v, _w in rewired)
+    assert moved >= 0.9 * len(rewired)
 
 
 @PROPERTY
