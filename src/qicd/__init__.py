@@ -14,9 +14,7 @@ from .bench import (
 )
 from .detect import (
     DetectorConfig,
-    community_connectivity_ok,
     leiden,
-    leiden_local_move,
     leiden_refine,
     louvain,
 )
@@ -24,7 +22,6 @@ from .engine import (
     IterationRecord,
     QicdConfig,
     QicdResult,
-    mrg,
     run_qicd,
 )
 from .graph import (
@@ -40,10 +37,8 @@ from .partition import (
     aggregate,
     community_members,
     delta_q_move,
-    labels_from_csv,
     modularity,
     partition_to_csv,
-    partition_to_json,
     singleton_partition,
 )
 from .rng import RNG_NAME, make_rng, mix
@@ -60,9 +55,6 @@ from .sampling import (
 from .stats import (
     StatsSummary,
     WelchResult,
-    regularized_incomplete_beta,
-    student_t_ppf,
-    student_t_sf,
     summarize,
     summarize_moments,
     welch_from_moments,

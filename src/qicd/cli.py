@@ -258,14 +258,27 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
         part = part.strip()
         if not part:
             continue
-        if "=" in part:
-            name, _, count = part.partition("=")
-            if name not in METHODS:
-                raise UsageError(f"unknown method in --runs: {name!r}")
-            overrides[name] = int(count)
+        name, eq, count = part.partition("=")
+        if eq and name not in METHODS:
+            raise UsageError(f"unknown method in --runs: {name!r}")
+        try:
+            value = int(count if eq else part)
+        except ValueError:
+            raise UsageError(f"bad --runs entry {part!r}; expected a count or method=count") from None
+        if eq:
+            overrides[name] = value
         else:
-            default = int(part)
+            default = value
     return {m: overrides.get(m, default) for m in methods}
+
+
+# The keys each --generate-spec kind takes: the required ones, then the
+# optional ones.
+_SPEC_KEYS = {
+    "planted": (("n", "k", "p_in", "p_out"), ()),
+    "calibrated": (("n", "k", "target_q"), ("tolerance", "avg_degree")),
+    "clique-ring": (("cliques", "size"), ()),
+}
 
 
 def _parse_generate_spec(text: str) -> tuple[str, dict]:
@@ -277,9 +290,20 @@ def _parse_generate_spec(text: str) -> tuple[str, dict]:
         if not item:
             continue
         key, _, value = item.partition("=")
-        if not value:
-            raise UsageError(f"bad --generate-spec entry {item!r}; expected key=value")
-        params[key.strip().replace("-", "_")] = float(value)
+        try:
+            params[key.strip().replace("-", "_")] = float(value)
+        except ValueError:
+            raise UsageError(f"bad --generate-spec entry {item!r}; expected key=number") from None
+    if head not in _SPEC_KEYS:
+        raise UsageError(f"unknown --generate-spec type {head!r}; expected one of {', '.join(_SPEC_KEYS)}")
+    required, optional = _SPEC_KEYS[head]
+    takes = f"{head} takes {', '.join(required + optional)}"
+    for key in params:
+        if key not in required + optional:
+            raise UsageError(f"unknown --generate-spec key {key!r}; {takes}")
+    for key in required:
+        if key not in params:
+            raise UsageError(f"--generate-spec is missing {key!r}; {takes}")
     return head, params
 
 
@@ -296,9 +320,7 @@ def _graph_from_spec(kind: str, params: dict, seed: int):
             **_pick(params, {"tolerance": "tolerance", "avg_degree": "avg_degree"}),
         )
         return generate_planted(spec)[0]
-    if kind == "clique-ring":
-        return ring_of_cliques(int(params["cliques"]), int(params["size"]))
-    raise UsageError(f"unknown --generate-spec type {kind!r}")
+    return ring_of_cliques(int(params["cliques"]), int(params["size"]))
 
 
 def _render_table(rows: list[dict], baseline: str) -> str:

@@ -6,13 +6,12 @@ aggregation stops merging. `leiden` is Louvain plus a connected-component
 split: at each level, and once more on the final partition, every
 community that induces a disconnected subgraph is split into its
 components, so the returned communities are always connected. It is not
-the randomized refinement phase of Traag, Waltman & van Eck (2019). The
-local-move and split phases are exposed on their own (leiden_local_move,
-leiden_refine) for callers that drive the loop themselves.
+the randomized refinement phase of Traag, Waltman & van Eck (2019).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -36,20 +35,29 @@ class DetectorConfig:
             raise ValueError("max_levels must be >= 1")
         if self.max_sweeps_per_level < 1:
             raise ValueError("max_sweeps_per_level must be >= 1")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be > 0")
+        if not (math.isfinite(self.min_gain) and self.min_gain >= 0):
+            raise ValueError("min_gain must be finite and >= 0")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError("resolution must be finite and > 0")
 
 
-def _flat(graph: Graph) -> tuple[list[int], list[int], list[float]]:
-    """The graph's CSR arrays as Python lists, which the interpreted loops
-    below index much faster than numpy arrays."""
-    return graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
+def _flat(graph: Graph) -> tuple:
+    """What the move loop reads of a graph: its CSR arrays as Python lists,
+    which the interpreted loop indexes much faster than numpy arrays, then
+    its strengths, self weights (zeros when it has none) and total weight."""
+    own = graph.self_weights or (0.0,) * graph.node_count
+    return (
+        graph.indptr.tolist(),
+        graph.indices.tolist(),
+        graph.weights.tolist(),
+        graph.strengths,
+        own,
+        graph.total_weight,
+    )
 
 
 def _move_pass(
-    flat: tuple[list[int], list[int], list[float]],
+    flat: tuple,
     partition: Partition,
     rng: np.random.Generator,
     resolution: float,
@@ -62,17 +70,14 @@ def _move_pass(
     a seeded run is reproducible. Only nodes flagged in `active` are
     visited, and each visit clears the node's flag; every move re-flags the
     mover's neighbors outside its destination, so later passes skip settled
-    regions. flat is the graph's CSR as lists (see _flat). Returns the
-    summed gain of applied moves.
+    regions. flat is the graph as _flat returns it. Returns the summed
+    gain of applied moves.
     """
-    indptr, indices, weights = flat
+    indptr, indices, weights, strengths, own, m = flat
     labels = partition.labels
-    strengths = partition._strengths
     comm_strength = partition.community_strength
     internal = partition.internal_weight
     sizes = partition.sizes
-    ledger = partition.self_weights
-    m = partition.total_weight
     inv_m = 1.0 / m
     coef = resolution / (2.0 * m * m)
 
@@ -111,9 +116,8 @@ def _move_pass(
                 best_gain = d
                 best = c
         if best != a:
-            lw = ledger[u] if ledger is not None else 0.0
-            internal[a] -= w_old + lw
-            internal[best] += weight_to[best] + lw
+            internal[a] -= w_old + own[u]
+            internal[best] += weight_to[best] + own[u]
             comm_strength[a] = base
             comm_strength[best] += s
             sizes[a] -= 1
@@ -144,20 +148,6 @@ def _move_until_stable(
         gain = _move_pass(flat, partition, rng, cfg.resolution, active)
         if gain < cfg.min_gain:
             break
-
-
-def leiden_local_move(
-    graph: Graph,
-    partition: Partition,
-    cfg: DetectorConfig,
-    rng: np.random.Generator | None = None,
-) -> Partition:
-    """One bounded pass of greedy node moves; never decreases Q."""
-    if rng is None:
-        rng = make_rng(cfg.seed)
-    out = partition.copy()
-    _move_pass(_flat(graph), out, rng, cfg.resolution, [True] * graph.node_count)
-    return out.compact()
 
 
 def _connected_components(indptr: list[int], indices: list[int], nodes: list[int], labels: list[int], label: int):
@@ -205,13 +195,7 @@ def leiden_refine(graph: Graph, partition: Partition) -> Partition:
             next_label += 1
     if not changed:
         return partition.copy()
-    return Partition(graph, labels, partition.self_weights)
-
-
-def community_connectivity_ok(graph: Graph, partition: Partition) -> bool:
-    """True when every community induces a connected subgraph (BFS check)."""
-    part = partition.copy().compact()
-    return leiden_refine(graph, part).community_count == part.community_count
+    return Partition(graph, labels)
 
 
 def _multilevel(
@@ -226,12 +210,11 @@ def _multilevel(
     if rng is None:
         rng = make_rng(cfg.seed)
     level_graph = graph
-    ledger: list[float] | None = None
     level_labels: list[list[int]] = []
     part = initial.copy() if initial is not None else None
     for _level in range(cfg.max_levels):
         if part is None:
-            part = singleton_partition(level_graph, ledger)
+            part = singleton_partition(level_graph)
         _move_until_stable(level_graph, part, rng, cfg)
         part.compact()
         if refine:
@@ -243,7 +226,7 @@ def _multilevel(
         level_labels.append(list(part.labels))
         if part.community_count == level_graph.node_count:
             break
-        level_graph, ledger = aggregate(level_graph, part)
+        level_graph = aggregate(level_graph, part)
         part = None
 
     labels = level_labels[0]

@@ -4,7 +4,8 @@ Each iteration locally refines the current partition (greedy move sweeps
 plus a connectivity split), draws a structured random proposal, and accepts
 the proposal only if its modularity strictly beats the refined partition.
 The best partition seen is tracked across iterations; the modularity
-recovery gap (MRG) compares it against an independent full classical run.
+recovery gap (MRG), q_star - q_baseline, compares it against an independent
+full classical run.
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ class QicdResult:
     mrg: float  # q_star - q_baseline
     trace: list[IterationRecord]
     proposal_seed_count: int | None  # resolved K, None for the noise-only kind
-
-
-def mrg(q_star: float, q_baseline: float) -> float:
-    """Modularity recovery gap, q_star - q_baseline. Negative gaps pass through."""
-    if not (math.isfinite(q_star) and math.isfinite(q_baseline)):
-        raise ValueError("modularity values must be finite")
-    return q_star - q_baseline
 
 
 def _refine(graph: Graph, partition: Partition, det: DetectorConfig, rng: np.random.Generator) -> Partition:

@@ -34,6 +34,11 @@ class Graph:
     arrays are read-only. strengths[u] is the math.fsum of u's edge weights
     (the degree when all weights are 1); total_weight is the math.fsum of
     the weights of the distinct edges.
+
+    self_weights is None except on a graph that partition.aggregate
+    collapsed: there self_weights[u] is the internal weight of the
+    community that node u stands for, and like a self-loop it counts twice
+    in strengths[u] and once in total_weight.
     """
 
     node_count: int
@@ -42,13 +47,11 @@ class Graph:
     weights: np.ndarray
     strengths: tuple[float, ...]
     total_weight: float
+    self_weights: tuple[float, ...] | None = None
 
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.indptr).tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays holding each edge once with u < v, ordered by (u, v)."""

@@ -4,15 +4,16 @@ A Partition stores one community label per node plus per-community
 aggregates (internal edge weight and total member strength) so that
 modularity is O(C) and single-node move gains are O(deg).
 
-Community-collapsed graphs carry their internal weight in a per-node
-self-weight ledger rather than as self-loop edges (Graph forbids loops).
-A Partition built with that ledger folds it into its aggregates, which
-keeps modularity identical between a partition on the collapsed graph and
-the corresponding expanded partition on the original graph.
+aggregate collapses each community into one node. The collapsed graph
+carries each community's internal weight as that node's self weight,
+which counts in its strengths and total weight, so modularity of a
+partition on the collapsed graph equals modularity of the expanded
+partition on the original graph.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Sequence
 
@@ -34,34 +35,12 @@ def _neighbours(graph: Graph, node: int):
 class Partition:
     """Community labels over a fixed graph, with consistent aggregates."""
 
-    __slots__ = (
-        "labels",
-        "community_count",
-        "internal_weight",
-        "community_strength",
-        "sizes",
-        "self_weights",
-        "_strengths",
-        "_total",
-    )
+    __slots__ = ("labels", "community_count", "internal_weight", "community_strength", "sizes")
 
-    def __init__(
-        self,
-        graph: Graph,
-        labels: Sequence[int],
-        self_weights: Sequence[float] | None = None,
-    ):
+    def __init__(self, graph: Graph, labels: Sequence[int]):
         n = graph.node_count
         if len(labels) != n:
             raise ValueError(f"labels cover {len(labels)} nodes, graph has {n}")
-        if self_weights is not None:
-            if len(self_weights) != n:
-                raise ValueError("self_weights length does not match graph")
-            if any(w < 0 for w in self_weights):
-                raise ValueError("self_weights must be non-negative")
-            self.self_weights = tuple(float(w) for w in self_weights)
-        else:
-            self.self_weights = None
 
         # Compact arbitrary non-negative labels to dense 0..C-1, preserving
         # the relative order of label values.
@@ -75,34 +54,20 @@ class Partition:
         self.labels = dense.tolist()
         self.community_count = c_count
 
-        if self.self_weights is None:
-            self._strengths = graph.strengths
-            self._total = graph.total_weight
-        else:
-            self._strengths = tuple(
-                s + 2.0 * w for s, w in zip(graph.strengths, self.self_weights)
-            )
-            self._total = graph.total_weight + math.fsum(self.self_weights)
-
         us, vs, ws = graph.edge_arrays()
         lab_u = dense[us]
         same = lab_u == dense[vs]
         internal = np.bincount(lab_u[same], weights=ws[same], minlength=c_count)
-        if self.self_weights is not None:
+        if graph.self_weights is not None:
             internal = internal + np.bincount(
-                dense, weights=np.asarray(self.self_weights), minlength=c_count
+                dense, weights=np.asarray(graph.self_weights), minlength=c_count
             )
         strength = np.bincount(
-            dense, weights=np.asarray(self._strengths, dtype=np.float64), minlength=c_count
+            dense, weights=np.asarray(graph.strengths, dtype=np.float64), minlength=c_count
         )
         self.internal_weight = internal.tolist()
         self.community_strength = strength.tolist()
         self.sizes = np.bincount(dense, minlength=c_count).tolist()
-
-    @property
-    def total_weight(self) -> float:
-        """Effective total weight m (graph weight plus any self-weight ledger)."""
-        return self._total
 
     def copy(self) -> "Partition":
         out = object.__new__(Partition)
@@ -111,9 +76,6 @@ class Partition:
         out.internal_weight = list(self.internal_weight)
         out.community_strength = list(self.community_strength)
         out.sizes = list(self.sizes)
-        out.self_weights = self.self_weights
-        out._strengths = self._strengths
-        out._total = self._total
         return out
 
     def apply_move(self, graph: Graph, node: int, target: int) -> int:
@@ -143,10 +105,10 @@ class Partition:
                 w_old += w
             elif c == target:
                 w_new += w
-        ledger = self.self_weights[node] if self.self_weights is not None else 0.0
-        s = self._strengths[node]
-        self.internal_weight[a] -= w_old + ledger
-        self.internal_weight[target] += w_new + ledger
+        own = graph.self_weights[node] if graph.self_weights is not None else 0.0
+        s = graph.strengths[node]
+        self.internal_weight[a] -= w_old + own
+        self.internal_weight[target] += w_new + own
         self.community_strength[a] -= s
         self.community_strength[target] += s
         self.sizes[a] -= 1
@@ -171,8 +133,8 @@ class Partition:
         return self
 
 
-def singleton_partition(graph: Graph, self_weights: Sequence[float] | None = None) -> Partition:
-    return Partition(graph, list(range(graph.node_count)), self_weights)
+def singleton_partition(graph: Graph) -> Partition:
+    return Partition(graph, list(range(graph.node_count)))
 
 
 def community_members(partition: Partition) -> list[list[int]]:
@@ -187,12 +149,12 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
     """Modularity Q of the partition, in [-1, 1].
 
     Q = sum_c [ e_c / m - resolution * (S_c / 2m)^2 ] with e_c the internal
-    weight, S_c the total member strength, and m the (effective) total
-    weight. resolution=1 is the classic definition.
+    weight, S_c the total member strength, and m the graph's total weight.
+    resolution=1 is the classic definition.
     """
     if len(partition.labels) != graph.node_count:
         raise ValueError("partition does not cover this graph")
-    m = partition.total_weight
+    m = graph.total_weight
     if m <= 0.0:
         raise ValueError("modularity undefined: graph has no edges")
     two_m = 2.0 * m
@@ -235,10 +197,10 @@ def delta_q_move(
             w_old += w
         elif not new_singleton and c == target:
             w_new += w
-    m = partition.total_weight
+    m = graph.total_weight
     if m <= 0.0:
         raise ValueError("modularity undefined: graph has no edges")
-    s = partition._strengths[node]
+    s = graph.strengths[node]
     strength_old_excl = partition.community_strength[a] - s
     strength_new = 0.0 if new_singleton else partition.community_strength[target]
     return (w_new - w_old) / m - resolution * s * (strength_new - strength_old_excl) / (
@@ -246,13 +208,11 @@ def delta_q_move(
     )
 
 
-def aggregate(graph: Graph, partition: Partition) -> tuple[Graph, list[float]]:
-    """Collapse communities into single nodes.
+def aggregate(graph: Graph, partition: Partition) -> Graph:
+    """Collapse each community into a single node.
 
-    Returns the community graph (cross-community weights only) plus a
-    per-community self-weight ledger holding each community's internal
-    weight, so that modularity of a partition on the collapsed graph (built
-    with that ledger) matches the expanded partition on the original graph.
+    The community graph holds the summed cross-community weights as edges
+    and each community's internal weight as its node's self weight.
     """
     if any(size == 0 for size in partition.sizes):
         raise ValueError("aggregate requires a compact partition")
@@ -267,32 +227,16 @@ def aggregate(graph: Graph, partition: Partition) -> tuple[Graph, list[float]]:
     keys, inverse = np.unique(lo * c_count + hi, return_inverse=True)
     sums = np.bincount(inverse, weights=ws[cross])
     collapsed = build_graph(c_count, np.column_stack((keys // c_count, keys % c_count, sums)))
-    return collapsed, list(partition.internal_weight)
+    internal = partition.internal_weight
+    return dataclasses.replace(
+        collapsed,
+        strengths=tuple(s + 2.0 * w for s, w in zip(collapsed.strengths, internal)),
+        total_weight=collapsed.total_weight + math.fsum(internal),
+        self_weights=tuple(internal),
+    )
 
 
 def partition_to_csv(partition: Partition) -> str:
     lines = ["node_id,community_id"]
     lines.extend(f"{node},{c}" for node, c in enumerate(partition.labels))
     return "\n".join(lines) + "\n"
-
-
-def labels_from_csv(text: str) -> list[int]:
-    """Read labels back from partition CSV (inverse of partition_to_csv)."""
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows or rows[0] != "node_id,community_id":
-        raise ValueError("expected 'node_id,community_id' header")
-    pairs = []
-    for row in rows[1:]:
-        node_s, c_s = row.split(",")
-        pairs.append((int(node_s), int(c_s)))
-    pairs.sort()
-    if [node for node, _ in pairs] != list(range(len(pairs))):
-        raise ValueError("partition CSV must cover nodes 0..n-1 exactly once")
-    return [c for _, c in pairs]
-
-
-def partition_to_json(graph: Graph, partition: Partition, resolution: float = 1.0) -> dict:
-    return {
-        "labels": list(partition.labels),
-        "Q": modularity(graph, partition, resolution),
-    }

@@ -54,8 +54,8 @@ class HyperuniformParams:
     reassign_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.skew_factor <= 1.0:
-            raise ValueError("skew_factor must be > 1")
+        if not (math.isfinite(self.skew_factor) and self.skew_factor > 1.0):
+            raise ValueError("skew_factor must be finite and > 1")
         if not 0.0 <= self.reassign_fraction <= 1.0:
             raise ValueError("reassign_fraction must be in [0, 1]")
 
@@ -209,7 +209,7 @@ def hyperuniform_adjust(
         picked = rng.choice(len(nodes), size=move_n, replace=False)
         for i in sorted(int(x) for x in picked):
             labels[nodes[i]] = receivers[int(rng.integers(len(receivers)))]
-    return Partition(graph, labels, partition.self_weights)
+    return Partition(graph, labels)
 
 
 def hu_noise(
@@ -266,4 +266,4 @@ def hu_noise(
             if target >= c:
                 target += 1
             labels[nodes[i]] = target
-    return Partition(graph, labels, partition.self_weights)
+    return Partition(graph, labels)

@@ -71,10 +71,8 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+def _incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -93,43 +91,37 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def student_t_two_sided_p(t: float, df: float) -> float:
+def _t_two_sided_p(t: float, df: float) -> float:
     """P(|T_df| >= |t|) = I_x(df/2, 1/2) with x = df / (df + t^2)."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
     if math.isinf(t):
         return 0.0
     x = df / (df + t * t)
-    p = regularized_incomplete_beta(0.5 * df, 0.5, x)
+    p = _incomplete_beta(0.5 * df, 0.5, x)
     return min(1.0, max(0.0, p))
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """One-sided survival P(T_df > t)."""
-    half = 0.5 * student_t_two_sided_p(t, df)
-    return half if t >= 0 else 1.0 - half
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    return 1.0 - student_t_sf(t, df)
-
-
-def student_t_ppf(q: float, df: float) -> float:
+def _t_ppf(q: float, df: float) -> float:
     """Quantile of the Student-t distribution by bisection on the CDF."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
     if q == 0.5:
         return 0.0
     if q < 0.5:
-        return -student_t_ppf(1.0 - q, df)
+        return -_t_ppf(1.0 - q, df)
+
+    def cdf(t: float) -> float:  # for t >= 0, the only values bisected
+        return 1.0 - 0.5 * _t_two_sided_p(t, df)
+
     lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, df) < q:
+    while cdf(hi) < q:
         hi *= 2.0
         if hi > 1e12:
             raise ArithmeticError("t quantile bracket exploded")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, df) < q:
+        if cdf(mid) < q:
             lo = mid
         else:
             hi = mid
@@ -150,7 +142,7 @@ def summarize_moments(mean: float, std: float, n: int, confidence: float = 0.95)
         raise ValueError("std must be non-negative")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    half = student_t_ppf(0.5 * (1.0 + confidence), n - 1) * std / math.sqrt(n)
+    half = _t_ppf(0.5 * (1.0 + confidence), n - 1) * std / math.sqrt(n)
     return StatsSummary(mean, std, n, mean - half, mean + half, confidence)
 
 
@@ -192,7 +184,7 @@ def welch_from_moments(
         return WelchResult(math.copysign(math.inf, mean_a - mean_b), df_fallback, 0.0)
     t = (mean_a - mean_b) / math.sqrt(pooled)
     df = pooled * pooled / (var_a * var_a / (n_a - 1) + var_b * var_b / (n_b - 1))
-    return WelchResult(t, df, student_t_two_sided_p(t, df))
+    return WelchResult(t, df, _t_two_sided_p(t, df))
 
 
 def welch_t_test(sample_a, sample_b) -> WelchResult:

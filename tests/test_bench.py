@@ -136,7 +136,7 @@ def test_rewire_preserves_degree_multiset():
     for seed in range(5):
         g, _ = generate_planted(PlantedSpec(120, 4, 0.3, 0.05, seed=seed))
         rewired = degree_preserving_rewire(g, 10.0, seed=seed)
-        assert sorted(rewired.degrees()) == sorted(g.degrees())
+        assert sorted(np.diff(rewired.indptr)) == sorted(np.diff(g.indptr))
         assert rewired.node_count == g.node_count
         assert rewired.edge_count == g.edge_count
 

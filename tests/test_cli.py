@@ -79,6 +79,27 @@ def test_swap_factor_must_be_finite(workdir, capsys, monkeypatch, argv):
     assert sorted(workdir.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["detect", "--method", "leiden", "--resolution", "nan"], "resolution"),
+        (["detect", "--method", "louvain", "--resolution", "inf"], "resolution"),
+        (["detect", "--method", "leiden", "--min-gain", "nan"], "min_gain"),
+        (["qicd", "--alpha", "nan"], "skew_factor"),
+    ],
+    ids=["resolution-nan", "resolution-inf", "min-gain-nan", "alpha-nan"],
+)
+def test_non_finite_settings_are_data_errors(workdir, capsys, argv, field):
+    _make_graph(workdir)
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    assert main([*argv, "--graph", "g.el", "--out", "x"]) == 2
+    captured = capsys.readouterr()
+    assert f"{field} must be finite" in captured.err
+    assert captured.out == ""
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_generate_calibrated_small(workdir, capsys):
     code = main(
         [
@@ -227,6 +248,30 @@ def test_benchmark_usage_errors(workdir, capsys):
     )
     assert main(["benchmark", "--methods", "louvain,leiden", "--baseline", "bogus-name", "--graph", "g.el",
                  "--runs", "2", "--out", "x"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--generate-spec", "planted:n=10"], "--generate-spec is missing 'k'; planted takes n, k, p_in, p_out"),
+        (["--generate-spec", "planted:n=10,k=2,p_in=0.5,p_out=0.1,zzz=1"],
+         "unknown --generate-spec key 'zzz'; planted takes n, k, p_in, p_out"),
+        (["--generate-spec", "calibrated:n=60,k=3,target_q=0.3,avg_deg=30"],
+         "unknown --generate-spec key 'avg_deg'; calibrated takes n, k, target_q, tolerance, avg_degree"),
+        (["--generate-spec", "clique-ring:cliques=4,size=x"], "bad --generate-spec entry 'size=x'"),
+        (["--generate-spec", "ring:cliques=4,size=3"], "unknown --generate-spec type 'ring'"),
+        (["--graph", "g.el", "--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
+        (["--graph", "g.el", "--runs", "two"], "bad --runs entry 'two'"),
+    ],
+    ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "runs-count",
+         "runs-default"],
+)
+def test_benchmark_spec_errors_name_the_entry(workdir, capsys, flags, message):
+    _make_graph(workdir)
+    capsys.readouterr()
+    assert main(["benchmark", "--methods", "leiden", "--out", "x", *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "x.manifest.json").exists()
 
 
 def test_benchmark_edgeless_is_data_error(workdir, capsys):

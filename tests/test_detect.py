@@ -6,9 +6,7 @@ from qicd import (
     DetectorConfig,
     Partition,
     build_graph,
-    community_connectivity_ok,
     leiden,
-    leiden_local_move,
     leiden_refine,
     louvain,
     make_rng,
@@ -16,7 +14,7 @@ from qicd import (
     ring_of_cliques,
     singleton_partition,
 )
-from qicd.detect import seeded_pass
+from qicd.detect import _flat, _move_pass, seeded_pass
 
 from conftest import (
     communities_connected,
@@ -26,15 +24,29 @@ from conftest import (
 )
 
 
+def one_pass(graph, partition, rng):
+    """One greedy move pass over every node, on a copy of partition."""
+    out = partition.copy()
+    _move_pass(_flat(graph), out, rng, 1.0, [True] * graph.node_count)
+    return out.compact()
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(max_levels=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(max_sweeps_per_level=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(min_gain=-1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(resolution=0.0)
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        ("max_levels", 0),
+        ("max_sweeps_per_level", 0),
+        ("min_gain", -1.0),
+        ("min_gain", nan),
+        ("min_gain", inf),
+        ("resolution", 0.0),
+        ("resolution", nan),
+        ("resolution", inf),
+        ("resolution", -inf),
+    ]
+    for field, value in rows:
+        with pytest.raises(ValueError, match=field):
+            DetectorConfig(**{field: value})
 
 
 def test_two_triangles_is_enumerated_optimum(two_triangles):
@@ -72,14 +84,14 @@ def test_edgeless_graph_rejected():
 
 def test_local_move_fixed_point(two_triangles):
     p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
-    out = leiden_local_move(two_triangles, p, DetectorConfig(seed=11))
+    out = one_pass(two_triangles, p, make_rng(11))
     assert out.labels == p.labels
     assert modularity(two_triangles, out) == modularity(two_triangles, p)
 
 
 def test_local_move_repairs_misassigned_node(two_triangles):
     p = Partition(two_triangles, [0, 0, 0, 0, 1, 1])  # node 3 in the wrong triangle
-    out = leiden_local_move(two_triangles, p, DetectorConfig(seed=4))
+    out = one_pass(two_triangles, p, make_rng(4))
     assert modularity(two_triangles, out) == 0.5
     assert out.labels[3] == out.labels[4] == out.labels[5]
 
@@ -93,17 +105,19 @@ def test_local_move_never_decreases_q():
             continue
         labels = [rnd.randrange(4) for _ in range(g.node_count)]
         p = Partition(g, labels)
-        out = leiden_local_move(g, p, DetectorConfig(seed=rnd.randrange(2**32)))
+        out = one_pass(g, p, make_rng(rnd.randrange(2**32)))
         assert modularity(g, out) >= modularity(g, p) - 1e-12
         checked += 1
 
 
 def test_local_move_is_a_single_pass(two_triangles):
-    # a single pass leaves the input untouched
+    # At a fixed point one pass visits every flagged node once, clears its
+    # flag, and moves nothing, so no node is flagged again.
     p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
-    before = list(p.labels)
-    leiden_local_move(two_triangles, p, DetectorConfig(seed=0))
-    assert p.labels == before
+    active = [True] * 6
+    assert _move_pass(_flat(two_triangles), p, make_rng(0), 1.0, active) == 0.0
+    assert active == [False] * 6
+    assert p.labels == [0, 0, 0, 1, 1, 1]
 
 
 def test_refine_noop_when_connected(two_triangles):
@@ -168,7 +182,7 @@ def test_equal_gain_tie_goes_to_lowest_community_id():
     g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)])
     p = Partition(g, [0, 2, 1, 2, 1])
     for seed in range(8):
-        out = leiden_local_move(g, p, DetectorConfig(seed=seed))
+        out = one_pass(g, p, make_rng(seed))
         assert out.labels[0] == out.labels[2] != out.labels[1]
 
 
@@ -180,16 +194,7 @@ def test_seeded_pass_improves_initial(two_triangles):
 
 def test_local_move_rng_argument(two_triangles):
     p = Partition(two_triangles, [0, 0, 1, 1, 2, 2])
-    cfg = DetectorConfig(seed=1)
-    a = leiden_local_move(two_triangles, p, cfg, rng=make_rng(5))
-    b = leiden_local_move(two_triangles, p, cfg, rng=make_rng(5))
+    a = one_pass(two_triangles, p, make_rng(5))
+    b = one_pass(two_triangles, p, make_rng(5))
     assert a.labels == b.labels
 
-
-def test_connectivity_helper_agrees_with_oracle():
-    rnd = random.Random(3)
-    for _ in range(40):
-        g = make_random_graph(rnd, n_max=10)
-        labels = [rnd.randrange(3) for _ in range(g.node_count)]
-        p = Partition(g, labels)
-        assert community_connectivity_ok(g, p) == communities_connected(g, p.labels)

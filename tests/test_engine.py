@@ -11,7 +11,6 @@ from qicd import (
     louvain,
     mix,
     modularity,
-    mrg,
     ring_of_cliques,
     run_qicd,
 )
@@ -38,14 +37,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QicdConfig(base="bogus")
     QicdConfig(iterations=0)  # proposals disabled is legal
-
-
-def test_mrg_arithmetic():
-    assert abs(mrg(0.182, 0.143) - 0.039) < 1e-12
-    assert mrg(0.3, 0.3) == 0.0
-    assert abs(mrg(0.12, 0.18) + 0.06) < 1e-12
-    with pytest.raises(ValueError):
-        mrg(float("nan"), 0.0)
 
 
 def test_two_triangles_reaches_optimum(two_triangles):

@@ -10,10 +10,7 @@ from qicd import (
     build_graph,
     community_members,
     delta_q_move,
-    labels_from_csv,
     modularity,
-    partition_to_csv,
-    partition_to_json,
     singleton_partition,
 )
 
@@ -187,21 +184,25 @@ def test_apply_move_and_compact():
 def test_aggregate_singletons_is_isomorphic():
     rnd = random.Random(31)
     g = make_random_graph(rnd, n_max=8)
-    agg, ledger = aggregate(g, singleton_partition(g))
+    agg = aggregate(g, singleton_partition(g))
     assert agg.node_count == g.node_count
     for name in ("indptr", "indices", "weights"):
         assert np.array_equal(getattr(agg, name), getattr(g, name))
-    assert ledger == [0.0] * g.node_count
+    assert agg.self_weights == (0.0,) * g.node_count
+    assert agg.strengths == g.strengths
+    assert agg.total_weight == g.total_weight
 
 
 def test_aggregate_two_triangles_with_bridge():
     edges = TWO_TRIANGLES_EDGES + [(2, 3, 1.0)]
     g = build_graph(6, edges)
     p = Partition(g, [0, 0, 0, 1, 1, 1])
-    agg, ledger = aggregate(g, p)
+    agg = aggregate(g, p)
     assert agg.node_count == 2
     assert [a.tolist() for a in agg.edge_arrays()] == [[0], [1], [1.0]]
-    assert ledger == [3.0, 3.0]
+    assert agg.self_weights == (3.0, 3.0)
+    assert agg.strengths == (7.0, 7.0)
+    assert agg.total_weight == 7.0
 
 
 def test_aggregate_preserves_modularity():
@@ -212,28 +213,20 @@ def test_aggregate_preserves_modularity():
             continue
         labels = _random_partition(rnd, g.node_count)
         p = Partition(g, labels)
-        agg, ledger = aggregate(g, p)
-        top = Partition(agg, list(range(agg.node_count)), ledger)
+        agg = aggregate(g, p)
+        top = singleton_partition(agg)
         assert abs(modularity(agg, top) - modularity(g, p)) < 1e-12
         # a second-level grouping must also match the expanded grouping
         group = [c % 2 for c in range(agg.node_count)]
-        top2 = Partition(agg, group, ledger)
-        expanded = Partition(g, [group[p.labels[u]] for u in range(g.node_count)])
-        assert abs(modularity(agg, top2) - modularity(g, expanded)) < 1e-12
-
-
-def test_partition_csv_round_trip(two_triangles):
-    p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
-    text = partition_to_csv(p)
-    assert text.startswith("node_id,community_id\n")
-    assert labels_from_csv(text) == p.labels
-
-
-def test_partition_json(two_triangles):
-    p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
-    payload = partition_to_json(two_triangles, p)
-    assert payload["labels"] == [0, 0, 0, 1, 1, 1]
-    assert payload["Q"] == 0.5
+        top2 = Partition(agg, group)
+        expanded = [group[p.labels[u]] for u in range(g.node_count)]
+        assert abs(modularity(agg, top2) - modularity(g, Partition(g, expanded))) < 1e-12
+        # so must a grouping on the aggregate of an aggregate
+        agg2 = aggregate(agg, top2)
+        outer = [rnd.randrange(agg2.node_count) for _ in range(agg2.node_count)]
+        top3 = Partition(agg2, outer)
+        expanded = [outer[top2.labels[p.labels[u]]] for u in range(g.node_count)]
+        assert abs(modularity(agg2, top3) - modularity(g, Partition(g, expanded))) < 1e-12
 
 
 def test_community_members(two_triangles):

@@ -162,6 +162,9 @@ def test_propose_community_bound():
 def test_hyperuniform_params_validation():
     with pytest.raises(ValueError):
         HyperuniformParams(skew_factor=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="skew_factor must be finite"):
+            HyperuniformParams(skew_factor=bad)
     with pytest.raises(ValueError):
         HyperuniformParams(reassign_fraction=1.5)
     HyperuniformParams(reassign_fraction=0.0)  # degenerate no-op is allowed

@@ -4,9 +4,6 @@ import pytest
 from scipy import special, stats as scipy_stats
 
 from qicd import (
-    regularized_incomplete_beta,
-    student_t_ppf,
-    student_t_sf,
     summarize,
     summarize_moments,
     welch_from_moments,
@@ -33,29 +30,33 @@ BASELINE_ROW = ("leiden-base", 6, 0.1428, 0.0011)
 
 
 def test_incomplete_beta_matches_scipy():
-    for a in (0.5, 1.0, 2.5, 7.0, 25.0):
-        for b in (0.5, 1.0, 3.0):
-            for x in (0.0, 1e-6, 0.1, 0.35, 0.5, 0.77, 0.93, 1.0 - 1e-9, 1.0):
-                ours = regularized_incomplete_beta(a, b, x)
-                ref = float(special.betainc(a, b, x))
-                assert abs(ours - ref) < 1e-10, (a, b, x)
-
-
-def test_incomplete_beta_validation():
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(0.0, 1.0, 0.5)
+    # A Welch p-value is I_x(df/2, 1/2) at x = df / (df + t^2).
+    for n in (2, 3, 6, 25, 200):
+        for gap in (0.0, 1e-4, 0.01, 0.05, 0.2, 1.0):
+            r = welch_from_moments(0.5 + gap, 0.05, n, 0.5, 0.02, n + 1)
+            x = r.df / (r.df + r.t * r.t)
+            assert abs(r.p - float(special.betainc(0.5 * r.df, 0.5, x))) < 1e-10, (n, gap)
 
 
 def test_t_sf_matches_scipy():
-    for df in (1.0, 2.5, 5.04, 14.03, 100.0):
-        for t in (-4.0, -1.0866, -0.3, 0.0, 0.5, 1.0866, 2.5, 5.5465):
-            assert abs(student_t_sf(t, df) - float(scipy_stats.t.sf(t, df))) < 1e-10
+    # The Welch p-value is the two-sided Student-t tail at (t, df), which is
+    # evaluated through the regularized incomplete beta.
+    for mean_a, std_a, n_a in ((0.1816, 0.0171, 6), (0.30, 0.2, 2), (5.0, 3.0, 40), (0.1265, 0.0098, 6)):
+        for mean_b, std_b, n_b in ((0.1428, 0.0011, 6), (0.29, 0.05, 3), (0.1, 1.5, 12), (0.1816, 0.0171, 6)):
+            ours = welch_from_moments(mean_a, std_a, n_a, mean_b, std_b, n_b)
+            ref = scipy_stats.ttest_ind_from_stats(mean_a, std_a, n_a, mean_b, std_b, n_b, equal_var=False)
+            assert abs(ours.t - float(ref.statistic)) < 1e-10
+            assert abs(ours.p - float(ref.pvalue)) < 1e-10
 
 
 def test_t_ppf_matches_scipy():
-    for df in (1.0, 5.0, 11.0, 14.03):
-        for q in (0.025, 0.2, 0.5, 0.8, 0.975, 0.995):
-            assert abs(student_t_ppf(q, df) - float(scipy_stats.t.ppf(q, df))) < 1e-9
+    # The confidence bounds are mean -/+ ppf((1 + confidence) / 2, n - 1) * std / sqrt(n).
+    for n in (2, 3, 6, 12, 101):
+        for confidence in (0.5, 0.8, 0.9, 0.95, 0.99):
+            s = summarize_moments(0.25, 0.04, n, confidence)
+            half = float(scipy_stats.t.ppf(0.5 * (1.0 + confidence), n - 1)) * 0.04 / math.sqrt(n)
+            assert abs(s.ci_low - (0.25 - half)) < 1e-10
+            assert abs(s.ci_high - (0.25 + half)) < 1e-10
 
 
 def test_summarize_example_rows():
