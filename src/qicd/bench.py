@@ -158,6 +158,11 @@ def calibrate_planted(
     """
     if not 0.0 < target_q < 0.9:
         raise ValueError("target_q must be in (0, 0.9)")
+    for name, value in (("tolerance", tolerance), ("avg_degree", avg_degree)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
 
     det = detector or DetectorConfig()
 

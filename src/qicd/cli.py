@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -60,6 +61,20 @@ _QICD_KEYS = {k: k for k in ("iterations", "stall_limit", "init_mode", "base", "
 
 class UsageError(Exception):
     pass
+
+
+class _ManifestPart(dict):
+    """A replayed manifest or its config: reading a key it lacks is a usage
+    error naming the file, while KeyErrors from deeper code stay data errors."""
+
+    def __init__(self, data, where: str):
+        if not isinstance(data, dict):
+            raise UsageError(f"{where} is not a JSON object")
+        super().__init__(data)
+        self.where = where
+
+    def __missing__(self, key):
+        raise UsageError(f"{self.where} lacks {key!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +154,39 @@ def _qicd_config(config: dict) -> QicdConfig:
 # ---------------------------------------------------------------- generate
 
 
-def _emit_graph_files(graph, truth_labels, config, command, started):
+# The generators that build a graph from numbers. `generate <kind>` and
+# `benchmark --generate-spec kind:key=value,...` both read their flags here:
+# help text, then each flag's destination and type. Every flag is required
+# but calibrated's optional ones, which take calibrate_planted's defaults.
+_GENERATORS = {
+    "planted": ("planted-partition graph", {"n": int, "k": int, "p_in": float, "p_out": float}),
+    "calibrated": (
+        "planted graph calibrated to a target Leiden Q",
+        {"n": int, "k": int, "target_q": float, "tolerance": float, "avg_degree": float, "calibration_runs": int},
+    ),
+    "clique-ring": ("ring of cliques control graph", {"cliques": int, "size": int}),
+}
+# Calibrated's optional flags, sent to calibrate_planted's parameters.
+_CALIBRATION_KEYS = {"tolerance": "tolerance", "avg_degree": "avg_degree", "calibration_runs": "runs"}
+
+
+def _generate(kind: str, params: dict, seed: int):
+    """The graph of a `_GENERATORS` kind, its truth labels, and what the
+    manifest records besides: calibrated's p_in, p_out and achieved Q."""
+    if kind == "clique-ring":
+        cliques, size = params["cliques"], params["size"]
+        return ring_of_cliques(cliques, size), clique_ring_truth(cliques, size), {}
+    if kind == "planted":
+        spec, found = PlantedSpec(params["n"], params["k"], params["p_in"], params["p_out"], seed), {}
+    else:
+        spec, achieved = calibrate_planted(params["n"], params["k"], params["target_q"], seed=seed,
+                                           **_pick(params, _CALIBRATION_KEYS))
+        found = {"p_in": spec.p_in, "p_out": spec.p_out, "achieved_q": achieved}
+    graph, truth = generate_planted(spec)
+    return graph, truth.labels, found
+
+
+def _emit_graph_files(graph, truth_labels, config, command, started, achieved_q=None):
     out = Path(config["out"])
     stem = _stem(config["out"])
     _write_text(out, dump_edge_list(graph))
@@ -148,47 +195,18 @@ def _emit_graph_files(graph, truth_labels, config, command, started):
         truth_path = Path(str(stem) + ".truth.csv")
         _write_text(truth_path, "node_id,community_id\n" + "".join(f"{i},{c}\n" for i, c in enumerate(truth_labels)))
         outputs["truth"] = str(truth_path)
-    extra = config.get("_achieved_q")
-    manifest = _write_manifest(stem, command, {k: v for k, v in config.items() if not k.startswith("_")},
-                               {}, outputs if extra is None else {**outputs, "achieved_q": extra}, started)
-    outputs["manifest"] = str(manifest)
-    return outputs
+    recorded = outputs if achieved_q is None else {**outputs, "achieved_q": achieved_q}
+    _write_manifest(stem, command, config, {}, recorded, started)
+    detail = (f"n={graph.node_count}, m={graph.total_weight:g}" if achieved_q is None
+              else f"achieved Q={achieved_q:.4f}, p_in={config['p_in']:.6g}, p_out={config['p_out']:.6g}")
+    print(f"wrote {config['out']} ({detail})")
 
 
-def _run_generate_planted(config: dict) -> int:
+def _run_generate(kind: str, config: dict) -> int:
     started = time.perf_counter()
-    spec = PlantedSpec(config["n"], config["k"], config["p_in"], config["p_out"], config["seed"])
-    graph, truth = generate_planted(spec)
-    _emit_graph_files(graph, truth.labels, config, "generate-planted", started)
-    print(f"wrote {config['out']} (n={graph.node_count}, m={graph.total_weight:g})")
-    return EXIT_OK
-
-
-def _run_generate_calibrated(config: dict) -> int:
-    started = time.perf_counter()
-    spec, achieved = calibrate_planted(
-        config["n"],
-        config["k"],
-        config["target_q"],
-        seed=config["seed"],
-        **_pick(config, {"tolerance": "tolerance", "avg_degree": "avg_degree", "calibration_runs": "runs"}),
-    )
-    graph, truth = generate_planted(spec)
-    config = dict(config)
-    config["_achieved_q"] = achieved
-    config["p_in"] = spec.p_in
-    config["p_out"] = spec.p_out
-    _emit_graph_files(graph, truth.labels, config, "generate-calibrated", started)
-    print(f"wrote {config['out']} (achieved Q={achieved:.4f}, p_in={spec.p_in:.6g}, p_out={spec.p_out:.6g})")
-    return EXIT_OK
-
-
-def _run_generate_clique_ring(config: dict) -> int:
-    started = time.perf_counter()
-    graph = ring_of_cliques(config["cliques"], config["size"])
-    truth = clique_ring_truth(config["cliques"], config["size"])
-    _emit_graph_files(graph, truth, config, "generate-clique-ring", started)
-    print(f"wrote {config['out']} (n={graph.node_count}, m={graph.total_weight:g})")
+    graph, truth, found = _generate(kind, config, config["seed"])
+    achieved_q = found.pop("achieved_q", None)
+    _emit_graph_files(graph, truth, {**config, **found}, f"generate-{kind}", started, achieved_q)
     return EXIT_OK
 
 
@@ -199,7 +217,6 @@ def _run_generate_rewire(config: dict) -> int:
     swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
     rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])
     _emit_graph_files(rewired, None, config, "generate-rewire", started)
-    print(f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})")
     return EXIT_OK
 
 
@@ -272,55 +289,32 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
     return {m: overrides.get(m, default) for m in methods}
 
 
-# The keys each --generate-spec kind takes: the required ones, then the
-# optional ones.
-_SPEC_KEYS = {
-    "planted": (("n", "k", "p_in", "p_out"), ()),
-    "calibrated": (("n", "k", "target_q"), ("tolerance", "avg_degree")),
-    "clique-ring": (("cliques", "size"), ()),
-}
-
-
 def _parse_generate_spec(text: str) -> tuple[str, dict]:
+    """A `kind:key=value,...` spec: its keys are the `generate <kind>`
+    destinations, and each value is converted with its flag's type."""
     head, _, rest = text.partition(":")
     head = head.strip()
-    params: dict[str, float] = {}
+    if head not in _GENERATORS:
+        raise UsageError(f"unknown --generate-spec type {head!r}; expected one of {', '.join(_GENERATORS)}")
+    flags = _GENERATORS[head][1]
+    takes = f"{head} takes {', '.join(flags)}"
+    params: dict = {}
     for item in rest.split(","):
         item = item.strip()
         if not item:
             continue
         key, _, value = item.partition("=")
-        try:
-            params[key.strip().replace("-", "_")] = float(value)
-        except ValueError:
-            raise UsageError(f"bad --generate-spec entry {item!r}; expected key=number") from None
-    if head not in _SPEC_KEYS:
-        raise UsageError(f"unknown --generate-spec type {head!r}; expected one of {', '.join(_SPEC_KEYS)}")
-    required, optional = _SPEC_KEYS[head]
-    takes = f"{head} takes {', '.join(required + optional)}"
-    for key in params:
-        if key not in required + optional:
+        key = key.strip().replace("-", "_")
+        if key not in flags:
             raise UsageError(f"unknown --generate-spec key {key!r}; {takes}")
-    for key in required:
-        if key not in params:
+        try:
+            params[key] = flags[key](value)
+        except ValueError:
+            raise UsageError(f"bad --generate-spec entry {item!r}; invalid {flags[key].__name__} value") from None
+    for key in flags:
+        if key not in params and key not in _CALIBRATION_KEYS:
             raise UsageError(f"--generate-spec is missing {key!r}; {takes}")
     return head, params
-
-
-def _graph_from_spec(kind: str, params: dict, seed: int):
-    if kind == "planted":
-        spec = PlantedSpec(int(params["n"]), int(params["k"]), params["p_in"], params["p_out"], seed)
-        return generate_planted(spec)[0]
-    if kind == "calibrated":
-        spec, _q = calibrate_planted(
-            int(params["n"]),
-            int(params["k"]),
-            params["target_q"],
-            seed=seed,
-            **_pick(params, {"tolerance": "tolerance", "avg_degree": "avg_degree"}),
-        )
-        return generate_planted(spec)[0]
-    return ring_of_cliques(int(params["cliques"]), int(params["size"]))
 
 
 def _render_table(rows: list[dict], baseline: str) -> str:
@@ -375,9 +369,9 @@ def _run_benchmark(config: dict) -> int:
         if config.get("fresh_graphs"):
             if kind == "clique-ring":
                 raise UsageError("--fresh-graphs needs a randomized generator spec")
-            factory = lambda s: _graph_from_spec(kind, params, s)
+            factory = lambda s: _generate(kind, params, s)[0]
         else:
-            graph = _graph_from_spec(kind, params, mix(seed, 71))
+            graph = _generate(kind, params, mix(seed, 71))[0]
 
     # Each method name sets its own kind and base, so any kind or base key
     # in an older manifest has no effect.
@@ -473,9 +467,7 @@ def _run_mrg(config: dict) -> int:
 
 
 RUNNERS = {
-    "generate-planted": _run_generate_planted,
-    "generate-calibrated": _run_generate_calibrated,
-    "generate-clique-ring": _run_generate_clique_ring,
+    **{f"generate-{kind}": partial(_run_generate, kind) for kind in _GENERATORS},
     "generate-rewire": _run_generate_rewire,
     "detect": _run_detect,
     "qicd": _run_qicd_cmd,
@@ -487,8 +479,8 @@ RUNNERS = {
 # ------------------------------------------------------------ CLI parsing
 
 
-def _add_graph_input(p: _Parser) -> None:
-    p.add_argument("--graph", required=True, help="edge-list file")
+def _add_graph_input(p: _Parser, required: bool = True) -> None:
+    p.add_argument("--graph", required=required, help="edge-list file")
     p.add_argument("--merge-duplicates", action="store_true", help="sum duplicate edges instead of rejecting")
     p.add_argument("--relabel", action="store_true", help="accept arbitrary node labels; writes a .labels.csv sidecar")
 
@@ -528,29 +520,16 @@ def build_parser(default_seed: int) -> _Parser:
     gen = sub.add_parser("generate", help="write synthetic graphs")
     gen_sub = gen.add_subparsers(dest="generator")
 
-    g_pl = gen_sub.add_parser("planted", help="planted-partition graph")
-    g_pl.add_argument("--n", type=int, required=True)
-    g_pl.add_argument("--k", type=int, required=True)
-    g_pl.add_argument("--p-in", type=float, required=True)
-    g_pl.add_argument("--p-out", type=float, required=True)
-    g_pl.add_argument("--seed", type=int, default=default_seed)
-    g_pl.add_argument("--out", required=True)
-
-    g_cal = gen_sub.add_parser("calibrated", help="planted graph calibrated to a target Leiden Q")
-    g_cal.add_argument("--n", type=int, required=True)
-    g_cal.add_argument("--k", type=int, required=True)
-    g_cal.add_argument("--target-q", type=float, required=True)
-    g_cal.add_argument("--tolerance", type=float, default=_default(calibrate_planted, "tolerance"))
-    g_cal.add_argument("--avg-degree", type=float, default=_default(calibrate_planted, "avg_degree"))
-    g_cal.add_argument("--calibration-runs", type=int, default=_default(calibrate_planted, "runs"))
-    g_cal.add_argument("--seed", type=int, default=default_seed)
-    g_cal.add_argument("--out", required=True)
-
-    g_ring = gen_sub.add_parser("clique-ring", help="ring of cliques control graph")
-    g_ring.add_argument("--cliques", type=int, required=True)
-    g_ring.add_argument("--size", type=int, required=True)
-    g_ring.add_argument("--seed", type=int, default=default_seed)
-    g_ring.add_argument("--out", required=True)
+    for kind, (text, flags) in _GENERATORS.items():
+        g = gen_sub.add_parser(kind, help=text)
+        for dest, type_ in flags.items():
+            flag = f"--{dest.replace('_', '-')}"
+            if dest in _CALIBRATION_KEYS:
+                g.add_argument(flag, type=type_, default=_default(calibrate_planted, _CALIBRATION_KEYS[dest]))
+            else:
+                g.add_argument(flag, type=type_, required=True)
+        g.add_argument("--seed", type=int, default=default_seed)
+        g.add_argument("--out", required=True)
 
     g_rw = gen_sub.add_parser("rewire", help="degree-preserving rewiring of an existing graph")
     g_rw.add_argument("--input", required=True)
@@ -574,9 +553,7 @@ def build_parser(default_seed: int) -> _Parser:
     qic.add_argument("--out", required=True)
 
     ben = sub.add_parser("benchmark", help="multi-method experiment with statistics")
-    ben.add_argument("--graph")
-    ben.add_argument("--merge-duplicates", action="store_true")
-    ben.add_argument("--relabel", action="store_true")
+    _add_graph_input(ben, required=False)
     ben.add_argument("--generate-spec", help="e.g. planted:n=1000,k=10,p_in=0.05,p_out=0.02")
     ben.add_argument("--fresh-graphs", action="store_true", help="new graph per run (with --generate-spec)")
     ben.add_argument("--methods", required=True, help="comma list of method names")
@@ -607,7 +584,7 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     del config["from_manifest"], config["config"]
     if command == "generate":
         if generator is None:
-            raise UsageError("generate requires a subcommand: planted | calibrated | clique-ring | rewire")
+            raise UsageError(f"generate requires a subcommand: {' | '.join([*_GENERATORS, 'rewire'])}")
         command = f"generate-{generator}"
     elif command is None:
         raise UsageError("a command is required; see --help")
@@ -672,15 +649,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.from_manifest:
             with open(args.from_manifest, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+                manifest = _ManifestPart(json.load(fh), f"manifest {args.from_manifest}")
             command = manifest["command"]
-            if command not in RUNNERS:
+            if not isinstance(command, str) or command not in RUNNERS:
                 raise UsageError(f"manifest names unknown command {command!r}")
-            if manifest["config"].get("random_ties"):
+            config = _ManifestPart(manifest["config"], f"config of manifest {args.from_manifest}")
+            if config.get("random_ties"):
                 # Ties now always go to the lowest community id; replaying
                 # under that rule would not reproduce the recorded run.
                 raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
-            return RUNNERS[command](manifest["config"])
+            return RUNNERS[command](config)
         command, config = _config_from_args(args)
         return RUNNERS[command](config)
     except UsageError as exc:

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import qicd
-from qicd.cli import main
+from qicd import PlantedSpec
+from qicd.cli import UsageError, _parse_generate_spec, build_parser, main
+from qicd.rng import mix
 
 
 @pytest.fixture()
@@ -114,6 +118,32 @@ def test_generate_calibrated_small(workdir, capsys):
     assert "achieved Q=" in out
     manifest = json.loads((workdir / "cal.manifest.json").read_text())
     assert "p_in" in manifest["config"]
+
+
+_CALIBRATED = ["generate", "calibrated", "--n", "60", "--k", "3", "--target-q", "0.3", "--out", "cal.el"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_CALIBRATED, "--tolerance", "nan"], "tolerance must be finite and > 0"),
+        ([*_CALIBRATED, "--tolerance", "-1"], "tolerance must be finite and > 0"),
+        ([*_CALIBRATED, "--avg-degree", "nan"], "avg_degree must be finite and > 0"),
+        ([*_CALIBRATED, "--avg-degree", "inf"], "avg_degree must be finite and > 0"),
+        ([*_CALIBRATED, "--calibration-runs", "0"], "runs must be at least 1"),
+        (["benchmark", "--generate-spec", "calibrated:n=60,k=3,target_q=0.3,tolerance=nan",
+          "--methods", "leiden", "--out", "b"], "tolerance must be finite and > 0"),
+    ],
+    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "runs-zero", "spec-tolerance-nan"],
+)
+def test_calibration_settings_are_checked_before_any_leiden_run(workdir, capsys, monkeypatch, argv, message):
+    def leiden(*_args, **_kwargs):
+        raise AssertionError("calibration settings must be checked before any Leiden run")
+
+    monkeypatch.setattr("qicd.bench.leiden", leiden)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 def test_detect_prints_q(workdir, capsys):
@@ -260,11 +290,12 @@ def test_benchmark_usage_errors(workdir, capsys):
          "unknown --generate-spec key 'avg_deg'; calibrated takes n, k, target_q, tolerance, avg_degree"),
         (["--generate-spec", "clique-ring:cliques=4,size=x"], "bad --generate-spec entry 'size=x'"),
         (["--generate-spec", "ring:cliques=4,size=3"], "unknown --generate-spec type 'ring'"),
+        (["--generate-spec", "planted:n=60.9,k=3,p_in=0.4,p_out=0.05"], "bad --generate-spec entry 'n=60.9'"),
         (["--graph", "g.el", "--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
         (["--graph", "g.el", "--runs", "two"], "bad --runs entry 'two'"),
     ],
-    ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "runs-count",
-         "runs-default"],
+    ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "non-integer",
+         "runs-count", "runs-default"],
 )
 def test_benchmark_spec_errors_name_the_entry(workdir, capsys, flags, message):
     _make_graph(workdir)
@@ -272,6 +303,47 @@ def test_benchmark_spec_errors_name_the_entry(workdir, capsys, flags, message):
     assert main(["benchmark", "--methods", "leiden", "--out", "x", *flags]) == 1
     assert message in capsys.readouterr().err
     assert not (workdir / "x.manifest.json").exists()
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+_GENERATE = _subcommands(_subcommands(build_parser(0))["generate"])
+
+
+@pytest.mark.parametrize("kind", sorted(set(_GENERATE) - {"rewire"}))
+def test_generate_spec_keys_are_the_generate_flags(kind):
+    """A spec takes the destinations of `generate <kind>` but seed and out,
+    typed and required as the flags are."""
+    flags = [a for a in _GENERATE[kind]._actions if a.dest not in ("help", "seed", "out")]
+    keys = [a.dest for a in flags]
+    name, params = _parse_generate_spec(f"{kind}:" + ",".join(f"{key}=1" for key in keys))
+    assert name == kind
+    assert {key: type(value) for key, value in params.items()} == {a.dest: a.type for a in flags}
+    for flag in flags:
+        rest = f"{kind}:" + ",".join(f"{key}=1" for key in keys if key != flag.dest)
+        if flag.required:
+            with pytest.raises(UsageError, match=f"missing '{flag.dest}'; {kind} takes {', '.join(keys)}$"):
+                _parse_generate_spec(rest)
+        else:
+            assert flag.dest not in _parse_generate_spec(rest)[1]
+
+
+def test_calibrated_spec_takes_calibration_runs(workdir, monkeypatch):
+    calls = []
+
+    @functools.wraps(qicd.cli.calibrate_planted)  # the parser reads its defaults
+    def calibrate_planted(n, k, target_q, **kwargs):
+        calls.append((n, k, target_q, kwargs))
+        return PlantedSpec(n, k, 0.4, 0.05, kwargs["seed"]), target_q
+
+    monkeypatch.setattr("qicd.cli.calibrate_planted", calibrate_planted)
+    spec = "calibrated:n=60,k=3,target_q=0.3,calibration_runs=1"
+    assert main(["benchmark", "--generate-spec", spec, "--methods", "leiden", "--runs", "2", "--seed", "4",
+                 "--out", "b"]) == 0
+    assert calls == [(60, 3, 0.3, {"seed": mix(4, 71), "runs": 1})]
 
 
 def test_benchmark_edgeless_is_data_error(workdir, capsys):
@@ -395,6 +467,46 @@ def test_random_ties_is_retired(workdir, capsys):
         assert ("random_ties" in capsys.readouterr().err) == flag
     assert not (workdir / "t.csv").exists()
     assert (workdir / "f.csv").read_bytes() == (workdir / "p.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("config-lacks-graph", "config of manifest old.manifest.json lacks 'graph'"),
+        ("lacks-command", "manifest old.manifest.json lacks 'command'"),
+        ("json-list", "manifest old.manifest.json is not a JSON object"),
+    ],
+    ids=["config-lacks-graph", "lacks-command", "json-list"],
+)
+def test_malformed_manifest_is_a_usage_error(workdir, capsys, fault, message):
+    _make_graph(workdir)
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "p.csv"]) == 0
+    manifest = json.loads((workdir / "p.manifest.json").read_text())
+    manifest["config"]["out"] = "q.csv"
+    if fault == "config-lacks-graph":
+        del manifest["config"]["graph"]
+    elif fault == "lacks-command":
+        del manifest["command"]
+    else:
+        manifest = [manifest]
+    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--from-manifest", "old.manifest.json"]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (workdir / "q.csv").exists()
+
+
+def test_key_error_inside_a_replayed_run_stays_a_data_error(workdir, capsys, monkeypatch):
+    _make_graph(workdir)
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "p.csv"]) == 0
+
+    def leiden(*_args, **_kwargs):
+        raise KeyError("deep")
+
+    monkeypatch.setattr("qicd.cli.leiden", leiden)
+    capsys.readouterr()
+    assert main(["--from-manifest", "p.manifest.json"]) == 2
+    assert capsys.readouterr().err == "'deep'\n"
 
 
 def test_config_file_defaults(workdir, capsys):
