@@ -9,7 +9,11 @@ driver, and the MRG significance report against rewired nulls.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +57,42 @@ class MrgReport:
     null_mean: float
     null_std: float
     percentile: float  # mid-rank percentile of the observed gap in the nulls
+
+
+# The tasks of the live pool of run_seeded. Workers read them by fork, so a
+# task may close over a graph or a lambda that pickling could not send.
+_TASKS: list | None = None
+
+
+def _run_task(index: int):
+    return _TASKS[index]()
+
+
+def run_seeded(tasks: list):
+    """Yield each task's result, in task order.
+
+    Every task is a call that depends only on its own seeds, so the
+    results do not depend on where or when each runs. The tasks run in a
+    fork pool of one worker per usable CPU (capped at the task count).
+    With one worker, or in a process that multiprocessing started (a pool
+    worker among them), they run inline, so nested calls never multiply
+    the workers. A task's exception is raised at its place in the order;
+    a worker that dies raises BrokenProcessPool. qicd starts no threads
+    before the fork, so forking it is safe.
+    """
+    global _TASKS
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(tasks))
+    if workers <= 1 or multiprocessing.parent_process() is not None:
+        for task in tasks:
+            yield task()
+        return
+    _TASKS = tasks
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            yield from pool.map(_run_task, range(len(tasks)))
+    finally:
+        _TASKS = None
 
 
 def planted_sizes(n: int, k: int) -> list[int]:
@@ -166,13 +206,13 @@ def calibrate_planted(
 
     det = detector or DetectorConfig()
 
+    def graph_q(ratio: float, i: int) -> float:
+        graph, _truth = generate_planted(spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i)))
+        part = leiden(graph, replace(det, seed=mix(seed, 1000 + i)))
+        return modularity(graph, part, det.resolution)
+
     def mean_q(ratio: float) -> float:
-        qs = []
-        for i in range(runs):
-            spec = spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i))
-            graph, _truth = generate_planted(spec)
-            part = leiden(graph, replace(det, seed=mix(seed, 1000 + i)))
-            qs.append(modularity(graph, part, det.resolution))
+        qs = list(run_seeded([partial(graph_q, ratio, i) for i in range(runs)]))
         return sum(qs) / len(qs)
 
     lo, hi = 0.0, 1.0  # q decreases as the ratio grows
@@ -321,6 +361,11 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) 
     return run_qicd(graph, run_cfg).q_star
 
 
+def _method_run(name: str, seed: int, graph: Graph | None, graph_factory, cfg: QicdConfig | None) -> float:
+    g = graph_factory(mix(seed, 0xF)) if graph_factory is not None else graph
+    return method_q(name, g, seed, cfg)
+
+
 def run_experiment(
     graph: Graph | None,
     methods: list[str],
@@ -332,8 +377,8 @@ def run_experiment(
 ) -> list[TrialSample]:
     """Run each method several times with decoupled per-run seeds.
 
-    runs_per_method is a single count or a per-method mapping. Runs execute
-    one after another; each result depends only on its seed.
+    runs_per_method is a single count or a per-method mapping. The runs go
+    through run_seeded; each result depends only on its seed.
     graph_factory(seed) may supply a fresh graph per run instead of the
     shared one.
     """
@@ -350,18 +395,32 @@ def run_experiment(
         if runs.get(m, 0) < 1:
             raise ValueError(f"method {m!r} needs at least 1 run")
 
+    seeds = [tuple(mix(base_seed, mi, ri) for ri in range(runs[name])) for mi, name in enumerate(methods)]
+    results = run_seeded([
+        partial(_method_run, name, seed, graph, graph_factory, cfg)
+        for name, method_seeds in zip(methods, seeds)
+        for seed in method_seeds
+    ])
     samples = []
-    for mi, name in enumerate(methods):
-        seeds = tuple(mix(base_seed, mi, ri) for ri in range(runs[name]))
+    for name, method_seeds in zip(methods, seeds):
         qs = []
-        for ri, seed in enumerate(seeds):
+        for ri in range(len(method_seeds)):
             try:
-                g = graph_factory(mix(seed, 0xF)) if graph_factory is not None else graph
-                qs.append(method_q(name, g, seed, cfg))
+                qs.append(next(results))
             except Exception as exc:
                 raise RuntimeError(f"method {name!r} run {ri} failed: {exc}") from exc
-        samples.append(TrialSample(name, tuple(qs), seeds))
+        samples.append(TrialSample(name, tuple(qs), method_seeds))
     return samples
+
+
+def _null_mrg(graph: Graph, cfg: QicdConfig, swap_factor: float, seed: int, i: int) -> float:
+    null_graph = degree_preserving_rewire(graph, swap_factor, seed=mix(seed, 1, i))
+    cfg_i = replace(
+        cfg,
+        seed=mix(seed, 2, i),
+        detector=replace(cfg.detector, seed=mix(seed, 3, i)),
+    )
+    return run_qicd(null_graph, cfg_i).mrg
 
 
 def mrg_significance(
@@ -375,21 +434,16 @@ def mrg_significance(
 
     Rewires the graph null_count times, runs the same QICD configuration on
     each null (with derived seeds), and reports where the observed gap falls
-    in the null distribution (mid-rank percentile).
+    in the null distribution (mid-rank percentile). The observed run and
+    the nulls go through run_seeded.
     """
     if null_count < 5:
         raise ValueError("null_count must be >= 5")
     _check_swap_factor(swap_factor)
-    observed = run_qicd(graph, cfg).mrg
-    gaps = []
-    for i in range(null_count):
-        null_graph = degree_preserving_rewire(graph, swap_factor, seed=mix(seed, 1, i))
-        cfg_i = replace(
-            cfg,
-            seed=mix(seed, 2, i),
-            detector=replace(cfg.detector, seed=mix(seed, 3, i)),
-        )
-        gaps.append(run_qicd(null_graph, cfg_i).mrg)
+    observed, *gaps = run_seeded([
+        lambda: run_qicd(graph, cfg).mrg,
+        *(partial(_null_mrg, graph, cfg, swap_factor, seed, i) for i in range(null_count)),
+    ])
     count = len(gaps)
     null_mean = sum(gaps) / count
     null_var = sum((g - null_mean) ** 2 for g in gaps) / (count - 1)

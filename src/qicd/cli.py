@@ -87,6 +87,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_replayed_types(config: _ManifestPart, command_parser: argparse.ArgumentParser) -> None:
+    """Refuse a replayed value that the command's flag could not have given:
+    its type (an int is not a bool, a float may be an int), a store_true
+    flag's bool, and its choices. An optional flag whose default is None
+    may be null. Keys that no flag reads are not checked: older manifests
+    hold retired ones, which the runners ignore."""
+    actions = {a.dest: a for a in command_parser._actions}
+    for key, value in config.items():
+        action = actions.get(key)
+        if action is None or (value is None and action.default is None and not action.required):
+            continue
+        if action.nargs == 0:
+            expected, ok = "true or false", type(value) is bool
+        elif action.type is int:
+            expected, ok = "an int", type(value) is int
+        elif action.type is float:
+            expected, ok = "a number", type(value) in (int, float)
+        else:
+            expected, ok = "a string", type(value) is str
+        if ok and action.choices is not None and value not in action.choices:
+            expected, ok = f"one of {', '.join(action.choices)}", False
+        if not ok:
+            raise UsageError(f"{config.where} sets {key!r} to {json.dumps(value)}; expected {expected}")
+
+
 def _stem(path: str) -> Path:
     p = Path(path)
     return p.with_suffix("") if p.suffix else p
@@ -271,7 +296,7 @@ def _run_qicd_cmd(config: dict) -> int:
 def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
     default = BENCHMARK_RUNS
     overrides: dict[str, int] = {}
-    for part in str(spec).split(","):
+    for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
@@ -572,6 +597,11 @@ def build_parser(default_seed: int) -> _Parser:
     mrg_p.add_argument("--seed", type=int, default=default_seed)
     mrg_p.add_argument("--out", required=True)
 
+    # Each command's parser, by the command name that manifests record.
+    parser.commands = {
+        **{f"generate-{kind}": p for kind, p in gen_sub.choices.items()},
+        **{name: p for name, p in sub.choices.items() if name != "generate"},
+    }
     return parser
 
 
@@ -658,6 +688,7 @@ def main(argv: list[str] | None = None) -> int:
                 # Ties now always go to the lowest community id; replaying
                 # under that rule would not reproduce the recorded run.
                 raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
+            _check_replayed_types(config, parser.commands[command])
             return RUNNERS[command](config)
         command, config = _config_from_args(args)
         return RUNNERS[command](config)

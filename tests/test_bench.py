@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -19,7 +22,11 @@ from qicd import (
     ring_of_cliques,
     run_experiment,
 )
-from qicd.bench import METHODS, clique_ring_truth, planted_sizes, spec_for_ratio
+from qicd.bench import METHODS, clique_ring_truth, planted_sizes, run_seeded, spec_for_ratio
+
+
+def _pin_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def test_planted_spec_validation():
@@ -93,6 +100,14 @@ def test_calibrate_limits():
     spec, achieved = calibrate_planted(300, 2, 0.46, 0.03, avg_degree=8.0, seed=4, runs=2)
     assert spec.p_out / spec.p_in < 0.25
     assert abs(achieved - 0.46) <= 0.03
+
+
+def test_calibrate_is_the_same_at_any_cpu_count(monkeypatch):
+    found = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        found.append(calibrate_planted(300, 2, 0.40, 0.03, avg_degree=8.0, seed=4, runs=3))
+    assert found[0] == found[1]
 
 
 def test_calibrate_validation_and_bracket_failure():
@@ -201,6 +216,46 @@ def test_run_experiment_failure_identifies_run():
     g = build_graph(4, [])  # edgeless: every run fails
     with pytest.raises(RuntimeError, match="method 'leiden' run 0"):
         run_experiment(g, ["leiden"], 2, 1)
+
+
+def test_run_experiment_failure_in_a_worker_keeps_its_cause(monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    g = build_graph(4, [])
+    with pytest.raises(RuntimeError, match="method 'louvain' run 0 failed: modularity undefined") as info:
+        run_experiment(g, ["louvain"], 2, 1)
+    assert type(info.value.__cause__) is ValueError
+
+
+def test_run_seeded_yields_in_task_order(monkeypatch):
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        # A task need not pickle: workers get the tasks by fork.
+        assert list(run_seeded([lambda i=i: i * i for i in range(7)])) == [i * i for i in range(7)]
+
+
+def test_run_seeded_forks_one_worker_per_cpu(monkeypatch):
+    parent = os.getpid()
+    _pin_cpus(monkeypatch, 1)
+    assert list(run_seeded([os.getpid] * 3)) == [parent] * 3
+    _pin_cpus(monkeypatch, 2)
+    pids = list(run_seeded([os.getpid] * 3))
+    assert parent not in pids and len(set(pids)) <= 2
+    # A worker runs nested tasks inline, so they do not multiply the workers.
+    nested = list(run_seeded([lambda: (os.getpid(), list(run_seeded([os.getpid] * 2)))] * 2))
+    for worker, inner in nested:
+        assert worker != parent and inner == [worker] * 2
+
+
+def test_run_seeded_raises_when_a_worker_dies(monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:  # never kill the test run itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(BrokenProcessPool):
+        list(run_seeded([os.getpid, die, os.getpid]))
 
 
 def test_run_experiment_graph_factory():

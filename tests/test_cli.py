@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -356,6 +357,8 @@ def test_benchmark_edgeless_is_data_error(workdir, capsys):
 
 
 def test_benchmark_passes_init_mode_and_method_kind_base(workdir, capsys, monkeypatch):
+    # The spy can see only runs made in this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     calls = []
     real_run_qicd = qicd.bench.run_qicd
@@ -413,6 +416,45 @@ def test_benchmark_fresh_graphs(workdir):
         ]
     )
     assert code == 0
+
+
+_CALIBRATED_SPEC = "calibrated:n=60,k=3,target_q=0.3,tolerance=0.05,calibration_runs=2"
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["benchmark", "--graph", "g.el", "--methods", "leiden,louvain-hu,leiden-haar", "--runs", "3",
+          "--iterations", "2"], ["runs.csv", "summary.json", "table.txt"]),
+        (["benchmark", "--generate-spec", "planted:n=60,k=3,p_in=0.4,p_out=0.05", "--fresh-graphs",
+          "--methods", "leiden,leiden-pt", "--runs", "2", "--iterations", "2"], ["runs.csv", "summary.json", "table.txt"]),
+        # Each run calibrates its graph inside a pool worker.
+        (["benchmark", "--generate-spec", _CALIBRATED_SPEC, "--fresh-graphs", "--methods", "leiden", "--runs", "2"],
+         ["runs.csv", "summary.json", "table.txt"]),
+        (["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2"], ["mrg.json"]),
+    ],
+    ids=["grid", "fresh-planted", "fresh-calibrated", "mrg"],
+)
+def test_outputs_do_not_depend_on_cpu_count(workdir, monkeypatch, argv, outputs):
+    """Seeded runs and nulls go to one forked worker per usable CPU, and
+    write the same bytes as with one CPU, where they run in this process."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    pools = []
+    real_init = ProcessPoolExecutor.__init__
+
+    def spy(self, max_workers, mp_context):
+        pools.append((max_workers, mp_context.get_start_method()))
+        real_init(self, max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        pools.clear()
+        (workdir / f"cpus{cpus}").mkdir()
+        assert main([*argv, "--seed", "5", "--out", f"cpus{cpus}/out"]) == 0
+        assert pools == ([] if cpus == 1 else [(2, "fork")])
+    for name in outputs:
+        assert (workdir / f"cpus1/out.{name}").read_bytes() == (workdir / f"cpus2/out.{name}").read_bytes(), name
 
 
 def test_mrg_report(workdir, capsys):
@@ -494,6 +536,45 @@ def test_malformed_manifest_is_a_usage_error(workdir, capsys, fault, message):
     assert main(["--from-manifest", "old.manifest.json"]) == 1
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not (workdir / "q.csv").exists()
+
+
+_PLANTED = ["generate", "planted", "--n", "60", "--k", "3", "--p-in", "0.4", "--p-out", "0.05"]
+_BENCHMARK = ["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, expected",
+    [
+        (_PLANTED, "n", 60.9, "an int"),
+        (_PLANTED, "n", "60", "an int"),
+        (_PLANTED, "n", True, "an int"),
+        (["generate", "clique-ring", "--cliques", "4", "--size", "3"], "cliques", 4.5, "an int"),
+        (["detect", "--graph", "g.el", "--method", "leiden"], "method", "bogus", "one of leiden, louvain"),
+        (["detect", "--graph", "g.el", "--method", "leiden"], "graph", None, "a string"),
+        (["qicd", "--graph", "g.el", "--iterations", "1"], "refine_before_accept", 1, "true or false"),
+        (_BENCHMARK, "runs", 2, "a string"),
+        # --runs takes a string, so a string replays.
+        (_BENCHMARK, "runs", "2", None),
+        (_PLANTED, "p_in", 1, None),
+    ],
+    ids=["planted-float-n", "planted-string-n", "planted-bool-n", "clique-ring-float", "detect-choice",
+         "detect-null-graph", "qicd-int-flag", "benchmark-int-runs", "benchmark-string-runs", "planted-int-p-in"],
+)
+def test_replayed_values_must_fit_their_flags(workdir, capsys, argv, key, value, expected):
+    _make_graph(workdir)
+    assert main([*argv, "--out", "a.txt"]) == 0
+    manifest = json.loads((workdir / "a.manifest.json").read_text())
+    manifest["config"].update({key: value, "out": "b.txt"})
+    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    if expected is None:
+        assert main(["--from-manifest", "old.manifest.json"]) == 0
+        return
+    assert main(["--from-manifest", "old.manifest.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: config of manifest old.manifest.json sets {key!r} to {json.dumps(value)}; expected {expected}\n"
+    )
+    assert not list(workdir.glob("b.*"))
 
 
 def test_key_error_inside_a_replayed_run_stays_a_data_error(workdir, capsys, monkeypatch):
