@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -59,9 +59,15 @@ class MrgReport:
     percentile: float  # mid-rank percentile of the observed gap in the nulls
 
 
-# The tasks of the live pool of run_seeded. Workers read them by fork, so a
-# task may close over a graph or a lambda that pickling could not send.
-_TASKS: list | None = None
+# The tasks of this process's pool, when it is a run_seeded worker. The
+# pool hands them over by fork, which does not pickle a worker's arguments,
+# so a task may close over a graph or a lambda that pickling could not send.
+_TASKS: list = []
+
+
+def _set_tasks(tasks: list) -> None:
+    global _TASKS
+    _TASKS = tasks
 
 
 def _run_task(index: int):
@@ -77,22 +83,18 @@ def run_seeded(tasks: list):
     With one worker, or in a process that multiprocessing started (a pool
     worker among them), they run inline, so nested calls never multiply
     the workers. A task's exception is raised at its place in the order;
-    a worker that dies raises BrokenProcessPool. qicd starts no threads
-    before the fork, so forking it is safe.
+    a worker that dies raises BrokenProcessPool. qicd starts no threads of
+    its own; numpy's OpenBLAS pool shuts itself down across a fork.
     """
-    global _TASKS
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
     if workers <= 1 or multiprocessing.parent_process() is not None:
         for task in tasks:
             yield task()
         return
-    _TASKS = tasks
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            yield from pool.map(_run_task, range(len(tasks)))
-    finally:
-        _TASKS = None
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_tasks, initargs=(tasks,)) as pool:
+        yield from pool.map(_run_task, range(len(tasks)))
 
 
 def planted_sizes(n: int, k: int) -> list[int]:
@@ -206,13 +208,13 @@ def calibrate_planted(
 
     det = detector or DetectorConfig()
 
-    def graph_q(ratio: float, i: int) -> float:
-        graph, _truth = generate_planted(spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i)))
-        part = leiden(graph, replace(det, seed=mix(seed, 1000 + i)))
-        return modularity(graph, part, det.resolution)
-
     def mean_q(ratio: float) -> float:
-        qs = list(run_seeded([partial(graph_q, ratio, i) for i in range(runs)]))
+        qs = []
+        for i in range(runs):
+            spec = spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i))
+            graph, _truth = generate_planted(spec)
+            part = leiden(graph, replace(det, seed=mix(seed, 1000 + i)))
+            qs.append(modularity(graph, part, det.resolution))
         return sum(qs) / len(qs)
 
     lo, hi = 0.0, 1.0  # q decreases as the ratio grows
@@ -407,6 +409,8 @@ def run_experiment(
         for ri in range(len(method_seeds)):
             try:
                 qs.append(next(results))
+            except BrokenExecutor:
+                raise  # a worker died; which run it held is unknown
             except Exception as exc:
                 raise RuntimeError(f"method {name!r} run {ri} failed: {exc}") from exc
         samples.append(TrialSample(name, tuple(qs), method_seeds))

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -697,6 +698,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
+    except BrokenExecutor:
+        # The pool cannot tell which run the dead worker held.
+        print("a worker process died before the runs finished; no output was written", file=sys.stderr)
+        return EXIT_DATA
     except DATA_ERRORS as exc:
         message = str(exc) or exc.__class__.__name__
         print(message, file=sys.stderr)

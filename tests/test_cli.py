@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -442,9 +443,9 @@ def test_outputs_do_not_depend_on_cpu_count(workdir, monkeypatch, argv, outputs)
     pools = []
     real_init = ProcessPoolExecutor.__init__
 
-    def spy(self, max_workers, mp_context):
+    def spy(self, max_workers, mp_context, **kwargs):
         pools.append((max_workers, mp_context.get_start_method()))
-        real_init(self, max_workers, mp_context=mp_context)
+        real_init(self, max_workers, mp_context=mp_context, **kwargs)
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
     for cpus in (1, 2):
@@ -455,6 +456,27 @@ def test_outputs_do_not_depend_on_cpu_count(workdir, monkeypatch, argv, outputs)
         assert pools == ([] if cpus == 1 else [(2, "fork")])
     for name in outputs:
         assert (workdir / f"cpus1/out.{name}").read_bytes() == (workdir / f"cpus2/out.{name}").read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["benchmark", "--graph", "g.el", "--methods", "leiden-haar", "--runs", "2"], ["mrg", "--graph", "g.el", "--nulls", "5"]],
+    ids=["benchmark", "mrg"],
+)
+def test_worker_death_is_a_data_error(workdir, capsys, monkeypatch, argv):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+
+    def run_qicd(graph, cfg):
+        if os.getpid() != parent:  # never kill the test run itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(qicd.bench, "run_qicd", run_qicd)
+    capsys.readouterr()
+    assert main([*argv, "--iterations", "1", "--out", "out"]) == 2
+    assert capsys.readouterr().err == "a worker process died before the runs finished; no output was written\n"
+    assert not list(workdir.glob("out.*"))
 
 
 def test_mrg_report(workdir, capsys):
