@@ -125,7 +125,7 @@ def _write_text(path: Path | str, text: str) -> None:
 
 def _load_graph(config: dict):
     path = config["graph"]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         if config.get("relabel"):
             graph, labels = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False), relabel=True)
             sidecar = Path(str(_stem(config["out"])) + ".labels.csv")
@@ -238,7 +238,7 @@ def _run_generate(kind: str, config: dict) -> int:
 
 def _run_generate_rewire(config: dict) -> int:
     started = time.perf_counter()
-    with open(config["input"], "r", encoding="utf-8") as fh:
+    with open(config["input"], "rb") as fh:
         graph = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False))
     swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
     rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])

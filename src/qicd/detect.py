@@ -44,12 +44,20 @@ class DetectorConfig:
 def _flat(graph: Graph) -> tuple:
     """What the move loop reads of a graph: its CSR arrays as Python lists,
     which the interpreted loop indexes much faster than numpy arrays, then
-    its strengths, self weights (zeros when it has none) and total weight."""
+    its strengths, self weights (zeros when it has none) and total weight.
+
+    The lists share their objects: indices holds one int per node, and
+    weights one float when all weights are equal."""
+    w = graph.weights
+    if len(w) and w.min() == w.max():
+        weights = [float(w[0])] * len(w)
+    else:
+        weights = w.tolist()
     own = graph.self_weights or (0.0,) * graph.node_count
     return (
         graph.indptr.tolist(),
-        graph.indices.tolist(),
-        graph.weights.tolist(),
+        np.arange(graph.node_count).astype(object)[graph.indices].tolist(),
+        weights,
         graph.strengths,
         own,
         graph.total_weight,
@@ -136,14 +144,14 @@ def _move_pass(
 
 
 def _move_until_stable(
-    graph: Graph,
+    flat: tuple,
     partition: Partition,
     rng: np.random.Generator,
     cfg: DetectorConfig,
 ) -> None:
-    """Repeat move passes until a sweep gains less than min_gain."""
-    flat = _flat(graph)
-    active = [True] * graph.node_count
+    """Repeat move passes over the graph as _flat returns it until a sweep
+    gains less than min_gain."""
+    active = [True] * len(partition.labels)
     for _ in range(cfg.max_sweeps_per_level):
         gain = _move_pass(flat, partition, rng, cfg.resolution, active)
         if gain < cfg.min_gain:
@@ -172,13 +180,14 @@ def _connected_components(indptr: list[int], indices: list[int], nodes: list[int
     return components
 
 
-def leiden_refine(graph: Graph, partition: Partition) -> Partition:
+def leiden_refine(graph: Graph, partition: Partition, flat: tuple | None = None) -> Partition:
     """Split every community that induces a disconnected subgraph.
 
     Splitting into connected components never decreases Q. Output labels are
-    compacted; connected communities pass through unchanged.
+    compacted; connected communities pass through unchanged. flat, the
+    graph as _flat returns it, saves converting the graph again.
     """
-    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    indptr, indices = (flat or _flat(graph))[:2]
     labels = list(partition.labels)
     next_label = partition.community_count
     changed = False
@@ -212,15 +221,18 @@ def _multilevel(
     level_graph = graph
     level_labels: list[list[int]] = []
     part = initial.copy() if initial is not None else None
+    top_flat = None  # level 0's lists, for the final split
     for _level in range(cfg.max_levels):
+        flat = _flat(level_graph)
+        top_flat = top_flat or flat
         if part is None:
             part = singleton_partition(level_graph)
-        _move_until_stable(level_graph, part, rng, cfg)
+        _move_until_stable(flat, part, rng, cfg)
         part.compact()
         if refine:
-            refined = leiden_refine(level_graph, part)
+            refined = leiden_refine(level_graph, part, flat)
             if refined.community_count != part.community_count:
-                _move_until_stable(level_graph, refined, rng, cfg)
+                _move_until_stable(flat, refined, rng, cfg)
                 refined.compact()
             part = refined
         level_labels.append(list(part.labels))
@@ -235,7 +247,7 @@ def _multilevel(
     result = Partition(graph, labels)
     if refine:
         # Guarantee connectivity on the original graph, not just per level.
-        result = leiden_refine(graph, result)
+        result = leiden_refine(graph, result, top_flat)
     return result
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .detect import (
     DetectorConfig,
+    _flat,
     _move_until_stable,
     leiden,
     leiden_refine,
@@ -94,9 +95,10 @@ class QicdResult:
 def _refine(graph: Graph, partition: Partition, det: DetectorConfig, rng: np.random.Generator) -> Partition:
     """Local refinement: move sweeps until stable, then split disconnected."""
     out = partition.copy()
-    _move_until_stable(graph, out, rng, det)
+    flat = _flat(graph)
+    _move_until_stable(flat, out, rng, det)
     out.compact()
-    return leiden_refine(graph, out)
+    return leiden_refine(graph, out, flat)
 
 
 def _propose(

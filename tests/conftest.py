@@ -1,13 +1,15 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here (double-sum modularity, set-partition enumeration, BFS
-connectivity) deliberately avoid the package's own aggregate-based
+connectivity, a line-by-line edge-list parser) deliberately avoid the package's own aggregate-based
 implementations so the two routes check each other.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from collections import deque
 
 import pytest
@@ -82,6 +84,52 @@ def communities_connected(graph: Graph, labels) -> bool:
         if len(seen) != len(members):
             return False
     return True
+
+
+def reference_edge_list(text: str, relabel: bool = False):
+    """The README's edge-list grammar, read one line at a time: the CSR
+    arrays (as lists), strengths, total weight and labels of the graph, or
+    a ValueError whose message starts with the line of the first fault."""
+    labels: dict[str, int] = {}
+    header = None
+    edges = []  # (line, u, v, w)
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        if line.startswith("#"):
+            found = re.fullmatch(rb"#\s*nodes:\s*(\d+)\s*", line.encode())
+            header = int(found[1]) if found else header
+            continue
+        fields = [f for f in re.split("[ \t\v\f]", line) if f]
+        if not fields:
+            continue
+        try:
+            if len(fields) not in (2, 3):
+                raise ValueError("field count")
+            if relabel:
+                u, v = (labels.setdefault(f, len(labels)) for f in fields[:2])
+            else:
+                u, v = (int(f.encode()) for f in fields[:2])
+                if min(u, v) < 0:
+                    raise ValueError("negative id")
+            w = float(fields[2].encode()) if len(fields) == 3 else 1.0
+        except ValueError:
+            raise ValueError(f"line {lineno}: parse") from None
+        edges.append((lineno, u, v, w))
+    if relabel:
+        n = len(labels)
+    else:
+        n = header if header is not None else max((max(u, v) for _l, u, v, _w in edges), default=-1) + 1
+    adjacency: list[dict[int, float]] = [{} for _ in range(n)]
+    for lineno, u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v or v in adjacency[u] or not (math.isfinite(w) and w > 0):
+            raise ValueError(f"line {lineno}: edge")
+        adjacency[u][v] = adjacency[v][u] = w
+    indptr, indices, weights = [0], [], []
+    for nbrs in adjacency:
+        indices.extend(sorted(nbrs))
+        weights.extend(nbrs[v] for v in sorted(nbrs))
+        indptr.append(len(indices))
+    strengths = tuple(math.fsum(nbrs.values()) for nbrs in adjacency)
+    return indptr, indices, weights, strengths, math.fsum(w for *_, w in edges), list(labels)
 
 
 TRIANGLE_EDGES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]

@@ -179,6 +179,12 @@ def test_detect_edgeless_is_data_error(workdir, capsys):
     assert "modularity undefined: graph has no edges" in capsys.readouterr().err
 
 
+def test_detect_names_the_line_of_a_byte_that_is_not_utf8(workdir, capsys):
+    (workdir / "bad.el").write_bytes(b"# nodes: 3\n0 1\n1 2 \xff\n")
+    assert main(["detect", "--graph", "bad.el", "--method", "leiden", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.startswith("line 3: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_usage_errors_exit_1(workdir, capsys):
     assert main(["detect", "--graph", "g.el", "--method", "bogus", "--out", "x.csv"]) == 1
     assert main(["mrg", "--graph", "g.el", "--nulls", "4", "--out", "x"]) == 1

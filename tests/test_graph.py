@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import qicd
 from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list
+from qicd.detect import _flat
 
 from conftest import make_random_graph
 
@@ -181,6 +183,40 @@ def test_load_rejects_negative_ids():
 def test_load_from_stream():
     g = load_edge_list(io.StringIO("0 1\n"))
     assert g.total_weight == 1.0
+
+
+def test_string_stream_and_bytes_sources_number_lines_alike():
+    # \x0c is a separator, not a line end, in every kind of source.
+    text = "0 1\x0c\n1 2\n0 2 x\n"
+    for source in (text, io.StringIO(text), text.encode(), io.BytesIO(text.encode())):
+        with pytest.raises(EdgeListError, match="^line 3: bad weight"):
+            load_edge_list(source)
+    # \r\n and a lone \r each end one line.
+    with pytest.raises(EdgeListError, match="^line 3: bad weight"):
+        load_edge_list("0 1\r1 2\r\n0 2 x\n")
+
+
+def _traced_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_edge_list_io_memory_per_edge():
+    """Traced allocation per edge on a 100k-edge unit-weight text. A per-line
+    parser and per-entry Python objects cost about twice these bounds."""
+    rng = np.random.default_rng(1)
+    n, m = 10_000, 100_000
+    keys = np.unique(rng.integers(0, n * n, size=3 * m))
+    keys = rng.permutation(keys[keys // n < keys % n][:m])
+    graph = build_graph(n, np.column_stack((keys // n, keys % n, np.ones(m))))
+    text = dump_edge_list(graph)
+    assert _traced_bytes(load_edge_list, text) / m < 250
+    assert _traced_bytes(_flat, graph) / m < 100
+    assert _traced_bytes(dump_edge_list, graph) / m < 120
 
 
 def test_round_trip_identity():

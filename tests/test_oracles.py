@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qicd import (
     NEW_COMMUNITY,
     DetectorConfig,
+    EdgeListError,
     Partition,
     build_graph,
     degree_preserving_rewire,
@@ -29,7 +30,7 @@ from qicd import (
 )
 from qicd.detect import seeded_pass
 
-from conftest import communities_connected
+from conftest import communities_connected, reference_edge_list
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -173,6 +174,54 @@ def test_dump_load_round_trip_is_exact(case):
         assert np.array_equal(getattr(back, name), getattr(g, name)), name
     assert back.strengths == g.strengths
     assert back.total_weight == g.total_weight
+
+
+# Malformed lines, each a different fault of the parser or of the graph.
+BAD_LINES = [" # not column 1", "0 1 2 3", "7", "x 1", "0 -1", "0 1 abc", "0 1 nan", "0 1 -2", "3 3", "0 99", "0 1 0x10"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, relabel): edge-list text with comments, blank lines, mixed
+    separators and line ends, optional weights and header, and at most one
+    malformed line."""
+    relabel = draw(st.booleans())
+    ids = st.sampled_from(["a", "b", "c", "d", "é", "ß", "0", "10"]) if relabel else st.integers(0, 29).map(str)
+    sep = st.sampled_from([" ", "\t", "  ", " \t", "\v", "\f"])
+    pad = st.sampled_from(["", " ", "\t"])
+    weight = st.one_of(st.just(""), st.floats(0.01, 100.0).map(repr), st.sampled_from(["2", "1e-3", "+1.5", "1_0.5"]))
+    edge = st.builds(lambda p, u, s1, v, s2, w, q: p + u + s1 + v + (s2 + w if w else "") + q,
+                     pad, ids, sep, ids, sep, weight, pad)
+    other = st.sampled_from(["", " ", "\t", "# a comment", "#", "#nodes"])
+    header = st.integers(28, 32).map(lambda k: f"# nodes: {k}")
+    lines = draw(st.lists(st.one_of(edge, edge, edge, other, header), max_size=12))
+    if draw(st.integers(0, 2)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, relabel
+
+
+@PROPERTY
+@given(case=edge_list_texts())
+def test_load_edge_list_matches_a_line_by_line_parser(case):
+    text, relabel = case
+    try:
+        expected = reference_edge_list(text, relabel)
+    except ValueError as exc:
+        with pytest.raises(EdgeListError) as got:
+            load_edge_list(text, relabel=relabel)
+        assert str(got.value).split(":")[0] == str(exc).split(":")[0]
+        return
+    loaded = load_edge_list(text, relabel=relabel)
+    g, labels = loaded if relabel else (loaded, [])
+    indptr, indices, weights, strengths, total_weight, ref_labels = expected
+    assert (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()) == (indptr, indices, weights)
+    assert g.strengths == strengths
+    assert g.total_weight == total_weight
+    assert labels == ref_labels
 
 
 @PROPERTY
