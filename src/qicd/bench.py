@@ -179,6 +179,10 @@ def spec_for_ratio(n: int, k: int, ratio: float, avg_degree: float, seed: int = 
     return PlantedSpec(n, k, p_in, p_out, seed)
 
 
+# Bisection steps calibrate_planted takes before it gives up.
+CALIBRATION_STEPS = 30
+
+
 def calibrate_planted(
     n: int,
     k: int,
@@ -188,15 +192,13 @@ def calibrate_planted(
     avg_degree: float = 20.0,
     seed: int = 0,
     runs: int = 3,
-    max_steps: int = 30,
-    detector: DetectorConfig | None = None,
 ) -> tuple[PlantedSpec, float]:
     """Find a planted spec whose mean Leiden Q hits target_q.
 
     Holds the average degree fixed and bisects the mixing ratio p_out/p_in
     (ratio 1 is ER-like, ratio 0 fully separated), evaluating the mean
     Leiden modularity over `runs` seeded graphs at each step. Raises when
-    the target cannot be bracketed or reached within max_steps.
+    the target cannot be bracketed or reached within CALIBRATION_STEPS.
     """
     if not 0.0 < target_q < 0.9:
         raise ValueError("target_q must be in (0, 0.9)")
@@ -206,7 +208,7 @@ def calibrate_planted(
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
 
-    det = detector or DetectorConfig()
+    det = DetectorConfig()
 
     def mean_q(ratio: float) -> float:
         qs = []
@@ -229,7 +231,7 @@ def calibrate_planted(
             f"cannot bracket target_q={target_q}: achievable range is "
             f"[{q_hi:.4f}, {q_lo:.4f}] at avg_degree={avg_degree}"
         )
-    for _ in range(max_steps):
+    for _ in range(CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         q_mid = mean_q(mid)
         if abs(q_mid - target_q) <= tolerance:
@@ -238,7 +240,7 @@ def calibrate_planted(
             lo = mid
         else:
             hi = mid
-    raise ValueError(f"calibration did not reach target_q={target_q} within {max_steps} steps")
+    raise ValueError(f"calibration did not reach target_q={target_q} within {CALIBRATION_STEPS} steps")
 
 
 def ring_of_cliques(cliques: int, size: int) -> Graph:

@@ -2,9 +2,14 @@
 
 Subcommands: generate (planted | calibrated | clique-ring | rewire),
 detect, qicd, benchmark, mrg. Every command writes a manifest with the
-fully resolved configuration; re-running with --from-manifest reproduces
-the result files byte for byte. Exit status 0 on success, 1 for usage
-errors, 2 for data or domain errors.
+fully resolved configuration and every file it wrote; re-running with
+--from-manifest reproduces the result files byte for byte. Exit status 0
+on success, 1 for usage errors, 2 for data or domain errors; a command
+that fails writes nothing.
+
+A runner returns (inputs, files, recorded, message): `files` maps each
+output key to (path, text), `recorded` holds outputs that are not files and
+`message` is the stdout text; `main` writes the files, manifest and message.
 """
 
 from __future__ import annotations
@@ -113,28 +118,33 @@ def _check_replayed_types(config: _ManifestPart, command_parser: argparse.Argume
             raise UsageError(f"{config.where} sets {key!r} to {json.dumps(value)}; expected {expected}")
 
 
-def _stem(path: str) -> Path:
-    p = Path(path)
-    return p.with_suffix("") if p.suffix else p
+def _out(config: dict, suffix: str | None = None) -> str:
+    """The path --out names, or, given a suffix, its stem with the suffix."""
+    out = Path(config["out"])
+    if suffix is None:
+        return str(out)
+    return str(out.with_suffix("") if out.suffix else out) + suffix
 
 
-def _write_text(path: Path | str, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def _load_graph(config: dict):
-    path = config["graph"]
-    with open(path, "rb") as fh:
-        if config.get("relabel"):
-            graph, labels = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False), relabel=True)
-            sidecar = Path(str(_stem(config["out"])) + ".labels.csv")
-            _write_text(sidecar, "node_id,label\n" + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels)))
-            return graph
-        return load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False))
+    """The graph --graph names, and the files that loading it adds: with
+    --relabel, the .labels.csv sidecar."""
+    relabel = config.get("relabel", False)
+    with open(config["graph"], "rb") as fh:
+        loaded = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False), relabel=relabel)
+    if not relabel:
+        return loaded, {}
+    graph, labels = loaded
+    text = "node_id,label\n" + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels))
+    return graph, {"labels": (_out(config, ".labels.csv"), text)}
 
 
-def _write_manifest(stem: Path, command: str, config: dict, inputs: dict, outputs: dict, started: float) -> Path:
+def _write_manifest(command: str, config: dict, inputs: dict, outputs: dict, started: float) -> None:
     manifest = {
         "command": command,
         "tool": "qicd",
@@ -146,9 +156,7 @@ def _write_manifest(stem: Path, command: str, config: dict, inputs: dict, output
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - started,
     }
-    path = Path(str(stem) + ".manifest.json")
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_text(_out(config, ".manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _default(fn, name: str):
@@ -212,83 +220,52 @@ def _generate(kind: str, params: dict, seed: int):
     return graph, truth.labels, found
 
 
-def _emit_graph_files(graph, truth_labels, config, command, started, achieved_q=None):
-    out = Path(config["out"])
-    stem = _stem(config["out"])
-    _write_text(out, dump_edge_list(graph))
-    outputs = {"graph": str(out)}
-    if truth_labels is not None:
-        truth_path = Path(str(stem) + ".truth.csv")
-        _write_text(truth_path, "node_id,community_id\n" + "".join(f"{i},{c}\n" for i, c in enumerate(truth_labels)))
-        outputs["truth"] = str(truth_path)
-    recorded = outputs if achieved_q is None else {**outputs, "achieved_q": achieved_q}
-    _write_manifest(stem, command, config, {}, recorded, started)
-    detail = (f"n={graph.node_count}, m={graph.total_weight:g}" if achieved_q is None
-              else f"achieved Q={achieved_q:.4f}, p_in={config['p_in']:.6g}, p_out={config['p_out']:.6g}")
-    print(f"wrote {config['out']} ({detail})")
-
-
-def _run_generate(kind: str, config: dict) -> int:
-    started = time.perf_counter()
+def _run_generate(kind: str, config: dict):
     graph, truth, found = _generate(kind, config, config["seed"])
-    achieved_q = found.pop("achieved_q", None)
-    _emit_graph_files(graph, truth, {**config, **found}, f"generate-{kind}", started, achieved_q)
-    return EXIT_OK
+    recorded = {"achieved_q": found.pop("achieved_q")} if "achieved_q" in found else {}
+    config.update(found)  # the manifest records calibrated's p_in and p_out
+    truth_text = "node_id,community_id\n" + "".join(f"{i},{c}\n" for i, c in enumerate(truth))
+    files = {"graph": (_out(config), dump_edge_list(graph)), "truth": (_out(config, ".truth.csv"), truth_text)}
+    detail = (f"achieved Q={recorded['achieved_q']:.4f}, p_in={config['p_in']:.6g}, p_out={config['p_out']:.6g}"
+              if recorded else f"n={graph.node_count}, m={graph.total_weight:g}")
+    return {}, files, recorded, f"wrote {config['out']} ({detail})\n"
 
 
-def _run_generate_rewire(config: dict) -> int:
-    started = time.perf_counter()
+def _run_generate_rewire(config: dict):
     with open(config["input"], "rb") as fh:
         graph = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False))
     swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
     rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])
-    _emit_graph_files(rewired, None, config, "generate-rewire", started)
-    return EXIT_OK
+    message = f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})\n"
+    return {}, {"graph": (_out(config), dump_edge_list(rewired))}, {}, message
 
 
 # ------------------------------------------------------------------ detect
 
 
-def _run_detect(config: dict) -> int:
-    started = time.perf_counter()
-    graph = _load_graph(config)
+def _run_detect(config: dict):
+    graph, files = _load_graph(config)
     det = _detector_from(config)
     part = louvain(graph, det) if config["method"] == "louvain" else leiden(graph, det)
     q = modularity(graph, part, det.resolution)
-    out = Path(config["out"])
-    _write_text(out, partition_to_csv(part))
-    _write_manifest(_stem(config["out"]), "detect", config, {"graph": config["graph"]}, {"partition": str(out)}, started)
-    print(f"Q={q:.6f}")
-    return EXIT_OK
+    files["partition"] = (_out(config), partition_to_csv(part))
+    return {"graph": config["graph"]}, files, {}, f"Q={q:.6f}\n"
 
 
 # ------------------------------------------------------------------- qicd
 
 
-def _run_qicd_cmd(config: dict) -> int:
-    started = time.perf_counter()
-    graph = _load_graph(config)
+def _run_qicd_cmd(config: dict):
+    graph, files = _load_graph(config)
     cfg = _qicd_config(config)
     result = run_qicd(graph, cfg)
-    stem = _stem(config["out"])
-    part_path = Path(str(stem) + ".partition.csv")
-    trace_path = Path(str(stem) + ".trace.csv")
-    json_path = Path(str(stem) + ".json")
-    _write_text(part_path, partition_to_csv(result.best_partition))
-    _write_text(trace_path, trace_to_csv(result.trace))
     envelope = result_to_json(result, cfg)
     envelope["graph"] = config["graph"]
-    _write_text(json_path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        stem,
-        "qicd",
-        config,
-        {"graph": config["graph"]},
-        {"partition": str(part_path), "trace": str(trace_path), "result": str(json_path)},
-        started,
-    )
-    print(f"Q*={result.q_star:.6f} baseline={result.q_baseline:.6f} MRG={result.mrg:.6f}")
-    return EXIT_OK
+    files["partition"] = (_out(config, ".partition.csv"), partition_to_csv(result.best_partition))
+    files["trace"] = (_out(config, ".trace.csv"), trace_to_csv(result.trace))
+    files["result"] = (_out(config, ".json"), json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    message = f"Q*={result.q_star:.6f} baseline={result.q_baseline:.6f} MRG={result.mrg:.6f}\n"
+    return {"graph": config["graph"]}, files, {}, message
 
 
 # -------------------------------------------------------------- benchmark
@@ -363,8 +340,12 @@ def _render_table(rows: list[dict], baseline: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_benchmark(config: dict) -> int:
-    started = time.perf_counter()
+def _run_benchmark(config: dict):
+    # Checked here, not in the parser, so that replayed manifests meet them too.
+    if bool(config.get("graph")) == bool(config.get("generate_spec")):
+        raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
+    if config.get("graph") and config.get("fresh_graphs"):
+        raise UsageError("--fresh-graphs needs a randomized generator spec")
     methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -386,8 +367,9 @@ def _run_benchmark(config: dict) -> int:
     seed = config["seed"]
     graph = None
     factory = None
+    files = {}
     if config.get("graph"):
-        graph = _load_graph(config)
+        graph, files = _load_graph(config)
         inputs = {"graph": config["graph"]}
     else:
         kind, params = _parse_generate_spec(config["generate_spec"])
@@ -409,13 +391,11 @@ def _run_benchmark(config: dict) -> int:
             raise ValueError(str(exc)) from exc
         raise
 
-    stem = _stem(config["out"])
-    runs_path = Path(str(stem) + ".runs.csv")
     lines = ["method,run,seed,Q"]
     for sample in samples:
         for run_idx, (q, run_seed) in enumerate(zip(sample.q_values, sample.seeds)):
             lines.append(f"{sample.method},{run_idx},{run_seed},{q!r}")
-    _write_text(runs_path, "\n".join(lines) + "\n")
+    files["runs"] = (_out(config, ".runs.csv"), "\n".join(lines) + "\n")
 
     by_name = {s.method: s for s in samples}
     base_sample = by_name.get(baseline)
@@ -438,45 +418,29 @@ def _run_benchmark(config: dict) -> int:
         )
     rows.sort(key=lambda r: -r["mean"])
 
-    summary_path = Path(str(stem) + ".summary.json")
     summary = {
         "baseline": baseline,
         "methods": {
             row["method"]: {k: v for k, v in row.items() if k != "method"} for row in rows
         },
     }
-    _write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    table_path = Path(str(stem) + ".table.txt")
+    files["summary"] = (_out(config, ".summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
     table = _render_table(rows, baseline)
-    _write_text(table_path, table)
-
-    _write_manifest(
-        stem,
-        "benchmark",
-        config,
-        inputs,
-        {"runs": str(runs_path), "summary": str(summary_path), "table": str(table_path)},
-        started,
-    )
-    sys.stdout.write(table)
-    return EXIT_OK
+    files["table"] = (_out(config, ".table.txt"), table)
+    return inputs, files, {}, table
 
 
 # -------------------------------------------------------------------- mrg
 
 
-def _run_mrg(config: dict) -> int:
-    started = time.perf_counter()
+def _run_mrg(config: dict):
     nulls = config.get("nulls", _default(mrg_significance, "null_count"))
     swap_factor = config.get("swap_factor", _default(mrg_significance, "swap_factor"))
     if nulls < 5:
         raise UsageError("--nulls must be at least 5")
-    graph = _load_graph(config)
+    graph, files = _load_graph(config)
     cfg = _qicd_config(config)
     report = mrg_significance(graph, cfg, nulls, seed=mix(config["seed"], 2), swap_factor=swap_factor)
-    stem = _stem(config["out"])
-    path = Path(str(stem) + ".mrg.json")
     payload = {
         "observed_mrg": report.observed,
         "null_mean": report.null_mean,
@@ -486,10 +450,9 @@ def _run_mrg(config: dict) -> int:
         "null_count": nulls,
         "swap_factor": swap_factor,
     }
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(stem, "mrg", config, {"graph": config["graph"]}, {"report": str(path)}, started)
-    print(f"MRG={report.observed:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}")
-    return EXIT_OK
+    files["report"] = (_out(config, ".mrg.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    message = f"MRG={report.observed:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}\n"
+    return {"graph": config["graph"]}, files, {}, message
 
 
 RUNNERS = {
@@ -619,8 +582,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
         command = f"generate-{generator}"
     elif command is None:
         raise UsageError("a command is required; see --help")
-    if command == "benchmark" and bool(config.get("graph")) == bool(config.get("generate_spec")):
-        raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
     return command, config
 
 
@@ -690,9 +651,16 @@ def main(argv: list[str] | None = None) -> int:
                 # under that rule would not reproduce the recorded run.
                 raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
             _check_replayed_types(config, parser.commands[command])
-            return RUNNERS[command](config)
-        command, config = _config_from_args(args)
-        return RUNNERS[command](config)
+        else:
+            command, config = _config_from_args(args)
+        started = time.perf_counter()
+        inputs, files, recorded, message = RUNNERS[command](config)
+        for path, text in files.values():
+            _write_text(path, text)
+        outputs = {key: path for key, (path, _text) in files.items()} | recorded
+        _write_manifest(command, config, inputs, outputs, started)
+        sys.stdout.write(message)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -113,7 +113,7 @@ def _propose(
         return hu_noise(graph, current, cfg.hu, rng)
     n = graph.node_count
     weights = sample_pt_weights(n, rng) if mode == "pt" else sample_haar_weights(n, rng)
-    proposal = propose_partition(graph, weights, seed_count, rng)
+    proposal = propose_partition(graph, weights, seed_count)
     if cfg.kind.with_hu:
         proposal = hyperuniform_adjust(graph, proposal, cfg.hu, rng)
     return proposal

@@ -113,12 +113,7 @@ def sample_haar_weights(n: int, rng: np.random.Generator) -> WeightVector:
         # An all-zero draw has probability zero; redraw if it ever happens.
 
 
-def propose_partition(
-    graph: Graph,
-    weights: WeightVector,
-    seed_count: int,
-    rng: np.random.Generator | None = None,
-) -> Partition:
+def propose_partition(graph: Graph, weights: WeightVector, seed_count: int) -> Partition:
     """Grow a proposal partition from the highest-weighted nodes.
 
     The seed_count nodes with the largest weights (ties to the lower node
@@ -126,7 +121,7 @@ def propose_partition(
     first by breadth-first search over the graph's edges. Simultaneous
     arrivals go to the seed with the larger weight, then the lower seed id.
     Nodes unreachable from every seed become singletons. Deterministic given
-    the weights; rng is accepted for interface symmetry only.
+    the weights.
     """
     n = graph.node_count
     w = weights.weights

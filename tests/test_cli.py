@@ -404,6 +404,33 @@ def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
     assert (workdir / "old.runs.csv").read_bytes() == (workdir / "fresh.runs.csv").read_bytes()
 
 
+@pytest.mark.parametrize("sources", ["neither", "both"])
+def test_replayed_benchmark_needs_exactly_one_graph_source(workdir, capsys, sources):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    assert main(["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "2", "--out", "a"]) == 0
+    manifest = json.loads((workdir / "a.manifest.json").read_text())
+    assert manifest["config"]["generate_spec"] is None
+    if sources == "neither":
+        manifest["config"]["graph"] = None
+    else:
+        manifest["config"]["generate_spec"] = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
+    manifest["config"]["out"] = "b"
+    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--from-manifest", "old.manifest.json"]) == 1
+    assert capsys.readouterr().err == "usage error: benchmark needs exactly one of --graph or --generate-spec\n"
+    assert not list(workdir.glob("b.*"))
+
+
+def test_fresh_graphs_with_graph_is_a_usage_error(workdir, capsys):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    capsys.readouterr()
+    argv = ["benchmark", "--graph", "g.el", "--fresh-graphs", "--methods", "leiden", "--runs", "2", "--out", "x"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: --fresh-graphs needs a randomized generator spec\n"
+    assert not list(workdir.glob("x.*"))
+
+
 def test_benchmark_generate_spec(workdir, capsys):
     code = main(
         [
@@ -657,6 +684,51 @@ def test_relabel_sidecar(workdir, capsys):
     assert labels[0] == "node_id,label"
     assert labels[1] == "0,alice"
     assert capsys.readouterr().out.strip() == "Q=0.500000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["detect", "--graph", "empty.el", "--method", "leiden"],
+     ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "1"]],
+    ids=["edgeless", "worker-death"],
+)
+def test_failed_relabel_run_writes_no_sidecar(workdir, capsys, monkeypatch, argv):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    (workdir / "empty.el").write_text("# nothing\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+
+    def run_qicd(graph, cfg):
+        if os.getpid() != parent:  # never kill the test run itself
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(qicd.bench, "run_qicd", run_qicd)
+    assert main([*argv, "--relabel", "--out", "e.csv"]) == 2
+    assert not list(workdir.glob("e.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_PLANTED, "--out", "planted.el"],
+        ["generate", "calibrated", "--n", "150", "--k", "3", "--target-q", "0.5", "--tolerance", "0.08",
+         "--avg-degree", "10", "--calibration-runs", "2", "--out", "calibrated.el"],
+        ["generate", "clique-ring", "--cliques", "4", "--size", "3", "--out", "ring.el"],
+        ["generate", "rewire", "--input", "g.el", "--swap-factor", "5", "--out", "rewired.el"],
+        ["detect", "--graph", "g.el", "--relabel", "--method", "leiden", "--out", "labelled.csv"],
+        ["qicd", "--graph", "g.el", "--iterations", "2", "--out", "refined"],
+        [*_BENCHMARK, "--out", "bench"],
+        ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2", "--out", "sig"],
+    ],
+    ids=["planted", "calibrated", "clique-ring", "rewire", "detect-relabel", "qicd", "benchmark", "mrg"],
+)
+def test_manifest_lists_every_file(workdir, capsys, argv):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    assert main(argv) == 0
+    stem = Path(argv[-1]).stem
+    manifest = json.loads((workdir / f"{stem}.manifest.json").read_text())
+    files = {path for key, path in manifest["outputs"].items() if key != "achieved_q"}
+    assert {p.name for p in workdir.glob(f"{stem}.*")} == files | {f"{stem}.manifest.json"}
 
 
 def test_merge_duplicates_flag(workdir, capsys):
