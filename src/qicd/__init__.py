@@ -32,11 +32,9 @@ from .graph import (
     load_edge_list,
 )
 from .partition import (
-    NEW_COMMUNITY,
     Partition,
     aggregate,
     community_members,
-    delta_q_move,
     modularity,
     partition_to_csv,
     singleton_partition,

@@ -18,11 +18,11 @@ from functools import partial
 import numpy as np
 
 from .detect import DetectorConfig, leiden, louvain
-from .engine import QicdConfig, run_qicd
+from .engine import BASE_METHODS, QicdConfig, run_qicd
 from .graph import Graph, build_graph
 from .partition import Partition, modularity
 from .rng import make_rng, mix
-from .sampling import PerturbationKind
+from .sampling import KIND_NAMES, PerturbationKind
 
 
 @dataclass(frozen=True)
@@ -323,20 +323,9 @@ def degree_preserving_rewire(graph: Graph, swap_factor: float = 10.0, seed: int 
 
 
 # Method labels: the classical optimizers plus every perturbation flavor
-# layered on each of them.
+# layered on each of them, e.g. "leiden" and "leiden-haar-hu".
 METHODS: dict[str, tuple[str, str | None]] = {
-    "louvain": ("louvain", None),
-    "louvain-hu": ("louvain", "hu"),
-    "louvain-pt": ("louvain", "pt"),
-    "louvain-haar": ("louvain", "haar"),
-    "louvain-pt-hu": ("louvain", "pt-hu"),
-    "louvain-haar-hu": ("louvain", "haar-hu"),
-    "leiden": ("leiden", None),
-    "leiden-hu": ("leiden", "hu"),
-    "leiden-pt": ("leiden", "pt"),
-    "leiden-haar": ("leiden", "haar"),
-    "leiden-pt-hu": ("leiden", "pt-hu"),
-    "leiden-haar-hu": ("leiden", "haar-hu"),
+    base + (f"-{kind}" if kind else ""): (base, kind) for base in BASE_METHODS for kind in (None, *KIND_NAMES)
 }
 
 

@@ -237,7 +237,7 @@ def _run_generate_rewire(config: dict):
     swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
     rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])
     message = f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})\n"
-    return {}, {"graph": (_out(config), dump_edge_list(rewired))}, {}, message
+    return {"graph": config["input"]}, {"graph": (_out(config), dump_edge_list(rewired))}, {}, message
 
 
 # ------------------------------------------------------------------ detect

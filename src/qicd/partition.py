@@ -1,8 +1,10 @@
 """Partitions of a graph's nodes and the modularity machinery over them.
 
 A Partition stores one community label per node plus per-community
-aggregates (internal edge weight and total member strength) so that
-modularity is O(C) and single-node move gains are O(deg).
+aggregates (internal edge weight, total member strength, size) so that
+modularity is O(C). The one move kernel, detect._move_pass, computes
+single-node move gains from these aggregates in O(deg) and updates them
+in place; compact() then drops the communities it emptied.
 
 aggregate collapses each community into one node. The collapsed graph
 carries each community's internal weight as that node's self weight,
@@ -20,16 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph, build_graph
-
-# Sentinel target for delta_q_move/apply_move: detach the node into a brand
-# new singleton community.
-NEW_COMMUNITY = -1
-
-
-def _neighbours(graph: Graph, node: int):
-    """(neighbour, weight) pairs of one node, in CSR order."""
-    lo, hi = graph.indptr[node], graph.indptr[node + 1]
-    return zip(graph.indices[lo:hi].tolist(), graph.weights[lo:hi].tolist())
 
 
 class Partition:
@@ -77,44 +69,6 @@ class Partition:
         out.community_strength = list(self.community_strength)
         out.sizes = list(self.sizes)
         return out
-
-    def apply_move(self, graph: Graph, node: int, target: int) -> int:
-        """Relabel one node, updating aggregates in O(deg(node)).
-
-        target may be NEW_COMMUNITY to detach the node into a fresh
-        singleton. May leave an empty community behind; call compact()
-        once a batch of moves is done. Returns the concrete target id.
-        """
-        a = self.labels[node]
-        if target == NEW_COMMUNITY:
-            target = self.community_count
-            self.community_count += 1
-            self.internal_weight.append(0.0)
-            self.community_strength.append(0.0)
-            self.sizes.append(0)
-        elif not (0 <= target < self.community_count):
-            raise ValueError(f"invalid target community {target}")
-        if target == a:
-            return a
-        w_old = 0.0
-        w_new = 0.0
-        lab = self.labels
-        for v, w in _neighbours(graph, node):
-            c = lab[v]
-            if c == a:
-                w_old += w
-            elif c == target:
-                w_new += w
-        own = graph.self_weights[node] if graph.self_weights is not None else 0.0
-        s = graph.strengths[node]
-        self.internal_weight[a] -= w_old + own
-        self.internal_weight[target] += w_new + own
-        self.community_strength[a] -= s
-        self.community_strength[target] += s
-        self.sizes[a] -= 1
-        self.sizes[target] += 1
-        lab[node] = target
-        return target
 
     def compact(self) -> "Partition":
         """Drop empty communities and renumber densely (stable order)."""
@@ -165,47 +119,6 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
         frac = partition.community_strength[c] / two_m
         q += partition.internal_weight[c] / m - resolution * frac * frac
     return q
-
-
-def delta_q_move(
-    graph: Graph,
-    partition: Partition,
-    node: int,
-    target: int,
-    resolution: float = 1.0,
-) -> float:
-    """Modularity change from relabeling one node, without recomputing Q.
-
-    target is an existing community id or NEW_COMMUNITY. Equals
-    modularity(after) - modularity(before) up to rounding; moving a node to
-    its current community is exactly 0.
-    """
-    if not (0 <= node < graph.node_count):
-        raise ValueError(f"node {node} out of range")
-    a = partition.labels[node]
-    new_singleton = target == NEW_COMMUNITY
-    if not new_singleton and not (0 <= target < partition.community_count):
-        raise ValueError(f"invalid target community {target}")
-    if not new_singleton and target == a:
-        return 0.0
-    w_old = 0.0
-    w_new = 0.0
-    lab = partition.labels
-    for v, w in _neighbours(graph, node):
-        c = lab[v]
-        if c == a:
-            w_old += w
-        elif not new_singleton and c == target:
-            w_new += w
-    m = graph.total_weight
-    if m <= 0.0:
-        raise ValueError("modularity undefined: graph has no edges")
-    s = graph.strengths[node]
-    strength_old_excl = partition.community_strength[a] - s
-    strength_new = 0.0 if new_singleton else partition.community_strength[target]
-    return (w_new - w_old) / m - resolution * s * (strength_new - strength_old_excl) / (
-        2.0 * m * m
-    )
 
 
 def aggregate(graph: Graph, partition: Partition) -> Graph:

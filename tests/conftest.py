@@ -2,7 +2,8 @@
 
 The oracles here (double-sum modularity, set-partition enumeration, BFS
 connectivity, a line-by-line edge-list parser) deliberately avoid the package's own aggregate-based
-implementations so the two routes check each other.
+implementations so the two routes check each other. check_move_pass holds
+the move kernel to them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from collections import deque
 
 import pytest
 
-from qicd import Graph, build_graph, calibrate_planted, generate_planted
+from qicd import Graph, Partition, aggregate, build_graph, calibrate_planted, generate_planted, make_rng
+from qicd.detect import _flat, _move_pass
 
 
 def make_random_graph(rnd: random.Random, n_max: int = 8, weighted: bool = True) -> Graph:
@@ -46,6 +48,43 @@ def modularity_double_sum(graph: Graph, labels, resolution: float = 1.0) -> floa
             if labels[i] == labels[j]:
                 total += weight[i][j] - resolution * s[i] * s[j] / two_m
     return total / two_m
+
+
+def collapse(graph: Graph, groups):
+    """The graph collapsed by aggregate over the grouping `groups`, which
+    carries self weights, and the collapsed node of each original node."""
+    grouping = Partition(graph, groups)
+    return aggregate(graph, grouping), grouping.labels
+
+
+def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, active=None,
+                    original: Graph | None = None, node_of=None):
+    """Run one detect._move_pass from `labels` and check it by independent
+    routes; returns its gain and the compacted partition.
+
+    `graph` may be `original` collapsed by `collapse`, with node_of[u] the
+    collapsed node of original node u. The gain must equal the double-sum
+    change in Q of the labels expanded onto `original`, within 1e-12, and
+    after compact() the labels, sizes and per-community aggregates must
+    equal those of a fresh Partition.
+    """
+    original = original or graph
+    node_of = node_of or range(graph.node_count)
+    active = [True] * graph.node_count if active is None else list(active)
+    part = Partition(graph, labels)
+    before = [part.labels[c] for c in node_of]
+    gain = _move_pass(_flat(graph), part, make_rng(seed), resolution, active)
+    part.compact()
+    after = [part.labels[c] for c in node_of]
+    expected = modularity_double_sum(original, after, resolution) - modularity_double_sum(original, before, resolution)
+    assert abs(gain - expected) < 1e-12, (gain, expected)
+    fresh = Partition(graph, part.labels)
+    assert part.labels == fresh.labels
+    assert part.community_count == fresh.community_count
+    assert part.sizes == fresh.sizes
+    assert part.internal_weight == pytest.approx(fresh.internal_weight, rel=1e-12, abs=1e-9)
+    assert part.community_strength == pytest.approx(fresh.community_strength, rel=1e-12, abs=1e-9)
+    return gain, part
 
 
 def iter_set_partitions(n: int):

@@ -61,6 +61,8 @@ def test_generate_rewire(workdir):
     assert main(["generate", "rewire", "--input", "g.el", "--swap-factor", "5", "--seed", "3", "--out", "null.el"]) == 0
     assert (workdir / "null.el").exists()
     assert not (workdir / "null.truth.csv").exists()
+    manifest = json.loads((workdir / "null.manifest.json").read_text())
+    assert manifest["inputs"] == {"graph": "g.el"}
 
 
 @pytest.mark.parametrize(

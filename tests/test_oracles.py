@@ -2,8 +2,8 @@
 
 networkx graphs are built from the same (u, v, w) triples that are passed
 to build_graph, never from a qicd Graph, so a fault in graph construction
-cannot hide in both sides. hypothesis draws the graphs, partitions and
-move sequences of the property checks.
+cannot hide in both sides. hypothesis draws the graphs, partitions,
+groupings and active masks of the property checks.
 """
 
 import itertools
@@ -16,13 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qicd import (
-    NEW_COMMUNITY,
     DetectorConfig,
     EdgeListError,
     Partition,
     build_graph,
     degree_preserving_rewire,
-    delta_q_move,
     dump_edge_list,
     leiden,
     load_edge_list,
@@ -30,7 +28,7 @@ from qicd import (
 )
 from qicd.detect import seeded_pass
 
-from conftest import communities_connected, reference_edge_list
+from conftest import check_move_pass, collapse, communities_connected, reference_edge_list
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -224,33 +222,32 @@ def test_load_edge_list_matches_a_line_by_line_parser(case):
     assert labels == ref_labels
 
 
+@st.composite
+def move_cases(draw, collapsed):
+    """check_move_pass arguments: a graph, or the graph collapsed by a
+    drawn grouping (self weights included), with labels, an active mask,
+    a seed and a resolution for one pass over it."""
+    n, triples, labels = draw(labelled_graphs())
+    original = build_graph(n, triples)
+    graph, node_of = original, None
+    if collapsed:
+        graph, node_of = collapse(original, labels)
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=graph.node_count, max_size=graph.node_count))
+    active = draw(st.lists(st.booleans(), min_size=graph.node_count, max_size=graph.node_count))
+    return dict(graph=graph, labels=labels, active=active, original=original, node_of=node_of,
+                seed=draw(st.integers(0, 2**32 - 1)), resolution=draw(st.sampled_from([1.0, 0.7])))
+
+
+# Both properties check the pass's gain and its aggregates: the first on
+# collapsed graphs, whose self weights every move must carry along, the
+# second on plain graphs.
 @PROPERTY
-@given(case=labelled_graphs(), data=st.data())
-def test_aggregates_after_moves_match_a_fresh_partition(case, data):
-    n, triples, labels = case
-    g = build_graph(n, triples)
-    part = Partition(g, labels)
-    for _ in range(data.draw(st.integers(1, 20))):
-        node = data.draw(st.integers(0, n - 1))
-        part.apply_move(g, node, data.draw(st.sampled_from([NEW_COMMUNITY, *range(part.community_count)])))
-    part.compact()
-    fresh = Partition(g, part.labels)
-    assert part.labels == fresh.labels
-    assert part.community_count == fresh.community_count
-    assert part.sizes == fresh.sizes
-    assert part.internal_weight == pytest.approx(fresh.internal_weight, rel=1e-12, abs=1e-9)
-    assert part.community_strength == pytest.approx(fresh.community_strength, rel=1e-12, abs=1e-9)
+@given(case=move_cases(collapsed=True))
+def test_aggregates_after_moves_match_a_fresh_partition(case):
+    check_move_pass(**case)
 
 
 @PROPERTY
-@given(case=labelled_graphs(), data=st.data())
-def test_delta_q_move_equals_the_change_in_q(case, data):
-    n, triples, labels = case
-    g = build_graph(n, triples)
-    part = Partition(g, labels)
-    node = data.draw(st.integers(0, n - 1))
-    target = data.draw(st.sampled_from([NEW_COMMUNITY, *range(part.community_count)]))
-    moved = part.copy()
-    moved.apply_move(g, node, target)
-    moved.compact()
-    assert delta_q_move(g, part, node, target) == pytest.approx(modularity(g, moved) - modularity(g, part), abs=1e-12)
+@given(case=move_cases(collapsed=False))
+def test_move_pass_gain_equals_the_change_in_q(case):
+    check_move_pass(**case)

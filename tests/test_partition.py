@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from qicd import (
-    NEW_COMMUNITY,
     Partition,
     aggregate,
     build_graph,
     community_members,
-    delta_q_move,
     modularity,
     singleton_partition,
 )
 
-from conftest import TWO_TRIANGLES_EDGES, make_random_graph, modularity_double_sum
+from conftest import TWO_TRIANGLES_EDGES, check_move_pass, collapse, make_random_graph, modularity_double_sum
 
 
 def _random_partition(rnd, n, c_max=4):
@@ -124,61 +122,47 @@ def test_q_range():
         assert -1.0 <= q <= 1.0
 
 
+# The gains and aggregate updates of a move live in detect._move_pass, the
+# one move kernel; check_move_pass holds it to the double sum and to a
+# fresh Partition.
+
+
 def test_delta_q_noop_is_exactly_zero(two_triangles):
-    p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
-    assert delta_q_move(two_triangles, p, 2, 0) == 0.0
+    gain, p = check_move_pass(two_triangles, [0, 0, 0, 1, 1, 1], seed=0)
+    assert gain == 0.0
+    assert p.labels == [0, 0, 0, 1, 1, 1]
 
 
 def test_delta_q_split_triangle(two_triangles):
-    # one triangle split as {0} + {1, 2}; moving 0 back should match recompute
-    p = Partition(two_triangles, [0, 1, 1, 2, 2, 2])
-    d = delta_q_move(two_triangles, p, 0, 1)
-    after = Partition(two_triangles, [1, 1, 1, 2, 2, 2])
-    full = modularity(two_triangles, after) - modularity(two_triangles, p)
-    assert abs(d - full) < 1e-12
-    assert d > 0
+    # one triangle split as {0} + {1, 2}; only node 0 may move, and rejoins
+    gain, p = check_move_pass(two_triangles, [0, 1, 1, 2, 2, 2], seed=0, active=[True] + [False] * 5)
+    assert p.labels == [0, 0, 0, 1, 1, 1]
+    assert gain > 0
 
 
 def test_delta_q_matches_full_recompute_randomly():
     rnd = random.Random(17)
-    for _ in range(200):
+    checked = 0
+    while checked < 200:
         g = make_random_graph(rnd, n_max=8)
         if g.total_weight == 0:
             continue
-        labels = _random_partition(rnd, g.node_count)
-        p = Partition(g, labels)
-        node = rnd.randrange(g.node_count)
-        target = rnd.choice([NEW_COMMUNITY] + list(range(p.community_count)))
-        d = delta_q_move(g, p, node, target, 1.0)
-        q = p.copy()
-        q.apply_move(g, node, target)
-        q.compact()
-        full = modularity(g, q) - modularity(g, p)
-        assert abs(d - full) < 1e-12
+        checked += 1
+        graph, node_of = g, None
+        if checked % 2:  # a collapsed graph, which carries self weights
+            graph, node_of = collapse(g, _random_partition(rnd, g.node_count, c_max=6))
+        n = graph.node_count
+        check_move_pass(graph, _random_partition(rnd, n), rnd.randrange(2**32), rnd.choice([1.0, 0.7]),
+                        [rnd.random() < 0.7 for _ in range(n)], original=g, node_of=node_of)
 
 
-def test_delta_q_new_singleton_for_lone_node():
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    p = Partition(g, [0, 1, 1])
-    assert abs(delta_q_move(g, p, 0, NEW_COMMUNITY)) < 1e-15
-
-
-def test_delta_q_errors(two_triangles):
-    p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
-    with pytest.raises(ValueError):
-        delta_q_move(two_triangles, p, 99, 0)
-    with pytest.raises(ValueError):
-        delta_q_move(two_triangles, p, 0, 5)
-
-
-def test_apply_move_and_compact():
-    g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    p = Partition(g, [0, 0, 1, 1])
-    p.apply_move(g, 0, 1)
-    p.apply_move(g, 1, 1)
-    p.compact()
-    assert p.community_count == 1
-    assert p.sizes == [4]
+def test_compact_drops_emptied_communities(two_triangles):
+    # node 5 alone in community 2 joins 3 and 4, which empties community 2
+    gain, p = check_move_pass(two_triangles, [0, 0, 0, 1, 1, 2], seed=0, active=[False] * 5 + [True])
+    assert gain > 0
+    assert p.community_count == 2
+    assert p.sizes == [3, 3]
+    assert p.labels == [0, 0, 0, 1, 1, 1]
 
 
 def test_aggregate_singletons_is_isomorphic():

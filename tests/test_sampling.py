@@ -5,12 +5,16 @@ from qicd import (
     HyperuniformParams,
     Partition,
     PerturbationKind,
+    PlantedSpec,
+    QicdConfig,
     WeightVector,
     build_graph,
+    generate_planted,
     hu_noise,
     hyperuniform_adjust,
     make_rng,
     propose_partition,
+    run_qicd,
     sample_haar_weights,
     sample_pt_weights,
 )
@@ -250,3 +254,27 @@ def test_perturbation_kind():
     assert PerturbationKind("hu").weight_mode is None
     assert PerturbationKind("pt-hu").with_hu
     assert not PerturbationKind("haar").with_hu
+
+
+def test_pt_and_haar_give_the_same_proposal_from_one_stream():
+    # propose_partition reads only the stable ranking of the weights, and a
+    # haar draw is the pt draw from the same stream divided by its positive
+    # sum, which keeps that ranking: the two kinds are one method.
+    rnd = random.Random(8)
+    for _ in range(50):
+        g = make_random_graph(rnd, n_max=40)
+        seed, k = rnd.randrange(2**32), rnd.randint(1, g.node_count)
+        pt_rng, haar_rng = make_rng(seed), make_rng(seed)
+        pt = propose_partition(g, sample_pt_weights(g.node_count, pt_rng), k)
+        haar = propose_partition(g, sample_haar_weights(g.node_count, haar_rng), k)
+        assert pt.labels == haar.labels
+        assert pt_rng.random() == haar_rng.random()  # so later draws agree too
+    g, _truth = generate_planted(PlantedSpec(120, 4, 0.3, 0.08, seed=5))
+    runs = [
+        run_qicd(g, QicdConfig(kind=PerturbationKind(name), iterations=4, refine_before_accept=True, seed=3))
+        for name in ("pt", "haar", "pt-hu", "haar-hu")
+    ]
+    for pt, haar in ((0, 1), (2, 3)):
+        assert runs[pt].q_star == runs[haar].q_star
+        assert runs[pt].best_partition.labels == runs[haar].best_partition.labels
+        assert [r.q_quant for r in runs[pt].trace] == [r.q_quant for r in runs[haar].trace]
