@@ -18,11 +18,10 @@ from functools import partial
 import numpy as np
 
 from .detect import DetectorConfig, leiden, louvain
-from .engine import BASE_METHODS, QicdConfig, run_qicd
+from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, run_qicd
 from .graph import Graph, build_graph
 from .partition import Partition, modularity
 from .rng import make_rng, mix
-from .sampling import KIND_NAMES, PerturbationKind
 
 
 @dataclass(frozen=True)
@@ -332,9 +331,8 @@ METHODS: dict[str, tuple[str, str | None]] = {
 def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) -> float:
     """Run one method once; returns the modularity of its result.
 
-    The method name sets the base optimizer and the proposal kind (keeping
-    cfg's proposal seed count); everything else comes from cfg, reseeded
-    from `seed`.
+    The method name sets the base optimizer and the proposal kind;
+    everything else comes from cfg, reseeded from `seed`.
     """
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
@@ -344,14 +342,7 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) 
     if kind is None:
         part = louvain(graph, det) if base == "louvain" else leiden(graph, det)
         return modularity(graph, part, det.resolution)
-    run_cfg = replace(
-        cfg,
-        kind=PerturbationKind(kind, cfg.kind.seed_count),
-        base=base,
-        detector=det,
-        seed=mix(seed, 1),
-    )
-    return run_qicd(graph, run_cfg).q_star
+    return run_qicd(graph, replace(cfg, kind=kind, base=base, detector=det, seed=mix(seed, 1))).q_star
 
 
 def _method_run(name: str, seed: int, graph: Graph | None, graph_factory, cfg: QicdConfig | None) -> float:

@@ -38,11 +38,10 @@ from .bench import (
     run_experiment,
 )
 from .detect import DetectorConfig, leiden, louvain
-from .engine import BASE_METHODS, INIT_MODES, QicdConfig, result_to_json, run_qicd, trace_to_csv
+from .engine import BASE_METHODS, INIT_MODES, KIND_NAMES, QicdConfig, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
 from .partition import modularity, partition_to_csv
 from .rng import RNG_NAME, mix
-from .sampling import KIND_NAMES
 from .stats import summarize, welch_t_test
 
 EXIT_OK = 0
@@ -60,9 +59,9 @@ BENCHMARK_RUNS = 6
 _QICD = QicdConfig()
 _DETECTOR_KEYS = {k: k for k in ("max_levels", "min_gain", "resolution")}
 _DETECTOR_KEYS["max_sweeps"] = "max_sweeps_per_level"
-_KIND_KEYS = {"kind": "name", "proposal_seeds": "seed_count"}
 _HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
-_QICD_KEYS = {k: k for k in ("iterations", "stall_limit", "init_mode", "base", "refine_before_accept")}
+_QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "init_mode", "base",
+                             "refine_before_accept")}
 
 
 class UsageError(Exception):
@@ -177,7 +176,6 @@ def _detector_from(config: dict) -> DetectorConfig:
 def _qicd_config(config: dict) -> QicdConfig:
     return replace(
         _QICD,
-        kind=replace(_QICD.kind, **_pick(config, _KIND_KEYS)),
         hu=replace(_QICD.hu, **_pick(config, _HU_KEYS)),
         detector=_detector_from(config),
         seed=mix(config["seed"], 1),
@@ -281,6 +279,8 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
         name, eq, count = part.partition("=")
         if eq and name not in METHODS:
             raise UsageError(f"unknown method in --runs: {name!r}")
+        if eq and name not in methods:
+            raise UsageError(f"--runs sets a count for {name!r}, which --methods does not list")
         try:
             value = int(count if eq else part)
         except ValueError:
@@ -346,10 +346,16 @@ def _run_benchmark(config: dict):
         raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
     if config.get("graph") and config.get("fresh_graphs"):
         raise UsageError("--fresh-graphs needs a randomized generator spec")
+    for key in ("relabel", "merge_duplicates"):
+        if config.get("generate_spec") and config.get(key):
+            raise UsageError(f"--{key.replace('_', '-')} applies to --graph, not to --generate-spec")
     methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise UsageError(f"unknown method names: {', '.join(unknown)}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise UsageError(f"--methods lists {repeated[0]!r} more than once")
     runs = _parse_runs_spec(config["runs"], methods)
     for name, count in runs.items():
         if count < 2:
@@ -401,10 +407,10 @@ def _run_benchmark(config: dict):
     base_sample = by_name.get(baseline)
     rows = []
     for sample in samples:
-        stats = summarize(sample)
+        stats = summarize(sample.q_values)
         p_value = None
         if base_sample is not None and sample.method != baseline:
-            p_value = welch_t_test(sample, base_sample).p
+            p_value = welch_t_test(sample.q_values, base_sample.q_values).p
         rows.append(
             {
                 "method": sample.method,
@@ -486,10 +492,10 @@ def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
     """QICD flags; `benchmark` omits --kind and --base, which each of its
     method names sets."""
     if kind_and_base:
-        p.add_argument("--kind", choices=KIND_NAMES, default=_QICD.kind.name)
+        p.add_argument("--kind", choices=KIND_NAMES, default=_QICD.kind)
         p.add_argument("--base", choices=BASE_METHODS, default=_QICD.base)
     p.add_argument("--iterations", type=int, default=_QICD.iterations)
-    p.add_argument("--seeds", dest="proposal_seeds", type=int, default=_QICD.kind.seed_count,
+    p.add_argument("--seeds", dest="proposal_seeds", type=int, default=_QICD.proposal_seeds,
                    help="proposal seed count K (default: ceil(sqrt(n)))")
     p.add_argument("--alpha", type=float, default=_QICD.hu.skew_factor, help="oversize threshold factor")
     p.add_argument("--fraction", type=float, default=_QICD.hu.reassign_fraction, help="reassignment fraction")

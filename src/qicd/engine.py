@@ -30,7 +30,6 @@ from .partition import Partition, modularity, singleton_partition
 from .rng import make_rng, mix
 from .sampling import (
     HyperuniformParams,
-    PerturbationKind,
     hu_noise,
     hyperuniform_adjust,
     propose_partition,
@@ -40,11 +39,17 @@ from .sampling import (
 
 INIT_MODES = ("singleton", "quick-leiden")
 BASE_METHODS = ("leiden", "louvain")
+# Proposal kinds: Porter-Thomas (pt) or Haar weights, alone or followed by
+# the hyperuniform adjustment, or hyperuniform noise (hu) alone.
+KIND_NAMES = ("pt", "haar", "hu", "pt-hu", "haar-hu")
 
 
 @dataclass(frozen=True)
 class QicdConfig:
-    kind: PerturbationKind = PerturbationKind("haar")
+    kind: str = "haar"
+    # Proposal seed count K of the weight-based kinds; None defers to
+    # ceil(sqrt(n)) at run time. The hu kind ignores it.
+    proposal_seeds: int | None = None
     iterations: int = 10
     stall_limit: int = 5
     hu: HyperuniformParams = field(default_factory=HyperuniformParams)
@@ -61,6 +66,10 @@ class QicdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in KIND_NAMES:
+            raise ValueError(f"unknown perturbation kind {self.kind!r}; expected one of {KIND_NAMES}")
+        if self.proposal_seeds is not None and self.proposal_seeds < 1:
+            raise ValueError("proposal_seeds must be >= 1")
         # iterations = 0 disables proposals entirely (degenerate but legal).
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
@@ -108,21 +117,19 @@ def _propose(
     seed_count: int | None,
     rng: np.random.Generator,
 ) -> Partition:
-    mode = cfg.kind.weight_mode
-    if mode is None:
+    if cfg.kind == "hu":
         return hu_noise(graph, current, cfg.hu, rng)
-    n = graph.node_count
-    weights = sample_pt_weights(n, rng) if mode == "pt" else sample_haar_weights(n, rng)
-    proposal = propose_partition(graph, weights, seed_count)
-    if cfg.kind.with_hu:
+    sample = sample_pt_weights if cfg.kind.startswith("pt") else sample_haar_weights
+    proposal = propose_partition(graph, sample(graph.node_count, rng), seed_count)
+    if cfg.kind.endswith("-hu"):
         proposal = hyperuniform_adjust(graph, proposal, cfg.hu, rng)
     return proposal
 
 
 def resolve_seed_count(cfg: QicdConfig, n: int) -> int | None:
-    if cfg.kind.weight_mode is None:
+    if cfg.kind == "hu":
         return None
-    k = cfg.kind.seed_count if cfg.kind.seed_count is not None else math.ceil(math.sqrt(n))
+    k = cfg.proposal_seeds if cfg.proposal_seeds is not None else math.ceil(math.sqrt(n))
     return max(1, min(k, n))
 
 
@@ -210,14 +217,10 @@ def trace_to_csv(trace: list[IterationRecord]) -> str:
 
 
 def result_to_json(result: QicdResult, cfg: QicdConfig) -> dict:
-    """JSON envelope: config echo plus the headline numbers. The config
-    echo is cfg as nested dicts, with the proposal kind flattened into the
-    "kind" name and "proposal_seeds"."""
-    config = asdict(cfg)
-    kind = config.pop("kind")
-    config.update(kind=kind["name"], proposal_seeds=kind["seed_count"])
+    """JSON envelope: config echo (cfg as nested dicts) plus the headline
+    numbers."""
     return {
-        "config": config,
+        "config": asdict(cfg),
         "proposal_seed_count": result.proposal_seed_count,
         "Q_baseline": result.q_baseline,
         "Q_star": result.q_star,

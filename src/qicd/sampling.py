@@ -17,29 +17,6 @@ import numpy as np
 from .graph import Graph
 from .partition import Partition, community_members
 
-KIND_NAMES = ("pt", "haar", "hu", "pt-hu", "haar-hu")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-node non-negative weights as a numpy array; normalized means
-    they sum to 1."""
-
-    weights: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        w = self.weights
-        if not isinstance(w, np.ndarray) or w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and non-negative")
-        if self.normalized and abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("normalized weights must sum to 1 within 1e-12")
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
 
 @dataclass(frozen=True)
 class HyperuniformParams:
@@ -60,38 +37,7 @@ class HyperuniformParams:
             raise ValueError("reassign_fraction must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class PerturbationKind:
-    """Proposal flavor: pt | haar | hu | pt-hu | haar-hu.
-
-    seed_count is the number of proposal seeds K for weight-based kinds;
-    None defers to ceil(sqrt(n)) at run time. Ignored by the hu-only kind.
-    """
-
-    name: str = "haar"
-    seed_count: int | None = None
-
-    def __post_init__(self):
-        if self.name not in KIND_NAMES:
-            raise ValueError(f"unknown perturbation kind {self.name!r}; expected one of {KIND_NAMES}")
-        if self.seed_count is not None and self.seed_count < 1:
-            raise ValueError("seed_count must be >= 1")
-
-    @property
-    def weight_mode(self) -> str | None:
-        """'pt', 'haar', or None for the noise-only kind."""
-        if self.name.startswith("pt"):
-            return "pt"
-        if self.name.startswith("haar"):
-            return "haar"
-        return None
-
-    @property
-    def with_hu(self) -> bool:
-        return self.name.endswith("hu")
-
-
-def sample_pt_weights(n: int, rng: np.random.Generator) -> WeightVector:
+def sample_pt_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent unit-mean exponential weights via inverse transform.
 
     w = -ln(U) with U uniform on (0, 1], so a draw of U = 1 maps to exactly
@@ -100,20 +46,20 @@ def sample_pt_weights(n: int, rng: np.random.Generator) -> WeightVector:
     if n < 1:
         raise ValueError("n must be >= 1")
     u = 1.0 - rng.random(n)
-    return WeightVector(-np.log(u), normalized=False)
+    return -np.log(u)
 
 
-def sample_haar_weights(n: int, rng: np.random.Generator) -> WeightVector:
+def sample_haar_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     """Exponential weights rescaled to sum 1 (flat Dirichlet on the simplex)."""
     while True:
-        w = sample_pt_weights(n, rng).weights
+        w = sample_pt_weights(n, rng)
         total = float(w.sum())
         if total > 0.0:
-            return WeightVector(w / total, normalized=True)
+            return w / total
         # An all-zero draw has probability zero; redraw if it ever happens.
 
 
-def propose_partition(graph: Graph, weights: WeightVector, seed_count: int) -> Partition:
+def propose_partition(graph: Graph, weights: np.ndarray, seed_count: int) -> Partition:
     """Grow a proposal partition from the highest-weighted nodes.
 
     The seed_count nodes with the largest weights (ties to the lower node
@@ -121,12 +67,14 @@ def propose_partition(graph: Graph, weights: WeightVector, seed_count: int) -> P
     first by breadth-first search over the graph's edges. Simultaneous
     arrivals go to the seed with the larger weight, then the lower seed id.
     Nodes unreachable from every seed become singletons. Deterministic given
-    the weights.
+    the weights, one finite non-negative value per node.
     """
     n = graph.node_count
-    w = weights.weights
-    if len(weights) != n:
-        raise ValueError("weight vector length does not match graph")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weights must be finite and non-negative")
     if not 1 <= seed_count <= n:
         raise ValueError(f"seed_count must be in [1, {n}], got {seed_count}")
 

@@ -130,10 +130,6 @@ def _t_ppf(q: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _values_of(sample) -> Sequence[float]:
-    return getattr(sample, "q_values", sample)
-
-
 def summarize_moments(mean: float, std: float, n: int, confidence: float = 0.95) -> StatsSummary:
     """Mean, sample std, and Student-t confidence interval from moments."""
     if n < 2:
@@ -146,9 +142,9 @@ def summarize_moments(mean: float, std: float, n: int, confidence: float = 0.95)
     return StatsSummary(mean, std, n, mean - half, mean + half, confidence)
 
 
-def summarize(sample, confidence: float = 0.95) -> StatsSummary:
-    """Summary of a list of values (or anything exposing .q_values)."""
-    values = [float(v) for v in _values_of(sample)]
+def summarize(sample: Sequence[float], confidence: float = 0.95) -> StatsSummary:
+    """Summary of a sequence of values."""
+    values = [float(v) for v in sample]
     n = len(values)
     if n < 2:
         raise ValueError("at least 2 observations are required")
@@ -187,8 +183,8 @@ def welch_from_moments(
     return WelchResult(t, df, _t_two_sided_p(t, df))
 
 
-def welch_t_test(sample_a, sample_b) -> WelchResult:
-    """Welch's test between two samples of values (or .q_values holders)."""
+def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult:
+    """Welch's test between two sequences of values."""
     a = summarize(sample_a)
     b = summarize(sample_b)
     return welch_from_moments(a.mean, a.std, a.n, b.mean, b.std, b.n)

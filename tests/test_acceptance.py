@@ -15,7 +15,6 @@ import numpy as np
 from qicd import (
     DetectorConfig,
     Partition,
-    PerturbationKind,
     QicdConfig,
     build_graph,
     leiden,
@@ -209,7 +208,7 @@ def test_directional_uplift(weak_planted_graph):
             det = DetectorConfig(seed=seed)
             base_qs.append(modularity(graph, leiden(graph, det)))
             cfg = QicdConfig(
-                kind=PerturbationKind("haar"),
+                kind="haar",
                 iterations=10,
                 stall_limit=10,
                 detector=det,
@@ -245,7 +244,7 @@ def test_high_q_no_inflation(strong_planted_graph):
                 for i in range(6):
                     seed = mix(555, i)
                     cfg = QicdConfig(
-                        kind=PerturbationKind(kind),
+                        kind=kind,
                         iterations=10,
                         stall_limit=10,
                         detector=DetectorConfig(seed=seed),
@@ -270,7 +269,7 @@ def test_monotone_best_trace():
             if g.total_weight == 0:
                 continue
             cfg = QicdConfig(
-                kind=PerturbationKind(rnd.choice(kinds)),
+                kind=rnd.choice(kinds),
                 iterations=rnd.randint(1, 8),
                 stall_limit=rnd.randint(1, 8),
                 detector=DetectorConfig(seed=rnd.randrange(2**32)),
@@ -301,16 +300,16 @@ def test_monotone_best_trace():
 def test_sampler_distributions():
     with criterion("sampler distributions (KS vs Exp(1); Haar sums and marginals)"):
         n = 10**5
-        w = np.sort(sample_pt_weights(n, make_rng(123)).weights)
+        w = np.sort(sample_pt_weights(n, make_rng(123)))
         cdf = 1.0 - np.exp(-w)
         grid = np.arange(1, n + 1) / n
         ks = max(float(np.max(grid - cdf)), float(np.max(cdf - (grid - 1.0 / n))))
         assert ks < 0.006, f"KS statistic {ks}"
         for size in (1, 10, 10**4):
-            total = float(sample_haar_weights(size, make_rng(size)).weights.sum())
+            total = float(sample_haar_weights(size, make_rng(size)).sum())
             assert abs(total - 1.0) <= 1e-12
         rng = make_rng(321)
-        draws = np.stack([sample_haar_weights(4, rng).weights for _ in range(10**5)])
+        draws = np.stack([sample_haar_weights(4, rng) for _ in range(10**5)])
         means = draws.mean(axis=0)
         assert np.all(means >= 0.245) and np.all(means <= 0.255), means
 
@@ -327,7 +326,7 @@ def test_scaling_subquadratic():
             spec = spec_for_ratio(n, 1, 1.0, 20.0, seed=mix(42, n))
             graph, _ = generate_planted(spec)
             cfg = QicdConfig(
-                kind=PerturbationKind("haar"),
+                kind="haar",
                 iterations=10,
                 detector=DetectorConfig(seed=3),
                 seed=7,

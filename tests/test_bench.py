@@ -10,7 +10,6 @@ import qicd.bench
 
 from qicd import (
     DetectorConfig,
-    PerturbationKind,
     PlantedSpec,
     QicdConfig,
     build_graph,
@@ -280,7 +279,7 @@ def test_run_experiment_graph_factory():
 def test_mrg_significance_mechanics():
     g, _ = generate_planted(PlantedSpec(100, 4, 0.35, 0.05, seed=8))
     cfg = QicdConfig(
-        kind=PerturbationKind("haar"),
+        kind="haar",
         iterations=2,
         stall_limit=2,
         detector=DetectorConfig(seed=5),
@@ -300,7 +299,7 @@ def test_mrg_percentile_low_on_er_graph():
     er = spec_for_ratio(400, 1, 1.0, 12.0, seed=5)
     g, _ = generate_planted(er)
     cfg = QicdConfig(
-        kind=PerturbationKind("haar"),
+        kind="haar",
         iterations=4,
         stall_limit=4,
         detector=DetectorConfig(seed=11),

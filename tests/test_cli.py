@@ -373,7 +373,7 @@ def test_benchmark_passes_init_mode_and_method_kind_base(workdir, capsys, monkey
     real_run_qicd = qicd.bench.run_qicd
 
     def spy(graph, cfg):
-        calls.append((cfg.init_mode, cfg.kind.name, cfg.base))
+        calls.append((cfg.init_mode, cfg.kind, cfg.base))
         return real_run_qicd(graph, cfg)
 
     monkeypatch.setattr(qicd.bench, "run_qicd", spy)
@@ -422,6 +422,40 @@ def test_replayed_benchmark_needs_exactly_one_graph_source(workdir, capsys, sour
     assert main(["--from-manifest", "old.manifest.json"]) == 1
     assert capsys.readouterr().err == "usage error: benchmark needs exactly one of --graph or --generate-spec\n"
     assert not list(workdir.glob("b.*"))
+
+
+_SPEC = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"methods": "leiden,leiden-hu,leiden"}, "--methods lists 'leiden' more than once"),
+        ({"runs": "2,louvain=5"}, "--runs sets a count for 'louvain', which --methods does not list"),
+        ({"graph": None, "generate_spec": _SPEC, "relabel": True},
+         "--relabel applies to --graph, not to --generate-spec"),
+        ({"graph": None, "generate_spec": _SPEC, "merge_duplicates": True},
+         "--merge-duplicates applies to --graph, not to --generate-spec"),
+    ],
+    ids=["repeated-method", "runs-for-unlisted-method", "relabel-with-spec", "merge-with-spec"],
+)
+def test_benchmark_refuses_input_it_would_ignore(workdir, capsys, settings, message):
+    """Settings that would have no effect, or a repeated method whose rows
+    the summary would fold into one, are usage errors, also on replay."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    assert main(["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-hu", "--runs", "2", "--out", "a"]) == 0
+    manifest = json.loads((workdir / "a.manifest.json").read_text())
+    config = {**manifest["config"], **settings}
+    argv = ["benchmark", "--methods", config["methods"], "--runs", config["runs"], "--out", "b"]
+    argv += ["--graph", config["graph"]] if config["graph"] else ["--generate-spec", config["generate_spec"]]
+    argv += [f"--{key.replace('_', '-')}" for key in ("relabel", "merge_duplicates") if config[key]]
+    manifest["config"] = {**config, "out": "b"}
+    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for run in (argv, ["--from-manifest", "old.manifest.json"]):
+        assert main(run) == 1, run
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not list(workdir.glob("b.*"))
 
 
 def test_fresh_graphs_with_graph_is_a_usage_error(workdir, capsys):

@@ -5,7 +5,6 @@ import pytest
 from qicd import (
     DetectorConfig,
     HyperuniformParams,
-    PerturbationKind,
     QicdConfig,
     build_graph,
     louvain,
@@ -14,6 +13,7 @@ from qicd import (
     ring_of_cliques,
     run_qicd,
 )
+import qicd.engine
 from qicd.engine import result_to_json, trace_to_csv
 
 from conftest import make_random_graph
@@ -22,12 +22,16 @@ ALL_KINDS = ("pt", "haar", "hu", "pt-hu", "haar-hu")
 
 
 def _cfg(seed=0, **kw):
-    kw.setdefault("kind", PerturbationKind("haar"))
+    kw.setdefault("kind", "haar")
     kw.setdefault("detector", DetectorConfig(seed=mix(seed, 9)))
     return QicdConfig(seed=seed, **kw)
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="unknown perturbation kind 'bogus'"):
+        QicdConfig(kind="bogus")
+    with pytest.raises(ValueError, match="proposal_seeds must be >= 1"):
+        QicdConfig(proposal_seeds=0)
     with pytest.raises(ValueError):
         QicdConfig(iterations=-1)
     with pytest.raises(ValueError):
@@ -41,7 +45,7 @@ def test_config_validation():
 
 def test_two_triangles_reaches_optimum(two_triangles):
     for kind in ALL_KINDS:
-        result = run_qicd(two_triangles, _cfg(seed=3, kind=PerturbationKind(kind)))
+        result = run_qicd(two_triangles, _cfg(seed=3, kind=kind))
         assert result.q_star == 0.5
         assert result.q_baseline == 0.5
         assert result.mrg == 0.0
@@ -74,7 +78,7 @@ def test_acceptance_is_strict_and_recorded():
         g = make_random_graph(rnd, n_max=24)
         if g.total_weight == 0:
             continue
-        kind = PerturbationKind(rnd.choice(ALL_KINDS))
+        kind = rnd.choice(ALL_KINDS)
         cfg = _cfg(seed=rnd.randrange(2**32), kind=kind, iterations=6, stall_limit=6)
         result = run_qicd(g, cfg)
         for record in result.trace:
@@ -149,7 +153,7 @@ def test_hu_zero_fraction_matches_refined_trace():
     g = ring_of_cliques(4, 4)
     cfg = _cfg(
         seed=6,
-        kind=PerturbationKind("hu"),
+        kind="hu",
         hu=HyperuniformParams(2.0, 0.0),
         iterations=6,
         stall_limit=6,
@@ -164,10 +168,38 @@ def test_proposal_seed_count_resolution():
     g = ring_of_cliques(4, 4)  # n = 16 -> default K = 4
     result = run_qicd(g, _cfg(seed=1, iterations=1, stall_limit=1))
     assert result.proposal_seed_count == 4
-    result = run_qicd(g, _cfg(seed=1, kind=PerturbationKind("pt", 7), iterations=1, stall_limit=1))
+    result = run_qicd(g, _cfg(seed=1, kind="pt", proposal_seeds=7, iterations=1, stall_limit=1))
     assert result.proposal_seed_count == 7
-    result = run_qicd(g, _cfg(seed=1, kind=PerturbationKind("hu"), iterations=1, stall_limit=1))
+    result = run_qicd(g, _cfg(seed=1, kind="hu", iterations=1, stall_limit=1))
     assert result.proposal_seed_count is None
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("pt", ["sample_pt_weights", "propose_partition"]),
+        ("haar", ["sample_haar_weights", "propose_partition"]),
+        ("hu", ["hu_noise"]),
+        ("pt-hu", ["sample_pt_weights", "propose_partition", "hyperuniform_adjust"]),
+        ("haar-hu", ["sample_haar_weights", "propose_partition", "hyperuniform_adjust"]),
+    ],
+)
+def test_each_kind_calls_its_samplers(monkeypatch, kind, expected):
+    """One iteration of each kind calls exactly its sampling steps, in
+    order, through the engine's own names."""
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("sample_pt_weights", "sample_haar_weights", "propose_partition", "hyperuniform_adjust", "hu_noise"):
+        monkeypatch.setattr(qicd.engine, name, spy(name, getattr(qicd.engine, name)))
+    run_qicd(ring_of_cliques(4, 4), _cfg(seed=1, kind=kind, iterations=1, stall_limit=1))
+    assert calls == expected
 
 
 def test_refine_before_accept_runs():

@@ -1,0 +1,99 @@
+"""Seeded CLI outputs, pinned by their sha256.
+
+Each command below runs on a 200-node planted graph. The digest of every
+file it writes, and of its stdout, is pinned, so a change that moves any
+seeded output by one bit fails here; a change that means to move them
+records new digests and says why. Manifests are hashed without
+`duration_seconds` and traces without their `millis` column, the only
+wall-clock fields. numpy may change a generator's stream in a feature
+release, so the test skips under another numpy than the recorded one.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from qicd.cli import main
+
+RECORDED_NUMPY = "2.4"
+
+COMMANDS = {
+    "g": ["generate", "planted", "--n", "200", "--k", "5", "--p-in", "0.2", "--p-out", "0.03", "--seed", "11",
+          "--out", "g.el"],
+    "null": ["generate", "rewire", "--input", "g.el", "--seed", "5", "--out", "null.el"],
+    "det": ["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "det.csv"],
+    "hh": ["qicd", "--graph", "g.el", "--kind", "haar-hu", "--refine-before-accept", "--iterations", "4",
+           "--seed", "3", "--out", "hh"],
+    "pt": ["qicd", "--graph", "g.el", "--kind", "pt", "--base", "louvain", "--seeds", "7", "--iterations", "4",
+           "--seed", "4", "--out", "pt"],
+    "bench": ["benchmark", "--graph", "g.el", "--methods", "leiden,louvain-hu,leiden-haar", "--runs", "3",
+              "--iterations", "2", "--seed", "9", "--out", "bench"],
+    "sig": ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2", "--seed", "2", "--out", "sig"],
+}
+
+PINNED = {
+    "g.stdout": "2a2860d381f133e66d61e0b846bc4f399a8936ef3bc8e2fd3314529c0c262e91",
+    "null.stdout": "c505e4b99956f815bc5e7c3ffcf3c13ea8543bbb32ea54b3c0e8effeddfb07e3",
+    "det.stdout": "ce21f0503fc9b677159dfca00fa7933ae1b0170ab4f1dd11deea04ccccd85a31",
+    "hh.stdout": "6eed093f46f5d6c3ab6e66ab8dfd0ff3b49408028b1ebc608a14380e3cb87775",
+    "pt.stdout": "78608ab56da62df14f61e00649bed7b05941421b352693bfdbd5633a802f940d",
+    "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
+    "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
+    "bench.manifest.json": "2f63e14df96f7aaea923d796844677631ccdfbde4c45b947fccc487c0f817b00",
+    "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
+    "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
+    "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
+    "det.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
+    "det.manifest.json": "148d1d0d6847decdd49643963ee7b9b8c67f9df0ca0eea041ccf6426eb6a8f36",
+    "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
+    "g.manifest.json": "5d79d6781c4bb8edba3aabeee093cc09d28c3486248662108bf9f8fb103c6004",
+    "g.truth.csv": "3ef62bb3386805e5cb67d4c2b362e0b65ca8162ef1f6484cf159e3dd68a7c9dc",
+    "hh.json": "11d090c23a4c506b2a3590c0e85770c31247784291c0578c5d20929c4defb494",
+    "hh.manifest.json": "d2853bd4ae4398453fec14a542db988ab032d51c4ad15b837aa059a00463587b",
+    "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
+    "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
+    "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
+    "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
+    "pt.json": "e697169f5656c9fef2856cce27eb0d8b793605999ae51446c0f3239a8f246fd4",
+    "pt.manifest.json": "3d0cc0e0deeeb9fc4df653d54f65c929227154868a3f43f518cc6512c5674c30",
+    "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
+    "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
+    "sig.manifest.json": "bc51ff0fed8f82277d3b8ac634cdcc3873a760c41c76174e6b0a5dfff2bdb926",
+    "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
+}
+
+
+def _stable_bytes(path):
+    """The file's bytes, less its wall-clock fields."""
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        manifest = json.loads(data)
+        del manifest["duration_seconds"]
+        return json.dumps(manifest, indent=2, sort_keys=True).encode()
+    if path.name.endswith(".trace.csv"):
+        return b"".join(line.rpartition(b",")[0] + b"\n" for line in data.splitlines())
+    return data
+
+
+def run_commands(workdir, capsys):
+    """Run COMMANDS in workdir, which must be the current directory, and
+    return the sha256 of each file written and of each command's stdout."""
+    digests = {}
+    for name, argv in COMMANDS.items():
+        assert main(argv) == 0, name
+        digests[f"{name}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for path in sorted(workdir.iterdir()):
+        digests[path.name] = hashlib.sha256(_stable_bytes(path)).hexdigest()
+    return digests
+
+
+@pytest.mark.skipif(
+    ".".join(np.__version__.split(".")[:2]) != RECORDED_NUMPY,
+    reason=f"digests were recorded under numpy {RECORDED_NUMPY}; numpy {np.__version__} may draw other streams",
+)
+def test_seeded_outputs_match_their_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QICD_SEED", raising=False)
+    assert run_commands(tmp_path, capsys) == PINNED

@@ -4,10 +4,8 @@ import pytest
 from qicd import (
     HyperuniformParams,
     Partition,
-    PerturbationKind,
     PlantedSpec,
     QicdConfig,
-    WeightVector,
     build_graph,
     generate_planted,
     hu_noise,
@@ -30,21 +28,8 @@ class _UnitUniform:
         return np.zeros(n)
 
 
-def test_weight_vector_validation():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([]))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([0.5, 0.4]), normalized=True)
-    wv = WeightVector(np.array([0.5, 0.5]), normalized=True)
-    assert len(wv) == 2
-
-
 def test_pt_inverse_transform_endpoint():
-    wv = sample_pt_weights(1, _UnitUniform())
-    assert wv.weights.tolist() == [0.0]
-    assert not wv.normalized
+    assert sample_pt_weights(1, _UnitUniform()).tolist() == [0.0]
 
 
 def test_pt_rejects_empty():
@@ -53,16 +38,16 @@ def test_pt_rejects_empty():
 
 
 def test_pt_moments_at_scale():
-    wv = sample_pt_weights(10**6, make_rng(42))
-    mean = float(wv.weights.mean())
-    var = float(wv.weights.var(ddof=1))
+    w = sample_pt_weights(10**6, make_rng(42))
+    mean = float(w.mean())
+    var = float(w.var(ddof=1))
     assert 0.99 <= mean <= 1.01
     assert 0.97 <= var <= 1.03
 
 
 def test_pt_ks_against_unit_exponential():
     n = 10**5
-    w = np.sort(sample_pt_weights(n, make_rng(7)).weights)
+    w = np.sort(sample_pt_weights(n, make_rng(7)))
     cdf = 1.0 - np.exp(-w)
     grid = np.arange(1, n + 1) / n
     d = max(float(np.max(grid - cdf)), float(np.max(cdf - (grid - 1.0 / n))))
@@ -70,27 +55,24 @@ def test_pt_ks_against_unit_exponential():
 
 
 def test_haar_single_node():
-    wv = sample_haar_weights(1, make_rng(3))
-    assert wv.weights.tolist() == [1.0]
-    assert wv.normalized
+    assert sample_haar_weights(1, make_rng(3)).tolist() == [1.0]
 
 
 def test_haar_sums_to_one():
     for n in (2, 10, 1000, 10**4):
-        wv = sample_haar_weights(n, make_rng(n))
-        assert abs(float(wv.weights.sum()) - 1.0) <= 1e-12
+        assert abs(float(sample_haar_weights(n, make_rng(n)).sum()) - 1.0) <= 1e-12
 
 
 def test_haar_marginal_means():
     rng = make_rng(11)
-    draws = np.stack([sample_haar_weights(4, rng).weights for _ in range(10**4)])
+    draws = np.stack([sample_haar_weights(4, rng) for _ in range(10**4)])
     means = draws.mean(axis=0)
     assert np.all(means > 0.24) and np.all(means < 0.26)
 
 
 def test_sampling_determinism():
-    a = sample_pt_weights(100, make_rng(5)).weights
-    b = sample_pt_weights(100, make_rng(5)).weights
+    a = sample_pt_weights(100, make_rng(5))
+    b = sample_pt_weights(100, make_rng(5))
     assert np.array_equal(a, b)
 
 
@@ -100,8 +82,7 @@ def _path_graph(n):
 
 def test_propose_path_example():
     g = _path_graph(5)
-    wv = WeightVector(np.array([5.0, 0.1, 0.2, 4.0, 0.3]))
-    p = propose_partition(g, wv, 2)
+    p = propose_partition(g, np.array([5.0, 0.1, 0.2, 4.0, 0.3]), 2)
     # seeds 0 and 3; node 1 is adjacent to seed 0, nodes 2 and 4 to seed 3
     assert p.labels[0] == p.labels[1]
     assert p.labels[2] == p.labels[3] == p.labels[4]
@@ -116,8 +97,7 @@ def test_propose_all_seeds_gives_singletons():
 
 def test_propose_unreachable_nodes_become_singletons():
     g = build_graph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
-    wv = WeightVector(np.array([9.0, 1.0, 1.0, 0.1, 0.2]))
-    p = propose_partition(g, wv, 1)
+    p = propose_partition(g, np.array([9.0, 1.0, 1.0, 0.1, 0.2]), 1)
     assert p.labels[0] == p.labels[1] == p.labels[2]
     assert p.sizes.count(1) == 2
     assert p.labels[3] != p.labels[4]
@@ -125,8 +105,7 @@ def test_propose_unreachable_nodes_become_singletons():
 
 def test_propose_ties_break_to_lower_node_id():
     g = _path_graph(4)
-    wv = WeightVector(np.ones(4))
-    p = propose_partition(g, wv, 2)
+    p = propose_partition(g, np.ones(4), 2)
     # equal weights: seeds are nodes 0 and 1; node 2 joins 1, node 3 joins 1
     assert p.labels[0] != p.labels[1]
     assert p.labels[2] == p.labels[1]
@@ -136,19 +115,22 @@ def test_propose_ties_break_to_lower_node_id():
 def test_propose_equidistant_tie_prefers_heavier_seed():
     # star-of-paths: node 2 is adjacent to both seeds 0 and 4
     g = build_graph(5, [(0, 2, 1.0), (4, 2, 1.0), (0, 1, 1.0), (4, 3, 1.0)])
-    wv = WeightVector(np.array([2.0, 0.1, 0.0, 0.1, 9.0]))
-    p = propose_partition(g, wv, 2)
+    p = propose_partition(g, np.array([2.0, 0.1, 0.0, 0.1, 9.0]), 2)
     assert p.labels[2] == p.labels[4]  # heavier seed wins the simultaneous arrival
 
 
 def test_propose_validation():
     g = _path_graph(3)
-    with pytest.raises(ValueError):
-        propose_partition(g, WeightVector(np.ones(3)), 0)
-    with pytest.raises(ValueError):
-        propose_partition(g, WeightVector(np.ones(3)), 4)
-    with pytest.raises(ValueError):
-        propose_partition(g, WeightVector(np.ones(2)), 1)
+    with pytest.raises(ValueError, match="seed_count"):
+        propose_partition(g, np.ones(3), 0)
+    with pytest.raises(ValueError, match="seed_count"):
+        propose_partition(g, np.ones(3), 4)
+    for bad in (np.ones(2), np.ones(4), np.ones((3, 1)), np.array([])):
+        with pytest.raises(ValueError, match=r"weights must have shape \(3,\)"):
+            propose_partition(g, bad, 1)
+    for bad in ([1.0, -0.5, 1.0], [1.0, float("nan"), 1.0], [1.0, float("inf"), 1.0]):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            propose_partition(g, np.array(bad), 1)
 
 
 def test_propose_community_bound():
@@ -244,18 +226,6 @@ def test_hu_noise_keeps_partition_valid():
         assert out.community_count <= p.community_count
 
 
-def test_perturbation_kind():
-    with pytest.raises(ValueError):
-        PerturbationKind("bogus")
-    with pytest.raises(ValueError):
-        PerturbationKind("pt", seed_count=0)
-    assert PerturbationKind("pt").weight_mode == "pt"
-    assert PerturbationKind("haar-hu").weight_mode == "haar"
-    assert PerturbationKind("hu").weight_mode is None
-    assert PerturbationKind("pt-hu").with_hu
-    assert not PerturbationKind("haar").with_hu
-
-
 def test_pt_and_haar_give_the_same_proposal_from_one_stream():
     # propose_partition reads only the stable ranking of the weights, and a
     # haar draw is the pt draw from the same stream divided by its positive
@@ -271,7 +241,7 @@ def test_pt_and_haar_give_the_same_proposal_from_one_stream():
         assert pt_rng.random() == haar_rng.random()  # so later draws agree too
     g, _truth = generate_planted(PlantedSpec(120, 4, 0.3, 0.08, seed=5))
     runs = [
-        run_qicd(g, QicdConfig(kind=PerturbationKind(name), iterations=4, refine_before_accept=True, seed=3))
+        run_qicd(g, QicdConfig(kind=name, iterations=4, refine_before_accept=True, seed=3))
         for name in ("pt", "haar", "pt-hu", "haar-hu")
     ]
     for pt, haar in ((0, 1), (2, 3)):
