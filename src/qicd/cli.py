@@ -23,6 +23,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
@@ -92,16 +93,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_replayed_types(config: _ManifestPart, command_parser: argparse.ArgumentParser) -> None:
-    """Refuse a replayed value that the command's flag could not have given:
-    its type (an int is not a bool, a float may be an int), a store_true
-    flag's bool, and its choices. An optional flag whose default is None
-    may be null. Keys that no flag reads are not checked: older manifests
-    hold retired ones, which the runners ignore."""
+def _check_replayed_types(config: _ManifestPart, command_parser: argparse.ArgumentParser) -> _ManifestPart:
+    """The replayed config, less the keys that no flag of the command
+    defines (older manifests hold retired ones), after refusing a value
+    that the command's flag could not have given: its type (an int is not a
+    bool, a float may be an int), a store_true flag's bool, and its
+    choices. An optional flag whose default is None may be null."""
     actions = {a.dest: a for a in command_parser._actions}
-    for key, value in config.items():
-        action = actions.get(key)
-        if action is None or (value is None and action.default is None and not action.required):
+    kept = _ManifestPart({key: value for key, value in config.items() if key in actions}, config.where)
+    for key, value in kept.items():
+        action = actions[key]
+        if value is None and action.default is None and not action.required:
             continue
         if action.nargs == 0:
             expected, ok = "true or false", type(value) is bool
@@ -115,6 +117,7 @@ def _check_replayed_types(config: _ManifestPart, command_parser: argparse.Argume
             expected, ok = f"one of {', '.join(action.choices)}", False
         if not ok:
             raise UsageError(f"{config.where} sets {key!r} to {json.dumps(value)}; expected {expected}")
+    return kept
 
 
 def _out(config: dict, suffix: str | None = None) -> str:
@@ -174,6 +177,8 @@ def _detector_from(config: dict) -> DetectorConfig:
 
 
 def _qicd_config(config: dict) -> QicdConfig:
+    if config.get("kind") == "hu" and config.get("proposal_seeds") is not None:
+        raise UsageError("--seeds has no effect with --kind hu, which draws no weights")
     return replace(
         _QICD,
         hu=replace(_QICD.hu, **_pick(config, _HU_KEYS)),
@@ -254,8 +259,8 @@ def _run_detect(config: dict):
 
 
 def _run_qicd_cmd(config: dict):
-    graph, files = _load_graph(config)
     cfg = _qicd_config(config)
+    graph, files = _load_graph(config)
     result = run_qicd(graph, cfg)
     envelope = result_to_json(result, cfg)
     envelope["graph"] = config["graph"]
@@ -356,6 +361,8 @@ def _run_benchmark(config: dict):
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise UsageError(f"--methods lists {repeated[0]!r} more than once")
+    if config.get("proposal_seeds") is not None and all(METHODS[m][1] in (None, "hu") for m in methods):
+        raise UsageError("--seeds has no effect: --methods lists only plain and hu methods, which draw no weights")
     runs = _parse_runs_spec(config["runs"], methods)
     for name, count in runs.items():
         if count < 2:
@@ -387,8 +394,6 @@ def _run_benchmark(config: dict):
         else:
             graph = _generate(kind, params, mix(seed, 71))[0]
 
-    # Each method name sets its own kind and base, so any kind or base key
-    # in an older manifest has no effect.
     try:
         samples = run_experiment(graph, methods, runs, seed, cfg=_qicd_config(config), graph_factory=factory)
     except RuntimeError as exc:
@@ -444,8 +449,8 @@ def _run_mrg(config: dict):
     swap_factor = config.get("swap_factor", _default(mrg_significance, "swap_factor"))
     if nulls < 5:
         raise UsageError("--nulls must be at least 5")
-    graph, files = _load_graph(config)
     cfg = _qicd_config(config)
+    graph, files = _load_graph(config)
     report = mrg_significance(graph, cfg, nulls, seed=mix(config["seed"], 2), swap_factor=swap_factor)
     payload = {
         "observed_mrg": report.observed,
@@ -523,29 +528,21 @@ def build_parser(default_seed: int) -> _Parser:
                 g.add_argument(flag, type=type_, default=_default(calibrate_planted, _CALIBRATION_KEYS[dest]))
             else:
                 g.add_argument(flag, type=type_, required=True)
-        g.add_argument("--seed", type=int, default=default_seed)
-        g.add_argument("--out", required=True)
 
     g_rw = gen_sub.add_parser("rewire", help="degree-preserving rewiring of an existing graph")
     g_rw.add_argument("--input", required=True)
     g_rw.add_argument("--swap-factor", type=float, default=_default(degree_preserving_rewire, "swap_factor"))
     g_rw.add_argument("--merge-duplicates", action="store_true")
-    g_rw.add_argument("--seed", type=int, default=default_seed)
-    g_rw.add_argument("--out", required=True)
 
     det = sub.add_parser("detect", help="run a classical detector")
     _add_graph_input(det)
     det.add_argument("--method", choices=BASE_METHODS, required=True)
     _add_detector_flags(det)
-    det.add_argument("--seed", type=int, default=default_seed)
-    det.add_argument("--out", required=True)
 
     qic = sub.add_parser("qicd", help="run the quantum-inspired refinement loop")
     _add_graph_input(qic)
     _add_qicd_flags(qic)
     _add_detector_flags(qic)
-    qic.add_argument("--seed", type=int, default=default_seed)
-    qic.add_argument("--out", required=True)
 
     ben = sub.add_parser("benchmark", help="multi-method experiment with statistics")
     _add_graph_input(ben, required=False)
@@ -555,8 +552,6 @@ def build_parser(default_seed: int) -> _Parser:
     ben.add_argument("--runs", default=str(BENCHMARK_RUNS), help="run count, with name=count overrides")
     ben.add_argument("--baseline", help="default: leiden, or the first plain method if --methods omits it")
     _add_qicd_flags(ben, kind_and_base=False)
-    ben.add_argument("--seed", type=int, default=default_seed)
-    ben.add_argument("--out", required=True)
 
     mrg_p = sub.add_parser("mrg", help="MRG significance against rewired null graphs")
     _add_graph_input(mrg_p)
@@ -564,14 +559,15 @@ def build_parser(default_seed: int) -> _Parser:
     mrg_p.add_argument("--swap-factor", type=float, default=_default(mrg_significance, "swap_factor"))
     _add_qicd_flags(mrg_p)
     _add_detector_flags(mrg_p)
-    mrg_p.add_argument("--seed", type=int, default=default_seed)
-    mrg_p.add_argument("--out", required=True)
 
     # Each command's parser, by the command name that manifests record.
     parser.commands = {
         **{f"generate-{kind}": p for kind, p in gen_sub.choices.items()},
         **{name: p for name, p in sub.choices.items() if name != "generate"},
     }
+    for p in parser.commands.values():
+        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--out", required=True)
     return parser
 
 
@@ -592,26 +588,15 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _inject_config_file(argv: list[str]) -> list[str]:
-    """Splice key=value defaults from --config in before explicit flags."""
-    path = None
-    stripped: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            skip = True
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-        else:
-            stripped.append(token)
-    if path is None:
+    """Splice key=value defaults from --config in after the command tokens,
+    so that explicit flags win."""
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    found, argv = finder.parse_known_args(argv)
+    if found.config is None:
         return argv
-    argv = stripped
     extra: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(found.config, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -626,12 +611,8 @@ def _inject_config_file(argv: list[str]) -> list[str]:
                     extra.append(f"--{key}")
             else:
                 extra.extend([f"--{key}", value])
-    # insert after the command tokens so explicit flags win
-    head = []
-    tail = list(argv)
-    while tail and not tail[0].startswith("-"):
-        head.append(tail.pop(0))
-    return head + extra + tail
+    head = list(takewhile(lambda token: not token.startswith("-"), argv))
+    return head + extra + argv[len(head):]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -656,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
                 # Ties now always go to the lowest community id; replaying
                 # under that rule would not reproduce the recorded run.
                 raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
-            _check_replayed_types(config, parser.commands[command])
+            config = _check_replayed_types(config, parser.commands[command])
         else:
             command, config = _config_from_args(args)
         started = time.perf_counter()

@@ -12,13 +12,12 @@ the randomized refinement phase of Traag, Waltman & van Eck (2019).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .partition import Partition, aggregate, community_members, singleton_partition
+from .partition import Partition, aggregate, singleton_partition
 from .rng import make_rng
 
 
@@ -158,52 +157,40 @@ def _move_until_stable(
             break
 
 
-def _connected_components(indptr: list[int], indices: list[int], nodes: list[int], labels: list[int], label: int):
-    """Components of the subgraph induced by `nodes` (all carrying `label`),
-    over a CSR given as lists."""
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if labels[v] == label and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        components.append(comp)
-    return components
-
-
 def leiden_refine(graph: Graph, partition: Partition, flat: tuple | None = None) -> Partition:
     """Split every community that induces a disconnected subgraph.
 
-    Splitting into connected components never decreases Q. Output labels are
-    compacted; connected communities pass through unchanged. flat, the
-    graph as _flat returns it, saves converting the graph again.
+    Splitting into connected components never decreases Q. A community's
+    first component keeps its id; the others take ids from community_count
+    on, ordered by community and then by lowest node. Connected communities
+    pass through unchanged. flat, the graph as _flat returns it, saves
+    converting the graph again.
     """
     indptr, indices = (flat or _flat(graph))[:2]
-    labels = list(partition.labels)
-    next_label = partition.community_count
-    changed = False
-    for c, nodes in enumerate(community_members(partition)):
-        if len(nodes) <= 1:
+    old = partition.labels
+    seen = [False] * len(old)
+    kept = [False] * partition.community_count
+    split: list[tuple[int, list[int]]] = []  # (community, component) past each first one
+    for start, c in enumerate(old):
+        if seen[start]:
             continue
-        components = _connected_components(indptr, indices, nodes, partition.labels, c)
-        if len(components) == 1:
-            continue
-        changed = True
-        for comp in components[1:]:
-            for u in comp:
-                labels[u] = next_label
-            next_label += 1
-    if not changed:
+        seen[start] = True
+        component = [start]
+        for u in component:  # breadth first: the list grows as it is read
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if not seen[v] and old[v] == c:
+                    seen[v] = True
+                    component.append(v)
+        if kept[c]:
+            split.append((c, component))
+        kept[c] = True
+    if not split:
         return partition.copy()
+    labels = list(old)
+    split.sort(key=lambda item: item[0])  # stable: lowest node first within a community
+    for label, (_c, component) in enumerate(split, partition.community_count):
+        for u in component:
+            labels[u] = label
     return Partition(graph, labels)
 
 

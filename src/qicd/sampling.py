@@ -185,17 +185,15 @@ def hu_noise(
     batch = [min(int(math.floor(q)), cap) for q, cap in zip(quotas, caps)]
     shortfall = total - sum(batch)
     by_remainder = sorted(range(c_count), key=lambda c: (-(quotas[c] - math.floor(quotas[c])), c))
+    # total <= sum(caps), so the shortfall never exceeds the room left below
+    # the caps and every round places at least one node.
     while shortfall > 0:
-        progressed = False
         for c in by_remainder:
             if shortfall == 0:
                 break
             if batch[c] < caps[c]:
                 batch[c] += 1
                 shortfall -= 1
-                progressed = True
-        if not progressed:
-            break
 
     members = community_members(partition)
     labels = list(partition.labels)

@@ -23,8 +23,7 @@ class StatsSummary:
     std: float  # sample standard deviation (n-1 denominator)
     n: int
     ci_low: float
-    ci_high: float
-    confidence: float = 0.95
+    ci_high: float  # 95% Student-t interval
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,7 @@ def _t_two_sided_p(t: float, df: float) -> float:
 
 
 def _t_ppf(q: float, df: float) -> float:
-    """Quantile of the Student-t distribution by bisection on the CDF."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must be in (0, 1)")
-    if q == 0.5:
-        return 0.0
-    if q < 0.5:
-        return -_t_ppf(1.0 - q, df)
+    """Quantile q >= 0.5 of the Student-t distribution by bisection on the CDF."""
 
     def cdf(t: float) -> float:  # for t >= 0, the only values bisected
         return 1.0 - 0.5 * _t_two_sided_p(t, df)
@@ -130,19 +123,17 @@ def _t_ppf(q: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def summarize_moments(mean: float, std: float, n: int, confidence: float = 0.95) -> StatsSummary:
-    """Mean, sample std, and Student-t confidence interval from moments."""
+def summarize_moments(mean: float, std: float, n: int) -> StatsSummary:
+    """Mean, sample std, and 95% Student-t confidence interval from moments."""
     if n < 2:
         raise ValueError("at least 2 observations are required")
     if std < 0:
         raise ValueError("std must be non-negative")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    half = _t_ppf(0.5 * (1.0 + confidence), n - 1) * std / math.sqrt(n)
-    return StatsSummary(mean, std, n, mean - half, mean + half, confidence)
+    half = _t_ppf(0.975, n - 1) * std / math.sqrt(n)
+    return StatsSummary(mean, std, n, mean - half, mean + half)
 
 
-def summarize(sample: Sequence[float], confidence: float = 0.95) -> StatsSummary:
+def summarize(sample: Sequence[float]) -> StatsSummary:
     """Summary of a sequence of values."""
     values = [float(v) for v in sample]
     n = len(values)
@@ -150,7 +141,7 @@ def summarize(sample: Sequence[float], confidence: float = 0.95) -> StatsSummary
         raise ValueError("at least 2 observations are required")
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return summarize_moments(mean, math.sqrt(var), n, confidence)
+    return summarize_moments(mean, math.sqrt(var), n)
 
 
 def welch_from_moments(

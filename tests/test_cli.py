@@ -392,7 +392,8 @@ def test_benchmark_passes_init_mode_and_method_kind_base(workdir, capsys, monkey
 
 def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
     """A benchmark manifest written before --kind, --base and --jobs left
-    `benchmark` (it holds those keys and no detector keys) still replays."""
+    `benchmark` (it holds those keys and no detector keys) still replays,
+    whatever those keys hold: keys that no flag defines are not read."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     argv = ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2",
             "--iterations", "2", "--seed", "13", "--out", "fresh"]
@@ -400,7 +401,7 @@ def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
     manifest = json.loads((workdir / "fresh.manifest.json").read_text())
     config = manifest["config"]
     assert not {"max_levels", "max_sweeps", "min_gain", "resolution", "random_ties"} & set(config)
-    config.update({"jobs": 2, "kind": "pt", "base": "louvain", "out": "old"})
+    config.update({"jobs": 2, "kind": "bogus", "base": "louvain", "out": "old"})
     (workdir / "old.manifest.json").write_text(json.dumps(manifest))
     assert main(["--from-manifest", "old.manifest.json"]) == 0
     assert (workdir / "old.runs.csv").read_bytes() == (workdir / "fresh.runs.csv").read_bytes()
@@ -456,6 +457,44 @@ def test_benchmark_refuses_input_it_would_ignore(workdir, capsys, settings, mess
         assert main(run) == 1, run
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not list(workdir.glob("b.*"))
+
+
+_HU_SEEDS = "--seeds has no effect with --kind hu, which draws no weights"
+
+
+@pytest.mark.parametrize("source", ["flags", "manifest"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qicd", "--kind", "hu"], _HU_SEEDS),
+        (["mrg", "--kind", "hu", "--nulls", "5"], _HU_SEEDS),
+        (["benchmark", "--methods", "leiden,leiden-hu,louvain-hu", "--runs", "2"],
+         "--seeds has no effect: --methods lists only plain and hu methods, which draw no weights"),
+        # One method that draws weights is enough.
+        (["benchmark", "--methods", "leiden-haar,leiden-hu", "--baseline", "leiden-haar", "--runs", "2"], None),
+    ],
+    ids=["qicd", "mrg", "benchmark", "benchmark-with-haar"],
+)
+def test_seeds_with_hu_is_a_usage_error(workdir, capsys, argv, message, source):
+    """--seeds sets how many weights a proposal draws; where no proposal
+    draws any, it is refused, also on replay."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    argv = [*argv, "--graph", "g.el", "--iterations", "1"]
+    if source == "flags":
+        run = [*argv, "--seeds", "7", "--out", "b"]
+    else:
+        assert main([*argv, "--out", "a"]) == 0
+        manifest = json.loads((workdir / "a.manifest.json").read_text())
+        manifest["config"].update(proposal_seeds=7, out="b")
+        (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+        run = ["--from-manifest", "old.manifest.json"]
+    capsys.readouterr()
+    if message is None:
+        assert main(run) == 0
+        return
+    assert main(run) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not list(workdir.glob("b*"))
 
 
 def test_fresh_graphs_with_graph_is_a_usage_error(workdir, capsys):
@@ -701,6 +740,37 @@ def test_config_file_flag_override(workdir, capsys):
     manifest = json.loads((workdir / "c3.manifest.json").read_text())
     assert manifest["config"]["method"] == "leiden"
     assert manifest["config"]["seed"] == 9
+
+
+_CONF_RUN = ["--graph", "g.el", "--out", "c.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, lines, error",
+    [
+        (["detect", "--config=conf.txt", *_CONF_RUN], "method=leiden\nseed=9\n", None),
+        (["--config", "conf.txt", "detect", *_CONF_RUN], "method=leiden\nseed=9\n", None),
+        (["detect", "--config", "conf.txt", *_CONF_RUN], "# a comment\n\nmethod=leiden\nseed=9\nrelabel=false\n", None),
+        (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\n seed \n", "bad config line: 'seed'"),
+    ],
+    ids=["equals-form", "before-command", "flag-false", "malformed-line"],
+)
+def test_config_file_forms(workdir, capsys, argv, lines, error):
+    """Wherever --config stands, its lines act as the flags they name; a
+    false flag is left unset, and a line without a value is refused."""
+    _make_graph(workdir)
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "9", "--out", "d.csv"]) == 0
+    (workdir / "conf.txt").write_text(lines)
+    capsys.readouterr()
+    if error is not None:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {error}\n"
+        assert not list(workdir.glob("c.*"))
+        return
+    assert main(argv) == 0
+    assert (workdir / "c.csv").read_bytes() == (workdir / "d.csv").read_bytes()
+    config = json.loads((workdir / "c.manifest.json").read_text())["config"]
+    assert config == {**json.loads((workdir / "d.manifest.json").read_text())["config"], "out": "c.csv"}
 
 
 def test_env_seed_default(workdir, monkeypatch, capsys):

@@ -24,6 +24,8 @@ COMMANDS = {
           "--out", "g.el"],
     "null": ["generate", "rewire", "--input", "g.el", "--seed", "5", "--out", "null.el"],
     "det": ["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "det.csv"],
+    # The same run with its method and seed read from a --config file.
+    "cfg": ["detect", "--config", "det.conf", "--graph", "g.el", "--out", "cfg.csv"],
     "hh": ["qicd", "--graph", "g.el", "--kind", "haar-hu", "--refine-before-accept", "--iterations", "4",
            "--seed", "3", "--out", "hh"],
     "pt": ["qicd", "--graph", "g.el", "--kind", "pt", "--base", "louvain", "--seeds", "7", "--iterations", "4",
@@ -33,6 +35,9 @@ COMMANDS = {
     "sig": ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2", "--seed", "2", "--out", "sig"],
 }
 
+# Input files that COMMANDS read, written before they run.
+INPUTS = {"det.conf": "method=leiden\nseed=3\n"}
+
 PINNED = {
     "g.stdout": "2a2860d381f133e66d61e0b846bc4f399a8936ef3bc8e2fd3314529c0c262e91",
     "null.stdout": "c505e4b99956f815bc5e7c3ffcf3c13ea8543bbb32ea54b3c0e8effeddfb07e3",
@@ -41,10 +46,14 @@ PINNED = {
     "pt.stdout": "78608ab56da62df14f61e00649bed7b05941421b352693bfdbd5633a802f940d",
     "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
+    "cfg.stdout": "ce21f0503fc9b677159dfca00fa7933ae1b0170ab4f1dd11deea04ccccd85a31",
     "bench.manifest.json": "2f63e14df96f7aaea923d796844677631ccdfbde4c45b947fccc487c0f817b00",
     "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
+    "cfg.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
+    "cfg.manifest.json": "491cf1967f768fb8bfb7eaf2da755ea9215982651e554d97e3a914322fda5a59",
+    "det.conf": "070b73b8a3a6cf6b4ee5c8df0c74209585c56edde26a19c7f4a6c36a2d33132d",
     "det.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
     "det.manifest.json": "148d1d0d6847decdd49643963ee7b9b8c67f9df0ca0eea041ccf6426eb6a8f36",
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
@@ -81,6 +90,8 @@ def run_commands(workdir, capsys):
     """Run COMMANDS in workdir, which must be the current directory, and
     return the sha256 of each file written and of each command's stdout."""
     digests = {}
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text)
     for name, argv in COMMANDS.items():
         assert main(argv) == 0, name
         digests[f"{name}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
