@@ -20,7 +20,7 @@ import numpy as np
 from .detect import DetectorConfig, leiden, louvain
 from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, run_qicd
 from .graph import Graph, build_graph
-from .partition import Partition, modularity
+from .partition import modularity
 from .rng import make_rng, mix
 
 
@@ -124,8 +124,9 @@ def _bernoulli_hits(space: int, p: float, rng: np.random.Generator) -> np.ndarra
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-def generate_planted(spec: PlantedSpec) -> tuple[Graph, Partition]:
-    """Sample a planted-partition graph; returns it with the ground truth.
+def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
+    """Sample a planted-partition graph; returns it with the ground-truth
+    community label of each node.
 
     Every intra-community pair is linked independently with probability
     p_in, inter-community pairs with p_out; edges are unweighted.
@@ -166,7 +167,7 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, Partition]:
                 pairs.append(np.column_stack((hits // sizes[b] + starts[a], hits % sizes[b] + starts[b])))
     ends = np.concatenate(pairs)
     graph = build_graph(spec.n, np.column_stack((ends, np.ones(len(ends)))))
-    return graph, Partition(graph, labels)
+    return graph, labels
 
 
 def spec_for_ratio(n: int, k: int, ratio: float, avg_degree: float, seed: int = 0) -> PlantedSpec:

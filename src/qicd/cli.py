@@ -220,7 +220,7 @@ def _generate(kind: str, params: dict, seed: int):
                                            **_pick(params, _CALIBRATION_KEYS))
         found = {"p_in": spec.p_in, "p_out": spec.p_out, "achieved_q": achieved}
     graph, truth = generate_planted(spec)
-    return graph, truth.labels, found
+    return graph, truth, found
 
 
 def _run_generate(kind: str, config: dict):
@@ -587,14 +587,17 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     return command, config
 
 
-def _inject_config_file(argv: list[str]) -> list[str]:
+def _inject_config_file(argv: list[str], parser: _Parser) -> list[str]:
     """Splice key=value defaults from --config in after the command tokens,
-    so that explicit flags win."""
+    so that explicit flags win. A store_true flag reads true or false as on
+    or off; every other line becomes --key=value, for argparse to check."""
     finder = _Parser(add_help=False)
     finder.add_argument("--config")
     found, argv = finder.parse_known_args(argv)
     if found.config is None:
         return argv
+    switches = {flag for p in parser.commands.values() for a in p._actions
+                if isinstance(a, argparse._StoreTrueAction) for flag in a.option_strings}
     extra: list[str] = []
     with open(found.config, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -602,15 +605,15 @@ def _inject_config_file(argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            key = key.strip().replace("_", "-")
+            flag = "--" + key.strip().replace("_", "-")
             value = value.strip()
-            if not key or not value:
+            if flag == "--" or not value:
                 raise UsageError(f"bad config line: {raw.strip()!r}")
-            if value.lower() in ("true", "false"):
+            if flag in switches and value.lower() in ("true", "false"):
                 if value.lower() == "true":
-                    extra.append(f"--{key}")
+                    extra.append(flag)
             else:
-                extra.extend([f"--{key}", value])
+                extra.append(f"{flag}={value}")
     head = list(takewhile(lambda token: not token.startswith("-"), argv))
     return head + extra + argv[len(head):]
 
@@ -623,8 +626,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: QICD_SEED must be an integer", file=sys.stderr)
         return EXIT_USAGE
     try:
-        argv = _inject_config_file(argv)
         parser = build_parser(default_seed)
+        argv = _inject_config_file(argv, parser)
         args = parser.parse_args(argv)
         if args.from_manifest:
             with open(args.from_manifest, "r", encoding="utf-8") as fh:

@@ -142,31 +142,36 @@ def _move_pass(
     return gain
 
 
-def _move_until_stable(
-    flat: tuple,
+def move_nodes(
+    graph: Graph,
     partition: Partition,
-    rng: np.random.Generator,
     cfg: DetectorConfig,
-) -> None:
-    """Repeat move passes over the graph as _flat returns it until a sweep
-    gains less than min_gain."""
-    active = [True] * len(partition.labels)
+    rng: np.random.Generator,
+) -> Partition:
+    """Greedy move passes over a copy of partition until a sweep gains less
+    than min_gain; returns the copy without its emptied communities.
+
+    The only code that changes a Partition: everything else reads one as a
+    value and builds a new one to change it."""
+    out = partition.copy()
+    flat = _flat(graph)
+    active = [True] * len(out.labels)
     for _ in range(cfg.max_sweeps_per_level):
-        gain = _move_pass(flat, partition, rng, cfg.resolution, active)
+        gain = _move_pass(flat, out, rng, cfg.resolution, active)
         if gain < cfg.min_gain:
             break
+    return out.compact()
 
 
-def leiden_refine(graph: Graph, partition: Partition, flat: tuple | None = None) -> Partition:
+def leiden_refine(graph: Graph, partition: Partition) -> Partition:
     """Split every community that induces a disconnected subgraph.
 
     Splitting into connected components never decreases Q. A community's
     first component keeps its id; the others take ids from community_count
-    on, ordered by community and then by lowest node. Connected communities
-    pass through unchanged. flat, the graph as _flat returns it, saves
-    converting the graph again.
+    on, ordered by community and then by lowest node. When every community
+    is connected, partition itself is returned.
     """
-    indptr, indices = (flat or _flat(graph))[:2]
+    indptr, indices = _flat(graph)[:2]
     old = partition.labels
     seen = [False] * len(old)
     kept = [False] * partition.community_count
@@ -185,7 +190,7 @@ def leiden_refine(graph: Graph, partition: Partition, flat: tuple | None = None)
             split.append((c, component))
         kept[c] = True
     if not split:
-        return partition.copy()
+        return partition
     labels = list(old)
     split.sort(key=lambda item: item[0])  # stable: lowest node first within a community
     for label, (_c, component) in enumerate(split, partition.community_count):
@@ -207,22 +212,16 @@ def _multilevel(
         rng = make_rng(cfg.seed)
     level_graph = graph
     level_labels: list[list[int]] = []
-    part = initial.copy() if initial is not None else None
-    top_flat = None  # level 0's lists, for the final split
+    part = initial
     for _level in range(cfg.max_levels):
-        flat = _flat(level_graph)
-        top_flat = top_flat or flat
         if part is None:
             part = singleton_partition(level_graph)
-        _move_until_stable(flat, part, rng, cfg)
-        part.compact()
+        part = move_nodes(level_graph, part, cfg, rng)
         if refine:
-            refined = leiden_refine(level_graph, part, flat)
-            if refined.community_count != part.community_count:
-                _move_until_stable(flat, refined, rng, cfg)
-                refined.compact()
-            part = refined
-        level_labels.append(list(part.labels))
+            refined = leiden_refine(level_graph, part)
+            if refined is not part:
+                part = move_nodes(level_graph, refined, cfg, rng)
+        level_labels.append(part.labels)
         if part.community_count == level_graph.node_count:
             break
         level_graph = aggregate(level_graph, part)
@@ -234,7 +233,7 @@ def _multilevel(
     result = Partition(graph, labels)
     if refine:
         # Guarantee connectivity on the original graph, not just per level.
-        result = leiden_refine(graph, result, top_flat)
+        result = leiden_refine(graph, result)
     return result
 
 

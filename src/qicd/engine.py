@@ -16,15 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detect import (
-    DetectorConfig,
-    _flat,
-    _move_until_stable,
-    leiden,
-    leiden_refine,
-    louvain,
-    seeded_pass,
-)
+from .detect import DetectorConfig, leiden, leiden_refine, louvain, move_nodes, seeded_pass
 from .graph import Graph
 from .partition import Partition, modularity, singleton_partition
 from .rng import make_rng, mix
@@ -101,15 +93,6 @@ class QicdResult:
     proposal_seed_count: int | None  # resolved K, None for the noise-only kind
 
 
-def _refine(graph: Graph, partition: Partition, det: DetectorConfig, rng: np.random.Generator) -> Partition:
-    """Local refinement: move sweeps until stable, then split disconnected."""
-    out = partition.copy()
-    flat = _flat(graph)
-    _move_until_stable(flat, out, rng, det)
-    out.compact()
-    return leiden_refine(graph, out, flat)
-
-
 def _propose(
     graph: Graph,
     current: Partition,
@@ -149,11 +132,11 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     q_baseline = modularity(graph, baseline_partition, resolution)
 
     if cfg.init_mode == "quick-leiden":
-        current = baseline_partition.copy()
+        current = baseline_partition
     else:
         current = singleton_partition(graph)
     q_star = modularity(graph, current, resolution)
-    best = current.copy()
+    best = current
     seed_count = resolve_seed_count(cfg, graph.node_count)
 
     trace: list[IterationRecord] = []
@@ -166,7 +149,7 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
         started = time.perf_counter()
         rng = make_rng(mix(cfg.seed, t))
         if not current_refined:
-            current = _refine(graph, current, cfg.detector, rng)
+            current = leiden_refine(graph, move_nodes(graph, current, cfg.detector, rng))
             current_refined = True
         q_ref = modularity(graph, current, resolution)
         proposal = _propose(graph, current, cfg, seed_count, rng)
@@ -182,7 +165,7 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
         q_now = q_quant if accepted else q_ref
         if q_now > q_star:
             q_star = q_now
-            best = current.copy()
+            best = current
             stall = 0
         else:
             stall += 1

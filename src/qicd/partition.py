@@ -2,9 +2,11 @@
 
 A Partition stores one community label per node plus per-community
 aggregates (internal edge weight, total member strength, size) so that
-modularity is O(C). The one move kernel, detect._move_pass, computes
-single-node move gains from these aggregates in O(deg) and updates them
-in place; compact() then drops the communities it emptied.
+modularity is O(C). It is a value: every community is non-empty, and code
+that wants other labels builds a new Partition. detect.move_nodes alone
+changes one, on its own copy: its move kernel, detect._move_pass, computes
+single-node move gains from the aggregates in O(deg) and updates them in
+place, and compact() then drops the communities it emptied.
 
 aggregate collapses each community into one node. The collapsed graph
 carries each community's internal weight as that node's self weight,
@@ -114,8 +116,6 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
     two_m = 2.0 * m
     q = 0.0
     for c in range(partition.community_count):
-        if partition.sizes[c] == 0:
-            continue
         frac = partition.community_strength[c] / two_m
         q += partition.internal_weight[c] / m - resolution * frac * frac
     return q
@@ -127,8 +127,6 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
     The community graph holds the summed cross-community weights as edges
     and each community's internal weight as its node's self weight.
     """
-    if any(size == 0 for size in partition.sizes):
-        raise ValueError("aggregate requires a compact partition")
     c_count = partition.community_count
     us, vs, ws = graph.edge_arrays()
     lab = np.asarray(partition.labels, dtype=np.int64)

@@ -133,13 +133,13 @@ def hyperuniform_adjust(
     """
     c_count = partition.community_count
     if c_count <= 1:
-        return partition.copy()
+        return partition
     n = graph.node_count
     threshold = params.skew_factor * n / c_count
     sizes = partition.sizes
     oversized = [c for c in range(c_count) if sizes[c] > threshold]
     if not oversized:
-        return partition.copy()
+        return partition
     receivers = [c for c in range(c_count) if sizes[c] <= threshold]
 
     members = community_members(partition)
@@ -170,16 +170,16 @@ def hu_noise(
     """
     c_count = partition.community_count
     if c_count <= 1:
-        return partition.copy()
+        return partition
     n = graph.node_count
     total = math.ceil(params.reassign_fraction * n)
     if total <= 0:
-        return partition.copy()
+        return partition
     sizes = partition.sizes
     caps = [s - 1 for s in sizes]
     total = min(total, sum(caps))
     if total <= 0:
-        return partition.copy()
+        return partition
 
     quotas = [total * s / n for s in sizes]
     batch = [min(int(math.floor(q)), cap) for q, cap in zip(quotas, caps)]

@@ -10,6 +10,7 @@ import qicd.bench
 
 from qicd import (
     DetectorConfig,
+    Partition,
     PlantedSpec,
     QicdConfig,
     build_graph,
@@ -50,14 +51,14 @@ def test_planted_sizes_spread_remainder():
 def test_two_disjoint_cliques_exact():
     g, truth = generate_planted(PlantedSpec(6, 2, 1.0, 0.0, seed=1))
     assert g.total_weight == 6.0
-    assert modularity(g, truth) == 0.5
+    assert modularity(g, Partition(g, truth)) == 0.5
 
 
 def test_planted_er_truth_q_near_zero():
     total = 0.0
     for i in range(20):
         g, truth = generate_planted(PlantedSpec(1000, 10, 0.02, 0.02, seed=mix(3, i)))
-        total += modularity(g, truth)
+        total += modularity(g, Partition(g, truth))
     assert abs(total / 20) <= 0.01
 
 
@@ -73,7 +74,7 @@ def test_planted_truth_matches_analytic_expectation():
     w_out = spec.p_out * inter_pairs
     expected = w_in / (w_in + w_out) - 1.0 / spec.k
     g, truth = generate_planted(spec)
-    assert abs(modularity(g, truth) - expected) <= 0.02
+    assert abs(modularity(g, Partition(g, truth)) - expected) <= 0.02
 
 
 def test_planted_reproducible():

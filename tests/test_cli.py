@@ -752,12 +752,15 @@ _CONF_RUN = ["--graph", "g.el", "--out", "c.csv"]
         (["--config", "conf.txt", "detect", *_CONF_RUN], "method=leiden\nseed=9\n", None),
         (["detect", "--config", "conf.txt", *_CONF_RUN], "# a comment\n\nmethod=leiden\nseed=9\nrelabel=false\n", None),
         (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\n seed \n", "bad config line: 'seed'"),
+        (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\nseed=false\n",
+         "argument --seed: invalid int value: 'false'"),
     ],
-    ids=["equals-form", "before-command", "flag-false", "malformed-line"],
+    ids=["equals-form", "before-command", "flag-false", "malformed-line", "value-false"],
 )
 def test_config_file_forms(workdir, capsys, argv, lines, error):
     """Wherever --config stands, its lines act as the flags they name; a
-    false flag is left unset, and a line without a value is refused."""
+    false on/off flag is left unset, a line without a value is refused,
+    and argparse checks every other value as it checks the flag's."""
     _make_graph(workdir)
     assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "9", "--out", "d.csv"]) == 0
     (workdir / "conf.txt").write_text(lines)

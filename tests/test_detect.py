@@ -123,6 +123,7 @@ def test_local_move_is_a_single_pass(two_triangles):
 def test_refine_noop_when_connected(two_triangles):
     p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
     out = leiden_refine(two_triangles, p)
+    assert out is p
     assert out.labels == p.labels
 
 

@@ -1,6 +1,8 @@
 """Seeded CLI outputs, pinned by their sha256.
 
-Each command below runs on a 200-node planted graph. The digest of every
+Each command below runs on a 200-node planted graph with unit weights, or
+on a 120-node graph whose weights are not integers, where the order in
+which aggregates are summed changes their bits. The digest of every
 file it writes, and of its stdout, is pinned, so a change that moves any
 seeded output by one bit fails here; a change that means to move them
 records new digests and says why. Manifests are hashed without
@@ -33,10 +35,25 @@ COMMANDS = {
     "bench": ["benchmark", "--graph", "g.el", "--methods", "leiden,louvain-hu,leiden-haar", "--runs", "3",
               "--iterations", "2", "--seed", "9", "--out", "bench"],
     "sig": ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2", "--seed", "2", "--out", "sig"],
+    "wdet": ["detect", "--graph", "w.el", "--method", "leiden", "--seed", "5", "--out", "wdet.csv"],
+    "whh": ["qicd", "--graph", "w.el", "--kind", "haar-hu", "--refine-before-accept", "--iterations", "4",
+            "--seed", "6", "--out", "whh"],
 }
 
+
+def _weighted_edge_list() -> str:
+    """120 nodes in 8 groups of 15: dense within a group, sparse across,
+    with weights from 0.1 to 2.506 at four decimals."""
+    lines = []
+    for u in range(120):
+        for v in range(u + 1, 120):
+            if (u * 7 + v * 11) % (3 if u // 15 == v // 15 else 29) == 0:
+                lines.append(f"{u} {v} {0.1 + (u * 13 + v * 17) % 25 / 10 + (u + v) % 7 / 1000:.4f}")
+    return "\n".join(lines) + "\n"
+
+
 # Input files that COMMANDS read, written before they run.
-INPUTS = {"det.conf": "method=leiden\nseed=3\n"}
+INPUTS = {"det.conf": "method=leiden\nseed=3\n", "w.el": _weighted_edge_list()}
 
 PINNED = {
     "g.stdout": "2a2860d381f133e66d61e0b846bc4f399a8936ef3bc8e2fd3314529c0c262e91",
@@ -71,6 +88,15 @@ PINNED = {
     "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
     "sig.manifest.json": "bc51ff0fed8f82277d3b8ac634cdcc3873a760c41c76174e6b0a5dfff2bdb926",
     "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
+    "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
+    "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
+    "wdet.manifest.json": "533fb5602ad946dfb2750b8ac8fd8e4cd31b214b9b4c9aad9bf718736bc43e77",
+    "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
+    "whh.json": "940f587714fa76fa85d442801e4c19a6c42ccdb8e5c52174cbddd922ae359a6c",
+    "whh.manifest.json": "368a08b2e2ee06fa18118bb6feb43851e19dd97d7aaf4f155737eb8e479834a2",
+    "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
+    "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
+    "whh.trace.csv": "d00eabe0e7842b60d3a10ed7401c25855f11a258a4e0386ace0412313f6d86e8",
 }
 
 

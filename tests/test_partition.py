@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from qicd import (
+    DetectorConfig,
+    HyperuniformParams,
     Partition,
+    QicdConfig,
     aggregate,
     build_graph,
     community_members,
+    hu_noise,
+    hyperuniform_adjust,
+    leiden,
+    leiden_refine,
+    louvain,
+    make_rng,
     modularity,
+    run_qicd,
     singleton_partition,
 )
+from qicd.detect import move_nodes, seeded_pass
 
 from conftest import TWO_TRIANGLES_EDGES, check_move_pass, collapse, make_random_graph, modularity_double_sum
 
@@ -216,3 +227,49 @@ def test_aggregate_preserves_modularity():
 def test_community_members(two_triangles):
     p = Partition(two_triangles, [1, 0, 1, 0, 0, 1])
     assert community_members(p) == [[1, 3, 4], [0, 2, 5]]
+
+
+def _state(p):
+    return (p.labels[:], p.community_count, p.internal_weight[:], p.community_strength[:], p.sizes[:])
+
+
+def _assert_compact_value(graph, out):
+    """out has no empty community, and its aggregates are those of a fresh
+    Partition over its labels."""
+    fresh = Partition(graph, out.labels)
+    assert all(size > 0 for size in out.sizes)
+    assert (out.labels, out.community_count, out.sizes) == (fresh.labels, fresh.community_count, fresh.sizes)
+    assert out.internal_weight == pytest.approx(fresh.internal_weight, rel=1e-12, abs=1e-9)
+    assert out.community_strength == pytest.approx(fresh.community_strength, rel=1e-12, abs=1e-9)
+
+
+def test_partitions_are_values():
+    # Only detect.move_nodes changes a Partition, on its own copy: no public
+    # route alters its input or returns a partition with an empty community.
+    rnd = random.Random(31)
+    det = DetectorConfig(seed=3)
+    hu = HyperuniformParams(skew_factor=1.5, reassign_fraction=0.3)
+    checked = 0
+    while checked < 30:
+        g = make_random_graph(rnd, n_max=14)
+        if g.total_weight == 0:
+            continue
+        checked += 1
+        p = Partition(g, _random_partition(rnd, g.node_count))
+        before = _state(p)
+        rng = make_rng(rnd.randrange(2**32))
+        outputs = [
+            move_nodes(g, p, det, rng),
+            leiden_refine(g, p),
+            seeded_pass(g, p, det, refine=True, rng=rng),
+            seeded_pass(g, p, det, refine=False, rng=rng),
+            hyperuniform_adjust(g, p, hu, rng),
+            hu_noise(g, p, hu, rng),
+        ]
+        assert _state(p) == before
+        outputs += [leiden(g, det), louvain(g, det)]
+        for kind in ("haar-hu", "hu"):
+            cfg = QicdConfig(kind=kind, iterations=3, refine_before_accept=True, detector=det, seed=checked)
+            outputs.append(run_qicd(g, cfg).best_partition)
+        for out in outputs:
+            _assert_compact_value(g, out)
