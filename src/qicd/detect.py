@@ -43,7 +43,7 @@ class DetectorConfig:
 def _flat(graph: Graph) -> tuple:
     """What the move loop reads of a graph: its CSR arrays as Python lists,
     which the interpreted loop indexes much faster than numpy arrays, then
-    its strengths, self weights (zeros when it has none) and total weight.
+    its strengths and total weight.
 
     The lists share their objects: indices holds one int per node, and
     weights one float when all weights are equal."""
@@ -52,20 +52,19 @@ def _flat(graph: Graph) -> tuple:
         weights = [float(w[0])] * len(w)
     else:
         weights = w.tolist()
-    own = graph.self_weights or (0.0,) * graph.node_count
     return (
         graph.indptr.tolist(),
         np.arange(graph.node_count).astype(object)[graph.indices].tolist(),
         weights,
         graph.strengths,
-        own,
         graph.total_weight,
     )
 
 
 def _move_pass(
     flat: tuple,
-    partition: Partition,
+    labels: list[int],
+    comm_strength: list[float],
     rng: np.random.Generator,
     resolution: float,
     active: list[bool],
@@ -77,20 +76,18 @@ def _move_pass(
     a seeded run is reproducible. Only nodes flagged in `active` are
     visited, and each visit clears the node's flag; every move re-flags the
     mover's neighbors outside its destination, so later passes skip settled
-    regions. flat is the graph as _flat returns it. Returns the summed
-    gain of applied moves.
+    regions. flat is the graph as _flat returns it; labels holds each
+    node's community and comm_strength each community's total strength,
+    the only state a gain reads, and a move updates both. Returns the
+    summed gain of applied moves.
     """
-    indptr, indices, weights, strengths, own, m = flat
-    labels = partition.labels
-    comm_strength = partition.community_strength
-    internal = partition.internal_weight
-    sizes = partition.sizes
+    indptr, indices, weights, strengths, m = flat
     inv_m = 1.0 / m
     coef = resolution / (2.0 * m * m)
 
     # Flat per-community accumulator with a touched list; edge weights are
     # strictly positive, so a zero entry always means "not seen yet".
-    weight_to = [0.0] * len(internal)
+    weight_to = [0.0] * len(comm_strength)
     touched: list[int] = []
 
     gain = 0.0
@@ -123,12 +120,8 @@ def _move_pass(
                 best_gain = d
                 best = c
         if best != a:
-            internal[a] -= w_old + own[u]
-            internal[best] += weight_to[best] + own[u]
             comm_strength[a] = base
             comm_strength[best] += s
-            sizes[a] -= 1
-            sizes[best] += 1
             labels[u] = best
             gain += best_gain
             # Neighbors already in the destination only gained incentive to
@@ -148,19 +141,29 @@ def move_nodes(
     cfg: DetectorConfig,
     rng: np.random.Generator,
 ) -> Partition:
-    """Greedy move passes over a copy of partition until a sweep gains less
-    than min_gain; returns the copy without its emptied communities.
+    """Greedy move passes from partition's labels until a sweep gains less
+    than min_gain; returns the Partition of the labels they end with.
 
-    The only code that changes a Partition: everything else reads one as a
-    value and builds a new one to change it."""
-    out = partition.copy()
-    flat = _flat(graph)
-    active = [True] * len(out.labels)
+    The only code that moves nodes. When the total weight m is outside
+    2^±500, near where m * m leaves the float range, the passes read
+    weights and strengths scaled by an exact power of two, so no gain and
+    no move changes.
+    """
+    labels = list(partition.labels)
+    comm_strength = list(partition.community_strength)
+    indptr, indices, weights, strengths, m = _flat(graph)
+    e = math.frexp(m)[1]
+    if abs(e) > 500:
+        # One ldexp per value: for subnormal weights 2^-e itself overflows.
+        scaled = ([math.ldexp(x, -e) for x in xs] for xs in (weights, strengths, comm_strength))
+        weights, strengths, comm_strength = scaled
+        m = math.ldexp(m, -e)
+    flat = (indptr, indices, weights, strengths, m)
+    active = [True] * len(labels)
     for _ in range(cfg.max_sweeps_per_level):
-        gain = _move_pass(flat, out, rng, cfg.resolution, active)
-        if gain < cfg.min_gain:
+        if _move_pass(flat, labels, comm_strength, rng, cfg.resolution, active) < cfg.min_gain:
             break
-    return out.compact()
+    return Partition(graph, labels)
 
 
 def leiden_refine(graph: Graph, partition: Partition) -> Partition:

@@ -167,11 +167,13 @@ def build_graph(
         total_weight = math.fsum(_floats(pair_w))
     except OverflowError:
         total_weight = math.inf
-    if not math.isfinite(total_weight):
+    if not math.isfinite(2.0 * total_weight):
         # Every merged weight and node strength is part of the total, so the
-        # running total in input order leaves the float range first.
+        # running total in input order leaves the float range first; when
+        # only twice the total (the strength sum) does, twice the running
+        # total does first.
         with np.errstate(over="ignore"):
-            running = np.cumsum(cols[:, 2])
+            running = np.cumsum(cols[:, 2]) * (1.0 if math.isinf(total_weight) else 2.0)
         idx = min(int(np.searchsorted(running, math.inf)), valid - 1)
         raise EdgeListError(f"{where(idx)}: the edge weights sum past the float range")
     return Graph(

@@ -1,12 +1,11 @@
 """Partitions of a graph's nodes and the modularity machinery over them.
 
-A Partition stores one community label per node plus per-community
-aggregates (internal edge weight, total member strength, size) so that
-modularity is O(C). It is a value: every community is non-empty, and code
-that wants other labels builds a new Partition. detect.move_nodes alone
-changes one, on its own copy: its move kernel, detect._move_pass, computes
-single-node move gains from the aggregates in O(deg) and updates them in
-place, and compact() then drops the communities it emptied.
+A Partition is computed once from a graph and one community label per
+node: dense labels and per-community aggregates (internal edge weight,
+total member strength, size), so that modularity is O(C). It is a value
+with no empty community that nothing changes after it is built.
+detect.move_nodes moves nodes on lists of labels and community strengths,
+all that its kernel detect._move_pass reads, and builds a new Partition.
 
 aggregate collapses each community into one node. The collapsed graph
 carries each community's internal weight as that node's self weight,
@@ -62,31 +61,6 @@ class Partition:
         self.internal_weight = internal.tolist()
         self.community_strength = strength.tolist()
         self.sizes = np.bincount(dense, minlength=c_count).tolist()
-
-    def copy(self) -> "Partition":
-        out = object.__new__(Partition)
-        out.labels = list(self.labels)
-        out.community_count = self.community_count
-        out.internal_weight = list(self.internal_weight)
-        out.community_strength = list(self.community_strength)
-        out.sizes = list(self.sizes)
-        return out
-
-    def compact(self) -> "Partition":
-        """Drop empty communities and renumber densely (stable order)."""
-        if all(size > 0 for size in self.sizes):
-            return self
-        remap: dict[int, int] = {}
-        for c, size in enumerate(self.sizes):
-            if size > 0:
-                remap[c] = len(remap)
-        self.labels = [remap[c] for c in self.labels]
-        keep = sorted(remap)
-        self.internal_weight = [self.internal_weight[c] for c in keep]
-        self.community_strength = [self.community_strength[c] for c in keep]
-        self.sizes = [self.sizes[c] for c in keep]
-        self.community_count = len(keep)
-        return self
 
 
 def singleton_partition(graph: Graph) -> Partition:

@@ -167,6 +167,19 @@ def test_detect_two_triangles_q(workdir, capsys):
     assert capsys.readouterr().out.strip() == "Q=0.500000"
 
 
+@pytest.mark.parametrize("weight", ["1e200", "1e-200"])
+def test_detect_finds_the_cliques_at_any_weight_scale(workdir, capsys, weight):
+    # Q does not change when every weight is multiplied by one constant.
+    assert main(["generate", "clique-ring", "--cliques", "4", "--size", "4", "--out", "ring.el"]) == 0
+    edges = [line.split()[:2] for line in (workdir / "ring.el").read_text().splitlines() if line[0] != "#"]
+    (workdir / "w.el").write_text("".join(f"{u} {v} {weight}\n" for u, v in edges))
+    capsys.readouterr()
+    assert main(["detect", "--graph", "w.el", "--method", "leiden", "--out", "p.csv"]) == 0
+    assert capsys.readouterr().out.strip() == "Q=0.607143"
+    rows = (workdir / "p.csv").read_text().splitlines()[1:]
+    assert len({row.split(",")[1] for row in rows}) == 4
+
+
 def test_detect_deterministic_bytes(workdir):
     _make_graph(workdir)
     main(["detect", "--graph", "g.el", "--method", "louvain", "--seed", "5", "--out", "a.csv"])

@@ -1,10 +1,13 @@
+import math
 import random
+import sys
 
 import pytest
 
 from qicd import (
     DetectorConfig,
     Partition,
+    QicdConfig,
     build_graph,
     leiden,
     leiden_refine,
@@ -12,6 +15,7 @@ from qicd import (
     make_rng,
     modularity,
     ring_of_cliques,
+    run_qicd,
     singleton_partition,
 )
 from qicd.detect import _flat, _move_pass, seeded_pass
@@ -25,10 +29,10 @@ from conftest import (
 
 
 def one_pass(graph, partition, rng):
-    """One greedy move pass over every node, on a copy of partition."""
-    out = partition.copy()
-    _move_pass(_flat(graph), out, rng, 1.0, [True] * graph.node_count)
-    return out.compact()
+    """One greedy move pass over every node, from partition's labels."""
+    labels = list(partition.labels)
+    _move_pass(_flat(graph), labels, list(partition.community_strength), rng, 1.0, [True] * graph.node_count)
+    return Partition(graph, labels)
 
 
 def test_config_validation():
@@ -75,6 +79,28 @@ def test_ring_of_cliques_recovered():
     assert pl.labels == pd.labels
 
 
+def test_labels_do_not_change_when_every_weight_is_scaled_by_a_power_of_two():
+    # Q is scale-free and scaling by 2**k is exact, so every decision, and
+    # so every label, must be that of k = 0.
+    rnd = random.Random(40)
+    n = 40
+    edges = [(u, v, rnd.uniform(0.1, 3.0)) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.2]
+    weights = [w for *_, w in edges]
+    # At both ends of the range of k every weight stays a normal float and 2m stays finite.
+    assert math.ldexp(min(weights), -1000) >= sys.float_info.min
+    assert math.ldexp(2.0 * math.fsum(weights), 1000) < sys.float_info.max
+    det = DetectorConfig(seed=5)
+    polished = QicdConfig(kind="haar-hu", iterations=3, refine_before_accept=True, detector=det, seed=5)
+
+    def labels(k):
+        g = build_graph(n, [(u, v, math.ldexp(w, k)) for u, v, w in edges])
+        return [leiden(g, det).labels, louvain(g, det).labels, run_qicd(g, polished).best_partition.labels]
+
+    expected = labels(0)
+    for k in range(-1000, 1001, 25):
+        assert labels(k) == expected, k
+
+
 def test_edgeless_graph_rejected():
     g = build_graph(4, [])
     for detector in (louvain, leiden):
@@ -113,11 +139,11 @@ def test_local_move_never_decreases_q():
 def test_local_move_is_a_single_pass(two_triangles):
     # At a fixed point one pass visits every flagged node once, clears its
     # flag, and moves nothing, so no node is flagged again.
-    p = Partition(two_triangles, [0, 0, 0, 1, 1, 1])
+    labels = [0, 0, 0, 1, 1, 1]
     active = [True] * 6
-    assert _move_pass(_flat(two_triangles), p, make_rng(0), 1.0, active) == 0.0
+    assert _move_pass(_flat(two_triangles), labels, [6.0, 6.0], make_rng(0), 1.0, active) == 0.0
     assert active == [False] * 6
-    assert p.labels == [0, 0, 0, 1, 1, 1]
+    assert labels == [0, 0, 0, 1, 1, 1]
 
 
 def test_refine_noop_when_connected(two_triangles):

@@ -138,6 +138,8 @@ def test_load_parse_error_reports_line():
         # a running sum leaves the float range: node 1's strength, then only the total
         (load_edge_list, "0 1 1e308\n1 2 1e308\n2 3\n", "line 2: the edge weights sum past the float range"),
         (load_edge_list, "0 1 1e308\n2 3 1e308\n", "line 2: the edge weights sum past the float range"),
+        # twice the total, the strength sum that modularity divides by, leaves it
+        (load_edge_list, "0 1 5e307\n1 2 5e307\n2 3\n", "line 2: the edge weights sum past the float range"),
         (load_edge_list, "0 1\n# nodes: 99999999999999999999\n", "line 2: node count 99999999999999999999 is too large"),
         # without a header, the count comes from the line holding the largest id
         (load_edge_list, "0 1\n1 99999999999999999999\n", "line 2: node count 100000000000000000000 is too large"),

@@ -238,12 +238,12 @@ def move_cases(draw, collapsed):
                 seed=draw(st.integers(0, 2**32 - 1)), resolution=draw(st.sampled_from([1.0, 0.7])))
 
 
-# Both properties check the pass's gain and its aggregates: the first on
-# collapsed graphs, whose self weights every move must carry along, the
-# second on plain graphs.
+# Both properties check the pass's gain and its community strengths: the
+# first on collapsed graphs, whose self weights count in every strength,
+# the second on plain graphs.
 @PROPERTY
 @given(case=move_cases(collapsed=True))
-def test_aggregates_after_moves_match_a_fresh_partition(case):
+def test_community_strengths_after_moves_match_a_fresh_partition(case):
     check_move_pass(**case)
 
 

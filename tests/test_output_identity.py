@@ -92,11 +92,12 @@ PINNED = {
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
     "wdet.manifest.json": "533fb5602ad946dfb2750b8ac8fd8e4cd31b214b9b4c9aad9bf718736bc43e77",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
-    "whh.json": "940f587714fa76fa85d442801e4c19a6c42ccdb8e5c52174cbddd922ae359a6c",
+    # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
+    "whh.json": "efddd5c59e7f6e0f6b6ce6d164eb6db2afa5088b50fcad9447d7e1020bfb60f8",
     "whh.manifest.json": "368a08b2e2ee06fa18118bb6feb43851e19dd97d7aaf4f155737eb8e479834a2",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
-    "whh.trace.csv": "d00eabe0e7842b60d3a10ed7401c25855f11a258a4e0386ace0412313f6d86e8",
+    "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",
 }
 
 

@@ -133,9 +133,9 @@ def test_q_range():
         assert -1.0 <= q <= 1.0
 
 
-# The gains and aggregate updates of a move live in detect._move_pass, the
-# one move kernel; check_move_pass holds it to the double sum and to a
-# fresh Partition.
+# The gains and community-strength updates of a move live in
+# detect._move_pass, the one move kernel; check_move_pass holds it to the
+# double sum and to a fresh Partition.
 
 
 def test_delta_q_noop_is_exactly_zero(two_triangles):
@@ -167,13 +167,13 @@ def test_delta_q_matches_full_recompute_randomly():
                         [rnd.random() < 0.7 for _ in range(n)], original=g, node_of=node_of)
 
 
-def test_compact_drops_emptied_communities(two_triangles):
+def test_move_nodes_returns_no_empty_community(two_triangles):
     # node 5 alone in community 2 joins 3 and 4, which empties community 2
-    gain, p = check_move_pass(two_triangles, [0, 0, 0, 1, 1, 2], seed=0, active=[False] * 5 + [True])
-    assert gain > 0
+    p = move_nodes(two_triangles, Partition(two_triangles, [0, 0, 0, 1, 1, 2]), DetectorConfig(), make_rng(0))
     assert p.community_count == 2
     assert p.sizes == [3, 3]
     assert p.labels == [0, 0, 0, 1, 1, 1]
+    assert modularity(two_triangles, p) == 0.5
 
 
 def test_aggregate_singletons_is_isomorphic():
