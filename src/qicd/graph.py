@@ -23,7 +23,11 @@ class EdgeListError(ValueError):
 
 
 class NodeCountError(EdgeListError):
-    """A node count too large to allocate."""
+    """A node count too large to allocate or to key a pair by."""
+
+
+# The largest n whose pair keys lo * n + hi, up to n * n - 1, fit int64.
+_MAX_NODES = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +89,27 @@ def build_graph(
 ) -> Graph:
     """Build a Graph from (u, v, weight) triples over nodes 0..n-1.
 
-    edges may also be an (m, 3) array. Isolated nodes are permitted.
+    edges may also be an (m, 3) array. Isolated nodes are permitted, up to
+    n = isqrt(2**63 - 1), so that a pair's sort key lo * n + hi fits int64.
     Duplicate undirected pairs are rejected unless merge_duplicates is set,
     in which case their weights are summed in input order. Errors name the
     first offending edge in input order as where(index), by default its
     index.
+
+    Two stable single-key sorts order the edges: pairs by that key, so a
+    repeated pair keeps input order, then the CSR entries by row alone.
+    When every merged weight is an integer and their sum is below 2**52,
+    strengths come from one cumulative sum, which is then exact and so
+    equal to the math.fsum of each row; otherwise each row is fsum'd.
     """
     if n < 0:
         raise EdgeListError(f"node count must be non-negative, got {n}")
+    if n > _MAX_NODES:
+        raise NodeCountError(f"node count {n} is too large")
     try:
         # First, so that a hostile node count fails before any edge work.
         indptr = np.zeros(n + 1, dtype=np.int64)
-    except (ValueError, OverflowError, MemoryError):
+    except MemoryError:
         raise NodeCountError(f"node count {n} is too large") from None
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
@@ -120,15 +133,16 @@ def build_graph(
     lo = ends.min(axis=1)
     hi = ends.max(axis=1)
     del ends
-    order = np.lexsort((hi, lo))  # stable: a repeated pair keeps input order
-    lo, hi, weights = lo[order], hi[order], cols[order, 2]
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")  # a repeated pair keeps input order
+    key, weights = key[order], cols[order, 2]
     first = np.ones(valid, dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first[1:] = key[1:] != key[:-1]
+    del key
     if not merge_duplicates and not first.all():
         idx = int(order[~first].min())
         u, v = sorted(int(x) for x in cols[idx, :2])
         raise EdgeListError(f"{where(idx)}: duplicate edge {u}-{v}")
-    del order
     if valid < len(cols):
         u, v = (int(x) for x in cols[valid, :2])
         if outside[valid]:
@@ -149,10 +163,14 @@ def build_graph(
             for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
                 pair_w[g] = np.add.accumulate(weights[bounds[g] : bounds[g + 1]])[-1]
     del weights
-    src = np.concatenate((lo[starts], hi[starts]))
-    dst = np.concatenate((hi[starts], lo[starts]))
-    del lo, hi, starts
-    order = np.lexsort((dst, src))
+    # The pairs are in (lo, hi) order, so a stable sort by row alone puts
+    # each row's lower neighbours, ascending, ahead of its higher ones.
+    pairs = order[starts]
+    del order, starts
+    src = np.concatenate((hi[pairs], lo[pairs]))
+    dst = np.concatenate((lo[pairs], hi[pairs]))
+    del lo, hi, pairs
+    order = np.argsort(src, kind="stable")
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     del src
     indices = dst[order]
@@ -161,12 +179,20 @@ def build_graph(
     del order
     for array in (indptr, indices, weights):
         array.flags.writeable = False
-    try:
-        runs = _floats(weights)
-        strengths = tuple(math.fsum(islice(runs, d)) for d in np.diff(indptr).tolist())
-        total_weight = math.fsum(_floats(pair_w))
-    except OverflowError:
-        total_weight = math.inf
+    with np.errstate(over="ignore"):  # an infinite sum takes the fsum route
+        total_weight = float(pair_w.sum())
+    if total_weight < 2.0**52 and (pair_w == np.trunc(pair_w)).all():
+        # Every running sum of the 2m weights is an integer below 2**53.
+        running = np.zeros(len(weights) + 1)
+        np.cumsum(weights, out=running[1:])
+        strengths = tuple(np.diff(running[indptr]).tolist())
+    else:
+        try:
+            runs = _floats(weights)
+            strengths = tuple(math.fsum(islice(runs, d)) for d in np.diff(indptr).tolist())
+            total_weight = math.fsum(_floats(pair_w))
+        except OverflowError:
+            total_weight = math.inf
     if not math.isfinite(2.0 * total_weight):
         # Every merged weight and node strength is part of the total, so the
         # running total in input order leaves the float range first; when

@@ -200,6 +200,13 @@ def test_detect_names_the_line_of_a_byte_that_is_not_utf8(workdir, capsys):
     assert capsys.readouterr().err.startswith("line 3: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_detect_rejects_a_node_count_past_the_pair_key_range(workdir, capsys):
+    (workdir / "huge.el").write_text("# nodes: 3037000500\n0 1\n")
+    assert main(["detect", "--graph", "huge.el", "--method", "leiden", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.strip() == "line 1: node count 3037000500 is too large"
+    assert not (workdir / "x.csv").exists()
+
+
 def test_usage_errors_exit_1(workdir, capsys):
     assert main(["detect", "--graph", "g.el", "--method", "bogus", "--out", "x.csv"]) == 1
     assert main(["mrg", "--graph", "g.el", "--nulls", "4", "--out", "x"]) == 1

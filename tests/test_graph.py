@@ -12,6 +12,7 @@ import pytest
 
 import qicd
 from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list
+from qicd.graph import NodeCountError
 from qicd.detect import _flat
 
 from conftest import make_random_graph
@@ -151,10 +152,11 @@ def test_load_validation_errors_report_file_line(loader, text, message):
 
 
 def test_oversized_header_is_a_data_error_under_a_memory_limit(tmp_path):
-    """A header count whose arrays cannot be allocated (8 TiB here) exits 2
-    naming the header line. The child's address space is capped so that no
-    host ever really allocates it."""
-    (tmp_path / "g.el").write_text("# nodes: 1099511627776\n0 1\n")
+    """A header count whose arrays cannot be allocated (24 GB here, below
+    the pair-key bound, so that the allocation itself fails) exits 2 naming
+    the header line. The child's address space is capped so that no host
+    ever really allocates it."""
+    (tmp_path / "g.el").write_text("# nodes: 3000000000\n0 1\n")
     package_root = str(Path(qicd.__file__).resolve().parent.parent)
     script = (
         "import resource, sys\n"
@@ -168,7 +170,26 @@ def test_oversized_header_is_a_data_error_under_a_memory_limit(tmp_path):
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 2, result.stderr
-    assert result.stderr.strip() == "line 1: node count 1099511627776 is too large"
+    assert result.stderr.strip() == "line 1: node count 3000000000 is too large"
+
+
+# The smallest node count whose pair keys lo * n + hi could pass int64.
+TOO_MANY_NODES = 3_037_000_500
+
+
+def test_a_node_count_past_the_pair_key_range_fails_before_any_allocation():
+    # isqrt(2**63 - 1) nodes would be accepted, at about 24 GB, so that
+    # count is not tried.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeCountError, match=f"^node count {TOO_MANY_NODES} is too large$"):
+            build_graph(TOO_MANY_NODES, [])
+        with pytest.raises(NodeCountError, match=f"^line 1: node count {TOO_MANY_NODES} is too large$"):
+            load_edge_list(f"# nodes: {TOO_MANY_NODES}\n0 1\n")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_tolerates_comments_blanks_and_crlf():

@@ -7,6 +7,7 @@ groupings and active masks of the property checks.
 """
 
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -172,6 +173,61 @@ def test_dump_load_round_trip_is_exact(case):
         assert np.array_equal(getattr(back, name), getattr(g, name)), name
     assert back.strengths == g.strengths
     assert back.total_weight == g.total_weight
+
+
+@st.composite
+def repeated_edge_lists(draw, weights):
+    """(n, triples) with pairs drawn with repeats, each repeat in a random
+    orientation, in random order."""
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=60))
+    triples = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+    triples = [(u, v, draw(weights)) for u, v in draw(st.permutations(triples))]
+    return n, triples
+
+
+def reference_csr(n, triples):
+    """build_graph(n, triples, merge_duplicates=True), one edge at a time:
+    the CSR arrays (as lists), strengths and total weight."""
+    merged: dict[tuple[int, int], float] = {}
+    for u, v, w in triples:
+        pair = (min(u, v), max(u, v))
+        merged[pair] = merged[pair] + w if pair in merged else w
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (u, v), w in merged.items():
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    indptr, indices, weights = [0], [], []
+    for row in rows:
+        row.sort()
+        indices += [v for v, _w in row]
+        weights += [w for _v, w in row]
+        indptr.append(len(indices))
+    strengths = tuple(math.fsum(w for _v, w in row) for row in rows)
+    return indptr, indices, weights, strengths, math.fsum(merged.values())
+
+
+# Integer weights up to 2**50 put the total on either side of 2**52, where
+# build_graph's strengths change route.
+BUILD_WEIGHTS = {
+    "fractional": st.floats(0.01, 100.0),
+    "small-integer": st.integers(1, 3).map(float),
+    "large-integer": st.integers(2**48, 2**50).map(float),
+}
+
+
+@pytest.mark.parametrize("merge", [False, True])
+@pytest.mark.parametrize("weights", list(BUILD_WEIGHTS))
+@PROPERTY
+@given(data=st.data())
+def test_build_graph_matches_an_edge_by_edge_adjacency(data, weights, merge):
+    strategy = repeated_edge_lists if merge else edge_lists
+    n, triples = data.draw(strategy(weights=BUILD_WEIGHTS[weights]))
+    g = build_graph(n, triples, merge_duplicates=merge)
+    indptr, indices, csr_weights, strengths, total_weight = reference_csr(n, triples)
+    assert (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()) == (indptr, indices, csr_weights)
+    assert g.strengths == strengths
+    assert g.total_weight == total_weight
 
 
 # Malformed lines, each a different fault of the parser or of the graph.

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -234,13 +236,27 @@ def _state(p):
 
 
 def _assert_compact_value(graph, out):
-    """out has no empty community, and its aggregates are those of a fresh
-    Partition over its labels."""
-    fresh = Partition(graph, out.labels)
+    """out has dense labels and no empty community, and its aggregates match
+    those counted and summed here, node by node and edge by edge."""
+    count = out.community_count
+    assert set(out.labels) == set(range(count))
     assert all(size > 0 for size in out.sizes)
-    assert (out.labels, out.community_count, out.sizes) == (fresh.labels, fresh.community_count, fresh.sizes)
-    assert out.internal_weight == pytest.approx(fresh.internal_weight, rel=1e-12, abs=1e-9)
-    assert out.community_strength == pytest.approx(fresh.community_strength, rel=1e-12, abs=1e-9)
+    sizes = Counter(out.labels)
+    assert out.sizes == [sizes[c] for c in range(count)]
+    members = [[u for u, label in enumerate(out.labels) if label == c] for c in range(count)]
+    strength = [math.fsum(graph.strengths[u] for u in nodes) for nodes in members]
+    assert out.community_strength == pytest.approx(strength, rel=1e-12, abs=1e-9)
+    indptr, indices, weights = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
+    internal = [
+        math.fsum(
+            weights[k]
+            for u in nodes
+            for k in range(indptr[u], indptr[u + 1])
+            if u < indices[k] and out.labels[indices[k]] == c
+        )
+        for c, nodes in enumerate(members)
+    ]
+    assert out.internal_weight == pytest.approx(internal, rel=1e-12, abs=1e-9)
 
 
 def test_partitions_are_values():
