@@ -355,6 +355,8 @@ def _run_benchmark(config: dict):
         if config.get("generate_spec") and config.get(key):
             raise UsageError(f"--{key.replace('_', '-')} applies to --graph, not to --generate-spec")
     methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods lists no method names")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise UsageError(f"unknown method names: {', '.join(unknown)}")

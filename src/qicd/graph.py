@@ -92,9 +92,9 @@ def build_graph(
     edges may also be an (m, 3) array. Isolated nodes are permitted, up to
     n = isqrt(2**63 - 1), so that a pair's sort key lo * n + hi fits int64.
     Duplicate undirected pairs are rejected unless merge_duplicates is set,
-    in which case their weights are summed in input order. Errors name the
-    first offending edge in input order as where(index), by default its
-    index.
+    in which case one bincount sums each pair's weights in input order.
+    Errors name the first offending edge in input order as where(index), by
+    default its index.
 
     Two stable single-key sorts order the edges: pairs by that key, so a
     repeated pair keeps input order, then the CSR entries by row alone.
@@ -153,16 +153,10 @@ def build_graph(
     del outside, loop
 
     starts = np.flatnonzero(first)
-    del first
-    pair_w = weights[starts]
-    if len(starts) < valid:
-        # A repeated pair's weights add up strictly left to right, in input
-        # order; accumulate, unlike sum, does not regroup the additions.
-        bounds = np.append(starts, valid)
-        with np.errstate(over="ignore"):  # an infinite sum is reported below
-            for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
-                pair_w[g] = np.add.accumulate(weights[bounds[g] : bounds[g + 1]])[-1]
-    del weights
+    # bincount adds a repeated pair's weights left to right, in input order
+    # (an infinite sum is reported below); with no repeats it only costs memory.
+    pair_w = np.bincount(np.cumsum(first) - 1, weights=weights) if len(starts) < valid else weights[starts]
+    del first, weights
     # The pairs are in (lo, hi) order, so a stable sort by row alone puts
     # each row's lower neighbours, ascending, ahead of its higher ones.
     pairs = order[starts]

@@ -98,20 +98,18 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
 def aggregate(graph: Graph, partition: Partition) -> Graph:
     """Collapse each community into a single node.
 
-    The community graph holds the summed cross-community weights as edges
-    and each community's internal weight as its node's self weight.
+    The cross-community edges go to build_graph with merge_duplicates,
+    which sums them into one edge per pair of communities in edge_arrays
+    order; each community's internal weight becomes its node's self weight.
     """
-    c_count = partition.community_count
     us, vs, ws = graph.edge_arrays()
     lab = np.asarray(partition.labels, dtype=np.int64)
-    cu = lab[us]
-    cv = lab[vs]
+    cu, cv = lab[us], lab[vs]
+    del us, vs
     cross = cu != cv
-    lo = np.minimum(cu[cross], cv[cross])
-    hi = np.maximum(cu[cross], cv[cross])
-    keys, inverse = np.unique(lo * c_count + hi, return_inverse=True)
-    sums = np.bincount(inverse, weights=ws[cross])
-    collapsed = build_graph(c_count, np.column_stack((keys // c_count, keys % c_count, sums)))
+    edges = np.column_stack((cu[cross], cv[cross], ws[cross]))
+    del cu, cv, ws, cross
+    collapsed = build_graph(partition.community_count, edges, merge_duplicates=True)
     internal = partition.internal_weight
     return dataclasses.replace(
         collapsed,

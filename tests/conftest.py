@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -29,6 +30,16 @@ def make_random_graph(rnd: random.Random, n_max: int = 8, weighted: bool = True)
                 w = rnd.uniform(0.1, 3.0) if weighted else 1.0
                 edges.append((i, j, w))
     return build_graph(n, edges)
+
+
+def traced_bytes(fn, *args) -> int:
+    """Peak traced allocation of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def modularity_double_sum(graph: Graph, labels, resolution: float = 1.0) -> float:

@@ -451,6 +451,8 @@ _SPEC = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
 @pytest.mark.parametrize(
     "settings, message",
     [
+        ({"methods": ""}, "--methods lists no method names"),
+        ({"methods": ","}, "--methods lists no method names"),
         ({"methods": "leiden,leiden-hu,leiden"}, "--methods lists 'leiden' more than once"),
         ({"runs": "2,louvain=5"}, "--runs sets a count for 'louvain', which --methods does not list"),
         ({"graph": None, "generate_spec": _SPEC, "relabel": True},
@@ -458,11 +460,13 @@ _SPEC = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
         ({"graph": None, "generate_spec": _SPEC, "merge_duplicates": True},
          "--merge-duplicates applies to --graph, not to --generate-spec"),
     ],
-    ids=["repeated-method", "runs-for-unlisted-method", "relabel-with-spec", "merge-with-spec"],
+    ids=["empty-methods", "comma-methods", "repeated-method", "runs-for-unlisted-method", "relabel-with-spec",
+         "merge-with-spec"],
 )
 def test_benchmark_refuses_input_it_would_ignore(workdir, capsys, settings, message):
-    """Settings that would have no effect, or a repeated method whose rows
-    the summary would fold into one, are usage errors, also on replay."""
+    """Settings that would have no effect, a method list that names no
+    method, or a repeated method whose rows the summary would fold into
+    one, are usage errors, also on replay."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     assert main(["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-hu", "--runs", "2", "--out", "a"]) == 0
     manifest = json.loads((workdir / "a.manifest.json").read_text())

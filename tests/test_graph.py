@@ -15,7 +15,7 @@ from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list
 from qicd.graph import NodeCountError
 from qicd.detect import _flat
 
-from conftest import make_random_graph
+from conftest import make_random_graph, traced_bytes
 
 
 def load_relabeled(text):
@@ -219,15 +219,6 @@ def test_string_stream_and_bytes_sources_number_lines_alike():
         load_edge_list("0 1\r1 2\r\n0 2 x\n")
 
 
-def _traced_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_edge_list_io_memory_per_edge():
     """Traced allocation per edge on a 100k-edge unit-weight text. A per-line
     parser and per-entry Python objects cost about twice these bounds."""
@@ -237,9 +228,9 @@ def test_edge_list_io_memory_per_edge():
     keys = rng.permutation(keys[keys // n < keys % n][:m])
     graph = build_graph(n, np.column_stack((keys // n, keys % n, np.ones(m))))
     text = dump_edge_list(graph)
-    assert _traced_bytes(load_edge_list, text) / m < 250
-    assert _traced_bytes(_flat, graph) / m < 100
-    assert _traced_bytes(dump_edge_list, graph) / m < 120
+    assert traced_bytes(load_edge_list, text) / m < 250
+    assert traced_bytes(_flat, graph) / m < 100
+    assert traced_bytes(dump_edge_list, graph) / m < 120
 
 
 def test_round_trip_identity():

@@ -20,6 +20,7 @@ from qicd import (
     DetectorConfig,
     EdgeListError,
     Partition,
+    aggregate,
     build_graph,
     degree_preserving_rewire,
     dump_edge_list,
@@ -228,6 +229,50 @@ def test_build_graph_matches_an_edge_by_edge_adjacency(data, weights, merge):
     assert (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()) == (indptr, indices, csr_weights)
     assert g.strengths == strengths
     assert g.total_weight == total_weight
+
+
+def reference_aggregate(graph, labels):
+    """aggregate(graph, Partition(graph, labels)), one edge at a time: the
+    collapsed CSR arrays (as lists), strengths, total and self weights.
+    Each cross edge (lab[u], lab[v], w) is merged in edge_arrays order."""
+    rank = {c: i for i, c in enumerate(sorted(set(labels)))}
+    lab = [rank[c] for c in labels]
+    internal = [0.0] * len(rank)
+    cross = []
+    us, vs, ws = graph.edge_arrays()
+    for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
+        if lab[u] == lab[v]:
+            internal[lab[u]] += w
+        else:
+            cross.append((lab[u], lab[v], w))
+    if graph.self_weights is not None:
+        own = [0.0] * len(rank)
+        for u, w in enumerate(graph.self_weights):
+            own[lab[u]] += w
+        internal = [a + b for a, b in zip(internal, own)]
+    indptr, indices, weights, strengths, total_weight = reference_csr(len(rank), cross)
+    strengths = tuple(s + 2.0 * w for s, w in zip(strengths, internal))
+    return indptr, indices, weights, strengths, total_weight + math.fsum(internal), tuple(internal)
+
+
+@PROPERTY
+@given(case=labelled_graphs(), data=st.data())
+def test_aggregate_matches_an_edge_by_edge_merge(case, data):
+    """One level and the aggregate of an aggregate, on fractional weights,
+    whose sums change bits with the order of the additions."""
+    n, triples, labels = case
+    graph = build_graph(n, triples)
+    for _level in range(2):
+        collapsed = aggregate(graph, Partition(graph, labels))
+        indptr, indices, weights, strengths, total_weight, self_weights = reference_aggregate(graph, labels)
+        assert (collapsed.indptr.tolist(), collapsed.indices.tolist(), collapsed.weights.tolist()) == (
+            indptr, indices, weights)
+        assert collapsed.strengths == strengths
+        assert collapsed.total_weight == total_weight
+        assert collapsed.self_weights == self_weights
+        graph = collapsed
+        labels = data.draw(st.lists(st.integers(0, graph.node_count - 1), min_size=graph.node_count,
+                                    max_size=graph.node_count))
 
 
 # Malformed lines, each a different fault of the parser or of the graph.
