@@ -124,8 +124,6 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     deterministic partition, so the best result can never fall below the
     baseline; "singleton" starts from every node alone.
     """
-    if graph.total_weight <= 0.0:
-        raise ValueError("modularity undefined: graph has no edges")
     detect = louvain if cfg.base == "louvain" else leiden
     baseline_partition = detect(graph, cfg.detector)
     resolution = cfg.detector.resolution

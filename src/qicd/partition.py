@@ -1,11 +1,11 @@
 """Partitions of a graph's nodes and the modularity machinery over them.
 
-A Partition is computed once from a graph and one community label per
-node: dense labels and per-community aggregates (internal edge weight,
-total member strength, size), so that modularity is O(C). It is a value
-with no empty community that nothing changes after it is built.
-detect.move_nodes moves nodes on lists of labels and community strengths,
-all that its kernel detect._move_pass reads, and builds a new Partition.
+A Partition is computed once, in O(n), from a graph and one community
+label per node: dense labels and each community's total member strength.
+It is a value with no empty community that nothing changes after it is
+built. detect.move_nodes moves nodes on lists of labels and community
+strengths, all that its kernel detect._move_pass reads, and builds a new
+Partition.
 
 aggregate collapses each community into one node. The collapsed graph
 carries each community's internal weight as that node's self weight,
@@ -26,41 +26,41 @@ from .graph import Graph, build_graph
 
 
 class Partition:
-    """Community labels over a fixed graph, with consistent aggregates."""
+    """Dense community labels over a graph and each community's strength."""
 
-    __slots__ = ("labels", "community_count", "internal_weight", "community_strength", "sizes")
+    __slots__ = ("labels", "community_count", "community_strength")
 
     def __init__(self, graph: Graph, labels: Sequence[int]):
         n = graph.node_count
         if len(labels) != n:
             raise ValueError(f"labels cover {len(labels)} nodes, graph has {n}")
 
-        # Compact arbitrary non-negative labels to dense 0..C-1, preserving
-        # the relative order of label values.
-        raw = np.asarray(labels, dtype=np.int64)
+        # Compact arbitrary non-negative integer labels to dense 0..C-1,
+        # keeping the relative order of label values.
+        raw = np.asarray(labels)
         if raw.ndim != 1:
             raise ValueError("labels must be a flat sequence of ints")
+        if n and raw.dtype.kind not in "iu":
+            raise ValueError(f"community labels must be integers, got {raw.dtype} values")
         if n and raw.min() < 0:
             raise ValueError("community labels must be non-negative")
         _uniq, dense = np.unique(raw, return_inverse=True)
-        c_count = len(_uniq)
         self.labels = dense.tolist()
-        self.community_count = c_count
+        self.community_count = len(_uniq)
+        self.community_strength = np.bincount(dense, weights=graph.strengths, minlength=len(_uniq)).tolist()
 
-        us, vs, ws = graph.edge_arrays()
-        lab_u = dense[us]
-        same = lab_u == dense[vs]
-        internal = np.bincount(lab_u[same], weights=ws[same], minlength=c_count)
-        if graph.self_weights is not None:
-            internal = internal + np.bincount(
-                dense, weights=np.asarray(graph.self_weights), minlength=c_count
-            )
-        strength = np.bincount(
-            dense, weights=np.asarray(graph.strengths, dtype=np.float64), minlength=c_count
-        )
-        self.internal_weight = internal.tolist()
-        self.community_strength = strength.tolist()
-        self.sizes = np.bincount(dense, minlength=c_count).tolist()
+
+def _internal_sums(graph: Graph, labels: np.ndarray, c_count: int) -> np.ndarray:
+    """Each community's internal weight: its edges' weights in edge_arrays
+    order, plus its members' self weights on a collapsed graph."""
+    us, vs, ws = graph.edge_arrays()
+    lab_u = labels[us]
+    same = lab_u == labels[vs]
+    del us, vs
+    internal = np.bincount(lab_u[same], weights=ws[same], minlength=c_count)
+    if graph.self_weights is not None:
+        internal = internal + np.bincount(labels, weights=np.asarray(graph.self_weights), minlength=c_count)
+    return internal
 
 
 def singleton_partition(graph: Graph) -> Partition:
@@ -79,19 +79,23 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
     """Modularity Q of the partition, in [-1, 1].
 
     Q = sum_c [ e_c / m - resolution * (S_c / 2m)^2 ] with e_c the internal
-    weight, S_c the total member strength, and m the graph's total weight.
-    resolution=1 is the classic definition.
+    weight, S_c the total member strength, and m the total weight, all
+    three of this graph. resolution=1 is the classic definition.
     """
     if len(partition.labels) != graph.node_count:
         raise ValueError("partition does not cover this graph")
     m = graph.total_weight
     if m <= 0.0:
         raise ValueError("modularity undefined: graph has no edges")
+    labels = np.asarray(partition.labels, dtype=np.int64)
+    c_count = partition.community_count
+    internal = _internal_sums(graph, labels, c_count).tolist()
+    strength = np.bincount(labels, weights=graph.strengths, minlength=c_count).tolist()
     two_m = 2.0 * m
     q = 0.0
-    for c in range(partition.community_count):
-        frac = partition.community_strength[c] / two_m
-        q += partition.internal_weight[c] / m - resolution * frac * frac
+    for e, s in zip(internal, strength):
+        frac = s / two_m
+        q += e / m - resolution * frac * frac
     return q
 
 
@@ -102,15 +106,15 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
     which sums them into one edge per pair of communities in edge_arrays
     order; each community's internal weight becomes its node's self weight.
     """
-    us, vs, ws = graph.edge_arrays()
     lab = np.asarray(partition.labels, dtype=np.int64)
+    internal = _internal_sums(graph, lab, partition.community_count).tolist()
+    us, vs, ws = graph.edge_arrays()
     cu, cv = lab[us], lab[vs]
     del us, vs
     cross = cu != cv
     edges = np.column_stack((cu[cross], cv[cross], ws[cross]))
     del cu, cv, ws, cross
     collapsed = build_graph(partition.community_count, edges, merge_duplicates=True)
-    internal = partition.internal_weight
     return dataclasses.replace(
         collapsed,
         strengths=tuple(s + 2.0 * w for s, w in zip(collapsed.strengths, internal)),

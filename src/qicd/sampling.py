@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -134,24 +135,14 @@ def hyperuniform_adjust(
     c_count = partition.community_count
     if c_count <= 1:
         return partition
-    n = graph.node_count
-    threshold = params.skew_factor * n / c_count
-    sizes = partition.sizes
-    oversized = [c for c in range(c_count) if sizes[c] > threshold]
-    if not oversized:
+    members = community_members(partition)
+    sizes = [len(nodes) for nodes in members]
+    threshold = params.skew_factor * graph.node_count / c_count
+    if max(sizes) <= threshold:
         return partition
     receivers = [c for c in range(c_count) if sizes[c] <= threshold]
-
-    members = community_members(partition)
-    labels = list(partition.labels)
-    for c in oversized:
-        move_n = min(math.ceil(params.reassign_fraction * sizes[c]), sizes[c] - 1)
-        if move_n <= 0:
-            continue
-        nodes = members[c]
-        picked = rng.choice(len(nodes), size=move_n, replace=False)
-        for i in sorted(int(x) for x in picked):
-            labels[nodes[i]] = receivers[int(rng.integers(len(receivers)))]
+    batch = [min(math.ceil(params.reassign_fraction * s), s - 1) if s > threshold else 0 for s in sizes]
+    labels = _relocate(partition, members, batch, lambda _c: receivers[int(rng.integers(len(receivers)))], rng)
     return Partition(graph, labels)
 
 
@@ -175,7 +166,8 @@ def hu_noise(
     total = math.ceil(params.reassign_fraction * n)
     if total <= 0:
         return partition
-    sizes = partition.sizes
+    members = community_members(partition)
+    sizes = [len(nodes) for nodes in members]
     caps = [s - 1 for s in sizes]
     total = min(total, sum(caps))
     if total <= 0:
@@ -195,16 +187,21 @@ def hu_noise(
                 batch[c] += 1
                 shortfall -= 1
 
-    members = community_members(partition)
+    def other(c: int) -> int:
+        target = int(rng.integers(c_count - 1))
+        return target + (target >= c)
+
+    return Partition(graph, _relocate(partition, members, batch, other, rng))
+
+
+def _relocate(partition: Partition, members: list[list[int]], batch: list[int],
+              target: Callable[[int], int], rng: np.random.Generator) -> list[int]:
+    """partition's labels after batch[c] members of each community c, drawn
+    without replacement and visited in node order, each move to target(c)."""
     labels = list(partition.labels)
-    for c in range(c_count):
-        if batch[c] <= 0:
-            continue
-        nodes = members[c]
-        picked = rng.choice(len(nodes), size=batch[c], replace=False)
-        for i in sorted(int(x) for x in picked):
-            target = int(rng.integers(c_count - 1))
-            if target >= c:
-                target += 1
-            labels[nodes[i]] = target
-    return Partition(graph, labels)
+    for c, nodes in enumerate(members):
+        if batch[c] > 0:
+            picked = rng.choice(len(nodes), size=batch[c], replace=False)
+            for i in sorted(int(x) for x in picked):
+                labels[nodes[i]] = target(c)
+    return labels

@@ -41,12 +41,31 @@ def _random_partition(rnd, n, c_max=4):
     return [rnd.randrange(min(c_max, n)) for _ in range(n)]
 
 
+def _counted_sums(graph, labels):
+    """Each community's total member strength and internal edge weight,
+    counted node by node and edge by edge, for dense labels on a graph
+    without self weights."""
+    members = [[u for u, label in enumerate(labels) if label == c] for c in range(max(labels) + 1)]
+    strength = [math.fsum(graph.strengths[u] for u in nodes) for nodes in members]
+    indptr, indices, weights = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
+    internal = [
+        math.fsum(
+            weights[k]
+            for u in nodes
+            for k in range(indptr[u], indptr[u + 1])
+            if u < indices[k] and labels[indices[k]] == c
+        )
+        for c, nodes in enumerate(members)
+    ]
+    return strength, internal
+
+
 def test_labels_are_compacted():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     p = Partition(g, [5, 9, 5])
     assert p.labels == [0, 1, 0]
     assert p.community_count == 2
-    assert p.sizes == [2, 1]
+    assert Counter(p.labels) == {0: 2, 1: 1}
 
 
 def test_label_validation():
@@ -55,6 +74,14 @@ def test_label_validation():
         Partition(g, [0])
     with pytest.raises(ValueError):
         Partition(g, [0, -1])
+    assert Partition(build_graph(0, []), []).community_count == 0
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 0.2], [0.0, 1.0, 0.0], ["1", "0", "1"], [True, False, True]])
+def test_non_integer_labels_are_rejected(labels):
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Partition(g, labels)
 
 
 def test_aggregate_fields_consistent_on_randoms():
@@ -63,14 +90,13 @@ def test_aggregate_fields_consistent_on_randoms():
         g = make_random_graph(rnd, n_max=10)
         p = Partition(g, _random_partition(rnd, g.node_count))
         m = g.total_weight
-        assert sum(p.internal_weight) <= m + 1e-9
+        internal = aggregate(g, p).self_weights
+        assert sum(internal) <= m + 1e-9
         assert abs(sum(p.community_strength) - 2.0 * m) <= 1e-9 * max(1.0, 2.0 * m)
-        # recompute from scratch and compare
-        q = Partition(g, list(p.labels))
-        for a, b in zip(p.internal_weight, q.internal_weight):
-            assert abs(a - b) < 1e-9
-        for a, b in zip(p.community_strength, q.community_strength):
-            assert abs(a - b) < 1e-9
+        # recount node by node and edge by edge and compare
+        strength, counted = _counted_sums(g, p.labels)
+        assert p.community_strength == pytest.approx(strength, rel=1e-12, abs=1e-9)
+        assert internal == pytest.approx(counted, rel=1e-12, abs=1e-9)
 
 
 def test_modularity_identities(two_triangles):
@@ -78,6 +104,39 @@ def test_modularity_identities(two_triangles):
     assert modularity(two_triangles, Partition(two_triangles, [0, 0, 0, 1, 1, 1])) == 0.5
     single = build_graph(2, [(0, 1, 1.0)])
     assert modularity(single, singleton_partition(single)) == -0.5
+
+
+def test_modularity_reads_the_graph_it_is_given():
+    # Q of a partition is that of its labels on the graph passed in, never
+    # on the graph the Partition was built over.
+    def check(g1, g2, labels):
+        assert modularity(g2, Partition(g1, labels)) == modularity(g2, Partition(g2, labels))
+
+    path = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    other_path = build_graph(4, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+    assert modularity(other_path, Partition(path, [0, 0, 1, 1])) == -0.5
+    check(path, other_path, [0, 0, 1, 1])
+    rnd = random.Random(5)
+    for _ in range(30):
+        n, k = rnd.randint(3, 9), rnd.randint(2, 3)
+        g1, g2 = (_random_graph(rnd, n) for _ in range(2))
+        labels = _random_partition(rnd, n)
+        if g2.total_weight > 0:
+            check(g1, g2, labels)
+        # collapsed graphs, which carry self weights, against each other and
+        # against a plain graph of the same size
+        groups = [u % k for u in range(n)]
+        rnd.shuffle(groups)
+        c1, c2, plain = collapse(g1, groups)[0], collapse(g2, groups)[0], _random_graph(rnd, k)
+        top = _random_partition(rnd, k)
+        for a, b in ((c1, c2), (c2, c1), (c1, plain), (plain, c1)):
+            if b.total_weight > 0:
+                check(a, b, top)
+
+
+def _random_graph(rnd, n):
+    """A weighted graph on exactly n nodes, each pair an edge with probability 1/2."""
+    return build_graph(n, [(i, j, rnd.uniform(0.1, 3.0)) for i in range(n) for j in range(i + 1, n) if rnd.random() < 0.5])
 
 
 def test_modularity_edgeless_errors():
@@ -182,7 +241,7 @@ def test_move_nodes_returns_no_empty_community(two_triangles):
     # node 5 alone in community 2 joins 3 and 4, which empties community 2
     p = move_nodes(two_triangles, Partition(two_triangles, [0, 0, 0, 1, 1, 2]), DetectorConfig(), make_rng(0))
     assert p.community_count == 2
-    assert p.sizes == [3, 3]
+    assert Counter(p.labels) == {0: 3, 1: 3}
     assert p.labels == [0, 0, 0, 1, 1, 1]
     assert modularity(two_triangles, p) == 0.5
 
@@ -249,37 +308,33 @@ def test_aggregate_memory_per_edge():
     assert traced_bytes(aggregate, graph, moved) / m < 50
 
 
+def test_partition_memory_per_edge():
+    """A Partition is computed from its labels alone, so building one on the
+    78k-edge planted graph allocates next to nothing per edge. Summing the
+    internal weights of 500 random communities there costs about 43 B/edge."""
+    graph = generate_planted(PlantedSpec(2000, 10, 0.3, 0.01, seed=1))[0]
+    labels = np.random.default_rng(0).integers(0, 500, graph.node_count).tolist()
+    assert traced_bytes(Partition, graph, labels) / graph.edge_count < 5
+
+
 def test_community_members(two_triangles):
     p = Partition(two_triangles, [1, 0, 1, 0, 0, 1])
     assert community_members(p) == [[1, 3, 4], [0, 2, 5]]
 
 
 def _state(p):
-    return (p.labels[:], p.community_count, p.internal_weight[:], p.community_strength[:], p.sizes[:])
+    return (p.labels[:], p.community_count, p.community_strength[:])
 
 
 def _assert_compact_value(graph, out):
-    """out has dense labels and no empty community, and its aggregates match
-    those counted and summed here, node by node and edge by edge."""
+    """out has dense labels and no empty community, and its community
+    strengths and the internal weights that aggregate carries match those
+    counted and summed here, node by node and edge by edge."""
     count = out.community_count
     assert set(out.labels) == set(range(count))
-    assert all(size > 0 for size in out.sizes)
-    sizes = Counter(out.labels)
-    assert out.sizes == [sizes[c] for c in range(count)]
-    members = [[u for u, label in enumerate(out.labels) if label == c] for c in range(count)]
-    strength = [math.fsum(graph.strengths[u] for u in nodes) for nodes in members]
+    strength, internal = _counted_sums(graph, out.labels)
     assert out.community_strength == pytest.approx(strength, rel=1e-12, abs=1e-9)
-    indptr, indices, weights = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
-    internal = [
-        math.fsum(
-            weights[k]
-            for u in nodes
-            for k in range(indptr[u], indptr[u + 1])
-            if u < indices[k] and out.labels[indices[k]] == c
-        )
-        for c, nodes in enumerate(members)
-    ]
-    assert out.internal_weight == pytest.approx(internal, rel=1e-12, abs=1e-9)
+    assert aggregate(graph, out).self_weights == pytest.approx(internal, rel=1e-12, abs=1e-9)
 
 
 def test_partitions_are_values():
