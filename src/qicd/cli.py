@@ -41,7 +41,7 @@ from .bench import (
 from .detect import DetectorConfig, leiden, louvain
 from .engine import BASE_METHODS, INIT_MODES, KIND_NAMES, QicdConfig, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
-from .partition import modularity, partition_to_csv
+from .partition import labels_to_csv, modularity, partition_to_csv
 from .rng import RNG_NAME, mix
 from .stats import summarize, welch_t_test
 
@@ -227,8 +227,7 @@ def _run_generate(kind: str, config: dict):
     graph, truth, found = _generate(kind, config, config["seed"])
     recorded = {"achieved_q": found.pop("achieved_q")} if "achieved_q" in found else {}
     config.update(found)  # the manifest records calibrated's p_in and p_out
-    truth_text = "node_id,community_id\n" + "".join(f"{i},{c}\n" for i, c in enumerate(truth))
-    files = {"graph": (_out(config), dump_edge_list(graph)), "truth": (_out(config, ".truth.csv"), truth_text)}
+    files = {"graph": (_out(config), dump_edge_list(graph)), "truth": (_out(config, ".truth.csv"), labels_to_csv(truth))}
     detail = (f"achieved Q={recorded['achieved_q']:.4f}, p_in={config['p_in']:.6g}, p_out={config['p_out']:.6g}"
               if recorded else f"n={graph.node_count}, m={graph.total_weight:g}")
     return {}, files, recorded, f"wrote {config['out']} ({detail})\n"

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,9 +60,29 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays holding each edge once with u < v, ordered by (u, v)."""
-        us = np.repeat(np.arange(self.node_count, dtype=np.int64), np.diff(self.indptr))
-        upper = self.indices > us
-        return us[upper], self.indices[upper], self.weights[upper]
+        m = self.edge_count
+        us, vs, ws = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m)
+        at = 0
+        for u, v, w in self._edge_blocks():
+            us[at : at + len(u)], vs[at : at + len(u)], ws[at : at + len(u)] = u, v, w
+            at += len(u)
+            del u, v, w  # before the next block is made
+        return us, vs, ws
+
+    def _edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """edge_arrays in consecutive pieces, each read from a run of CSR rows
+        that holds at most _BLOCK entries, or from one longer row."""
+        indptr, indices = self.indptr, self.indices
+        end = int(np.searchsorted(indptr, indptr[-1]))  # the rows from here on are empty
+        r0 = 0
+        while r0 < end:
+            r1 = min(max(int(np.searchsorted(indptr, indptr[r0] + _BLOCK, "right")) - 1, r0 + 1), end)
+            a, b = indptr[r0], indptr[r1]
+            rows = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(indptr[r0 : r1 + 1]))
+            upper = indices[a:b] > rows
+            rows = rows[upper]
+            yield rows, indices[a:b][upper], self.weights[a:b][upper]
+            r0 = r1
 
 
 def _edge_index(idx: int) -> str:
@@ -119,20 +139,20 @@ def build_graph(
         raise EdgeListError(f"{where(_first_malformed(edges))}: expected a (u, v, weight) triple") from None
     del edges
 
-    # Endpoints are truncated towards zero, as int() does.
-    ends = np.trunc(cols[:, :2])
-    outside = ~((ends >= 0) & (ends < n)).all(axis=1)
-    loop = ends[:, 0] == ends[:, 1]
+    # Endpoints are truncated towards zero, as int() does. A NaN endpoint
+    # makes lo and hi NaN, which fails both bounds.
+    u, v = np.trunc(cols[:, 0]), np.trunc(cols[:, 1])
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    outside = ~((lo >= 0) & (hi < n))
+    loop = u == v
+    del u, v
     faults = np.flatnonzero(outside | loop | ~(np.isfinite(cols[:, 2]) & (cols[:, 2] > 0.0)))
     valid = int(faults[0]) if faults.size else len(cols)
     del faults
 
     # Every edge before the first fault is well formed; a duplicate among
     # them comes first in input order.
-    ends = ends[:valid].astype(np.int64)
-    lo = ends.min(axis=1)
-    hi = ends.max(axis=1)
-    del ends
+    lo, hi = lo[:valid].astype(np.int64), hi[:valid].astype(np.int64)
     key = lo * n + hi
     order = np.argsort(key, kind="stable")  # a repeated pair keeps input order
     key, weights = key[order], cols[order, 2]
@@ -209,6 +229,9 @@ def build_graph(
 # Entries turned into Python objects at a time, where a whole array of them
 # would cost far more memory than the array.
 _CHUNK = 1 << 12
+# CSR entries that _edge_blocks reads at a time: enough to spread numpy's
+# per-call cost, few enough that a block's temporaries stay small.
+_BLOCK = 1 << 14
 
 
 def _floats(values: np.ndarray) -> Iterator[float]:
@@ -464,10 +487,54 @@ def load_edge_list(
 
 
 def dump_edge_list(graph: Graph) -> str:
-    """Serialize a Graph to edge-list text that reloads identically."""
-    us, vs, ws = graph.edge_arrays()
-    parts = [f"# nodes: {graph.node_count}\n"]
-    for a in range(0, len(us), _CHUNK):
-        b = a + _CHUNK
-        parts.append("".join(f"{u} {v} {w!r}\n" for u, v, w in zip(us[a:b].tolist(), vs[a:b].tolist(), ws[a:b].tolist())))
+    """Serialize a Graph to edge-list text that reloads identically: a
+    "# nodes: N" header, then f"{u} {v} {w!r}\\n" for each edge in
+    edge_arrays order, written by text_rows."""
+    return text_rows(f"# nodes: {graph.node_count}\n", graph._edge_blocks(), " ")
+
+
+def text_rows(head: str, blocks: Iterable[Sequence[np.ndarray]], sep: str) -> str:
+    """head, then one line per row of each block of equally long columns:
+    the row's entries joined by sep, exactly as an f-string writes them.
+    Integer columns must be non-negative; float64 columns are written as
+    their repr.
+
+    A block becomes one uint8 matrix, a row per line, whose unused bytes
+    are NUL: integers are split into decimal digits, NUL-padded on the
+    left, and each distinct float of a block (by bit pattern, so that
+    equal bits give equal text) is repr'd once and gathered back to its
+    rows. Dropping the NULs leaves the text.
+    """
+    parts = [head]
+    for columns in blocks:
+        if not len(columns[0]):
+            continue
+        seps = np.full((len(columns[0]), 1), ord(sep), dtype=np.uint8)
+        pieces = [_float_text(c) if c.dtype.kind == "f" else _decimal(c) for c in columns]
+        rows = np.hstack([part for piece in pieces for part in (piece, seps)])
+        rows[:, -1] = ord("\n")
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
+
+
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as rows of ASCII digits, NUL-padded on the left."""
+    top = int(values.max(initial=0))
+    width = len(str(top))
+    out = np.empty((len(values), width), dtype=np.uint8)
+    rest = values.astype(np.uint32 if top < 2**32 else np.uint64)
+    for j in range(width - 1, -1, -1):
+        quotient = rest // 10
+        out[:, j] = rest - quotient * 10
+        rest = quotient
+    out += ord("0")
+    for j in range(width - 1):  # a leading zero becomes NUL
+        out[:, j] *= values >= 10 ** (width - 1 - j)
+    return out
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """Floats as rows of their repr's ASCII bytes, NUL-padded on the right."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(repr, keys.view(np.float64).tolist()))
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(keys), -1)[inverse]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, text_rows
 
 
 class Partition:
@@ -50,17 +50,25 @@ class Partition:
         self.community_strength = np.bincount(dense, weights=graph.strengths, minlength=len(_uniq)).tolist()
 
 
-def _internal_sums(graph: Graph, labels: np.ndarray, c_count: int) -> np.ndarray:
-    """Each community's internal weight: its edges' weights in edge_arrays
-    order, plus its members' self weights on a collapsed graph."""
-    us, vs, ws = graph.edge_arrays()
-    lab_u = labels[us]
-    same = lab_u == labels[vs]
-    del us, vs
-    internal = np.bincount(lab_u[same], weights=ws[same], minlength=c_count)
+def _internal_sums(graph: Graph, labels: np.ndarray, c_count: int, cu: np.ndarray, cv: np.ndarray,
+                   ws: np.ndarray) -> np.ndarray:
+    """Each community's internal weight: the weights of the edges whose
+    ends' communities cu and cv agree, in edge_arrays order, plus its
+    members' self weights on a collapsed graph."""
+    same = cu == cv
+    internal = np.bincount(cu[same], weights=ws[same], minlength=c_count)
     if graph.self_weights is not None:
         internal = internal + np.bincount(labels, weights=np.asarray(graph.self_weights), minlength=c_count)
     return internal
+
+
+def _community_edges(graph: Graph, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The communities of each edge's two ends, and its weight, in
+    edge_arrays order."""
+    us, vs, ws = graph.edge_arrays()
+    cu = labels[us]
+    del us
+    return cu, labels[vs], ws
 
 
 def singleton_partition(graph: Graph) -> Partition:
@@ -89,7 +97,7 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
         raise ValueError("modularity undefined: graph has no edges")
     labels = np.asarray(partition.labels, dtype=np.int64)
     c_count = partition.community_count
-    internal = _internal_sums(graph, labels, c_count).tolist()
+    internal = _internal_sums(graph, labels, c_count, *_community_edges(graph, labels)).tolist()
     strength = np.bincount(labels, weights=graph.strengths, minlength=c_count).tolist()
     two_m = 2.0 * m
     q = 0.0
@@ -107,10 +115,8 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
     order; each community's internal weight becomes its node's self weight.
     """
     lab = np.asarray(partition.labels, dtype=np.int64)
-    internal = _internal_sums(graph, lab, partition.community_count).tolist()
-    us, vs, ws = graph.edge_arrays()
-    cu, cv = lab[us], lab[vs]
-    del us, vs
+    cu, cv, ws = _community_edges(graph, lab)
+    internal = _internal_sums(graph, lab, partition.community_count, cu, cv, ws).tolist()
     cross = cu != cv
     edges = np.column_stack((cu[cross], cv[cross], ws[cross]))
     del cu, cv, ws, cross
@@ -124,6 +130,12 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
 
 
 def partition_to_csv(partition: Partition) -> str:
-    lines = ["node_id,community_id"]
-    lines.extend(f"{node},{c}" for node, c in enumerate(partition.labels))
-    return "\n".join(lines) + "\n"
+    return labels_to_csv(partition.labels)
+
+
+def labels_to_csv(labels: Sequence[int]) -> str:
+    """A "node_id,community_id" CSV of one non-negative integer label per node."""
+    ids, lab = np.arange(len(labels)), np.asarray(labels, dtype=np.int64)
+    rows = 1 << 14
+    blocks = ((ids[a : a + rows], lab[a : a + rows]) for a in range(0, len(lab), rows))
+    return text_rows("node_id,community_id\n", blocks, ",")

@@ -9,11 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qicd
-from qicd import EdgeListError, build_graph, dump_edge_list, load_edge_list
-from qicd.graph import NodeCountError
+from qicd import EdgeListError, Partition, build_graph, dump_edge_list, load_edge_list, partition_to_csv
+from qicd.cli import main
+from qicd.graph import NodeCountError, text_rows
 from qicd.detect import _flat
+from qicd.partition import labels_to_csv
 
 from conftest import make_random_graph, traced_bytes
 
@@ -231,6 +235,8 @@ def test_edge_list_io_memory_per_edge():
     assert traced_bytes(load_edge_list, text) / m < 250
     assert traced_bytes(_flat, graph) / m < 100
     assert traced_bytes(dump_edge_list, graph) / m < 120
+    # 24 of them are the three (m,) arrays it returns.
+    assert traced_bytes(graph.edge_arrays) / m < 30
 
 
 def test_round_trip_identity():
@@ -265,3 +271,98 @@ def test_degrees_and_edge_count():
     assert g.edge_count == 2
     us, vs, ws = g.edge_arrays()
     assert (us.tolist(), vs.tolist(), ws.tolist()) == ([0, 1], [1, 2], [1.0, 1.0])
+
+
+# The text that dump_edge_list and the label CSVs must reproduce byte for
+# byte, written here with f-strings from the input edges themselves.
+def reference_edge_list(n, triples):
+    rows = sorted((min(u, v), max(u, v), w) for u, v, w in triples)
+    return f"# nodes: {n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in rows)
+
+
+def reference_csv(labels):
+    return "node_id,community_id\n" + "".join(f"{i},{c}\n" for i, c in enumerate(labels))
+
+
+# Weights at the edges of repr's fixed and exponent notations, the
+# smallest subnormal and normal floats, and sums that repr writes with 17
+# digits.
+BOUNDARY_WEIGHTS = [1e16, 9999999999999998.0, 1e-4, 1e-5, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 2.5]
+
+
+@pytest.mark.parametrize(
+    "n, triples",
+    [
+        (0, []),
+        (5, []),
+        (2, [(1, 0, 1.0)]),
+        # ids that cross a digit width, and 0
+        (10_001, [(9, 10, 1.0), (99, 100, 1.0), (10_000, 9999, 2.0), (0, 1, 1.0), (0, 10_000, 3.0)]),
+        (1_000_002, [(999_999, 1_000_000, 1.0), (1_000_001, 0, 0.5), (999_999, 99_999, 1.0)]),
+        (20, [(i, i + 1, w) for i, w in enumerate(BOUNDARY_WEIGHTS)]),
+        # the largest finite float does not fit a graph, whose 2m must be finite
+        (3, [(0, 1, 1.7976931348623157e308 / 4), (1, 2, 1.0)]),
+    ],
+)
+def test_dump_edge_list_matches_fstrings(n, triples):
+    assert dump_edge_list(build_graph(n, triples)) == reference_edge_list(n, triples)
+
+
+def test_text_rows_matches_fstrings_at_repr_boundaries():
+    weights = [*BOUNDARY_WEIGHTS, 1.7976931348623157e308, -2.2250738585072014e-308, -0.0, 0.0, 1.0, 2.5]
+    ids = [0, 9, 10, 99, 100, 9999, 10_000, 999_999, 1_000_000, 3_037_000_498, 1, 5, 6, 7]
+    expected = "head\n" + "".join(f"{i} {w!r}\n" for i, w in zip(ids, weights))
+    assert text_rows("head\n", [(np.array(ids), np.array(weights))], " ") == expected
+
+
+def test_dump_edge_list_matches_fstrings_across_blocks():
+    """More than 2**16 CSR entries, so that rows straddle blocks, and one
+    row longer than a block. Weights repeat within and across blocks."""
+    rng = np.random.default_rng(3)
+    n = 30_000
+    keys = np.unique(rng.integers(0, n * n, size=120_000))
+    keys = keys[keys // n < keys % n][:40_000]
+    star = [(0, v) for v in range(1, 20_001)]
+    pairs = {(int(u), int(v)) for u, v in zip(keys // n, keys % n)} | set(star)
+    weights = np.where(rng.random(len(pairs)) < 0.5, rng.integers(1, 4, len(pairs)), rng.random(len(pairs)) + 0.01)
+    triples = [(u, v, float(w)) for (u, v), w in zip(sorted(pairs), weights)]
+    graph = build_graph(n, triples)
+    assert 2 * graph.edge_count > 1 << 16
+    assert dump_edge_list(graph) == reference_edge_list(n, triples)
+    us, vs, ws = graph.edge_arrays()
+    assert (us.dtype, vs.dtype, ws.dtype) == (np.int64, np.int64, np.float64)
+    assert list(zip(us.tolist(), vs.tolist(), ws.tolist())) == triples
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(n, triples) with distinct pairs in random orientation, ids spread
+    over several digit widths and weights that may repeat."""
+    n = draw(st.integers(2, 20_000))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=60,
+                          unique_by=lambda p: frozenset(p)))
+    weights = st.one_of(st.sampled_from([1.0, 2.0, 0.5]), st.floats(5e-324, 1e300))
+    return n, [(u, v, draw(weights)) for u, v in pairs]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=weighted_graphs(), labels=st.lists(st.integers(0, 3_037_000_498), max_size=60))
+def test_writers_match_fstrings(case, labels):
+    n, triples = case
+    assert dump_edge_list(build_graph(n, triples)) == reference_edge_list(n, triples)
+    assert labels_to_csv(labels) == reference_csv(labels)
+
+
+@pytest.mark.parametrize("labels", [[], [0], [3, 0, 3, 1], list(range(12)) * 3000])
+def test_partition_csv_matches_fstrings(labels):
+    graph = build_graph(len(labels), [])
+    partition = Partition(graph, labels)
+    assert partition_to_csv(partition) == reference_csv(partition.labels)
+
+
+def test_generated_truth_csv_matches_fstrings(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "clique-ring", "--cliques", "12", "--size", "3", "--out", "ring.el"]) == 0
+    truth = [i // 3 for i in range(36)]
+    assert (tmp_path / "ring.truth.csv").read_text() == reference_csv(truth)

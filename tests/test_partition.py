@@ -311,7 +311,7 @@ def test_aggregate_memory_per_edge():
 def test_partition_memory_per_edge():
     """A Partition is computed from its labels alone, so building one on the
     78k-edge planted graph allocates next to nothing per edge. Summing the
-    internal weights of 500 random communities there costs about 43 B/edge."""
+    internal weights of 500 random communities there costs about 32 B/edge."""
     graph = generate_planted(PlantedSpec(2000, 10, 0.3, 0.01, seed=1))[0]
     labels = np.random.default_rng(0).integers(0, 500, graph.node_count).tolist()
     assert traced_bytes(Partition, graph, labels) / graph.edge_count < 5
