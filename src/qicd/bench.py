@@ -354,7 +354,7 @@ def _method_run(name: str, seed: int, graph: Graph | None, graph_factory, cfg: Q
 def run_experiment(
     graph: Graph | None,
     methods: list[str],
-    runs_per_method: int | dict[str, int],
+    runs_per_method: dict[str, int],
     base_seed: int,
     *,
     cfg: QicdConfig | None = None,
@@ -362,7 +362,7 @@ def run_experiment(
 ) -> list[TrialSample]:
     """Run each method several times with decoupled per-run seeds.
 
-    runs_per_method is a single count or a per-method mapping. The runs go
+    runs_per_method maps each method to its number of runs. The runs go
     through run_seeded; each result depends only on its seed.
     graph_factory(seed) may supply a fresh graph per run instead of the
     shared one.
@@ -372,15 +372,11 @@ def run_experiment(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method names: {', '.join(unknown)}")
-    if isinstance(runs_per_method, int):
-        runs = {m: runs_per_method for m in methods}
-    else:
-        runs = dict(runs_per_method)
     for m in methods:
-        if runs.get(m, 0) < 1:
+        if runs_per_method.get(m, 0) < 1:
             raise ValueError(f"method {m!r} needs at least 1 run")
 
-    seeds = [tuple(mix(base_seed, mi, ri) for ri in range(runs[name])) for mi, name in enumerate(methods)]
+    seeds = [tuple(mix(base_seed, mi, ri) for ri in range(runs_per_method[name])) for mi, name in enumerate(methods)]
     results = run_seeded([
         partial(_method_run, name, seed, graph, graph_factory, cfg)
         for name, method_seeds in zip(methods, seeds)

@@ -15,7 +15,9 @@ output key to (path, text), `recorded` holds outputs that are not files and
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
+import io
 import json
 import os
 import sys
@@ -142,8 +144,9 @@ def _load_graph(config: dict):
     if not relabel:
         return loaded, {}
     graph, labels = loaded
-    text = "node_id,label\n" + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels))
-    return graph, {"labels": (_out(config, ".labels.csv"), text)}
+    text = io.StringIO()  # csv quotes a label that holds "," or '"'
+    csv.writer(text, lineterminator="\n").writerows([("node_id", "label"), *enumerate(labels)])
+    return graph, {"labels": (_out(config, ".labels.csv"), text.getvalue())}
 
 
 def _write_manifest(command: str, config: dict, inputs: dict, outputs: dict, started: float) -> None:

@@ -41,9 +41,9 @@ class DetectorConfig:
 
 
 def _flat(graph: Graph) -> tuple:
-    """What the move loop reads of a graph: its CSR arrays as Python lists,
-    which the interpreted loop indexes much faster than numpy arrays, then
-    its strengths and total weight.
+    """What the move loop reads of a graph: its CSR arrays and strengths as
+    Python lists, which the interpreted loop indexes much faster than numpy
+    arrays, then its total weight.
 
     The lists share their objects: indices holds one int per node, and
     weights one float when all weights are equal."""
@@ -56,7 +56,7 @@ def _flat(graph: Graph) -> tuple:
         graph.indptr.tolist(),
         np.arange(graph.node_count).astype(object)[graph.indices].tolist(),
         weights,
-        graph.strengths,
+        graph.strengths.tolist(),
         graph.total_weight,
     )
 
@@ -144,13 +144,14 @@ def move_nodes(
     """Greedy move passes from partition's labels until a sweep gains less
     than min_gain; returns the Partition of the labels they end with.
 
-    The only code that moves nodes. When the total weight m is outside
-    2^±500, near where m * m leaves the float range, the passes read
-    weights and strengths scaled by an exact power of two, so no gain and
-    no move changes.
+    The only code that moves nodes, and the only reader of community
+    strengths, which it sums from this graph's strengths. When the total
+    weight m is outside 2^±500, near where m * m leaves the float range,
+    the passes read weights and strengths scaled by an exact power of two,
+    so no gain and no move changes.
     """
     labels = list(partition.labels)
-    comm_strength = list(partition.community_strength)
+    comm_strength = np.bincount(partition.labels, weights=graph.strengths, minlength=partition.community_count).tolist()
     indptr, indices, weights, strengths, m = _flat(graph)
     e = math.frexp(m)[1]
     if abs(e) > 500:

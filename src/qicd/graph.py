@@ -35,10 +35,11 @@ class Graph:
     """Weighted undirected graph in CSR form.
 
     The neighbours of u are indices[indptr[u]:indptr[u + 1]], sorted by id,
-    and weights holds their edge weights at the same positions; the three
-    arrays are read-only. strengths[u] is the math.fsum of u's edge weights
-    (the degree when all weights are 1); total_weight is the math.fsum of
-    the weights of the distinct edges.
+    and weights holds their edge weights at the same positions.
+    strengths[u] is the math.fsum of u's edge weights (the degree when all
+    weights are 1); total_weight is the math.fsum of the weights of the
+    distinct edges. Every array a graph holds is made read-only when it is
+    constructed, by build_graph or by dataclasses.replace.
 
     self_weights is None except on a graph that partition.aggregate
     collapsed: there self_weights[u] is the internal weight of the
@@ -50,9 +51,14 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    strengths: tuple[float, ...]
+    strengths: np.ndarray
     total_weight: float
-    self_weights: tuple[float, ...] | None = None
+    self_weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        for array in (self.indptr, self.indices, self.weights, self.strengths, self.self_weights):
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def edge_count(self) -> int:
@@ -164,7 +170,8 @@ def build_graph(
         u, v = sorted(int(x) for x in cols[idx, :2])
         raise EdgeListError(f"{where(idx)}: duplicate edge {u}-{v}")
     if valid < len(cols):
-        u, v = (int(x) for x in cols[valid, :2])
+        # A non-finite endpoint is out of range, and is shown as a float.
+        u, v = (int(x) if math.isfinite(x) else x for x in cols[valid, :2].tolist())
         if outside[valid]:
             raise EdgeListError(f"{where(valid)}: endpoint out of range for n={n}: ({u}, {v})")
         if loop[valid]:
@@ -191,19 +198,17 @@ def build_graph(
     del dst
     weights = np.concatenate((pair_w, pair_w))[order]
     del order
-    for array in (indptr, indices, weights):
-        array.flags.writeable = False
     with np.errstate(over="ignore"):  # an infinite sum takes the fsum route
         total_weight = float(pair_w.sum())
     if total_weight < 2.0**52 and (pair_w == np.trunc(pair_w)).all():
         # Every running sum of the 2m weights is an integer below 2**53.
         running = np.zeros(len(weights) + 1)
         np.cumsum(weights, out=running[1:])
-        strengths = tuple(np.diff(running[indptr]).tolist())
+        strengths = np.diff(running[indptr])
     else:
         try:
             runs = _floats(weights)
-            strengths = tuple(math.fsum(islice(runs, d)) for d in np.diff(indptr).tolist())
+            strengths = np.fromiter((math.fsum(islice(runs, d)) for d in np.diff(indptr).tolist()), np.float64, n)
             total_weight = math.fsum(_floats(pair_w))
         except OverflowError:
             total_weight = math.inf

@@ -1,11 +1,12 @@
 """Partitions of a graph's nodes and the modularity machinery over them.
 
-A Partition is computed once, in O(n), from a graph and one community
-label per node: dense labels and each community's total member strength.
-It is a value with no empty community that nothing changes after it is
-built. detect.move_nodes moves nodes on lists of labels and community
-strengths, all that its kernel detect._move_pass reads, and builds a new
-Partition.
+A Partition is computed once, in O(n), from one community label per node
+of a graph: it holds the dense labels and their count, and reads nothing
+of the graph but its node count. It is a value with no empty community
+that nothing changes after it is built. Every sum over a community is
+taken from the graph it is wanted on: detect.move_nodes sums community
+strengths from the graph it moves nodes on, and modularity and aggregate
+sum strengths and internal weights from the graph they are given.
 
 aggregate collapses each community into one node. The collapsed graph
 carries each community's internal weight as that node's self weight,
@@ -26,9 +27,9 @@ from .graph import Graph, build_graph, text_rows
 
 
 class Partition:
-    """Dense community labels over a graph and each community's strength."""
+    """Dense community labels over a graph's nodes."""
 
-    __slots__ = ("labels", "community_count", "community_strength")
+    __slots__ = ("labels", "community_count")
 
     def __init__(self, graph: Graph, labels: Sequence[int]):
         n = graph.node_count
@@ -47,7 +48,6 @@ class Partition:
         _uniq, dense = np.unique(raw, return_inverse=True)
         self.labels = dense.tolist()
         self.community_count = len(_uniq)
-        self.community_strength = np.bincount(dense, weights=graph.strengths, minlength=len(_uniq)).tolist()
 
 
 def _internal_sums(graph: Graph, labels: np.ndarray, c_count: int, cu: np.ndarray, cv: np.ndarray,
@@ -58,7 +58,7 @@ def _internal_sums(graph: Graph, labels: np.ndarray, c_count: int, cu: np.ndarra
     same = cu == cv
     internal = np.bincount(cu[same], weights=ws[same], minlength=c_count)
     if graph.self_weights is not None:
-        internal = internal + np.bincount(labels, weights=np.asarray(graph.self_weights), minlength=c_count)
+        internal = internal + np.bincount(labels, weights=graph.self_weights, minlength=c_count)
     return internal
 
 
@@ -116,16 +116,16 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
     """
     lab = np.asarray(partition.labels, dtype=np.int64)
     cu, cv, ws = _community_edges(graph, lab)
-    internal = _internal_sums(graph, lab, partition.community_count, cu, cv, ws).tolist()
+    internal = _internal_sums(graph, lab, partition.community_count, cu, cv, ws)
     cross = cu != cv
     edges = np.column_stack((cu[cross], cv[cross], ws[cross]))
     del cu, cv, ws, cross
     collapsed = build_graph(partition.community_count, edges, merge_duplicates=True)
     return dataclasses.replace(
         collapsed,
-        strengths=tuple(s + 2.0 * w for s, w in zip(collapsed.strengths, internal)),
+        strengths=collapsed.strengths + 2.0 * internal,
         total_weight=collapsed.total_weight + math.fsum(internal),
-        self_weights=tuple(internal),
+        self_weights=internal,
     )
 
 

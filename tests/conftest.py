@@ -68,24 +68,34 @@ def collapse(graph: Graph, groups):
     return aggregate(graph, grouping), grouping.labels
 
 
+def member_strengths(graph: Graph, partition: Partition) -> list[float]:
+    """Each community's total member strength, a math.fsum over its members."""
+    members: list[list[float]] = [[] for _ in range(partition.community_count)]
+    for c, s in zip(partition.labels, graph.strengths.tolist()):
+        members[c].append(s)
+    return [math.fsum(strengths) for strengths in members]
+
+
 def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, active=None,
                     original: Graph | None = None, node_of=None):
-    """Run one detect._move_pass on the lists of a fresh Partition over
-    `labels` and check it by independent routes; returns its gain and the
-    fresh Partition over the labels it ends with.
+    """Run one detect._move_pass from a fresh Partition over `labels`, with
+    member_strengths as its community strengths, and check it by independent
+    routes; returns its gain and the fresh Partition over the labels it ends
+    with.
 
     `graph` may be `original` collapsed by `collapse`, with node_of[u] the
     collapsed node of original node u. The gain must equal the double-sum
     change in Q of the labels expanded onto `original`, within 1e-12, and
     the community strengths that the pass updates move by move must equal
-    a fresh Partition's for every community that keeps a member.
+    member_strengths of the labels it ends with, for every community that
+    keeps a member.
     """
     original = original or graph
     node_of = node_of or range(graph.node_count)
     active = [True] * graph.node_count if active is None else list(active)
     start = Partition(graph, labels)
     moved = list(start.labels)
-    comm_strength = list(start.community_strength)
+    comm_strength = member_strengths(graph, start)
     gain = _move_pass(_flat(graph), moved, comm_strength, make_rng(seed), resolution, active)
     before = [start.labels[c] for c in node_of]
     after = [moved[c] for c in node_of]
@@ -93,7 +103,7 @@ def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, ac
     assert abs(gain - expected) < 1e-12, (gain, expected)
     fresh = Partition(graph, moved)
     kept = [comm_strength[c] for c in sorted(set(moved))]
-    assert kept == pytest.approx(fresh.community_strength, rel=1e-12, abs=1e-9)
+    assert kept == pytest.approx(member_strengths(graph, fresh), rel=1e-12, abs=1e-9)
     return gain, fresh
 
 
@@ -177,7 +187,7 @@ def reference_edge_list(text: str, relabel: bool = False):
         indices.extend(sorted(nbrs))
         weights.extend(nbrs[v] for v in sorted(nbrs))
         indptr.append(len(indices))
-    strengths = tuple(math.fsum(nbrs.values()) for nbrs in adjacency)
+    strengths = [math.fsum(nbrs.values()) for nbrs in adjacency]
     return indptr, indices, weights, strengths, math.fsum(w for *_, w in edges), list(labels)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import functools
 import json
 import os
@@ -817,6 +818,15 @@ def test_relabel_sidecar(workdir, capsys):
     assert labels[0] == "node_id,label"
     assert labels[1] == "0,alice"
     assert capsys.readouterr().out.strip() == "Q=0.500000"
+
+
+def test_relabel_sidecar_quotes_labels_that_need_it(workdir, capsys):
+    (workdir / "quoted.el").write_text('a,b c\nc "d"\n"d" a,b\ne"f,g a,b\n')
+    assert main(["detect", "--graph", "quoted.el", "--relabel", "--method", "leiden", "--out", "quoted.csv"]) == 0
+    with open(workdir / "quoted.labels.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["node_id", "label"], ["0", "a,b"], ["1", "c"], ["2", '"d"'], ["3", 'e"f,g']]
+    assert (workdir / "quoted.labels.csv").read_bytes().count(b"\r") == 0
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from conftest import (
     communities_connected,
     iter_set_partitions,
     make_random_graph,
+    member_strengths,
     modularity_double_sum,
 )
 
@@ -31,7 +32,7 @@ from conftest import (
 def one_pass(graph, partition, rng):
     """One greedy move pass over every node, from partition's labels."""
     labels = list(partition.labels)
-    _move_pass(_flat(graph), labels, list(partition.community_strength), rng, 1.0, [True] * graph.node_count)
+    _move_pass(_flat(graph), labels, member_strengths(graph, partition), rng, 1.0, [True] * graph.node_count)
     return Partition(graph, labels)
 
 

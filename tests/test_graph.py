@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qicd
-from qicd import EdgeListError, Partition, build_graph, dump_edge_list, load_edge_list, partition_to_csv
+from qicd import (
+    EdgeListError,
+    Partition,
+    aggregate,
+    build_graph,
+    degree_preserving_rewire,
+    dump_edge_list,
+    load_edge_list,
+    partition_to_csv,
+)
 from qicd.cli import main
 from qicd.graph import NodeCountError, text_rows
 from qicd.detect import _flat
@@ -29,7 +38,7 @@ def load_relabeled(text):
 def test_single_edge():
     g = build_graph(2, [(0, 1, 1.0)])
     assert g.total_weight == 1.0
-    assert g.strengths == (1.0, 1.0)
+    assert g.strengths.tolist() == [1.0, 1.0]
     assert g.indptr.tolist() == [0, 1, 2]
     assert g.indices.tolist() == [1, 0]
     assert g.weights.tolist() == [1.0, 1.0]
@@ -38,7 +47,7 @@ def test_single_edge():
 def test_triangle():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     assert g.total_weight == 3.0
-    assert g.strengths == (2.0, 2.0, 2.0)
+    assert g.strengths.tolist() == [2.0, 2.0, 2.0]
 
 
 def test_isolated_nodes_allowed():
@@ -59,6 +68,16 @@ def test_out_of_range_rejected():
         build_graph(3, [(0, 1, 1.0), (1, 3, 1.0)])
 
 
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("endpoint", [math.nan, math.inf, -math.inf])
+def test_non_finite_endpoint_is_out_of_range(endpoint, position):
+    edge = [0, 0, 1.0]
+    edge[position] = endpoint
+    with pytest.raises(EdgeListError) as info:
+        build_graph(3, [tuple(edge)])
+    assert str(info.value) == f"edge 0: endpoint out of range for n=3: ({edge[0]}, {edge[1]})"
+
+
 def test_bad_weight_rejected():
     with pytest.raises(EdgeListError, match="edge 0: weight"):
         build_graph(2, [(0, 1, 0.0)])
@@ -73,10 +92,36 @@ def test_duplicate_rejected_with_index():
         build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 1.0)])
 
 
+def test_every_graph_array_is_read_only():
+    # Integer weights take build_graph's cumulative-sum route to strengths,
+    # fractional ones its per-row fsum route.
+    rnd = random.Random(3)
+    plain = build_graph(6, [(u, v, 1.0) for u in range(6) for v in range(u + 1, 6) if (u + v) % 3])
+    fractional = build_graph(6, [(u, v, rnd.uniform(0.1, 3.0)) for u in range(6) for v in range(u + 1, 6)])
+    once = aggregate(fractional, Partition(fractional, [0, 0, 1, 1, 2, 2]))
+    graphs = [
+        plain,
+        fractional,
+        load_edge_list("0 1\n1 2 2.5\n"),
+        load_edge_list("a b\nb c\n", relabel=True)[0],
+        once,
+        aggregate(once, Partition(once, [0, 0, 1])),
+        aggregate(plain, Partition(plain, [0, 1, 0, 1, 0, 1])),
+        degree_preserving_rewire(plain, 2.0, seed=1),
+    ]
+    for graph in graphs:
+        arrays = ["indptr", "indices", "weights", "strengths"]
+        arrays += ["self_weights"] if graph.self_weights is not None else []
+        for name in arrays:
+            assert isinstance(getattr(graph, name), np.ndarray), name
+            assert getattr(graph, name).flags.writeable is False, name
+    assert sum(g.self_weights is not None for g in graphs) == 3
+
+
 def test_merge_duplicates_sums_weights():
     g = build_graph(2, [(0, 1, 1.0), (1, 0, 2.5)], merge_duplicates=True)
     assert g.total_weight == 3.5
-    assert g.strengths == (3.5, 3.5)
+    assert g.strengths.tolist() == [3.5, 3.5]
     # A pair listed three times sums in input order: (0.1 + 0.2) + 0.3 is
     # 0.6000000000000001, while 0.1 + (0.2 + 0.3) would be 0.6.
     g = build_graph(3, [(0, 1, 0.1), (1, 2, 1.0), (1, 0, 0.2), (0, 1, 0.3)], merge_duplicates=True)
