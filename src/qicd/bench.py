@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -330,13 +331,11 @@ METHODS: dict[str, tuple[str, str | None]] = {
 
 
 def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) -> float:
-    """Run one method once; returns the modularity of its result.
+    """Run one method of METHODS once; returns the modularity of its result.
 
     The method name sets the base optimizer and the proposal kind;
     everything else comes from cfg, reseeded from `seed`.
     """
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}")
     cfg = cfg or QicdConfig()
     base, kind = METHODS[name]
     det = replace(cfg.detector, seed=seed)
@@ -346,44 +345,37 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) 
     return run_qicd(graph, replace(cfg, kind=kind, base=base, detector=det, seed=mix(seed, 1))).q_star
 
 
-def _method_run(name: str, seed: int, graph: Graph | None, graph_factory, cfg: QicdConfig | None) -> float:
-    g = graph_factory(mix(seed, 0xF)) if graph_factory is not None else graph
-    return method_q(name, g, seed, cfg)
+def _method_run(name: str, seed: int, source: Graph | Callable[[int], Graph], cfg: QicdConfig | None) -> float:
+    graph = source if isinstance(source, Graph) else source(mix(seed, 0xF))
+    return method_q(name, graph, seed, cfg)
 
 
 def run_experiment(
-    graph: Graph | None,
-    methods: list[str],
-    runs_per_method: dict[str, int],
-    base_seed: int,
-    *,
-    cfg: QicdConfig | None = None,
-    graph_factory=None,
+    source: Graph | Callable[[int], Graph], runs: dict[str, int], base_seed: int, *, cfg: QicdConfig | None = None
 ) -> list[TrialSample]:
-    """Run each method several times with decoupled per-run seeds.
+    """Run each method of `runs` as many times as it maps to, with
+    decoupled per-run seeds, in the mapping's order.
 
-    runs_per_method maps each method to its number of runs. The runs go
-    through run_seeded; each result depends only on its seed.
-    graph_factory(seed) may supply a fresh graph per run instead of the
-    shared one.
+    source is the graph that every run reads, or a function from a run's
+    seed to a fresh graph. The runs go through run_seeded; each result
+    depends only on its seed.
     """
-    if graph is None and graph_factory is None:
-        raise ValueError("either a graph or a graph_factory is required")
-    unknown = [m for m in methods if m not in METHODS]
+    if not (isinstance(source, Graph) or callable(source)):
+        raise ValueError(f"source must be a Graph or a function from seed to Graph, got {type(source).__name__}")
+    unknown = [m for m in runs if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method names: {', '.join(unknown)}")
-    for m in methods:
-        if runs_per_method.get(m, 0) < 1:
+    for m, count in runs.items():
+        if count < 1:
             raise ValueError(f"method {m!r} needs at least 1 run")
 
-    seeds = [tuple(mix(base_seed, mi, ri) for ri in range(runs_per_method[name])) for mi, name in enumerate(methods)]
+    seeds = {name: tuple(mix(base_seed, mi, ri) for ri in range(count))
+             for mi, (name, count) in enumerate(runs.items())}
     results = run_seeded([
-        partial(_method_run, name, seed, graph, graph_factory, cfg)
-        for name, method_seeds in zip(methods, seeds)
-        for seed in method_seeds
+        partial(_method_run, name, seed, source, cfg) for name, method_seeds in seeds.items() for seed in method_seeds
     ])
     samples = []
-    for name, method_seeds in zip(methods, seeds):
+    for name, method_seeds in seeds.items():
         qs = []
         for ri in range(len(method_seeds)):
             try:

@@ -41,7 +41,9 @@ from .bench import (
     run_experiment,
 )
 from .detect import DetectorConfig, leiden, louvain
-from .engine import BASE_METHODS, INIT_MODES, KIND_NAMES, QicdConfig, result_to_json, run_qicd, trace_to_csv
+from .engine import (
+    BASE_METHODS, INIT_MODES, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv,
+)
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity, partition_to_csv
 from .rng import RNG_NAME, mix
@@ -135,11 +137,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_graph(config: dict):
-    """The graph --graph names, and the files that loading it adds: with
-    --relabel, the .labels.csv sidecar."""
+def _load_graph(config: dict, key: str = "graph"):
+    """The graph that config[key] names (--graph by default), and the files
+    that loading it adds: with --relabel, the .labels.csv sidecar."""
     relabel = config.get("relabel", False)
-    with open(config["graph"], "rb") as fh:
+    with open(config[key], "rb") as fh:
         loaded = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False), relabel=relabel)
     if not relabel:
         return loaded, {}
@@ -180,7 +182,7 @@ def _detector_from(config: dict) -> DetectorConfig:
 
 
 def _qicd_config(config: dict) -> QicdConfig:
-    if config.get("kind") == "hu" and config.get("proposal_seeds") is not None:
+    if config.get("proposal_seeds") is not None and not draws_weights(config.get("kind", _QICD.kind)):
         raise UsageError("--seeds has no effect with --kind hu, which draws no weights")
     return replace(
         _QICD,
@@ -237,8 +239,7 @@ def _run_generate(kind: str, config: dict):
 
 
 def _run_generate_rewire(config: dict):
-    with open(config["input"], "rb") as fh:
-        graph = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False))
+    graph, _files = _load_graph(config, "input")
     swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
     rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])
     message = f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})\n"
@@ -351,11 +352,12 @@ def _run_benchmark(config: dict):
     # Checked here, not in the parser, so that replayed manifests meet them too.
     if bool(config.get("graph")) == bool(config.get("generate_spec")):
         raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
-    if config.get("graph") and config.get("fresh_graphs"):
-        raise UsageError("--fresh-graphs needs a randomized generator spec")
     for key in ("relabel", "merge_duplicates"):
         if config.get("generate_spec") and config.get(key):
             raise UsageError(f"--{key.replace('_', '-')} applies to --graph, not to --generate-spec")
+    kind, params = _parse_generate_spec(config["generate_spec"]) if config.get("generate_spec") else (None, {})
+    if config.get("fresh_graphs") and kind in (None, "clique-ring"):
+        raise UsageError("--fresh-graphs needs a randomized generator spec")
     methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods lists no method names")
@@ -365,7 +367,8 @@ def _run_benchmark(config: dict):
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise UsageError(f"--methods lists {repeated[0]!r} more than once")
-    if config.get("proposal_seeds") is not None and all(METHODS[m][1] in (None, "hu") for m in methods):
+    proposals = [METHODS[m][1] for m in methods if METHODS[m][1] is not None]
+    if config.get("proposal_seeds") is not None and not any(map(draws_weights, proposals)):
         raise UsageError("--seeds has no effect: --methods lists only plain and hu methods, which draw no weights")
     runs = _parse_runs_spec(config["runs"], methods)
     for name, count in runs.items():
@@ -382,24 +385,18 @@ def _run_benchmark(config: dict):
         raise UsageError(f"baseline {baseline!r} must be one of --methods")
 
     seed = config["seed"]
-    graph = None
-    factory = None
-    files = {}
-    if config.get("graph"):
-        graph, files = _load_graph(config)
+    if kind is None:
+        source, files = _load_graph(config)
         inputs = {"graph": config["graph"]}
     else:
-        kind, params = _parse_generate_spec(config["generate_spec"])
-        inputs = {"generate_spec": config["generate_spec"]}
+        inputs, files = {"generate_spec": config["generate_spec"]}, {}
         if config.get("fresh_graphs"):
-            if kind == "clique-ring":
-                raise UsageError("--fresh-graphs needs a randomized generator spec")
-            factory = lambda s: _generate(kind, params, s)[0]
+            source = lambda s: _generate(kind, params, s)[0]
         else:
-            graph = _generate(kind, params, mix(seed, 71))[0]
+            source = _generate(kind, params, mix(seed, 71))[0]
 
     try:
-        samples = run_experiment(graph, methods, runs, seed, cfg=_qicd_config(config), graph_factory=factory)
+        samples = run_experiment(source, runs, seed, cfg=_qicd_config(config))
     except RuntimeError as exc:
         # The message names the failed method and run.
         if isinstance(exc.__cause__, DATA_ERRORS):

@@ -100,7 +100,7 @@ def _propose(
     seed_count: int | None,
     rng: np.random.Generator,
 ) -> Partition:
-    if cfg.kind == "hu":
+    if seed_count is None:
         return hu_noise(graph, current, cfg.hu, rng)
     sample = sample_pt_weights if cfg.kind.startswith("pt") else sample_haar_weights
     proposal = propose_partition(graph, sample(graph.node_count, rng), seed_count)
@@ -109,8 +109,13 @@ def _propose(
     return proposal
 
 
+def draws_weights(kind: str) -> bool:
+    """Whether a proposal kind draws weights, so that K applies to it."""
+    return kind != "hu"
+
+
 def resolve_seed_count(cfg: QicdConfig, n: int) -> int | None:
-    if cfg.kind == "hu":
+    if not draws_weights(cfg.kind):
         return None
     k = cfg.proposal_seeds if cfg.proposal_seeds is not None else math.ceil(math.sqrt(n))
     return max(1, min(k, n))
@@ -130,10 +135,10 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     q_baseline = modularity(graph, baseline_partition, resolution)
 
     if cfg.init_mode == "quick-leiden":
-        current = baseline_partition
+        current, q_star = baseline_partition, q_baseline
     else:
         current = singleton_partition(graph)
-    q_star = modularity(graph, current, resolution)
+        q_star = modularity(graph, current, resolution)
     best = current
     seed_count = resolve_seed_count(cfg, graph.node_count)
 
@@ -141,15 +146,15 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     stall = 0
     # Refinement is idempotent on its own output: once the incumbent has
     # been refined and no proposal replaced it, re-refining would only chase
-    # gains below min_gain, so the state is reused until it changes.
-    current_refined = False
+    # gains below min_gain, so it is refined at t = 1 and after each
+    # acceptance only.
+    accepted = True
     for t in range(1, cfg.iterations + 1):
         started = time.perf_counter()
         rng = make_rng(mix(cfg.seed, t))
-        if not current_refined:
+        if accepted:
             current = leiden_refine(graph, move_nodes(graph, current, cfg.detector, rng))
-            current_refined = True
-        q_ref = modularity(graph, current, resolution)
+            q_ref = modularity(graph, current, resolution)
         proposal = _propose(graph, current, cfg, seed_count, rng)
         if cfg.refine_before_accept:
             proposal = seeded_pass(
@@ -159,7 +164,6 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
         accepted = q_quant > q_ref
         if accepted:
             current = proposal
-            current_refined = False  # refined next iteration, per the loop
         q_now = q_quant if accepted else q_ref
         if q_now > q_star:
             q_star = q_now

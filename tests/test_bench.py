@@ -184,12 +184,12 @@ def test_method_registry_covers_expected_grid():
 
 def test_run_experiment_grid_and_determinism():
     g, _ = generate_planted(PlantedSpec(80, 4, 0.4, 0.05, seed=6))
-    methods = ["leiden", "leiden-haar", "louvain"]
+    runs = {"leiden": 2, "leiden-haar": 2, "louvain": 3}
     cfg = QicdConfig(iterations=2, stall_limit=2)
-    samples_a = run_experiment(g, methods, {"leiden": 2, "leiden-haar": 2, "louvain": 3}, 42, cfg=cfg)
-    samples_b = run_experiment(g, methods, {"leiden": 2, "leiden-haar": 2, "louvain": 3}, 42, cfg=cfg)
+    samples_a = run_experiment(g, runs, 42, cfg=cfg)
+    samples_b = run_experiment(g, runs, 42, cfg=cfg)
     assert samples_a == samples_b
-    assert [s.method for s in samples_a] == methods
+    assert [s.method for s in samples_a] == list(runs)
     assert len(samples_a[2].q_values) == 3
     for s in samples_a:
         assert all(-1.0 <= q <= 1.0 for q in s.q_values)
@@ -199,24 +199,25 @@ def test_run_experiment_grid_and_determinism():
 def test_run_experiment_validation():
     g, _ = generate_planted(PlantedSpec(40, 2, 0.4, 0.1, seed=2))
     with pytest.raises(ValueError, match="unknown method"):
-        run_experiment(g, ["bogus"], {"bogus": 2}, 1)
+        run_experiment(g, {"bogus": 2}, 1)
     with pytest.raises(ValueError, match="at least 1 run"):
-        run_experiment(g, ["leiden"], {"leiden": 0}, 1)
-    with pytest.raises(ValueError, match="graph"):
-        run_experiment(None, ["leiden"], {"leiden": 2}, 1)
+        run_experiment(g, {"leiden": 0}, 1)
+    for source in (None, [g]):
+        with pytest.raises(ValueError, match="source must be a Graph or a function"):
+            run_experiment(source, {"leiden": 2}, 1)
 
 
 def test_run_experiment_failure_identifies_run():
     g = build_graph(4, [])  # edgeless: every run fails
     with pytest.raises(RuntimeError, match="method 'leiden' run 0"):
-        run_experiment(g, ["leiden"], {"leiden": 2}, 1)
+        run_experiment(g, {"leiden": 2}, 1)
 
 
 def test_run_experiment_failure_in_a_worker_keeps_its_cause(monkeypatch):
     _pin_cpus(monkeypatch, 2)
     g = build_graph(4, [])
     with pytest.raises(RuntimeError, match="method 'louvain' run 0 failed: modularity undefined") as info:
-        run_experiment(g, ["louvain"], {"louvain": 2}, 1)
+        run_experiment(g, {"louvain": 2}, 1)
     assert type(info.value.__cause__) is ValueError
 
 
@@ -266,15 +267,24 @@ def test_run_experiment_lets_a_dead_worker_through(monkeypatch):
     monkeypatch.setattr(qicd.bench, "method_q", method_q)
     g = ring_of_cliques(4, 4)
     with pytest.raises(BrokenProcessPool) as info:
-        run_experiment(g, ["leiden", "louvain"], {"leiden": 2, "louvain": 2}, 1)
+        run_experiment(g, {"leiden": 2, "louvain": 2}, 1)
     assert "failed" not in str(info.value)
 
 
 def test_run_experiment_graph_factory():
     cfg = QicdConfig(iterations=1, stall_limit=1)
     factory = lambda seed: generate_planted(PlantedSpec(50, 2, 0.5, 0.05, seed=seed))[0]
-    samples = run_experiment(None, ["leiden"], {"leiden": 2}, 3, cfg=cfg, graph_factory=factory)
+    samples = run_experiment(factory, {"leiden": 2}, 3, cfg=cfg)
     assert len(samples[0].q_values) == 2
+
+
+def test_run_experiment_reads_a_graph_as_a_constant_source():
+    """A graph source is the same as a function that returns it for every
+    seed."""
+    g, _ = generate_planted(PlantedSpec(60, 3, 0.4, 0.05, seed=7))
+    runs = {"leiden": 2, "louvain-hu": 2}
+    cfg = QicdConfig(iterations=2, stall_limit=2)
+    assert run_experiment(g, runs, 5, cfg=cfg) == run_experiment(lambda _seed: g, runs, 5, cfg=cfg)
 
 
 def test_mrg_significance_mechanics():

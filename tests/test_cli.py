@@ -523,12 +523,15 @@ def test_seeds_with_hu_is_a_usage_error(workdir, capsys, argv, message, source):
 
 
 def test_fresh_graphs_with_graph_is_a_usage_error(workdir, capsys):
+    """--fresh-graphs needs a generator that draws a new graph from each
+    seed: a graph file or a clique ring would give the same graph."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     capsys.readouterr()
-    argv = ["benchmark", "--graph", "g.el", "--fresh-graphs", "--methods", "leiden", "--runs", "2", "--out", "x"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "usage error: --fresh-graphs needs a randomized generator spec\n"
-    assert not list(workdir.glob("x.*"))
+    for source in (["--graph", "g.el"], ["--generate-spec", "clique-ring:cliques=4,size=3"]):
+        argv = ["benchmark", *source, "--fresh-graphs", "--methods", "leiden", "--runs", "2", "--out", "x"]
+        assert main(argv) == 1, source
+        assert capsys.readouterr().err == "usage error: --fresh-graphs needs a randomized generator spec\n"
+        assert not list(workdir.glob("x.*"))
 
 
 def test_benchmark_generate_spec(workdir, capsys):

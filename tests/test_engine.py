@@ -5,8 +5,10 @@ import pytest
 from qicd import (
     DetectorConfig,
     HyperuniformParams,
+    PlantedSpec,
     QicdConfig,
     build_graph,
+    generate_planted,
     louvain,
     mix,
     modularity,
@@ -200,6 +202,32 @@ def test_each_kind_calls_its_samplers(monkeypatch, kind, expected):
         monkeypatch.setattr(qicd.engine, name, spy(name, getattr(qicd.engine, name)))
     run_qicd(ring_of_cliques(4, 4), _cfg(seed=1, kind=kind, iterations=1, stall_limit=1))
     assert calls == expected
+
+
+@pytest.mark.parametrize("polished", [True, False], ids=["polished", "raw"])
+def test_incumbent_is_refined_at_start_and_after_each_acceptance(monkeypatch, polished):
+    """The incumbent is refined at t = 1 and after each accepted proposal,
+    and nowhere else: Q_ref is the Q of the latest refinement."""
+    refined = []
+    real = qicd.engine.leiden_refine
+
+    def spy(graph, partition):
+        out = real(graph, partition)
+        refined.append(modularity(graph, out))
+        return out
+
+    monkeypatch.setattr(qicd.engine, "leiden_refine", spy)
+    g, _ = generate_planted(PlantedSpec(120, 6, 0.12, 0.05, seed=4))
+    cfg = _cfg(seed=4, refine_before_accept=polished, iterations=8, stall_limit=8)
+    trace = run_qicd(g, cfg).trace
+    accepted = sum(r.accepted for r in trace[:-1])
+    assert accepted >= 1 if polished else accepted == 0
+    assert len(refined) == 1 + accepted
+    latest = iter(refined)
+    for i, record in enumerate(trace):
+        if i == 0 or trace[i - 1].accepted:
+            q_ref = next(latest)
+        assert record.q_ref == q_ref
 
 
 def test_refine_before_accept_runs():
