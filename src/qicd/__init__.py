@@ -36,7 +36,6 @@ from .partition import (
     aggregate,
     community_members,
     modularity,
-    partition_to_csv,
     singleton_partition,
 )
 from .rng import RNG_NAME, make_rng, mix

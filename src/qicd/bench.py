@@ -52,7 +52,7 @@ class TrialSample:
 
 @dataclass(frozen=True)
 class MrgReport:
-    observed: float
+    observed_mrg: float
     null_gaps: tuple[float, ...]
     null_mean: float
     null_std: float

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from itertools import takewhile
 from pathlib import Path
@@ -45,7 +45,7 @@ from .engine import (
     BASE_METHODS, INIT_MODES, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv,
 )
 from .graph import dump_edge_list, load_edge_list
-from .partition import labels_to_csv, modularity, partition_to_csv
+from .partition import labels_to_csv, modularity
 from .rng import RNG_NAME, mix
 from .stats import summarize, welch_t_test
 
@@ -137,6 +137,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _json_text(value) -> str:
+    """The text of every JSON file the CLI writes: sorted keys, indent 2."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def _load_graph(config: dict, key: str = "graph"):
     """The graph that config[key] names (--graph by default), and the files
     that loading it adds: with --relabel, the .labels.csv sidecar."""
@@ -163,7 +168,7 @@ def _write_manifest(command: str, config: dict, inputs: dict, outputs: dict, sta
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - started,
     }
-    _write_text(_out(config, ".manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(_out(config, ".manifest.json"), _json_text(manifest))
 
 
 def _default(fn, name: str):
@@ -254,7 +259,7 @@ def _run_detect(config: dict):
     det = _detector_from(config)
     part = louvain(graph, det) if config["method"] == "louvain" else leiden(graph, det)
     q = modularity(graph, part, det.resolution)
-    files["partition"] = (_out(config), partition_to_csv(part))
+    files["partition"] = (_out(config), labels_to_csv(part.labels))
     return {"graph": config["graph"]}, files, {}, f"Q={q:.6f}\n"
 
 
@@ -267,9 +272,9 @@ def _run_qicd_cmd(config: dict):
     result = run_qicd(graph, cfg)
     envelope = result_to_json(result, cfg)
     envelope["graph"] = config["graph"]
-    files["partition"] = (_out(config, ".partition.csv"), partition_to_csv(result.best_partition))
+    files["partition"] = (_out(config, ".partition.csv"), labels_to_csv(result.best_partition.labels))
     files["trace"] = (_out(config, ".trace.csv"), trace_to_csv(result.trace))
-    files["result"] = (_out(config, ".json"), json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    files["result"] = (_out(config, ".json"), _json_text(envelope))
     message = f"Q*={result.q_star:.6f} baseline={result.q_baseline:.6f} MRG={result.mrg:.6f}\n"
     return {"graph": config["graph"]}, files, {}, message
 
@@ -328,10 +333,12 @@ def _parse_generate_spec(text: str) -> tuple[str, dict]:
     return head, params
 
 
-def _render_table(rows: list[dict], baseline: str) -> str:
+def _render_table(rows: dict[str, dict], baseline: str) -> str:
+    """The summary's rows as a table, by descending mean; methods with
+    equal means keep their run order."""
     header = f"{'Method':<18}{'Runs':>5}  {'Mean±Std':<16}{'95% CI':<20}{'p':<10}"
     lines = [header, "-" * len(header)]
-    for row in rows:
+    for method, row in sorted(rows.items(), key=lambda item: -item[1]["mean"]):
         ci = f"[{row['ci_low']:.4f}, {row['ci_high']:.4f}]"
         if row["p_vs_baseline"] is None:
             p_text = "--"
@@ -339,7 +346,7 @@ def _render_table(rows: list[dict], baseline: str) -> str:
             mark = " *" if row["p_vs_baseline"] < 0.05 else ""
             p_text = f"{row['p_vs_baseline']:.4f}{mark}"
         lines.append(
-            f"{row['method']:<18}{row['n']:>5}  "
+            f"{method:<18}{row['n']:>5}  "
             f"{row['mean']:.4f}±{row['std']:.4f}   "
             f"{ci:<20}{p_text:<10}"
         )
@@ -409,34 +416,14 @@ def _run_benchmark(config: dict):
             lines.append(f"{sample.method},{run_idx},{run_seed},{q!r}")
     files["runs"] = (_out(config, ".runs.csv"), "\n".join(lines) + "\n")
 
-    by_name = {s.method: s for s in samples}
-    base_sample = by_name.get(baseline)
-    rows = []
+    base_sample = next((s for s in samples if s.method == baseline), None)
+    rows = {}
     for sample in samples:
-        stats = summarize(sample.q_values)
         p_value = None
         if base_sample is not None and sample.method != baseline:
             p_value = welch_t_test(sample.q_values, base_sample.q_values).p
-        rows.append(
-            {
-                "method": sample.method,
-                "n": stats.n,
-                "mean": stats.mean,
-                "std": stats.std,
-                "ci_low": stats.ci_low,
-                "ci_high": stats.ci_high,
-                "p_vs_baseline": p_value,
-            }
-        )
-    rows.sort(key=lambda r: -r["mean"])
-
-    summary = {
-        "baseline": baseline,
-        "methods": {
-            row["method"]: {k: v for k, v in row.items() if k != "method"} for row in rows
-        },
-    }
-    files["summary"] = (_out(config, ".summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        rows[sample.method] = asdict(summarize(sample.q_values)) | {"p_vs_baseline": p_value}
+    files["summary"] = (_out(config, ".summary.json"), _json_text({"baseline": baseline, "methods": rows}))
     table = _render_table(rows, baseline)
     files["table"] = (_out(config, ".table.txt"), table)
     return inputs, files, {}, table
@@ -453,17 +440,9 @@ def _run_mrg(config: dict):
     cfg = _qicd_config(config)
     graph, files = _load_graph(config)
     report = mrg_significance(graph, cfg, nulls, seed=mix(config["seed"], 2), swap_factor=swap_factor)
-    payload = {
-        "observed_mrg": report.observed,
-        "null_mean": report.null_mean,
-        "null_std": report.null_std,
-        "percentile": report.percentile,
-        "null_gaps": list(report.null_gaps),
-        "null_count": nulls,
-        "swap_factor": swap_factor,
-    }
-    files["report"] = (_out(config, ".mrg.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    message = f"MRG={report.observed:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}\n"
+    payload = asdict(report) | {"null_count": nulls, "swap_factor": swap_factor}
+    files["report"] = (_out(config, ".mrg.json"), _json_text(payload))
+    message = f"MRG={report.observed_mrg:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}\n"
     return {"graph": config["graph"]}, files, {}, message
 
 
@@ -631,6 +610,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = _inject_config_file(argv, parser)
         args = parser.parse_args(argv)
         if args.from_manifest:
+            if args.command is not None:
+                raise UsageError("--from-manifest replays the manifest's own command; give no command with it")
             with open(args.from_manifest, "r", encoding="utf-8") as fh:
                 manifest = _ManifestPart(json.load(fh), f"manifest {args.from_manifest}")
             command = manifest["command"]

@@ -129,10 +129,6 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
     )
 
 
-def partition_to_csv(partition: Partition) -> str:
-    return labels_to_csv(partition.labels)
-
-
 def labels_to_csv(labels: Sequence[int]) -> str:
     """A "node_id,community_id" CSV of one non-negative integer label per node."""
     ids, lab = np.arange(len(labels)), np.asarray(labels, dtype=np.int64)

@@ -77,6 +77,23 @@ def test_planted_truth_matches_analytic_expectation():
     assert abs(modularity(g, Partition(g, truth)) - expected) <= 0.02
 
 
+def test_bernoulli_hits_across_chunks():
+    # Every geometric gap is 1, so each draw's estimate falls short of the
+    # range and the skips run on into further chunks; the draw sizes are the
+    # stream that one block of generate_planted consumes.
+    class AllOnes:
+        def __init__(self):
+            self.sizes = []
+
+        def geometric(self, p, size):
+            self.sizes.append(size)
+            return np.ones(size, dtype=np.int64)
+
+    rng = AllOnes()
+    assert np.array_equal(qicd.bench._bernoulli_hits(1000, 0.5, rng), np.arange(1000))
+    assert rng.sizes == [616, 246, 98, 40]
+
+
 def test_planted_reproducible():
     a, _ = generate_planted(PlantedSpec(300, 5, 0.1, 0.02, seed=9))
     b, _ = generate_planted(PlantedSpec(300, 5, 0.1, 0.02, seed=9))
@@ -302,7 +319,7 @@ def test_mrg_significance_mechanics():
     assert len(report.null_gaps) == 5
     assert 0.0 <= report.percentile <= 100.0
     assert report.null_std >= 0.0
-    assert math.isfinite(report.observed)
+    assert math.isfinite(report.observed_mrg)
 
 
 def test_mrg_percentile_low_on_er_graph():

@@ -3,6 +3,7 @@ import csv
 import functools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -271,6 +272,34 @@ def test_benchmark_full_grid_structure(workdir, capsys):
     assert len(summary["methods"]) == 12
 
 
+def test_benchmark_table_and_summary_agree(workdir, capsys):
+    """Each table row prints its method's summary values at four decimals,
+    the rows run by descending mean, and the footer names the baseline."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    argv = ["benchmark", "--graph", "g.el", "--methods", "leiden,louvain-hu,leiden-haar", "--runs", "3",
+            "--iterations", "2", "--seed", "5", "--out", "b"]
+    assert main(argv) == 0
+    summary = json.loads((workdir / "b.summary.json").read_text())
+    lines = (workdir / "b.table.txt").read_text().splitlines()
+    assert lines[-1] == "baseline: leiden; * marks p < 0.05"
+    body = lines[2:-2]
+    assert len(body) == len(summary["methods"]) == 3
+    row_re = re.compile(r"(\S+) +(\d+)  (\S+)±(\S+)   \[(\S+), (\S+)\] +(\S+)( \*)? *")
+    means = []
+    for line in body:
+        method, n, mean, std, ci_low, ci_high, p_text, star = row_re.fullmatch(line).groups()
+        row = summary["methods"][method]
+        assert int(n) == row["n"] == 3
+        for text, key in ((mean, "mean"), (std, "std"), (ci_low, "ci_low"), (ci_high, "ci_high")):
+            assert text == f"{row[key]:.4f}", (method, key)
+        p = row["p_vs_baseline"]
+        assert p_text == ("--" if p is None else f"{p:.4f}")
+        assert (star is not None) == (p is not None and p < 0.05)
+        means.append(row["mean"])
+    assert means == sorted(means, reverse=True)
+    assert summary["methods"]["leiden"]["p_vs_baseline"] is None
+
+
 def test_benchmark_single_method_omits_p(workdir, capsys):
     _make_graph(workdir, n=50, k=2, p_in=0.4, p_out=0.05)
     capsys.readouterr()
@@ -324,9 +353,10 @@ def test_benchmark_usage_errors(workdir, capsys):
         (["--generate-spec", "planted:n=60.9,k=3,p_in=0.4,p_out=0.05"], "bad --generate-spec entry 'n=60.9'"),
         (["--graph", "g.el", "--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
         (["--graph", "g.el", "--runs", "two"], "bad --runs entry 'two'"),
+        (["--graph", "g.el", "--runs", "zzz=3"], "unknown method in --runs: 'zzz'"),
     ],
     ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "non-integer",
-         "runs-count", "runs-default"],
+         "runs-count", "runs-default", "runs-unknown-method"],
 )
 def test_benchmark_spec_errors_name_the_entry(workdir, capsys, flags, message):
     _make_graph(workdir)
@@ -645,6 +675,23 @@ def test_manifest_rerun_reproduces_outputs(workdir):
     assert old_rows == new_rows
 
 
+def test_from_manifest_with_a_command_is_a_usage_error(workdir, capsys):
+    """A replay runs its manifest's own command, so a command given beside
+    --from-manifest is refused before anything is read or written."""
+    _make_graph(workdir)
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "d.csv"]) == 0
+    before = {name: ((workdir / name).read_bytes(), (workdir / name).stat().st_mtime_ns)
+              for name in ("d.csv", "d.manifest.json")}
+    capsys.readouterr()
+    argv = ["--from-manifest", "d.manifest.json", "detect", "--graph", "missing.el", "--method", "leiden",
+            "--out", "zz.csv"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--from-manifest" in err
+    assert not list(workdir.glob("zz*"))
+    assert before == {name: ((workdir / name).read_bytes(), (workdir / name).stat().st_mtime_ns) for name in before}
+
+
 def test_random_ties_is_retired(workdir, capsys):
     """Ties always go to the lowest community id: the flag is gone, a
     manifest that broke ties at random is refused, and one that did not
@@ -675,8 +722,9 @@ def test_random_ties_is_retired(workdir, capsys):
         ("config-lacks-graph", "config of manifest old.manifest.json lacks 'graph'"),
         ("lacks-command", "manifest old.manifest.json lacks 'command'"),
         ("json-list", "manifest old.manifest.json is not a JSON object"),
+        ("unknown-command", "manifest names unknown command 'cluster'"),
     ],
-    ids=["config-lacks-graph", "lacks-command", "json-list"],
+    ids=["config-lacks-graph", "lacks-command", "json-list", "unknown-command"],
 )
 def test_malformed_manifest_is_a_usage_error(workdir, capsys, fault, message):
     _make_graph(workdir)
@@ -687,6 +735,8 @@ def test_malformed_manifest_is_a_usage_error(workdir, capsys, fault, message):
         del manifest["config"]["graph"]
     elif fault == "lacks-command":
         del manifest["command"]
+    elif fault == "unknown-command":
+        manifest["command"] = "cluster"
     else:
         manifest = [manifest]
     (workdir / "old.manifest.json").write_text(json.dumps(manifest))
@@ -813,6 +863,14 @@ def test_env_seed_default(workdir, monkeypatch, capsys):
     assert (workdir / "e1.csv").read_bytes() == (workdir / "e2.csv").read_bytes()
 
 
+def test_env_seed_must_be_an_integer(workdir, monkeypatch, capsys):
+    _make_graph(workdir)
+    monkeypatch.setenv("QICD_SEED", "abc")
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "e.csv"]) == 1
+    assert capsys.readouterr().err == "error: QICD_SEED must be an integer\n"
+    assert not list(workdir.glob("e.*"))
+
+
 def test_relabel_sidecar(workdir, capsys):
     (workdir / "named.el").write_text("alice bob\nbob carol\ncarol alice\ndan erin\nerin frank\nfrank dan\n")
     assert main(["detect", "--graph", "named.el", "--relabel", "--method", "leiden", "--seed", "1",
@@ -821,6 +879,18 @@ def test_relabel_sidecar(workdir, capsys):
     assert labels[0] == "node_id,label"
     assert labels[1] == "0,alice"
     assert capsys.readouterr().out.strip() == "Q=0.500000"
+
+
+@pytest.mark.parametrize("value, sidecar", [("true", True), ("false", False)])
+def test_config_file_relabel_line(workdir, capsys, value, sidecar):
+    """A relabel line of --config turns the .labels.csv sidecar on or off."""
+    (workdir / "g.el").write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+    (workdir / "conf.txt").write_text(f"method=leiden\nrelabel={value}\n")
+    assert main(["detect", "--config", "conf.txt", "--graph", "g.el", "--out", "c.csv"]) == 0
+    assert (workdir / "c.labels.csv").exists() == sidecar
+    manifest = json.loads((workdir / "c.manifest.json").read_text())
+    assert manifest["config"]["relabel"] == sidecar
+    assert ("labels" in manifest["outputs"]) == sidecar
 
 
 def test_relabel_sidecar_quotes_labels_that_need_it(workdir, capsys):

@@ -21,7 +21,6 @@ from qicd import (
     degree_preserving_rewire,
     dump_edge_list,
     load_edge_list,
-    partition_to_csv,
 )
 from qicd.cli import main
 from qicd.graph import NodeCountError, text_rows
@@ -310,6 +309,33 @@ def test_labeled_loader_maps_tokens():
     assert g.total_weight == 3.0
 
 
+def test_nul_byte_fails_on_an_edge_line_but_not_in_a_comment():
+    with pytest.raises(EdgeListError, match=r"^line 2: NUL byte in '1 2\\x00'$"):
+        load_edge_list("0 1\n1 2\x00\n")
+    assert load_edge_list("0 1\n# a \x00 comment\n1 2\n").edge_count == 2
+
+
+def test_relabel_mixes_wide_and_short_labels_in_first_appearance_order():
+    # Labels over 64 bytes are looked up one by one, apart from the short ones.
+    wide_a, wide_b = "a" * 70, "b" * 65
+    g, labels = load_edge_list(f"x {wide_a}\n{wide_b} y\n{wide_a} z\nx y\n", relabel=True)
+    assert labels == ["x", wide_a, wide_b, "y", "z"]
+    us, vs, _ws = g.edge_arrays()
+    assert sorted(zip(us.tolist(), vs.tolist())) == [(0, 1), (0, 3), (1, 4), (2, 3)]
+
+
+def test_wide_id_token_that_int_rejects_names_its_line():
+    # Over 18 characters, an id is read by int() on its own.
+    with pytest.raises(EdgeListError, match="^line 2: node ids must be integers: '1234567890123456789x 2'$"):
+        load_edge_list("0 1\n1234567890123456789x 2\n")
+
+
+@pytest.mark.parametrize("edges, index", [([(0, 1)], 0), ([(0, 1, 1.0), None], 1)])
+def test_build_graph_names_the_first_edge_that_is_not_a_triple(edges, index):
+    with pytest.raises(EdgeListError, match=f"^edge {index}: expected a \\(u, v, weight\\) triple$"):
+        build_graph(3, edges)
+
+
 def test_degrees_and_edge_count():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     assert np.diff(g.indptr).tolist() == [1, 2, 1]
@@ -403,7 +429,7 @@ def test_writers_match_fstrings(case, labels):
 def test_partition_csv_matches_fstrings(labels):
     graph = build_graph(len(labels), [])
     partition = Partition(graph, labels)
-    assert partition_to_csv(partition) == reference_csv(partition.labels)
+    assert labels_to_csv(partition.labels) == reference_csv(partition.labels)
 
 
 def test_generated_truth_csv_matches_fstrings(tmp_path, monkeypatch):
