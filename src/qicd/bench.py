@@ -20,7 +20,7 @@ import numpy as np
 
 from .detect import DetectorConfig, leiden, louvain
 from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, run_qicd
-from .graph import Graph, build_graph
+from .graph import _MAX_NODES, Graph, NodeCountError, build_graph
 from .partition import modularity
 from .rng import make_rng, mix
 
@@ -37,6 +37,8 @@ class PlantedSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n > _MAX_NODES:  # build_graph's cap, checked before any label is made
+            raise NodeCountError(f"node count {self.n} is too large")
         if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= k <= n")
         if not 0.0 <= self.p_out <= self.p_in <= 1.0:

@@ -58,12 +58,12 @@ DATA_ERRORS = (ValueError, ArithmeticError, OSError, KeyError)
 # Runs per benchmark method when --runs names no count for it.
 BENCHMARK_RUNS = 6
 
-# Flag defaults, and the values of keys that a manifest lacks, come from the
-# config dataclasses and the library functions' own defaults; the CLI
-# restates none of them. The maps below send manifest keys to field names.
+# Flag defaults come from the config dataclasses and the library functions'
+# own defaults, and a replayed manifest lacking a key takes its flag's; the
+# CLI restates none of them. The maps below send config keys to field names.
 _QICD = QicdConfig()
-_DETECTOR_KEYS = {k: k for k in ("max_levels", "min_gain", "resolution")}
-_DETECTOR_KEYS["max_sweeps"] = "max_sweeps_per_level"
+_DETECTOR_KEYS = {"max_levels": "max_levels", "max_sweeps": "max_sweeps_per_level", "min_gain": "min_gain",
+                  "resolution": "resolution"}
 _HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
 _QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "init_mode", "base",
                              "refine_before_accept")}
@@ -71,20 +71,6 @@ _QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limi
 
 class UsageError(Exception):
     pass
-
-
-class _ManifestPart(dict):
-    """A replayed manifest or its config: reading a key it lacks is a usage
-    error naming the file, while KeyErrors from deeper code stay data errors."""
-
-    def __init__(self, data, where: str):
-        if not isinstance(data, dict):
-            raise UsageError(f"{where} is not a JSON object")
-        super().__init__(data)
-        self.where = where
-
-    def __missing__(self, key):
-        raise UsageError(f"{self.where} lacks {key!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,39 +83,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_replayed_types(config: _ManifestPart, command_parser: argparse.ArgumentParser) -> _ManifestPart:
-    """The replayed config, less the keys that no flag of the command
-    defines (older manifests hold retired ones), after refusing a value
-    that the command's flag could not have given: its type (an int is not a
-    bool, a float may be an int), a store_true flag's bool, and its
-    choices. An optional flag whose default is None may be null."""
-    actions = {a.dest: a for a in command_parser._actions}
-    kept = _ManifestPart({key: value for key, value in config.items() if key in actions}, config.where)
-    for key, value in kept.items():
-        action = actions[key]
-        if value is None and action.default is None and not action.required:
-            continue
-        if action.nargs == 0:
-            expected, ok = "true or false", type(value) is bool
-        elif action.type is int:
-            expected, ok = "an int", type(value) is int
-        elif action.type is float:
-            expected, ok = "a number", type(value) in (int, float)
-        else:
-            expected, ok = "a string", type(value) is str
-        if ok and action.choices is not None and value not in action.choices:
-            expected, ok = f"one of {', '.join(action.choices)}", False
-        if not ok:
-            raise UsageError(f"{config.where} sets {key!r} to {json.dumps(value)}; expected {expected}")
-    return kept
-
-
 def _out(config: dict, suffix: str | None = None) -> str:
     """The path --out names, or, given a suffix, its stem with the suffix."""
     out = Path(config["out"])
-    if suffix is None:
-        return str(out)
-    return str(out.with_suffix("") if out.suffix else out) + suffix
+    return str(out) if suffix is None else str(out.with_suffix("") if out.suffix else out) + suffix
 
 
 def _write_text(path: str, text: str) -> None:
@@ -145,30 +102,15 @@ def _json_text(value) -> str:
 def _load_graph(config: dict, key: str = "graph"):
     """The graph that config[key] names (--graph by default), and the files
     that loading it adds: with --relabel, the .labels.csv sidecar."""
-    relabel = config.get("relabel", False)
+    relabel = config.get("relabel", False)  # generate rewire has no --relabel
     with open(config[key], "rb") as fh:
-        loaded = load_edge_list(fh, merge_duplicates=config.get("merge_duplicates", False), relabel=relabel)
+        loaded = load_edge_list(fh, merge_duplicates=config["merge_duplicates"], relabel=relabel)
     if not relabel:
         return loaded, {}
     graph, labels = loaded
     text = io.StringIO()  # csv quotes a label that holds "," or '"'
     csv.writer(text, lineterminator="\n").writerows([("node_id", "label"), *enumerate(labels)])
     return graph, {"labels": (_out(config, ".labels.csv"), text.getvalue())}
-
-
-def _write_manifest(command: str, config: dict, inputs: dict, outputs: dict, started: float) -> None:
-    manifest = {
-        "command": command,
-        "tool": "qicd",
-        "version": __version__,
-        "rng": RNG_NAME,
-        "base_seed": config.get("seed"),
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-        "duration_seconds": time.perf_counter() - started,
-    }
-    _write_text(_out(config, ".manifest.json"), _json_text(manifest))
 
 
 def _default(fn, name: str):
@@ -187,7 +129,8 @@ def _detector_from(config: dict) -> DetectorConfig:
 
 
 def _qicd_config(config: dict) -> QicdConfig:
-    if config.get("proposal_seeds") is not None and not draws_weights(config.get("kind", _QICD.kind)):
+    kind = config.get("kind", _QICD.kind)  # benchmark has no --kind: its method names set it
+    if config["proposal_seeds"] is not None and not draws_weights(kind):
         raise UsageError("--seeds has no effect with --kind hu, which draws no weights")
     return replace(
         _QICD,
@@ -245,8 +188,7 @@ def _run_generate(kind: str, config: dict):
 
 def _run_generate_rewire(config: dict):
     graph, _files = _load_graph(config, "input")
-    swap_factor = config.get("swap_factor", _default(degree_preserving_rewire, "swap_factor"))
-    rewired = degree_preserving_rewire(graph, swap_factor, config["seed"])
+    rewired = degree_preserving_rewire(graph, config["swap_factor"], config["seed"])
     message = f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})\n"
     return {"graph": config["input"]}, {"graph": (_out(config), dump_edge_list(rewired))}, {}, message
 
@@ -340,30 +282,22 @@ def _render_table(rows: dict[str, dict], baseline: str) -> str:
     lines = [header, "-" * len(header)]
     for method, row in sorted(rows.items(), key=lambda item: -item[1]["mean"]):
         ci = f"[{row['ci_low']:.4f}, {row['ci_high']:.4f}]"
-        if row["p_vs_baseline"] is None:
-            p_text = "--"
-        else:
-            mark = " *" if row["p_vs_baseline"] < 0.05 else ""
-            p_text = f"{row['p_vs_baseline']:.4f}{mark}"
-        lines.append(
-            f"{method:<18}{row['n']:>5}  "
-            f"{row['mean']:.4f}±{row['std']:.4f}   "
-            f"{ci:<20}{p_text:<10}"
-        )
-    lines.append("")
-    lines.append(f"baseline: {baseline}; * marks p < 0.05")
+        p = row["p_vs_baseline"]
+        p_text = "--" if p is None else f"{p:.4f}" + (" *" if p < 0.05 else "")
+        lines.append(f"{method:<18}{row['n']:>5}  {row['mean']:.4f}±{row['std']:.4f}   {ci:<20}{p_text:<10}")
+    lines += ["", f"baseline: {baseline}; * marks p < 0.05"]
     return "\n".join(lines) + "\n"
 
 
 def _run_benchmark(config: dict):
     # Checked here, not in the parser, so that replayed manifests meet them too.
-    if bool(config.get("graph")) == bool(config.get("generate_spec")):
+    if bool(config["graph"]) == bool(config["generate_spec"]):
         raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
     for key in ("relabel", "merge_duplicates"):
-        if config.get("generate_spec") and config.get(key):
+        if config["generate_spec"] and config[key]:
             raise UsageError(f"--{key.replace('_', '-')} applies to --graph, not to --generate-spec")
-    kind, params = _parse_generate_spec(config["generate_spec"]) if config.get("generate_spec") else (None, {})
-    if config.get("fresh_graphs") and kind in (None, "clique-ring"):
+    kind, params = _parse_generate_spec(config["generate_spec"]) if config["generate_spec"] else (None, {})
+    if config["fresh_graphs"] and kind in (None, "clique-ring"):
         raise UsageError("--fresh-graphs needs a randomized generator spec")
     methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
     if not methods:
@@ -375,13 +309,13 @@ def _run_benchmark(config: dict):
     if repeated:
         raise UsageError(f"--methods lists {repeated[0]!r} more than once")
     proposals = [METHODS[m][1] for m in methods if METHODS[m][1] is not None]
-    if config.get("proposal_seeds") is not None and not any(map(draws_weights, proposals)):
+    if config["proposal_seeds"] is not None and not any(map(draws_weights, proposals)):
         raise UsageError("--seeds has no effect: --methods lists only plain and hu methods, which draw no weights")
     runs = _parse_runs_spec(config["runs"], methods)
     for name, count in runs.items():
         if count < 2:
             raise UsageError(f"method {name!r} needs at least 2 runs for statistics, got {count}")
-    baseline = config.get("baseline")
+    baseline = config["baseline"]
     if baseline is None:
         # leiden, unless a method list omits it: then the first plain method
         # it lists. The manifest records the name chosen.
@@ -397,7 +331,7 @@ def _run_benchmark(config: dict):
         inputs = {"graph": config["graph"]}
     else:
         inputs, files = {"generate_spec": config["generate_spec"]}, {}
-        if config.get("fresh_graphs"):
+        if config["fresh_graphs"]:
             source = lambda s: _generate(kind, params, s)[0]
         else:
             source = _generate(kind, params, mix(seed, 71))[0]
@@ -433,8 +367,7 @@ def _run_benchmark(config: dict):
 
 
 def _run_mrg(config: dict):
-    nulls = config.get("nulls", _default(mrg_significance, "null_count"))
-    swap_factor = config.get("swap_factor", _default(mrg_significance, "swap_factor"))
+    nulls, swap_factor = config["nulls"], config["swap_factor"]
     if nulls < 5:
         raise UsageError("--nulls must be at least 5")
     cfg = _qicd_config(config)
@@ -467,10 +400,9 @@ def _add_graph_input(p: _Parser, required: bool = True) -> None:
 
 def _add_detector_flags(p: _Parser) -> None:
     det = DetectorConfig()
-    p.add_argument("--max-levels", type=int, default=det.max_levels)
-    p.add_argument("--max-sweeps", type=int, default=det.max_sweeps_per_level)
-    p.add_argument("--min-gain", type=float, default=det.min_gain)
-    p.add_argument("--resolution", type=float, default=det.resolution)
+    for key, field in _DETECTOR_KEYS.items():
+        default = getattr(det, field)  # an int field's flag takes ints, a float field's floats
+        p.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=default)
 
 
 def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
@@ -567,15 +499,72 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     return command, config
 
 
+def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
+    """The command and config of the manifest at `path`, completed as the
+    command line completes them. Keys that no flag of the command defines
+    are dropped (older manifests hold retired ones). A value that its flag
+    could not have given is refused: its type (an int is not a bool, a
+    float may be an int), a store_true flag's bool, and its choices; an
+    optional flag whose default is None may be null. A key the manifest
+    lacks takes its flag's default, which passes those checks, but a
+    required flag has none, and neither has the seed, whose default comes
+    from QICD_SEED."""
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise UsageError(f"manifest {path} is not a JSON object")
+    for key in ("command", "config"):
+        if key not in manifest:
+            raise UsageError(f"manifest {path} lacks {key!r}")
+    command, recorded = manifest["command"], manifest["config"]
+    if not isinstance(command, str) or command not in RUNNERS:
+        raise UsageError(f"manifest names unknown command {command!r}")
+    where = f"config of manifest {path}"
+    if not isinstance(recorded, dict):
+        raise UsageError(f"{where} is not a JSON object")
+    if recorded.get("random_ties"):
+        # Ties now always go to the lowest community id; replaying under
+        # that rule would not reproduce the recorded run.
+        raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
+    config = {}
+    for action in parser.commands[command]._actions:
+        key = action.dest
+        if action.default is argparse.SUPPRESS:  # --help
+            continue
+        if key not in recorded and (action.required or key == "seed"):
+            raise UsageError(f"{where} lacks {key!r}")
+        value = config[key] = recorded.get(key, action.default)
+        if value is None and action.default is None and not action.required:
+            continue
+        if action.nargs == 0:
+            expected, ok = "true or false", type(value) is bool
+        elif action.type is int:
+            expected, ok = "an int", type(value) is int
+        elif action.type is float:
+            expected, ok = "a number", type(value) in (int, float)
+        else:
+            expected, ok = "a string", type(value) is str
+        if ok and action.choices is not None and value not in action.choices:
+            expected, ok = f"one of {', '.join(action.choices)}", False
+        if not ok:
+            raise UsageError(f"{where} sets {key!r} to {json.dumps(value)}; expected {expected}")
+    return command, config
+
+
 def _inject_config_file(argv: list[str], parser: _Parser) -> list[str]:
     """Splice key=value defaults from --config in after the command tokens,
     so that explicit flags win. A store_true flag reads true or false as on
-    or off; every other line becomes --key=value, for argparse to check."""
+    or off; every other line becomes --key=value, for argparse to check. A
+    replay takes its flags from its manifest, so --config beside
+    --from-manifest is refused before either file is read."""
     finder = _Parser(add_help=False)
     finder.add_argument("--config")
-    found, argv = finder.parse_known_args(argv)
+    finder.add_argument("--from-manifest")
+    found, rest = finder.parse_known_args(argv)
     if found.config is None:
         return argv
+    if found.from_manifest is not None:
+        raise UsageError("--config does not apply to --from-manifest, which replays the manifest's own config")
     switches = {flag for p in parser.commands.values() for a in p._actions
                 if isinstance(a, argparse._StoreTrueAction) for flag in a.option_strings}
     extra: list[str] = []
@@ -594,8 +583,8 @@ def _inject_config_file(argv: list[str], parser: _Parser) -> list[str]:
                     extra.append(flag)
             else:
                 extra.append(f"{flag}={value}")
-    head = list(takewhile(lambda token: not token.startswith("-"), argv))
-    return head + extra + argv[len(head):]
+    head = list(takewhile(lambda token: not token.startswith("-"), rest))
+    return head + extra + rest[len(head):]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -612,17 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.from_manifest:
             if args.command is not None:
                 raise UsageError("--from-manifest replays the manifest's own command; give no command with it")
-            with open(args.from_manifest, "r", encoding="utf-8") as fh:
-                manifest = _ManifestPart(json.load(fh), f"manifest {args.from_manifest}")
-            command = manifest["command"]
-            if not isinstance(command, str) or command not in RUNNERS:
-                raise UsageError(f"manifest names unknown command {command!r}")
-            config = _ManifestPart(manifest["config"], f"config of manifest {args.from_manifest}")
-            if config.get("random_ties"):
-                # Ties now always go to the lowest community id; replaying
-                # under that rule would not reproduce the recorded run.
-                raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
-            config = _check_replayed_types(config, parser.commands[command])
+            command, config = _replayed(args.from_manifest, parser)
         else:
             command, config = _config_from_args(args)
         started = time.perf_counter()
@@ -630,7 +609,10 @@ def main(argv: list[str] | None = None) -> int:
         for path, text in files.values():
             _write_text(path, text)
         outputs = {key: path for key, (path, _text) in files.items()} | recorded
-        _write_manifest(command, config, inputs, outputs, started)
+        manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME,
+                    "base_seed": config["seed"], "config": config, "inputs": inputs, "outputs": outputs,
+                    "duration_seconds": time.perf_counter() - started}
+        _write_text(_out(config, ".manifest.json"), _json_text(manifest))
         sys.stdout.write(message)
         return EXIT_OK
     except UsageError as exc:

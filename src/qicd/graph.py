@@ -439,15 +439,22 @@ def load_edge_list(
     weight_at = first[weighted] + 2
     del first
 
+    exact = None  # the first edge with an id past the header's count, and its ids as written
     if relabel:
         ids, labels = _dense_ids(data, buf, bounds, pair)
     else:
         ids, bad = _numbers(data, buf, bounds, pair, int)
         if bad < len(ids):
             faults.append((int(rows[bad // 2]), 1, "node ids must be integers: {!r}"))
-        negative = np.flatnonzero(ids[:bad] < 0)
+        # Read as unsigned, a negative id lies past every count, so one pass
+        # finds the negative ids and those past the header's count.
+        beyond = np.flatnonzero(ids[:bad].view(np.uint64) >= (2**63 if header_n is None else min(header_n, 2**63)))
+        negative = beyond[ids[beyond] < 0]
         if negative.size:
             faults.append((int(rows[negative[0] // 2]), 2, "node ids must be non-negative: {!r}"))
+        elif beyond.size:  # a float64 rounds an id past 2**53, and _numbers clamps one past int64
+            edge = int(beyond[0]) // 2
+            exact = edge, tuple(int(data[a:b]) for a, b in bounds[pair[2 * edge : 2 * edge + 2]].tolist())
     weights, bad = _numbers(data, buf, bounds, weight_at, float)
     if bad < len(weights):
         faults.append((int(rows[weighted[bad]]), 3, "bad weight: {!r}"))
@@ -488,6 +495,12 @@ def load_edge_list(
         # The count comes from the header, or else from the largest node id.
         origin = f"line {header_line}" if header_n is not None else where(at // 2)
         raise NodeCountError(f"{origin}: {exc}") from None
+    except EdgeListError as exc:
+        # build_graph names the first fault in file order: on that edge's
+        # line, it is the edge's range error.
+        if exact is None or not str(exc).startswith(f"{where(exact[0])}: "):
+            raise
+        raise EdgeListError(f"{where(exact[0])}: endpoint out of range for n={n}: {exact[1]}") from None
     return (graph, labels) if relabel else graph
 
 

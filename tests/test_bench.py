@@ -25,6 +25,7 @@ from qicd import (
     run_experiment,
 )
 from qicd.bench import METHODS, clique_ring_truth, planted_sizes, run_seeded, spec_for_ratio
+from qicd.graph import NodeCountError
 
 
 def _pin_cpus(monkeypatch, cpus: int) -> None:
@@ -40,6 +41,10 @@ def test_planted_spec_validation():
         PlantedSpec(10, 2, 0.1, 0.5)  # p_out > p_in
     with pytest.raises(ValueError):
         PlantedSpec(10, 2, 1.5, 0.1)
+    # build_graph's node cap, isqrt(2**63 - 1), checked before anything is allocated
+    PlantedSpec(3_037_000_499, 1, 1e-20, 0.0)
+    with pytest.raises(NodeCountError, match="^node count 3037000500 is too large$"):
+        PlantedSpec(3_037_000_500, 1, 1e-20, 0.0)
 
 
 def test_planted_sizes_spread_remainder():

@@ -152,6 +152,31 @@ def test_calibration_settings_are_checked_before_any_leiden_run(workdir, capsys,
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "planted", "--n", "10000000000000", "--k", "1", "--p-in", "1e-20", "--p-out", "0",
+         "--out", "g.el"],
+        ["generate", "calibrated", "--n", "10000000000000", "--k", "1", "--target-q", "0.3", "--out", "g.el"],
+        ["benchmark", "--generate-spec", "planted:n=10000000000000,k=1,p_in=1e-20,p_out=0", "--methods", "leiden",
+         "--out", "b"],
+    ],
+    ids=["planted", "calibrated", "benchmark-spec"],
+)
+def test_planted_node_count_past_the_graph_cap_is_a_data_error(workdir, capsys, monkeypatch, argv):
+    """A planted node count that build_graph would refuse is refused before
+    any node's label is made."""
+
+    def generate_planted(_spec):
+        raise AssertionError("the node count must be checked before generating")
+
+    monkeypatch.setattr("qicd.cli.generate_planted", generate_planted)
+    monkeypatch.setattr("qicd.bench.generate_planted", generate_planted)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "node count 10000000000000 is too large\n"
+    assert list(workdir.iterdir()) == []
+
+
 def test_detect_prints_q(workdir, capsys):
     assert main(["generate", "clique-ring", "--cliques", "10", "--size", "5", "--out", "ring.el"]) == 0
     capsys.readouterr()
@@ -214,6 +239,11 @@ def test_usage_errors_exit_1(workdir, capsys):
     assert main(["mrg", "--graph", "g.el", "--nulls", "4", "--out", "x"]) == 1
     assert main(["benchmark", "--methods", "leiden", "--out", "x"]) == 1  # no graph and no spec
     assert main([]) == 1
+    capsys.readouterr()
+    assert main(["generate"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: generate requires a subcommand: planted | calibrated | clique-ring | rewire\n"
+    )
 
 
 def test_qicd_outputs(workdir, capsys):
@@ -692,6 +722,26 @@ def test_from_manifest_with_a_command_is_a_usage_error(workdir, capsys):
     assert before == {name: ((workdir / name).read_bytes(), (workdir / name).stat().st_mtime_ns) for name in before}
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["files", "no-files"])
+def test_config_with_from_manifest_is_a_usage_error(workdir, capsys, exists):
+    """A replay takes every flag from its manifest, so --config beside
+    --from-manifest is refused before either file is read or anything is
+    written."""
+    if exists:
+        _make_graph(workdir)
+        assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "d.csv"]) == 0
+        (workdir / "c.conf").write_text("method=louvain\nout=zz.csv\n")
+    before = {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in workdir.iterdir()}
+    capsys.readouterr()
+    for argv in (["--from-manifest", "d.manifest.json", "--config", "c.conf"],
+                 ["--config=c.conf", "--from-manifest=d.manifest.json"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == (
+            "usage error: --config does not apply to --from-manifest, which replays the manifest's own config\n"
+        )
+    assert before == {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in workdir.iterdir()}
+
+
 def test_random_ties_is_retired(workdir, capsys):
     """Ties always go to the lowest community id: the flag is gone, a
     manifest that broke ties at random is refused, and one that did not
@@ -923,7 +973,8 @@ def test_failed_relabel_run_writes_no_sidecar(workdir, capsys, monkeypatch, argv
     assert not list(workdir.glob("e.*"))
 
 
-@pytest.mark.parametrize(
+# One run of every command, writing every kind of output file.
+_EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         [*_PLANTED, "--out", "planted.el"],
@@ -938,6 +989,9 @@ def test_failed_relabel_run_writes_no_sidecar(workdir, capsys, monkeypatch, argv
     ],
     ids=["planted", "calibrated", "clique-ring", "rewire", "detect-relabel", "qicd", "benchmark", "mrg"],
 )
+
+
+@_EVERY_COMMAND
 def test_manifest_lists_every_file(workdir, capsys, argv):
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     assert main(argv) == 0
@@ -945,6 +999,78 @@ def test_manifest_lists_every_file(workdir, capsys, argv):
     manifest = json.loads((workdir / f"{stem}.manifest.json").read_text())
     files = {path for key, path in manifest["outputs"].items() if key != "achieved_q"}
     assert {p.name for p in workdir.glob(f"{stem}.*")} == files | {f"{stem}.manifest.json"}
+
+
+def _without_wall_clock(path: Path) -> str:
+    """A file's text less its wall-clock fields: a manifest's
+    duration_seconds line and a trace's millis column."""
+    text = path.read_text()
+    if path.name.endswith(".trace.csv"):
+        return "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+    return re.sub(r'\n *"duration_seconds": [^\n]*', "", text)
+
+
+@_EVERY_COMMAND
+def test_replay_is_a_fixed_point(workdir, capsys, argv):
+    """Replaying a manifest rewrites it, wall clock aside. A replayed
+    config lacking an optional key reads it as the command line does: the
+    flag's default, which the new manifest records, and which writes the
+    same files when the key held that default. Lacking a required key or
+    the seed, whose default comes from QICD_SEED, it is a usage error."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    assert main(argv) == 0
+    stem = Path(argv[-1]).stem
+    path = workdir / f"{stem}.manifest.json"
+    written = _without_wall_clock(path)
+    assert main(["--from-manifest", path.name]) == 0
+    assert _without_wall_clock(path) == written
+    manifest = json.loads(written)
+    command, config = manifest["command"], manifest["config"]
+    outputs = {name: file for name, file in manifest["outputs"].items() if name != "achieved_q"}
+    for action in build_parser(0).commands[command]._actions:
+        key = action.dest
+        if key == "help":
+            continue
+        out = f"{stem}-{key}"
+        lacking = {k: v for k, v in config.items() if k != key}
+        if key != "out":
+            lacking["out"] = out
+        (workdir / "old.manifest.json").write_text(json.dumps({**manifest, "config": lacking}))
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        error = None
+        if (command, key) == ("benchmark", "graph"):  # which then has no graph source
+            error = "benchmark needs exactly one of --graph or --generate-spec"
+        elif action.required or key == "seed":
+            error = f"config of manifest old.manifest.json lacks {key!r}"
+        if error is not None:
+            assert main(["--from-manifest", "old.manifest.json"]) == 1, key
+            assert capsys.readouterr().err == f"usage error: {error}\n"
+            assert sorted(workdir.iterdir()) == before
+            continue
+        assert main(["--from-manifest", "old.manifest.json"]) == 0, key
+        replayed = json.loads((workdir / f"{out}.manifest.json").read_text())
+        # benchmark records the baseline it chose in place of None.
+        assert replayed["config"][key] == (config[key] if key == "baseline" else action.default), key
+        if config[key] == action.default:
+            for name, old in outputs.items():
+                new = replayed["outputs"][name]
+                assert _without_wall_clock(workdir / new) == _without_wall_clock(workdir / old), (key, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["generate"], *(["generate", kind] for kind in _GENERATE),
+     *([command] for command in ("detect", "qicd", "benchmark", "mrg"))],
+    ids=lambda argv: " ".join(argv) or "qicd",
+)
+def test_every_help_text_prints(capsys, argv):
+    """Each parser's --help formats its help strings (a stray % would
+    raise) and exits 0."""
+    with pytest.raises(SystemExit) as info:
+        build_parser(0).parse_args([*argv, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['qicd', *argv])} ")
 
 
 def test_merge_duplicates_flag(workdir, capsys):

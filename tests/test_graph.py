@@ -199,6 +199,26 @@ def test_load_validation_errors_report_file_line(loader, text, message):
         loader(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# nodes: 3\n0 9007199254740993\n", "line 2: endpoint out of range for n=3: (0, 9007199254740993)"),
+        ("# nodes: 3\n0 99999999999999999999\n", "line 2: endpoint out of range for n=3: (0, 99999999999999999999)"),
+        ("# nodes: 3\n0 1\n99999999999999999999 2\n",
+         "line 3: endpoint out of range for n=3: (99999999999999999999, 2)"),
+        # a fault earlier in the file is still the one named
+        ("# nodes: 3\n2 2\n0 99999999999999999999\n", "line 2: self-loop at node 2"),
+    ],
+    ids=["past-2**53", "past-int64", "first-endpoint", "earlier-fault"],
+)
+def test_out_of_range_ids_are_named_as_written(text, message):
+    """An id past the header's count is named by its exact value, which a
+    float64 would round past 2**53 and int64 cannot hold past 2**63 - 1."""
+    with pytest.raises(EdgeListError) as info:
+        load_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_oversized_header_is_a_data_error_under_a_memory_limit(tmp_path):
     """A header count whose arrays cannot be allocated (24 GB here, below
     the pair-key bound, so that the allocation itself fails) exits 2 naming
