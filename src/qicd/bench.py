@@ -150,8 +150,20 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
     if expected < 1.0:
         raise ValueError(f"expected edge count {expected:.3g} is below 1; spec would be empty")
 
+    # expected >= 1 leaves at least one block, if an empty one.
+    blocks = _planted_blocks(spec, sizes, starts)
+    edges = np.ones((sum(len(u) for u, _v in blocks), 3))
+    np.concatenate([u for u, _v in blocks], out=edges[:, 0])
+    np.concatenate([v for _u, v in blocks], out=edges[:, 1])
+    del blocks  # before build_graph makes its own arrays
+    return build_graph(spec.n, edges), labels
+
+
+def _planted_blocks(spec: PlantedSpec, sizes: list[int], starts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (u, v) arrays of the pairs each block of the planted model draws,
+    in the order the blocks draw from the spec's seeded stream."""
     rng = make_rng(spec.seed)
-    pairs = [np.empty((0, 2), dtype=np.int64)]  # concatenable even if no pair is drawn
+    blocks = []
     # Intra blocks: sample the full s*s rectangle and keep cells above the
     # diagonal, so each unordered pair is hit with probability exactly p_in.
     for c in range(spec.k):
@@ -162,15 +174,13 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
         i = hits // s
         j = hits % s
         keep = i < j
-        pairs.append(np.column_stack((i[keep], j[keep])) + starts[c])
+        blocks.append((i[keep] + starts[c], j[keep] + starts[c]))
     if spec.p_out > 0.0:
         for a in range(spec.k):
             for b in range(a + 1, spec.k):
                 hits = _bernoulli_hits(sizes[a] * sizes[b], spec.p_out, rng)
-                pairs.append(np.column_stack((hits // sizes[b] + starts[a], hits % sizes[b] + starts[b])))
-    ends = np.concatenate(pairs)
-    graph = build_graph(spec.n, np.column_stack((ends, np.ones(len(ends)))))
-    return graph, labels
+                blocks.append((hits // sizes[b] + starts[a], hits % sizes[b] + starts[b]))
+    return blocks
 
 
 def spec_for_ratio(n: int, k: int, ratio: float, avg_degree: float, seed: int = 0) -> PlantedSpec:

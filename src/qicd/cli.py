@@ -605,7 +605,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             command, config = _config_from_args(args)
         started = time.perf_counter()
-        inputs, files, recorded, message = RUNNERS[command](config)
+        try:
+            inputs, files, recorded, message = RUNNERS[command](config)
+        except MemoryError:
+            # Raised before any file is written.
+            print(f"{command}: out of memory; no output was written", file=sys.stderr)
+            return EXIT_DATA
         for path, text in files.values():
             _write_text(path, text)
         outputs = {key: path for key, (path, _text) in files.items()} | recorded

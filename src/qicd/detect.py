@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _CHUNK, Graph
 from .partition import Partition, aggregate, singleton_partition
 from .rng import make_rng
 
@@ -40,25 +40,27 @@ class DetectorConfig:
             raise ValueError("resolution must be finite and > 0")
 
 
-def _flat(graph: Graph) -> tuple:
-    """What the move loop reads of a graph: its CSR arrays and strengths as
-    Python lists, which the interpreted loop indexes much faster than numpy
-    arrays, then its total weight.
+def _neighbour_lists(graph: Graph) -> tuple[list[int], list[int]]:
+    """A graph's indptr and indices as Python lists, which the interpreted
+    loops index much faster than numpy arrays. indices holds one int per
+    node, and is filled _CHUNK entries at a time."""
+    nodes = np.arange(graph.node_count).astype(object)
+    indices = [0] * len(graph.indices)
+    for a in range(0, len(indices), _CHUNK):
+        indices[a : a + _CHUNK] = nodes[graph.indices[a : a + _CHUNK]].tolist()
+    return graph.indptr.tolist(), indices
 
-    The lists share their objects: indices holds one int per node, and
-    weights one float when all weights are equal."""
+
+def _flat(graph: Graph) -> tuple:
+    """What the move loop reads of a graph: _neighbour_lists, then its
+    weights and strengths as lists, then its total weight. weights holds
+    one float when all weights are equal."""
     w = graph.weights
     if len(w) and w.min() == w.max():
         weights = [float(w[0])] * len(w)
     else:
         weights = w.tolist()
-    return (
-        graph.indptr.tolist(),
-        np.arange(graph.node_count).astype(object)[graph.indices].tolist(),
-        weights,
-        graph.strengths.tolist(),
-        graph.total_weight,
-    )
+    return (*_neighbour_lists(graph), weights, graph.strengths.tolist(), graph.total_weight)
 
 
 def _move_pass(
@@ -175,7 +177,7 @@ def leiden_refine(graph: Graph, partition: Partition) -> Partition:
     on, ordered by community and then by lowest node. When every community
     is connected, partition itself is returned.
     """
-    indptr, indices = _flat(graph)[:2]
+    indptr, indices = _neighbour_lists(graph)
     old = partition.labels
     seen = [False] * len(old)
     kept = [False] * partition.community_count

@@ -30,12 +30,20 @@ class NodeCountError(EdgeListError):
 _MAX_NODES = math.isqrt(2**63 - 1)
 
 
+def _index_dtype(size: int) -> type:
+    """int32 when size < 2**31, else int64: the dtype of positions in a
+    text of size bytes, and of the CSR indices of a graph of size nodes."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted undirected graph in CSR form.
 
     The neighbours of u are indices[indptr[u]:indptr[u + 1]], sorted by id,
-    and weights holds their edge weights at the same positions.
+    and weights holds their edge weights at the same positions. indptr is
+    int64; indices is int32 when node_count < 2**31 and int64 above, the
+    dtype _index_dtype(node_count) picks.
     strengths[u] is the math.fsum of u's edge weights (the degree when all
     weights are 1); total_weight is the math.fsum of the weights of the
     distinct edges. Every array a graph holds is made read-only when it is
@@ -120,7 +128,8 @@ def build_graph(
     Duplicate undirected pairs are rejected unless merge_duplicates is set,
     in which case one bincount sums each pair's weights in input order.
     Errors name the first offending edge in input order as where(index), by
-    default its index.
+    default its index. The graph's indices are int32 when n < 2**31, and
+    int64 above; the pair keys are int64 either way.
 
     Two stable single-key sorts order the edges: pairs by that key, so a
     repeated pair keeps input order, then the CSR entries by row alone.
@@ -148,18 +157,22 @@ def build_graph(
     # Endpoints are truncated towards zero, as int() does. A NaN endpoint
     # makes lo and hi NaN, which fails both bounds.
     u, v = np.trunc(cols[:, 0]), np.trunc(cols[:, 1])
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    outside = ~((lo >= 0) & (hi < n))
     loop = u == v
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v, out=v)
     del u, v
+    outside = ~((lo >= 0) & (hi < n))
     faults = np.flatnonzero(outside | loop | ~(np.isfinite(cols[:, 2]) & (cols[:, 2] > 0.0)))
     valid = int(faults[0]) if faults.size else len(cols)
     del faults
 
     # Every edge before the first fault is well formed; a duplicate among
     # them comes first in input order.
-    lo, hi = lo[:valid].astype(np.int64), hi[:valid].astype(np.int64)
-    key = lo * n + hi
+    index = _index_dtype(n)
+    lo, hi = lo[:valid].astype(index), hi[:valid].astype(index)
+    key = lo.astype(np.int64)
+    key *= n
+    key += hi
     order = np.argsort(key, kind="stable")  # a repeated pair keeps input order
     key, weights = key[order], cols[order, 2]
     first = np.ones(valid, dtype=bool)
@@ -188,15 +201,18 @@ def build_graph(
     # each row's lower neighbours, ascending, ahead of its higher ones.
     pairs = order[starts]
     del order, starts
-    src = np.concatenate((hi[pairs], lo[pairs]))
-    dst = np.concatenate((lo[pairs], hi[pairs]))
+    p = len(pairs)
+    src, dst = np.empty(2 * p, index), np.empty(2 * p, index)
+    src[:p] = dst[p:] = hi[pairs]
+    src[p:] = dst[:p] = lo[pairs]
     del lo, hi, pairs
     order = np.argsort(src, kind="stable")
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     del src
     indices = dst[order]
     del dst
-    weights = np.concatenate((pair_w, pair_w))[order]
+    np.subtract(order, p, out=order, where=order >= p)  # entry e of src and dst is pair e mod p
+    weights = pair_w[order]
     del order
     with np.errstate(over="ignore"):  # an infinite sum takes the fsum route
         total_weight = float(pair_w.sum())
@@ -257,6 +273,9 @@ _HEADER_RE = re.compile(rb"#\s*nodes:\s*(\d+)\s*")
 # in 18 characters fits in int64.
 _INT_WIDTH = 18
 _TOKEN_WIDTH = 64
+# Bytes of text scanned for token bounds, and tokens cast to numbers, at a
+# time: small next to a large text, so that each step's temporaries are.
+_PARSE_BLOCK = 1 << 16
 # Blank space after the last line, so that every token's window fits.
 _PAD = b" " * _TOKEN_WIDTH
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -298,19 +317,23 @@ def _numbers(data: bytes, buf: np.ndarray, bounds: np.ndarray, tokens: np.ndarra
     """kind(token) of each token, kind being int or float, as numpy's bytes
     cast calls them, and the index of the first token that kind rejects
     (len(tokens) when none does); the values from there on are meaningless.
-    Integers past the int64 range are clamped to it."""
+    Integers past the int64 range are clamped to it. Tokens are cast
+    _PARSE_BLOCK at a time into one array."""
     integer = kind is int
-    dtype = np.int64 if integer else np.float64
-    strings, wide, spans = _fixed_width(buf, bounds, tokens, _INT_WIDTH if integer else _TOKEN_WIDTH, b"0")
-    try:
-        values = strings.astype(dtype)
-        bad = len(strings)
-    except ValueError:
-        bad = _first_failure(strings, dtype)
-        values = np.zeros(len(strings), dtype)
-        values[:bad] = strings[:bad].astype(dtype)
-    del strings
-    for i, (a, b) in zip(wide.tolist(), spans):
+    dtype, width = (np.int64, _INT_WIDTH) if integer else (np.float64, _TOKEN_WIDTH)
+    values = np.empty(len(tokens), dtype)
+    bad = len(tokens)
+    wide: list[tuple[int, list[int]]] = []  # (index, span) of each token cast below on its own
+    for t in range(0, len(tokens), _PARSE_BLOCK):
+        strings, found, spans = _fixed_width(buf, bounds, tokens[t : t + _PARSE_BLOCK], width, b"0")
+        wide += zip((found + t).tolist(), spans)
+        try:
+            values[t : t + len(strings)] = strings.astype(dtype)
+        except ValueError:
+            bad = t + _first_failure(strings, dtype)
+            values[t:bad] = strings[: bad - t].astype(dtype)
+            break
+    for i, (a, b) in wide:
         if i >= bad:
             break
         try:
@@ -348,6 +371,26 @@ def _dense_ids(data: bytes, buf: np.ndarray, bounds: np.ndarray, tokens: np.ndar
     rank[order] = np.arange(len(order))
     labels = [keys[k].decode("utf-8") for k in order[: len(order) - (wide.size > 0)].tolist()]
     return rank[codes], labels
+
+
+def _token_bounds(buf: np.ndarray) -> np.ndarray:
+    """(start, stop) of each token in buf, a row per token, in the dtype
+    _index_dtype picks for buf's length. Bytes turn from space to token at
+    each token's start and back at its stop. The turns are found
+    _PARSE_BLOCK bytes at a time, counted in one pass and written in a
+    second, so that no mask is as long as the text."""
+
+    def turns(a: int) -> np.ndarray:
+        return np.diff(_SPACE[buf[a : a + _PARSE_BLOCK]], prepend=_SPACE[buf[a - 1]] if a else True)
+
+    blocks = range(0, len(buf), _PARSE_BLOCK)
+    bounds = np.empty(sum(np.count_nonzero(turns(a)) for a in blocks), _index_dtype(len(buf)))
+    at = 0
+    for a in blocks:
+        found = np.flatnonzero(turns(a))
+        bounds[at : at + len(found)] = found + a
+        at += len(found)
+    return bounds.reshape(-1, 2)
 
 
 def _read(source: str | bytes | IO) -> bytes:
@@ -389,7 +432,10 @@ def load_edge_list(
     is_end = buf == ord("\n")
     lone_cr = buf == ord("\r")
     lone_cr[:-1] &= ~is_end[1:]
-    ends = np.flatnonzero(is_end | lone_cr)  # line k + 1 runs up to ends[k]
+    # Every array of text positions, or of one entry per line, edge or
+    # token, takes the dtype _index_dtype picks for the text's length.
+    index = _index_dtype(len(data))
+    ends = np.flatnonzero(is_end | lone_cr).astype(index)  # line k + 1 runs up to ends[k]
     del is_end, lone_cr
     if buf.max() >= 0x80:
         try:
@@ -408,21 +454,17 @@ def load_edge_list(
         if found:
             header_n, header_line = int(found[1]), k + 1
 
-    # Bytes turn from space to token at each token's start and back at its
-    # stop: bounds[t] is (start, stop) of token t, and cum[k] counts the
-    # tokens that start before ends[k]. Positions fit int32 below 2 GiB.
-    bounds = np.flatnonzero(np.diff(_SPACE[buf], prepend=True))
-    bounds = bounds.astype(np.int32 if len(data) < 2**31 else np.int64).reshape(-1, 2)
-    cum = np.searchsorted(bounds[:, 0], ends)
-    counts = np.diff(cum, prepend=0)
+    # bounds[t] is (start, stop) of token t, cum[k] counts the tokens that
+    # start before ends[k], and counts[k] those on line k + 1.
+    bounds = _token_bounds(buf)
+    cum = np.searchsorted(bounds[:, 0], ends).astype(index)
+    counts = np.diff(cum, prepend=index(0))
     counts[comment] = 0
 
     faults: list[tuple[int, int, str]] = []  # (line index, rank within a line, message)
-    lines = np.flatnonzero(counts)
-    fields = counts[lines]
-    malformed = np.flatnonzero((fields < 2) | (fields > 3))
+    malformed = np.flatnonzero((counts == 1) | (counts > 3))
     if malformed.size:
-        faults.append((int(lines[malformed[0]]), 0, "expected 'u v' or 'u v w', got {!r}"))
+        faults.append((int(malformed[0]), 0, "expected 'u v' or 'u v w', got {!r}"))
     nul = data.find(0)
     while nul >= 0:  # a bytes array cannot hold a token's trailing NUL
         k = int(np.searchsorted(ends, nul))
@@ -430,15 +472,19 @@ def load_edge_list(
             faults.append((k, 0, "NUL byte in {!r}"))
             break
         nul = data.find(0, int(ends[k]))
-    rows = lines[(fields == 2) | (fields == 3)]  # the line index of each edge
+    rows = np.flatnonzero((counts == 2) | (counts == 3)).astype(index)  # the line index of each edge
     first = cum[rows] - counts[rows]  # the number of its first token
-    weighted = np.flatnonzero(counts[rows] == 3)
-    del cum, counts, lines, fields, comment
+    weighted = np.flatnonzero(counts[rows] == 3).astype(index)
+    del cum, counts, comment
     pair = np.repeat(first, 2)
     pair[1::2] += 1  # u and v of each edge, in file order
     weight_at = first[weighted] + 2
     del first
 
+    weights, bad = _numbers(data, buf, bounds, weight_at, float)
+    del weight_at
+    if bad < len(weights):
+        faults.append((int(rows[weighted[bad]]), 3, "bad weight: {!r}"))
     exact = None  # the first edge with an id past the header's count, and its ids as written
     if relabel:
         ids, labels = _dense_ids(data, buf, bounds, pair)
@@ -455,22 +501,9 @@ def load_edge_list(
         elif beyond.size:  # a float64 rounds an id past 2**53, and _numbers clamps one past int64
             edge = int(beyond[0]) // 2
             exact = edge, tuple(int(data[a:b]) for a, b in bounds[pair[2 * edge : 2 * edge + 2]].tolist())
-    weights, bad = _numbers(data, buf, bounds, weight_at, float)
-    if bad < len(weights):
-        faults.append((int(rows[weighted[bad]]), 3, "bad weight: {!r}"))
     if faults:
         k, _rank, message = min(faults)
         raise EdgeListError(f"line {k + 1}: {message.format(text(k))}")
-
-    cols = np.empty((len(rows), 3))
-    cols[:, 0] = ids[0::2]
-    cols[:, 1] = ids[1::2]
-    cols[:, 2] = 1.0
-    cols[weighted, 2] = weights
-    del weights, weighted, weight_at
-
-    def where(idx: int) -> str:
-        return f"line {rows[idx] + 1}"
 
     at = -1
     if relabel:
@@ -488,7 +521,19 @@ def load_edge_list(
                     if int(data[a:b]) > top:
                         top, at = int(data[a:b]), i
         n = top + 1
-    del ids, bounds, pair, buf, data, ends
+    del bounds, pair, buf, data, ends  # before the graph's arrays are made
+
+    cols = np.empty((len(rows), 3))
+    cols[:, 0] = ids[0::2]
+    cols[:, 1] = ids[1::2]
+    del ids
+    cols[:, 2] = 1.0
+    cols[weighted, 2] = weights
+    del weights, weighted
+
+    def where(idx: int) -> str:
+        return f"line {rows[idx] + 1}"
+
     try:
         graph = build_graph(n, cols, merge_duplicates=merge_duplicates, where=where)
     except NodeCountError as exc:

@@ -177,6 +177,20 @@ def test_planted_node_count_past_the_graph_cap_is_a_data_error(workdir, capsys, 
     assert list(workdir.iterdir()) == []
 
 
+def test_out_of_memory_is_a_data_error(workdir, capsys, monkeypatch):
+    """A command that runs out of memory exits 2 naming the command, and
+    writes nothing. The allocation is patched to fail, not made."""
+
+    def generate_planted(_spec):
+        raise MemoryError
+
+    monkeypatch.setattr("qicd.cli.generate_planted", generate_planted)
+    argv = ["generate", "planted", "--n", "3000000000", "--k", "1", "--p-in", "1e-20", "--p-out", "0", "--out", "g.el"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "generate-planted: out of memory; no output was written\n"
+    assert list(workdir.iterdir()) == []
+
+
 def test_detect_prints_q(workdir, capsys):
     assert main(["generate", "clique-ring", "--cliques", "10", "--size", "5", "--out", "ring.el"]) == 0
     capsys.readouterr()

@@ -16,14 +16,16 @@ import qicd
 from qicd import (
     EdgeListError,
     Partition,
+    PlantedSpec,
     aggregate,
     build_graph,
     degree_preserving_rewire,
     dump_edge_list,
+    generate_planted,
     load_edge_list,
 )
 from qicd.cli import main
-from qicd.graph import NodeCountError, text_rows
+from qicd.graph import NodeCountError, _index_dtype, text_rows
 from qicd.detect import _flat
 from qicd.partition import labels_to_csv
 
@@ -287,20 +289,59 @@ def test_string_stream_and_bytes_sources_number_lines_alike():
         load_edge_list("0 1\r1 2\r\n0 2 x\n")
 
 
+def random_unit_edges(n: int, m: int) -> np.ndarray:
+    """A float (m, 3) array of m distinct unit-weight pairs over n nodes, in
+    shuffled order."""
+    rng = np.random.default_rng(1)
+    keys = np.unique(rng.integers(0, n * n, size=3 * m))
+    keys = rng.permutation(keys[keys // n < keys % n][:m])
+    return np.column_stack((keys // n, keys % n, np.ones(m)))
+
+
 def test_edge_list_io_memory_per_edge():
     """Traced allocation per edge on a 100k-edge unit-weight text. A per-line
     parser and per-entry Python objects cost about twice these bounds."""
-    rng = np.random.default_rng(1)
     n, m = 10_000, 100_000
-    keys = np.unique(rng.integers(0, n * n, size=3 * m))
-    keys = rng.permutation(keys[keys // n < keys % n][:m])
-    graph = build_graph(n, np.column_stack((keys // n, keys % n, np.ones(m))))
+    graph = build_graph(n, random_unit_edges(n, m))
     text = dump_edge_list(graph)
     assert traced_bytes(load_edge_list, text) / m < 250
     assert traced_bytes(_flat, graph) / m < 100
     assert traced_bytes(dump_edge_list, graph) / m < 120
     # 24 of them are the three (m,) arrays it returns.
     assert traced_bytes(graph.edge_arrays) / m < 30
+
+
+def test_graph_layer_memory_per_edge():
+    """Traced allocation per edge of the graph layer, on the 100k edges of
+    test_edge_list_io_memory_per_edge and a 99k-edge planted graph. With
+    int64 CSR indices, concatenated copies and text-long masks, these cost
+    80.8, 33.6, 133.7 and 141.0 B/edge."""
+    n, m = 10_000, 100_000
+    edges = random_unit_edges(n, m)
+    graph = build_graph(n, edges)
+    assert traced_bytes(build_graph, n, edges) / m < 65  # above its input
+    held = (graph.indptr, graph.indices, graph.weights, graph.strengths)
+    assert sum(a.nbytes for a in held) / m < 28
+    assert traced_bytes(load_edge_list, dump_edge_list(graph)) / m < 115
+    spec = PlantedSpec(10_000, 10, 0.018, 0.0002, seed=1)
+    assert traced_bytes(generate_planted, spec) / generate_planted(spec)[0].edge_count < 100
+
+
+def test_index_dtype_bound():
+    """One rule picks int32 or int64, for text positions and node ids; the
+    edge of it is checked without allocating."""
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
+
+
+def test_graphs_hold_int32_indices():
+    """Graphs built, collapsed and rewired hold int32 CSR indices, while
+    their edge_arrays stay int64 for pair keys."""
+    graph = generate_planted(PlantedSpec(300, 3, 0.2, 0.02, seed=4))[0]
+    collapsed = aggregate(graph, Partition(graph, [u % 7 for u in range(graph.node_count)]))
+    for g in (graph, collapsed, degree_preserving_rewire(graph, seed=2)):
+        assert g.indices.dtype == np.int32
+        assert [a.dtype for a in g.edge_arrays()] == [np.int64, np.int64, np.float64]
 
 
 def test_round_trip_identity():
