@@ -41,9 +41,7 @@ from .bench import (
     run_experiment,
 )
 from .detect import DetectorConfig, leiden, louvain
-from .engine import (
-    BASE_METHODS, INIT_MODES, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv,
-)
+from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity
 from .rng import RNG_NAME, mix
@@ -65,8 +63,7 @@ _QICD = QicdConfig()
 _DETECTOR_KEYS = {"max_levels": "max_levels", "max_sweeps": "max_sweeps_per_level", "min_gain": "min_gain",
                   "resolution": "resolution"}
 _HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
-_QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "init_mode", "base",
-                             "refine_before_accept")}
+_QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "base", "refine_before_accept")}
 
 
 class UsageError(Exception):
@@ -317,12 +314,16 @@ def _run_benchmark(config: dict):
             raise UsageError(f"method {name!r} needs at least 2 runs for statistics, got {count}")
     baseline = config["baseline"]
     if baseline is None:
-        # leiden, unless a method list omits it: then the first plain method
-        # it lists. The manifest records the name chosen.
-        plain = [m for m in methods if METHODS[m][1] is None]
-        baseline = plain[0] if len(methods) > 1 and "leiden" not in methods and plain else "leiden"
+        # A lone method is its own baseline. Otherwise leiden, unless the
+        # list omits it: then the first plain method it lists. The manifest
+        # records the name chosen.
+        if len(methods) == 1:
+            baseline = methods[0]
+        else:
+            plain = [m for m in methods if METHODS[m][1] is None]
+            baseline = plain[0] if "leiden" not in methods and plain else "leiden"
         config["baseline"] = baseline
-    if len(methods) > 1 and baseline not in methods:
+    if baseline not in methods:
         raise UsageError(f"baseline {baseline!r} must be one of --methods")
 
     seed = config["seed"]
@@ -417,7 +418,6 @@ def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
     p.add_argument("--alpha", type=float, default=_QICD.hu.skew_factor, help="oversize threshold factor")
     p.add_argument("--fraction", type=float, default=_QICD.hu.reassign_fraction, help="reassignment fraction")
     p.add_argument("--stall-limit", type=int, default=_QICD.stall_limit)
-    p.add_argument("--init-mode", choices=INIT_MODES, default=_QICD.init_mode)
     p.add_argument("--refine-before-accept", action="store_true",
                    help="polish proposals with a full seeded pass before the acceptance check")
 
@@ -462,7 +462,7 @@ def build_parser(default_seed: int) -> _Parser:
     ben.add_argument("--fresh-graphs", action="store_true", help="new graph per run (with --generate-spec)")
     ben.add_argument("--methods", required=True, help="comma list of method names")
     ben.add_argument("--runs", default=str(BENCHMARK_RUNS), help="run count, with name=count overrides")
-    ben.add_argument("--baseline", help="default: leiden, or the first plain method if --methods omits it")
+    ben.add_argument("--baseline", help="default: a lone method; else leiden if listed, else the first plain method")
     _add_qicd_flags(ben, kind_and_base=False)
 
     mrg_p = sub.add_parser("mrg", help="MRG significance against rewired null graphs")
@@ -502,13 +502,13 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
 def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     """The command and config of the manifest at `path`, completed as the
     command line completes them. Keys that no flag of the command defines
-    are dropped (older manifests hold retired ones). A value that its flag
-    could not have given is refused: its type (an int is not a bool, a
-    float may be an int), a store_true flag's bool, and its choices; an
-    optional flag whose default is None may be null. A key the manifest
-    lacks takes its flag's default, which passes those checks, but a
-    required flag has none, and neither has the seed, whose default comes
-    from QICD_SEED."""
+    are dropped (older manifests hold retired ones), unless the run they
+    record cannot be reproduced. A value that its flag could not have given
+    is refused: its type (an int is not a bool, a float may be an int), a
+    store_true flag's bool, and its choices; an optional flag whose default
+    is None may be null. A key the manifest lacks takes its flag's default,
+    which passes those checks, but a required flag has none, and neither has
+    the seed, whose default comes from QICD_SEED."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -526,6 +526,12 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
         # Ties now always go to the lowest community id; replaying under
         # that rule would not reproduce the recorded run.
         raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
+    init_mode = recorded.get("init_mode", "quick-leiden")
+    if init_mode != "quick-leiden":
+        # The loop always starts from its baseline partition, so a run that
+        # started elsewhere cannot be reproduced.
+        raise UsageError(f"manifest sets init_mode to {json.dumps(init_mode)}, which is no longer supported; "
+                         "it cannot be replayed")
     config = {}
     for action in parser.commands[command]._actions:
         key = action.dest

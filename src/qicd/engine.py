@@ -1,11 +1,11 @@
 """The quantum-inspired refinement loop (QICD).
 
-Each iteration locally refines the current partition (greedy move sweeps
-plus a connectivity split), draws a structured random proposal, and accepts
-the proposal only if its modularity strictly beats the refined partition.
-The best partition seen is tracked across iterations; the modularity
-recovery gap (MRG), q_star - q_baseline, compares it against an independent
-full classical run.
+The loop starts from a full classical run, the baseline. Each iteration
+locally refines the current partition (greedy move sweeps plus a
+connectivity split), draws a structured random proposal, and accepts the
+proposal only if its modularity strictly beats the refined partition. The
+best partition seen is tracked across iterations; the modularity recovery
+gap (MRG), q_star - q_baseline, is what the loop adds to its baseline.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .detect import DetectorConfig, leiden, leiden_refine, louvain, move_nodes, seeded_pass
 from .graph import Graph
-from .partition import Partition, modularity, singleton_partition
+from .partition import Partition, modularity
 from .rng import make_rng, mix
 from .sampling import (
     HyperuniformParams,
@@ -29,7 +29,6 @@ from .sampling import (
     sample_pt_weights,
 )
 
-INIT_MODES = ("singleton", "quick-leiden")
 BASE_METHODS = ("leiden", "louvain")
 # Proposal kinds: Porter-Thomas (pt) or Haar weights, alone or followed by
 # the hyperuniform adjustment, or hyperuniform noise (hu) alone.
@@ -46,8 +45,7 @@ class QicdConfig:
     stall_limit: int = 5
     hu: HyperuniformParams = field(default_factory=HyperuniformParams)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    init_mode: str = "quick-leiden"
-    # Classical optimizer used for the quick init and the MRG baseline.
+    # Classical optimizer of the MRG baseline, which is also the loop's start.
     base: str = "leiden"
     # When set, each proposal is polished by a full seeded base-method pass
     # before the acceptance comparison, so the check weighs what the
@@ -67,8 +65,6 @@ class QicdConfig:
             raise ValueError("iterations must be >= 0")
         if self.stall_limit < 1:
             raise ValueError("stall_limit must be >= 1")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}")
         if self.base not in BASE_METHODS:
             raise ValueError(f"base must be one of {BASE_METHODS}")
 
@@ -124,22 +120,17 @@ def resolve_seed_count(cfg: QicdConfig, n: int) -> int | None:
 def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     """Run the refinement loop and return the best partition with its trace.
 
-    The baseline is an independent full classical run (cfg.base with
-    cfg.detector). init_mode "quick-leiden" starts the loop from that same
-    deterministic partition, so the best result can never fall below the
-    baseline; "singleton" starts from every node alone.
+    The baseline is a full classical run (cfg.base with cfg.detector), and
+    the loop starts from that partition. The best is kept across iterations,
+    so q_star >= q_baseline, and the MRG is >= 0, for every config.
     """
     detect = louvain if cfg.base == "louvain" else leiden
     baseline_partition = detect(graph, cfg.detector)
     resolution = cfg.detector.resolution
     q_baseline = modularity(graph, baseline_partition, resolution)
 
-    if cfg.init_mode == "quick-leiden":
-        current, q_star = baseline_partition, q_baseline
-    else:
-        current = singleton_partition(graph)
-        q_star = modularity(graph, current, resolution)
-    best = current
+    current = best = baseline_partition
+    q_star = q_baseline
     seed_count = resolve_seed_count(cfg, graph.node_count)
 
     trace: list[IterationRecord] = []

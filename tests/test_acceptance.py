@@ -268,17 +268,22 @@ def test_monotone_best_trace():
             g = make_random_graph(rnd, n_max=28)
             if g.total_weight == 0:
                 continue
+            kind = rnd.choice(kinds)
+            iterations = rnd.randint(1, 8)
+            stall_limit = rnd.randint(1, 8)
+            detector = DetectorConfig(seed=rnd.randrange(2**32))
+            # Drawn and discarded: this draw chose the retired start mode,
+            # and keeping it keeps the same 50 graphs and configs.
+            rnd.choice(("singleton", "quick-leiden"))
             cfg = QicdConfig(
-                kind=rnd.choice(kinds),
-                iterations=rnd.randint(1, 8),
-                stall_limit=rnd.randint(1, 8),
-                detector=DetectorConfig(seed=rnd.randrange(2**32)),
-                init_mode=rnd.choice(("singleton", "quick-leiden")),
+                kind=kind,
+                iterations=iterations,
+                stall_limit=stall_limit,
+                detector=detector,
                 refine_before_accept=rnd.random() < 0.5,
                 seed=rnd.randrange(2**32),
             )
             result = run_qicd(g, cfg)
-            q_init = result.q_baseline if cfg.init_mode == "quick-leiden" else None
             running = -math.inf
             best_values = []
             for record in result.trace:
@@ -288,8 +293,7 @@ def test_monotone_best_trace():
             assert best_values == sorted(best_values)
             if result.trace:
                 assert result.q_star >= result.trace[0].q_ref - 1e-12
-            if q_init is not None:
-                assert result.q_star >= q_init - 1e-12
+            assert result.q_star >= result.q_baseline
             done += 1
 
 
@@ -321,24 +325,23 @@ def test_sampler_distributions():
 def test_scaling_subquadratic():
     with criterion("scaling (time ratio 20k/10k nodes <= 3.0 at T=10)"):
         started = time.perf_counter()
-        times = {}
-        for n in (10000, 20000):
-            spec = spec_for_ratio(n, 1, 1.0, 20.0, seed=mix(42, n))
-            graph, _ = generate_planted(spec)
-            cfg = QicdConfig(
-                kind="haar",
-                iterations=10,
-                detector=DetectorConfig(seed=3),
-                seed=7,
-            )
-            # minimum of two runs per size filters scheduler noise out of
-            # the wall-clock samples; both sizes get identical treatment
-            samples = []
-            for _rep in range(2):
+        graphs = {n: generate_planted(spec_for_ratio(n, 1, 1.0, 20.0, seed=mix(42, n)))[0] for n in (10000, 20000)}
+        cfg = QicdConfig(
+            kind="haar",
+            iterations=10,
+            detector=DetectorConfig(seed=3),
+            seed=7,
+        )
+        # The minimum of two runs per size filters scheduler noise out of the
+        # wall-clock samples, and the sizes take turns (10k, 20k, 10k, 20k),
+        # so a change in host load between samples reaches both sizes alike.
+        samples = {n: [] for n in graphs}
+        for _rep in range(2):
+            for n, graph in graphs.items():
                 t0 = time.perf_counter()
                 run_qicd(graph, cfg)
-                samples.append(time.perf_counter() - t0)
-            times[n] = min(samples)
+                samples[n].append(time.perf_counter() - t0)
+        times = {n: min(s) for n, s in samples.items()}
         ratio = times[20000] / times[10000]
         assert ratio <= 3.0, f"scaling ratio {ratio:.2f} (times {times})"
         elapsed = time.perf_counter() - started

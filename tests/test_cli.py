@@ -372,6 +372,23 @@ def test_benchmark_default_baseline(workdir, capsys):
     assert "baseline 'leiden' must be one of --methods" in capsys.readouterr().err
 
 
+def test_benchmark_baseline_is_a_method_that_ran(workdir, capsys):
+    """A lone method is its own baseline, and a --baseline that --methods
+    does not list is refused at any method count."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    argv = ["benchmark", "--graph", "g.el", "--runs", "2", "--iterations", "2", "--seed", "3"]
+    assert main([*argv, "--methods", "leiden-haar", "--out", "solo"]) == 0
+    summary = json.loads((workdir / "solo.summary.json").read_text())
+    assert summary["baseline"] == "leiden-haar"
+    assert summary["methods"]["leiden-haar"]["p_vs_baseline"] is None
+    assert (workdir / "solo.table.txt").read_text().endswith("baseline: leiden-haar; * marks p < 0.05\n")
+    assert json.loads((workdir / "solo.manifest.json").read_text())["config"]["baseline"] == "leiden-haar"
+    capsys.readouterr()
+    assert main([*argv, "--methods", "leiden", "--baseline", "louvain", "--out", "x"]) == 1
+    assert capsys.readouterr().err == "usage error: baseline 'louvain' must be one of --methods\n"
+    assert not list(workdir.glob("x.*"))
+
+
 def test_benchmark_usage_errors(workdir, capsys):
     _make_graph(workdir)
     assert main(["benchmark", "--graph", "g.el", "--methods", "nope", "--out", "x"]) == 1
@@ -460,7 +477,7 @@ def test_benchmark_edgeless_is_data_error(workdir, capsys):
     assert "Traceback" not in err
 
 
-def test_benchmark_passes_init_mode_and_method_kind_base(workdir, capsys, monkeypatch):
+def test_benchmark_passes_method_kind_and_base(workdir, capsys, monkeypatch):
     # The spy can see only runs made in this process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
@@ -468,27 +485,27 @@ def test_benchmark_passes_init_mode_and_method_kind_base(workdir, capsys, monkey
     real_run_qicd = qicd.bench.run_qicd
 
     def spy(graph, cfg):
-        calls.append((cfg.init_mode, cfg.kind, cfg.base))
+        calls.append((cfg.kind, cfg.base))
         return real_run_qicd(graph, cfg)
 
     monkeypatch.setattr(qicd.bench, "run_qicd", spy)
     code = main(
         [
             "benchmark", "--graph", "g.el", "--methods", "leiden-haar,leiden-hu", "--baseline", "leiden-haar",
-            "--runs", "2", "--iterations", "2", "--init-mode", "singleton", "--seed", "3", "--out", "b",
+            "--runs", "2", "--iterations", "2", "--seed", "3", "--out", "b",
         ]
     )
     assert code == 0
-    assert calls == [("singleton", "haar", "leiden")] * 2 + [("singleton", "hu", "leiden")] * 2
-    for flags in (["--kind", "pt"], ["--base", "louvain"], ["--jobs", "2"]):
+    assert calls == [("haar", "leiden")] * 2 + [("hu", "leiden")] * 2
+    for flags in (["--kind", "pt"], ["--base", "louvain"], ["--jobs", "2"], ["--init-mode", "singleton"]):
         argv = ["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "2", "--out", "x", *flags]
         assert main(argv) == 1, flags
 
 
 def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
-    """A benchmark manifest written before --kind, --base and --jobs left
-    `benchmark` (it holds those keys and no detector keys) still replays,
-    whatever those keys hold: keys that no flag defines are not read."""
+    """A benchmark manifest written before --kind, --base, --jobs and
+    --init-mode left `benchmark` (it holds those keys and no detector keys)
+    still replays: keys that no flag defines are not read."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     argv = ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2",
             "--iterations", "2", "--seed", "13", "--out", "fresh"]
@@ -496,7 +513,7 @@ def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
     manifest = json.loads((workdir / "fresh.manifest.json").read_text())
     config = manifest["config"]
     assert not {"max_levels", "max_sweeps", "min_gain", "resolution", "random_ties"} & set(config)
-    config.update({"jobs": 2, "kind": "bogus", "base": "louvain", "out": "old"})
+    config.update({"jobs": 2, "kind": "bogus", "base": "louvain", "init_mode": "quick-leiden", "out": "old"})
     (workdir / "old.manifest.json").write_text(json.dumps(manifest))
     assert main(["--from-manifest", "old.manifest.json"]) == 0
     assert (workdir / "old.runs.csv").read_bytes() == (workdir / "fresh.runs.csv").read_bytes()
@@ -778,6 +795,38 @@ def test_random_ties_is_retired(workdir, capsys):
         assert ("random_ties" in capsys.readouterr().err) == flag
     assert not (workdir / "t.csv").exists()
     assert (workdir / "f.csv").read_bytes() == (workdir / "p.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qicd", "--graph", "g.el", "--iterations", "2"],
+        ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2", "--iterations", "2"],
+        ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "1"],
+    ],
+    ids=["qicd", "benchmark", "mrg"],
+)
+def test_init_mode_is_retired(workdir, capsys, argv):
+    """The loop always starts from its baseline partition: the flag is
+    gone, a manifest whose loop started from singletons is refused with
+    nothing written, and one whose loop started from its baseline replays
+    unchanged."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    for mode in ("singleton", "quick-leiden"):
+        assert main([*argv, "--init-mode", mode, "--out", "r"]) == 1
+    assert main([*argv, "--seed", "3", "--out", "a"]) == 0
+    manifest = json.loads((workdir / "a.manifest.json").read_text())
+    assert "init_mode" not in manifest["config"]
+    refused = 'usage error: manifest sets init_mode to "singleton", which is no longer supported; it cannot be replayed\n'
+    for mode, out, err in (("singleton", "s", refused), ("quick-leiden", "q", "")):
+        manifest["config"].update(init_mode=mode, out=out)
+        (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["--from-manifest", "old.manifest.json"]) == (1 if err else 0)
+        assert capsys.readouterr().err == err
+    assert not list(workdir.glob("s.*"))
+    for name, path in manifest["outputs"].items():
+        assert _without_wall_clock(workdir / path) == _without_wall_clock(workdir / f"q{path[1:]}"), name
 
 
 @pytest.mark.parametrize(

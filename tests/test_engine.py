@@ -39,8 +39,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QicdConfig(stall_limit=0)
     with pytest.raises(ValueError):
-        QicdConfig(init_mode="bogus")
-    with pytest.raises(ValueError):
         QicdConfig(base="bogus")
     QicdConfig(iterations=0)  # proposals disabled is legal
 
@@ -106,20 +104,21 @@ def test_best_trace_monotone_and_covers_initial():
         assert result.q_star >= result.trace[0].q_ref - 1e-12
 
 
-def test_quick_init_never_below_baseline():
+@pytest.mark.parametrize("refine", [False, True], ids=["raw", "polished"])
+@pytest.mark.parametrize("base", ["leiden", "louvain"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mrg_never_negative(kind, base, refine):
+    """The loop starts from its baseline partition, so no kind, base or
+    acceptance rule can end below the baseline."""
     rnd = random.Random(70)
     for _ in range(20):
         g = make_random_graph(rnd, n_max=20)
         if g.total_weight == 0:
             continue
-        result = run_qicd(g, _cfg(seed=rnd.randrange(2**32)))
-        assert result.mrg >= -1e-12
-
-
-def test_singleton_init_mode():
-    g = ring_of_cliques(4, 4)
-    result = run_qicd(g, _cfg(seed=2, init_mode="singleton", iterations=4, stall_limit=4))
-    assert result.q_star >= result.trace[0].q_ref - 1e-12
+        cfg = _cfg(seed=rnd.randrange(2**32), kind=kind, base=base, refine_before_accept=refine)
+        result = run_qicd(g, cfg)
+        assert result.q_star >= result.q_baseline
+        assert result.mrg >= 0.0
 
 
 def test_louvain_base():

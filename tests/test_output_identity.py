@@ -64,7 +64,7 @@ PINNED = {
     "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
     "cfg.stdout": "ce21f0503fc9b677159dfca00fa7933ae1b0170ab4f1dd11deea04ccccd85a31",
-    "bench.manifest.json": "2f63e14df96f7aaea923d796844677631ccdfbde4c45b947fccc487c0f817b00",
+    "bench.manifest.json": "86da1d7d6dfac97c365082f2651d4911a3e49f4804c5297878da72aeb8eba2d4",
     "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
@@ -76,25 +76,25 @@ PINNED = {
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
     "g.manifest.json": "5d79d6781c4bb8edba3aabeee093cc09d28c3486248662108bf9f8fb103c6004",
     "g.truth.csv": "3ef62bb3386805e5cb67d4c2b362e0b65ca8162ef1f6484cf159e3dd68a7c9dc",
-    "hh.json": "11d090c23a4c506b2a3590c0e85770c31247784291c0578c5d20929c4defb494",
-    "hh.manifest.json": "d2853bd4ae4398453fec14a542db988ab032d51c4ad15b837aa059a00463587b",
+    "hh.json": "59ef5c441f9b7c1c4531c4e5a1fe90b36e25dc26c43a8520867230ffb8ff215e",
+    "hh.manifest.json": "e0d9399654f1a943802e597be729ca8e7203f8cede65909c02f9c1a762a11f67",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
     "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
-    "pt.json": "e697169f5656c9fef2856cce27eb0d8b793605999ae51446c0f3239a8f246fd4",
-    "pt.manifest.json": "3d0cc0e0deeeb9fc4df653d54f65c929227154868a3f43f518cc6512c5674c30",
+    "pt.json": "11fd79c251f120a235298fc468033db3011ceaadfddf53e8ca47ca89cb9019bd",
+    "pt.manifest.json": "29b50e71b647bd465b2fc859eb2f78c314b2d27a8a77c460bd66517a16776a19",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
     "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
-    "sig.manifest.json": "bc51ff0fed8f82277d3b8ac634cdcc3873a760c41c76174e6b0a5dfff2bdb926",
+    "sig.manifest.json": "7733f741d0902989513cba79caf50811cf1e5d73bd1f3bfb41eb4af1325ab67f",
     "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
     "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
     "wdet.manifest.json": "533fb5602ad946dfb2750b8ac8fd8e4cd31b214b9b4c9aad9bf718736bc43e77",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
     # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.json": "efddd5c59e7f6e0f6b6ce6d164eb6db2afa5088b50fcad9447d7e1020bfb60f8",
-    "whh.manifest.json": "368a08b2e2ee06fa18118bb6feb43851e19dd97d7aaf4f155737eb8e479834a2",
+    "whh.json": "cdb2ebed05c4b9332099efaa1ec330fc92c0bcbed832322369ab27aab21e6fad",
+    "whh.manifest.json": "026b53d94fd3db8b73de2fa6473c594630502d9155874504f687921564d46a26",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
     "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",
