@@ -213,6 +213,8 @@ def calibrate_planted(
     Leiden modularity over `runs` seeded graphs at each step. Raises when
     the target cannot be bracketed or reached within CALIBRATION_STEPS.
     """
+    if not 1 <= k < n:  # k = n leaves no intra pair, and its spec divides by zero
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
     if not 0.0 < target_q < 0.9:
         raise ValueError("target_q must be in (0, 0.9)")
     for name, value in (("tolerance", tolerance), ("avg_degree", avg_degree)):

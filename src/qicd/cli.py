@@ -40,7 +40,7 @@ from .bench import (
     ring_of_cliques,
     run_experiment,
 )
-from .detect import DetectorConfig, leiden, louvain
+from .detect import MAX_LEVELS, MAX_SWEEPS, MIN_GAIN, DetectorConfig, leiden, louvain
 from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity
@@ -60,10 +60,13 @@ BENCHMARK_RUNS = 6
 # own defaults, and a replayed manifest lacking a key takes its flag's; the
 # CLI restates none of them. The maps below send config keys to field names.
 _QICD = QicdConfig()
-_DETECTOR_KEYS = {"max_levels": "max_levels", "max_sweeps": "max_sweeps_per_level", "min_gain": "min_gain",
-                  "resolution": "resolution"}
+_DETECTOR_KEYS = {"resolution": "resolution"}
 _HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
 _QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "base", "refine_before_accept")}
+# Config keys that no flag sets any more, each with the one value that the
+# code now runs. A replayed manifest that records another value is refused.
+_RETIRED = {"random_ties": False, "init_mode": "quick-leiden", "max_levels": MAX_LEVELS, "max_sweeps": MAX_SWEEPS,
+            "min_gain": MIN_GAIN}
 
 
 class UsageError(Exception):
@@ -400,10 +403,7 @@ def _add_graph_input(p: _Parser, required: bool = True) -> None:
 
 
 def _add_detector_flags(p: _Parser) -> None:
-    det = DetectorConfig()
-    for key, field in _DETECTOR_KEYS.items():
-        default = getattr(det, field)  # an int field's flag takes ints, a float field's floats
-        p.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=default)
+    p.add_argument("--resolution", type=float, default=DetectorConfig().resolution)
 
 
 def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
@@ -503,12 +503,13 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     """The command and config of the manifest at `path`, completed as the
     command line completes them. Keys that no flag of the command defines
     are dropped (older manifests hold retired ones), unless the run they
-    record cannot be reproduced. A value that its flag could not have given
-    is refused: its type (an int is not a bool, a float may be an int), a
-    store_true flag's bool, and its choices; an optional flag whose default
-    is None may be null. A key the manifest lacks takes its flag's default,
-    which passes those checks, but a required flag has none, and neither has
-    the seed, whose default comes from QICD_SEED."""
+    record cannot be reproduced: a `_RETIRED` key set to another value. A
+    value that its flag could not have given is refused: its type (an int
+    is not a bool, a float may be an int), a store_true flag's bool, and its
+    choices; an optional flag whose default is None may be null. A key the
+    manifest lacks takes its flag's default, which passes those checks, but
+    a required flag has none, and neither has the seed, whose default comes
+    from QICD_SEED."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -522,16 +523,10 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     where = f"config of manifest {path}"
     if not isinstance(recorded, dict):
         raise UsageError(f"{where} is not a JSON object")
-    if recorded.get("random_ties"):
-        # Ties now always go to the lowest community id; replaying under
-        # that rule would not reproduce the recorded run.
-        raise UsageError("manifest sets random_ties, which is no longer supported; it cannot be replayed")
-    init_mode = recorded.get("init_mode", "quick-leiden")
-    if init_mode != "quick-leiden":
-        # The loop always starts from its baseline partition, so a run that
-        # started elsewhere cannot be reproduced.
-        raise UsageError(f"manifest sets init_mode to {json.dumps(init_mode)}, which is no longer supported; "
-                         "it cannot be replayed")
+    for key, value in _RETIRED.items():
+        if recorded.get(key, value) != value:
+            raise UsageError(f"manifest sets {key} to {json.dumps(recorded[key])}, which is no longer supported; "
+                             "it cannot be replayed")
     config = {}
     for action in parser.commands[command]._actions:
         key = action.dest

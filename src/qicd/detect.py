@@ -1,12 +1,12 @@
 """Louvain and Leiden modularity optimizers.
 
-Both run the multilevel scheme: greedy single-node moves until a sweep
-gains less than min_gain, then collapse communities and repeat until
-aggregation stops merging. `leiden` is Louvain plus a connected-component
-split: at each level, and once more on the final partition, every
-community that induces a disconnected subgraph is split into its
-components, so the returned communities are always connected. It is not
-the randomized refinement phase of Traag, Waltman & van Eck (2019).
+Both run the multilevel scheme of Blondel et al. (2008): greedy moves
+until a sweep gains less than MIN_GAIN, then collapse communities and
+repeat until aggregation stops merging. `leiden` is Louvain plus a
+connected-component split: at each level, and once more on the final
+partition, every community that induces a disconnected subgraph is split
+into its components, so the returned communities are always connected.
+It is not the randomized refinement phase of Traag, Waltman & van Eck (2019).
 """
 
 from __future__ import annotations
@@ -21,21 +21,19 @@ from .partition import Partition, aggregate, singleton_partition
 from .rng import make_rng
 
 
+# The stop rule is part of the algorithm, not a setting: at most MAX_LEVELS
+# levels of at most MAX_SWEEPS sweeps, a level ending at a sweep below MIN_GAIN.
+MAX_LEVELS = 20
+MAX_SWEEPS = 100
+MIN_GAIN = 1e-7
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     seed: int = 0
-    max_levels: int = 20
-    max_sweeps_per_level: int = 100
-    min_gain: float = 1e-7
     resolution: float = 1.0
 
     def __post_init__(self):
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
-        if self.max_sweeps_per_level < 1:
-            raise ValueError("max_sweeps_per_level must be >= 1")
-        if not (math.isfinite(self.min_gain) and self.min_gain >= 0):
-            raise ValueError("min_gain must be finite and >= 0")
         if not (math.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError("resolution must be finite and > 0")
 
@@ -144,7 +142,8 @@ def move_nodes(
     rng: np.random.Generator,
 ) -> Partition:
     """Greedy move passes from partition's labels until a sweep gains less
-    than min_gain; returns the Partition of the labels they end with.
+    than MIN_GAIN, or for MAX_SWEEPS passes; returns the Partition of the
+    labels they end with.
 
     The only code that moves nodes, and the only reader of community
     strengths, which it sums from this graph's strengths. When the total
@@ -163,8 +162,8 @@ def move_nodes(
         m = math.ldexp(m, -e)
     flat = (indptr, indices, weights, strengths, m)
     active = [True] * len(labels)
-    for _ in range(cfg.max_sweeps_per_level):
-        if _move_pass(flat, labels, comm_strength, rng, cfg.resolution, active) < cfg.min_gain:
+    for _ in range(MAX_SWEEPS):
+        if _move_pass(flat, labels, comm_strength, rng, cfg.resolution, active) < MIN_GAIN:
             break
     return Partition(graph, labels)
 
@@ -219,7 +218,7 @@ def _multilevel(
     level_graph = graph
     level_labels: list[list[int]] = []
     part = initial
-    for _level in range(cfg.max_levels):
+    for _level in range(MAX_LEVELS):
         if part is None:
             part = singleton_partition(level_graph)
         part = move_nodes(level_graph, part, cfg, rng)

@@ -137,7 +137,7 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     stall = 0
     # Refinement is idempotent on its own output: once the incumbent has
     # been refined and no proposal replaced it, re-refining would only chase
-    # gains below min_gain, so it is refined at t = 1 and after each
+    # gains below MIN_GAIN, so it is refined at t = 1 and after each
     # acceptance only.
     accepted = True
     for t in range(1, cfg.iterations + 1):

@@ -129,6 +129,9 @@ def test_calibrate_limits():
 def test_calibrate_validation_and_bracket_failure():
     with pytest.raises(ValueError):
         calibrate_planted(100, 4, 0.95, 0.01)
+    # k = n would divide by zero in the ratio-0 spec
+    with pytest.raises(ValueError, match="k must satisfy 1 <= k < n, got k=10 with n=10"):
+        calibrate_planted(10, 10, 0.3)
     # a target below anything reachable at this scale cannot be bracketed
     with pytest.raises(ValueError, match="bracket|steps"):
         calibrate_planted(200, 4, 0.01, 0.001, avg_degree=8.0, seed=1, runs=2)

@@ -8,13 +8,14 @@ import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import qicd
 from qicd import PlantedSpec
-from qicd.cli import UsageError, _parse_generate_spec, build_parser, main
+from qicd.cli import _RETIRED, UsageError, _parse_generate_spec, _qicd_config, build_parser, main
 from qicd.rng import mix
 
 
@@ -94,10 +95,9 @@ def test_swap_factor_must_be_finite(workdir, capsys, monkeypatch, argv):
     [
         (["detect", "--method", "leiden", "--resolution", "nan"], "resolution"),
         (["detect", "--method", "louvain", "--resolution", "inf"], "resolution"),
-        (["detect", "--method", "leiden", "--min-gain", "nan"], "min_gain"),
         (["qicd", "--alpha", "nan"], "skew_factor"),
     ],
-    ids=["resolution-nan", "resolution-inf", "min-gain-nan", "alpha-nan"],
+    ids=["resolution-nan", "resolution-inf", "alpha-nan"],
 )
 def test_non_finite_settings_are_data_errors(workdir, capsys, argv, field):
     _make_graph(workdir)
@@ -139,8 +139,15 @@ _CALIBRATED = ["generate", "calibrated", "--n", "60", "--k", "3", "--target-q", 
         ([*_CALIBRATED, "--calibration-runs", "0"], "runs must be at least 1"),
         (["benchmark", "--generate-spec", "calibrated:n=60,k=3,target_q=0.3,tolerance=nan",
           "--methods", "leiden", "--out", "b"], "tolerance must be finite and > 0"),
+        (["generate", "calibrated", "--n", "10", "--k", "10", "--target-q", "0.3", "--out", "cal.el"],
+         "k must satisfy 1 <= k < n, got k=10 with n=10"),
+        (["generate", "calibrated", "--n", "10", "--k", "0", "--target-q", "0.3", "--out", "cal.el"],
+         "k must satisfy 1 <= k < n, got k=0 with n=10"),
+        (["benchmark", "--generate-spec", "calibrated:n=10,k=10,target_q=0.3", "--methods", "leiden", "--out", "b"],
+         "k must satisfy 1 <= k < n, got k=10 with n=10"),
     ],
-    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "runs-zero", "spec-tolerance-nan"],
+    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "runs-zero", "spec-tolerance-nan",
+         "k-equals-n", "k-zero", "spec-k-equals-n"],
 )
 def test_calibration_settings_are_checked_before_any_leiden_run(workdir, capsys, monkeypatch, argv, message):
     def leiden(*_args, **_kwargs):
@@ -773,60 +780,104 @@ def test_config_with_from_manifest_is_a_usage_error(workdir, capsys, exists):
     assert before == {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in workdir.iterdir()}
 
 
-def test_random_ties_is_retired(workdir, capsys):
-    """Ties always go to the lowest community id: the flag is gone, a
-    manifest that broke ties at random is refused, and one that did not
-    replays unchanged."""
-    _make_graph(workdir)
-    for argv in (
-        ["detect", "--method", "leiden"],
-        ["qicd", "--iterations", "1"],
-        ["mrg", "--nulls", "5", "--iterations", "1"],
-    ):
-        assert main(argv + ["--graph", "g.el", "--random-ties", "--out", "r"]) == 1
-    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "p.csv"]) == 0
-    manifest = json.loads((workdir / "p.manifest.json").read_text())
-    assert "random_ties" not in manifest["config"]
-    for flag, out, code in ((True, "t.csv", 1), (False, "f.csv", 0)):
-        manifest["config"].update(random_ties=flag, out=out)
-        (workdir / "old.manifest.json").write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert main(["--from-manifest", "old.manifest.json"]) == code
-        assert ("random_ties" in capsys.readouterr().err) == flag
-    assert not (workdir / "t.csv").exists()
-    assert (workdir / "f.csv").read_bytes() == (workdir / "p.csv").read_bytes()
+# Each retired config key: a value the code no longer runs, and the
+# commands that once had its flag.
+_RETIRED_RUNS = {
+    "random_ties": (True, ["detect", "qicd", "mrg"]),
+    "init_mode": ("singleton", ["qicd", "benchmark", "mrg"]),
+    "max_levels": (5, ["detect", "qicd", "mrg"]),
+    "max_sweeps": (3, ["detect", "qicd", "mrg"]),
+    "min_gain": (1e-5, ["detect", "qicd", "mrg"]),
+}
+_RETIRED_ARGV = {
+    "detect": ["detect", "--graph", "g.el", "--method", "leiden"],
+    "qicd": ["qicd", "--graph", "g.el", "--iterations", "2"],
+    "benchmark": ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2",
+                  "--iterations", "2"],
+    "mrg": ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "1"],
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["qicd", "--graph", "g.el", "--iterations", "2"],
-        ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2", "--iterations", "2"],
-        ["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "1"],
-    ],
-    ids=["qicd", "benchmark", "mrg"],
-)
-def test_init_mode_is_retired(workdir, capsys, argv):
-    """The loop always starts from its baseline partition: the flag is
-    gone, a manifest whose loop started from singletons is refused with
-    nothing written, and one whose loop started from its baseline replays
-    unchanged."""
-    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
-    for mode in ("singleton", "quick-leiden"):
-        assert main([*argv, "--init-mode", mode, "--out", "r"]) == 1
+def _assert_retired(workdir, capsys, key, command):
+    """`command` has no flag for the retired `key`, and a manifest of it that
+    records the key is refused with nothing written unless it holds the one
+    value the code now runs; then it replays unchanged."""
+    other = _RETIRED_RUNS[key][0]
+    kept = _RETIRED[key]
+    flag = f"--{key.replace('_', '-')}"
+    refused = (f"usage error: manifest sets {key} to {json.dumps(other)}, which is no longer supported; "
+               "it cannot be replayed\n")
+    if key == "init_mode":  # the message of older releases, byte for byte
+        assert refused == ('usage error: manifest sets init_mode to "singleton", which is no longer supported; '
+                           "it cannot be replayed\n")
+    argv = _RETIRED_ARGV[command]
+    for value in (other, kept):
+        assert main([*argv, *([flag] if value is True else [flag, str(value)]), "--out", "r"]) == 1
     assert main([*argv, "--seed", "3", "--out", "a"]) == 0
     manifest = json.loads((workdir / "a.manifest.json").read_text())
-    assert "init_mode" not in manifest["config"]
-    refused = 'usage error: manifest sets init_mode to "singleton", which is no longer supported; it cannot be replayed\n'
-    for mode, out, err in (("singleton", "s", refused), ("quick-leiden", "q", "")):
-        manifest["config"].update(init_mode=mode, out=out)
+    assert key not in manifest["config"]
+    for value, out, err in ((other, "s", refused), (kept, "q", "")):
+        manifest["config"].update({key: value, "out": out})
         (workdir / "old.manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["--from-manifest", "old.manifest.json"]) == (1 if err else 0)
         assert capsys.readouterr().err == err
-    assert not list(workdir.glob("s.*"))
+    assert not list(workdir.glob("s*"))
     for name, path in manifest["outputs"].items():
-        assert _without_wall_clock(workdir / path) == _without_wall_clock(workdir / f"q{path[1:]}"), name
+        assert _without_wall_clock(workdir / path) == _without_wall_clock(workdir / f"q{path[1:]}"), (command, name)
+
+
+@pytest.mark.parametrize("key", [key for key in _RETIRED_RUNS if key != "init_mode"])
+def test_retired_key(workdir, capsys, key):
+    """A retired key's flag is gone from every command that had it, and its
+    manifests replay only with the value the code now runs."""
+    assert set(_RETIRED_RUNS) == set(_RETIRED)
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    for command in _RETIRED_RUNS[key][1]:
+        _assert_retired(workdir, capsys, key, command)
+
+
+@pytest.mark.parametrize("command", _RETIRED_RUNS["init_mode"][1])
+def test_init_mode_is_retired(workdir, capsys, command):
+    """The loop always starts from its baseline partition: the flag is
+    gone, a manifest whose loop started from singletons is refused with
+    nothing written, and one whose loop started from its baseline replays
+    unchanged."""
+    assert _RETIRED_RUNS["init_mode"][0] == "singleton"
+    assert _RETIRED["init_mode"] == "quick-leiden"
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    _assert_retired(workdir, capsys, "init_mode", command)
+
+
+def test_config_surface():
+    """Every field of the configs that `qicd` runs is set by one of its
+    flags, and no command has a flag for a retired key, which replay drops."""
+
+    def leaves(value, prefix=""):
+        if isinstance(value, dict):
+            return {path: v for k, item in value.items() for path, v in leaves(item, f"{prefix}{k}.").items()}
+        return {prefix[:-1]: value}
+
+    parser = build_parser(0)
+    actions = [a for a in parser.commands["qicd"]._actions if a.default is not argparse.SUPPRESS]
+    config = {a.dest: a.default for a in actions}
+    fields = leaves(asdict(_qicd_config(config)))
+    set_by_flags = set()
+    for a in actions:
+        if a.nargs == 0:
+            value = not a.default
+        elif a.choices is not None:
+            value = next(c for c in a.choices if c != a.default)
+        elif a.type is int:
+            value = 3 if a.default is None else a.default + 1
+        elif a.type is float:
+            value = a.default * 1.5
+        else:
+            continue  # --graph and --out name files
+        changed = leaves(asdict(_qicd_config({**config, a.dest: value})))
+        set_by_flags |= {path for path in fields if changed[path] != fields[path]}
+    assert set_by_flags == set(fields)
+    assert not {a.dest for p in parser.commands.values() for a in p._actions} & set(_RETIRED)
 
 
 @pytest.mark.parametrize(

@@ -39,11 +39,6 @@ def one_pass(graph, partition, rng):
 def test_config_validation():
     nan, inf = float("nan"), float("inf")
     rows = [
-        ("max_levels", 0),
-        ("max_sweeps_per_level", 0),
-        ("min_gain", -1.0),
-        ("min_gain", nan),
-        ("min_gain", inf),
         ("resolution", 0.0),
         ("resolution", nan),
         ("resolution", inf),

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -287,6 +288,27 @@ def test_string_stream_and_bytes_sources_number_lines_alike():
     # \r\n and a lone \r each end one line.
     with pytest.raises(EdgeListError, match="^line 3: bad weight"):
         load_edge_list("0 1\r1 2\r\n0 2 x\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["edge", "blank", "comment"]), st.sampled_from(["\n", "\r\n", "\r"])),
+             min_size=1, max_size=30),
+    st.integers(min_value=0),
+    st.booleans(),
+)
+def test_bad_token_names_its_line_under_mixed_line_ends(lines, bad, last_end):
+    """Lines end at \\n, \\r\\n and a lone \\r, as re.split numbers them: a
+    \\r that a \\n follows ends one line, however the two were meant."""
+    bad %= len(lines)
+    rows = [f"{i} {i + 1}" if kind == "edge" else "# c" if kind == "comment" else "" for i, (kind, _) in enumerate(lines)]
+    rows[bad] = f"{bad} {bad + 1} x"
+    text = "".join(row + end for row, (_, end) in zip(rows, lines))
+    if not last_end:
+        text = text[: -len(lines[-1][1])]
+    line = re.split(r"\r\n|\r|\n", text).index(rows[bad]) + 1
+    with pytest.raises(EdgeListError, match=f"^line {line}: bad weight"):
+        load_edge_list(text)
 
 
 def random_unit_edges(n: int, m: int) -> np.ndarray:

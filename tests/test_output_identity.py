@@ -69,32 +69,32 @@ PINNED = {
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "cfg.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
-    "cfg.manifest.json": "491cf1967f768fb8bfb7eaf2da755ea9215982651e554d97e3a914322fda5a59",
+    "cfg.manifest.json": "7f6e191f04e96f0167107eff7a299728976273cbdc80c4a6a6eaa7d06bfcf772",
     "det.conf": "070b73b8a3a6cf6b4ee5c8df0c74209585c56edde26a19c7f4a6c36a2d33132d",
     "det.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
-    "det.manifest.json": "148d1d0d6847decdd49643963ee7b9b8c67f9df0ca0eea041ccf6426eb6a8f36",
+    "det.manifest.json": "be553dc776612f8b2515f656b33bc08eb5ebada0c61a9f4f7fe5104ec51c650e",
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
     "g.manifest.json": "5d79d6781c4bb8edba3aabeee093cc09d28c3486248662108bf9f8fb103c6004",
     "g.truth.csv": "3ef62bb3386805e5cb67d4c2b362e0b65ca8162ef1f6484cf159e3dd68a7c9dc",
-    "hh.json": "59ef5c441f9b7c1c4531c4e5a1fe90b36e25dc26c43a8520867230ffb8ff215e",
-    "hh.manifest.json": "e0d9399654f1a943802e597be729ca8e7203f8cede65909c02f9c1a762a11f67",
+    "hh.json": "a5cdc248dae88a210dc13af42791bb46813dfc9ae9137254b2d62624865b6942",
+    "hh.manifest.json": "f4d95107dfdae5d91a29737b9b9ba942b7a2923e21e81bfbdbc2cbbfb0f0ea52",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
     "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
-    "pt.json": "11fd79c251f120a235298fc468033db3011ceaadfddf53e8ca47ca89cb9019bd",
-    "pt.manifest.json": "29b50e71b647bd465b2fc859eb2f78c314b2d27a8a77c460bd66517a16776a19",
+    "pt.json": "763392f9e2405be465118e7716e4f47e7e679fda1852667cc92a97756f64485b",
+    "pt.manifest.json": "274763d7f4a56df1710c93e67f8db2826bd7f0975a21ee7333b14bb1910abc0d",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
     "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
-    "sig.manifest.json": "7733f741d0902989513cba79caf50811cf1e5d73bd1f3bfb41eb4af1325ab67f",
+    "sig.manifest.json": "3db8a5391ce4f7a6283158b7c16e3e20441321fa02daa6dbb709d0907c0179db",
     "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
     "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
-    "wdet.manifest.json": "533fb5602ad946dfb2750b8ac8fd8e4cd31b214b9b4c9aad9bf718736bc43e77",
+    "wdet.manifest.json": "1629f195bf5e4dd67b3d09ecfd37aa31bb022d0cf3722aaf965706ff7ec69ebf",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
     # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.json": "cdb2ebed05c4b9332099efaa1ec330fc92c0bcbed832322369ab27aab21e6fad",
-    "whh.manifest.json": "026b53d94fd3db8b73de2fa6473c594630502d9155874504f687921564d46a26",
+    "whh.json": "b8a26e9f862dad540a33f2cbd52ef542d4cc076428911cfbc16d25dd4a1e4dbb",
+    "whh.manifest.json": "ab199dac8ed5473163e1217b6e3814394b14e8b888cbea20098f9fee558b228f",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
     "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",
