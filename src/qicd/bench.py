@@ -104,27 +104,84 @@ def planted_sizes(n: int, k: int) -> list[int]:
     return [base + 1 if c < extra else base for c in range(k)]
 
 
-def _bernoulli_hits(space: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of Bernoulli(p) successes over range(space), by geometric skips."""
-    if space <= 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
+# Gaps that one geometric draw of _bernoulli_runs takes, unless a single
+# chunk is larger.
+_GROUP_GAPS = 1 << 16
+
+
+def _bernoulli_runs(spaces, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of Bernoulli(p) successes over range(space) for each space in
+    turn, by geometric skips: the hits of every block, concatenated in block
+    order, and the number of hits in each block.
+
+    The blocks read one stream of geometric gaps. Each block takes a chunk
+    sized for the cells it has left, and another while a chunk ends inside
+    it. The chunks that come next in the stream, up to _GROUP_GAPS gaps, are
+    drawn in one call and split by one cumulative sum; numpy's geometric
+    draws the same values in one call as in several, and a call never draws
+    more than the blocks it serves read. The sums are taken modulo 2**64:
+    a block's sum is below 2**63 until a gap leaves the block, and a gap is
+    below 2**63, so the sum is exact up to that gap, which ends the block.
+    """
+    spaces = np.asarray(spaces, dtype=np.int64)
+    counts = np.zeros(len(spaces), dtype=np.int64)
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64), counts
     if p >= 1.0:
-        return np.arange(space, dtype=np.int64)
-    chunks = []
-    pos = -1
+        counts[:] = np.maximum(spaces, 0)
+        return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts), counts
+
+    def chunk(block: int, at: int) -> tuple[int, int, int]:
+        """A segment: the block, the position before its first gap, and
+        the gaps it draws, sized for the cells after that position."""
+        return block, at, int((spaces[block] - at - 1) * p * 1.2) + 16
+
+    pieces = []
+    buffer = np.empty(0, dtype=np.int64)  # gaps drawn and not yet read
+    carry = None  # (block, position of its last hit), when its last chunk ended inside it
+    following = 0  # the next block to take its first chunk
     while True:
-        remaining = space - pos - 1
-        if remaining <= 0:
+        segments = [] if carry is None else [chunk(*carry)]
+        total = sum(size for *_, size in segments)
+        while following < len(spaces):
+            segment = chunk(following, -1)
+            if segments and total >= len(buffer) and total + segment[2] > _GROUP_GAPS:
+                break
+            if spaces[following] > 0:
+                segments.append(segment)
+                total += segment[2]
+            following += 1
+        if not segments:
             break
-        est = int(remaining * p * 1.2) + 16
-        gaps = rng.geometric(p, size=est).astype(np.int64)
-        hits = pos + np.cumsum(gaps)
-        inside = hits[hits < space]
-        chunks.append(inside)
-        if inside.size < gaps.size:
-            break
-        pos = int(hits[-1])
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        gaps = rng.geometric(p, size=total - len(buffer)) if total > len(buffer) else buffer[:0]
+        if len(buffer):
+            gaps = np.concatenate((buffer, gaps))
+        block, at, size = (np.array(column, dtype=np.int64) for column in zip(*segments))
+        room = spaces[block] - at  # cells after `at`
+        end = np.cumsum(size)
+        begin = end - size
+        run = np.cumsum(gaps.view(np.uint64))
+        offset = run[begin - 1]
+        offset[0] = 0
+        run -= np.repeat(offset, size)  # each segment's own sum
+        left = np.append(np.flatnonzero(run >= np.repeat(room, size).view(np.uint64)), len(run))
+        stop = np.minimum(left[np.searchsorted(left, begin)], end)  # each segment's first gap outside
+        # A chunk that ends inside its block, before its last cell, is followed by another.
+        short = np.flatnonzero((stop == end) & (run[end - 1] + 1 < room.view(np.uint64)))
+        kept = short[0] + 1 if short.size else len(segments)
+        found = stop[:kept] - begin[:kept]
+        inside = np.arange(end[kept - 1]) < np.repeat(stop[:kept], size[:kept])
+        hits = run[: end[kept - 1]][inside].view(np.int64)
+        hits += np.repeat(at[:kept], found)
+        pieces.append(hits)
+        counts[block[:kept]] += found
+        if short.size:  # its chunk was all hits; the gaps after it are its next chunk's
+            carry = (int(block[kept - 1]), int(hits[-1]))
+            buffer = gaps[end[kept - 1] :]
+            following = carry[0] + 1
+        else:
+            carry, buffer = None, gaps[:0]
+    return (np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)), counts
 
 
 def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
@@ -150,37 +207,37 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
     if expected < 1.0:
         raise ValueError(f"expected edge count {expected:.3g} is below 1; spec would be empty")
 
-    # expected >= 1 leaves at least one block, if an empty one.
-    blocks = _planted_blocks(spec, sizes, starts)
-    edges = np.ones((sum(len(u) for u, _v in blocks), 3))
-    np.concatenate([u for u, _v in blocks], out=edges[:, 0])
-    np.concatenate([v for _u, v in blocks], out=edges[:, 1])
-    del blocks  # before build_graph makes its own arrays
+    runs = _planted_runs(spec, sizes, starts)
+    edges = np.ones((sum(len(u) for u, _v in runs), 3))
+    np.concatenate([u for u, _v in runs], out=edges[:, 0])
+    np.concatenate([v for _u, v in runs], out=edges[:, 1])
+    del runs  # before build_graph makes its own arrays
     return build_graph(spec.n, edges), labels
 
 
-def _planted_blocks(spec: PlantedSpec, sizes: list[int], starts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (u, v) arrays of the pairs each block of the planted model draws,
-    in the order the blocks draw from the spec's seeded stream."""
+def _planted_runs(spec: PlantedSpec, sizes: list[int], starts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (u, v) arrays of the pairs the intra blocks draw, then those of
+    the inter blocks, each block in turn from the spec's seeded stream."""
     rng = make_rng(spec.seed)
-    blocks = []
     # Intra blocks: sample the full s*s rectangle and keep cells above the
     # diagonal, so each unordered pair is hit with probability exactly p_in.
-    for c in range(spec.k):
-        s = sizes[c]
-        if s < 2 or spec.p_in <= 0.0:
-            continue
-        hits = _bernoulli_hits(s * s, spec.p_in, rng)
-        i = hits // s
-        j = hits % s
-        keep = i < j
-        blocks.append((i[keep] + starts[c], j[keep] + starts[c]))
+    size, start = np.array(sizes, dtype=np.int64), np.array(starts, dtype=np.int64)
+    intra = np.flatnonzero(size >= 2)
+    hits, counts = _bernoulli_runs(size[intra] ** 2, spec.p_in, rng)
+    s = np.repeat(size[intra], counts)
+    i, j = np.divmod(hits, s, out=(hits, s))
+    keep = i < j
+    first = np.repeat(start[intra], counts)[keep]
+    runs = [(i[keep] + first, j[keep] + first)]
+    del hits, i, j, s, keep, first
     if spec.p_out > 0.0:
-        for a in range(spec.k):
-            for b in range(a + 1, spec.k):
-                hits = _bernoulli_hits(sizes[a] * sizes[b], spec.p_out, rng)
-                blocks.append((hits // sizes[b] + starts[a], hits % sizes[b] + starts[b]))
-    return blocks
+        # Inter blocks: (a, b) for a < b, in row order.
+        a, b = np.triu_indices(spec.k, 1)
+        hits, counts = _bernoulli_runs(size[a] * size[b], spec.p_out, rng)
+        s = np.repeat(size[b], counts)
+        i, j = np.divmod(hits, s, out=(hits, s))
+        runs.append((i + np.repeat(start[a], counts), j + np.repeat(start[b], counts)))
+    return runs
 
 
 def spec_for_ratio(n: int, k: int, ratio: float, avg_degree: float, seed: int = 0) -> PlantedSpec:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import qicd.bench
+import qicd.cli
+import qicd.rng
 
 from qicd import (
     DetectorConfig,
@@ -82,6 +84,18 @@ def test_planted_truth_matches_analytic_expectation():
     assert abs(modularity(g, Partition(g, truth)) - expected) <= 0.02
 
 
+class CountingRng:
+    """A seeded generator that records the size of each geometric draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def geometric(self, p, size):
+        self.sizes.append(size)
+        return self.rng.geometric(p, size=size)
+
+
 def test_bernoulli_hits_across_chunks():
     # Every geometric gap is 1, so each draw's estimate falls short of the
     # range and the skips run on into further chunks; the draw sizes are the
@@ -95,8 +109,147 @@ def test_bernoulli_hits_across_chunks():
             return np.ones(size, dtype=np.int64)
 
     rng = AllOnes()
-    assert np.array_equal(qicd.bench._bernoulli_hits(1000, 0.5, rng), np.arange(1000))
+    hits, counts = qicd.bench._bernoulli_runs([1000], 0.5, rng)
+    assert np.array_equal(hits, np.arange(1000)) and counts.tolist() == [1000]
     assert rng.sizes == [616, 246, 98, 40]
+
+
+def _reference_hits(space: int, p: float, rng) -> np.ndarray:
+    """One block's hits, drawn chunk by chunk on its own: the per-block loop
+    that _bernoulli_runs batches."""
+    if space <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(space, dtype=np.int64)
+    chunks = []
+    pos = -1
+    while True:
+        remaining = space - pos - 1
+        if remaining <= 0:
+            break
+        est = int(remaining * p * 1.2) + 16
+        gaps = rng.geometric(p, size=est).astype(np.int64)
+        hits = pos + np.cumsum(gaps)
+        inside = hits[hits < space]
+        chunks.append(inside)
+        if inside.size < gaps.size:
+            break
+        pos = int(hits[-1])
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+def _assert_runs_match_reference(spaces, p, seed):
+    """_bernoulli_runs gives the hits the per-block loop gives, and leaves
+    the generator where that loop leaves it; returns the loop's draw count."""
+    reference = CountingRng(seed)
+    blocks = [_reference_hits(s, p, reference) for s in spaces]
+    rng = np.random.default_rng(seed)
+    hits, counts = qicd.bench._bernoulli_runs(spaces, p, rng)
+    assert counts.tolist() == [len(b) for b in blocks]
+    assert np.array_equal(hits, np.concatenate(blocks) if blocks else np.empty(0))
+    assert rng.random() == reference.rng.random()
+    return len(reference.sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bernoulli_runs_match_the_per_block_loop(seed):
+    # At p = 0.1 a 1,000-cell block's first chunk of 136 gaps now and then
+    # ends inside it, and the block draws a second chunk.
+    draws = _assert_runs_match_reference([1000] * 20_000, 0.1, seed)
+    assert draws > 20_000
+
+
+@pytest.mark.parametrize("blocks", range(1, 25))
+def test_bernoulli_runs_group_boundary_next_to_a_second_chunk(monkeypatch, blocks):
+    # Seed 5's block 22 draws a second chunk. Groups of `blocks` first
+    # chunks of 136 gaps, one gap short or over, put a group's edge before,
+    # at and after it.
+    draws = _assert_runs_match_reference([1000] * 100, 0.1, 5)
+    assert draws == 101
+    for limit in (136 * blocks - 1, 136 * blocks, 136 * blocks + 1):
+        monkeypatch.setattr(qicd.bench, "_GROUP_GAPS", limit)
+        _assert_runs_match_reference([1000] * 100, 0.1, 5)
+
+
+@pytest.mark.parametrize(
+    "spaces, p",
+    [
+        ([1000] * 50, 1.0),
+        ([1000] * 50, 0.0),
+        ([1], 0.5),
+        ([1, 1000, 1, 1, 4], 0.3),
+        ([], 0.5),
+        ([2500] * 1770, 0.4),
+        ([10**6] * 40, 1.2e-4),
+        ([10**5] * 3, 0.9),
+    ],
+)
+def test_bernoulli_runs_edge_cases_match_the_per_block_loop(spaces, p):
+    _assert_runs_match_reference(spaces, p, 3)
+
+
+def _reference_pairs(spec: PlantedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The planted pairs drawn block by block with _reference_hits."""
+    sizes = planted_sizes(spec.n, spec.k)
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    rng = qicd.rng.make_rng(spec.seed)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for c, s in enumerate(sizes):
+        if s >= 2:
+            hits = _reference_hits(s * s, spec.p_in, rng)
+            keep = hits // s < hits % s
+            us.append(hits[keep] // s + starts[c])
+            vs.append(hits[keep] % s + starts[c])
+    for a in range(spec.k):
+        for b in range(a + 1, spec.k):
+            hits = _reference_hits(sizes[a] * sizes[b], spec.p_out, rng)
+            us.append(hits // sizes[b] + starts[a])
+            vs.append(hits % sizes[b] + starts[b])
+    return np.concatenate(us), np.concatenate(vs)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PlantedSpec(300, 5, 0.1, 0.02, seed=9),
+        PlantedSpec(500, 1, 0.05, 0.0, seed=2),  # k = 1: no inter block
+        PlantedSpec(6, 2, 1.0, 0.0, seed=1),
+        PlantedSpec(7, 3, 1.0, 1.0, seed=1),
+        PlantedSpec(7, 4, 0.5, 0.5, seed=3),  # a size-1 community
+        PlantedSpec(20, 20, 0.3, 0.3, seed=4),  # only size-1 communities: no intra block
+        PlantedSpec(1000, 40, 0.2, 0.0, seed=5),
+    ],
+)
+def test_planted_runs_match_the_per_block_loop(spec):
+    sizes = planted_sizes(spec.n, spec.k)
+    runs = qicd.bench._planted_runs(spec, sizes, np.cumsum([0] + sizes[:-1]).tolist())
+    u, v = _reference_pairs(spec)
+    assert np.array_equal(np.concatenate([u for u, _v in runs]), u)
+    assert np.array_equal(np.concatenate([v for _u, v in runs]), v)
+
+
+def test_bernoulli_runs_gap_near_2_63_after_a_hit_ends_the_block():
+    # The sum 3 + (2**63 - 1) does not fit int64; the block still ends at it.
+    class HugeAfterFirst:
+        def geometric(self, p, size):
+            return np.array([3] + [2**63 - 1] * (size - 1), dtype=np.int64)
+
+    hits, counts = qicd.bench._bernoulli_runs([10, 10], 0.5, HugeAfterFirst())
+    assert hits.tolist() == [2] and counts.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("p_out", [1e-18, 1e-300, 5e-324])
+def test_tiny_p_out_draws_no_inter_pair(tmp_path, p_out):
+    # Gaps near 2**63 once wrapped a block's running position to negative
+    # "hits". The intra blocks draw first, so the graph is the p_out = 0 one.
+    graph, truth = generate_planted(PlantedSpec(3000, 3, 0.01, p_out, seed=1))
+    alone, alone_truth = generate_planted(PlantedSpec(3000, 3, 0.01, 0.0, seed=1))
+    assert truth == alone_truth
+    for name in ("indptr", "indices", "weights", "strengths"):
+        assert np.array_equal(getattr(graph, name), getattr(alone, name))
+    argv = ["generate", "planted", "--n", "3000", "--k", "3", "--p-in", "0.01", "--p-out", str(p_out),
+            "--seed", "1", "--out", str(tmp_path / "g.el")]
+    assert qicd.cli.main(argv) == 0
 
 
 def test_planted_reproducible():

@@ -2,7 +2,8 @@
 
 Each command below runs on a 200-node planted graph with unit weights, or
 on a 120-node graph whose weights are not integers, where the order in
-which aggregates are summed changes their bits. The digest of every
+which aggregates are summed changes their bits; one more generates a
+3,000-node planted graph of 60 communities. The digest of every
 file it writes, and of its stdout, is pinned, so a change that moves any
 seeded output by one bit fails here; a change that means to move them
 records new digests and says why. Manifests are hashed without
@@ -24,6 +25,10 @@ RECORDED_NUMPY = "2.4"
 COMMANDS = {
     "g": ["generate", "planted", "--n", "200", "--k", "5", "--p-in", "0.2", "--p-out", "0.03", "--seed", "11",
           "--out", "g.el"],
+    # 60 communities: 1,770 inter blocks drawn from one stream, one of which
+    # needs a second chunk of gaps.
+    "g60": ["generate", "planted", "--n", "3000", "--k", "60", "--p-in", "0.1", "--p-out", "0.01", "--seed", "1",
+            "--out", "g60.el"],
     "null": ["generate", "rewire", "--input", "g.el", "--seed", "5", "--out", "null.el"],
     "det": ["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "det.csv"],
     # The same run with its method and seed read from a --config file.
@@ -76,6 +81,10 @@ PINNED = {
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
     "g.manifest.json": "5d79d6781c4bb8edba3aabeee093cc09d28c3486248662108bf9f8fb103c6004",
     "g.truth.csv": "3ef62bb3386805e5cb67d4c2b362e0b65ca8162ef1f6484cf159e3dd68a7c9dc",
+    "g60.stdout": "d675096c0cd01f3d40d6dfe2f984a327c97a26881a7e7beac05a80df85395a5d",
+    "g60.el": "cbe328f2fa263d1d73499a91f685e065f1a11bb2ed22c227d983dea7389dc3b1",
+    "g60.manifest.json": "3e4643ee553d04af7529bf5f61b715188f360df84d0465f2c195e78f4bc535fa",
+    "g60.truth.csv": "023189e78ff9d948b81e8c3067d13b4096f17ed7304ddb1b322ee0ca194d0bae",
     "hh.json": "a5cdc248dae88a210dc13af42791bb46813dfc9ae9137254b2d62624865b6942",
     "hh.manifest.json": "f4d95107dfdae5d91a29737b9b9ba942b7a2923e21e81bfbdbc2cbbfb0f0ea52",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
