@@ -199,10 +199,7 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
     for c, s in enumerate(sizes):
         labels.extend([c] * s)
 
-    intra_pairs = sum(s * (s - 1) // 2 for s in sizes)
-    inter_pairs = sum(
-        sizes[a] * sizes[b] for a in range(spec.k) for b in range(a + 1, spec.k)
-    )
+    intra_pairs, inter_pairs = _pair_counts(sizes)
     expected = spec.p_in * intra_pairs + spec.p_out * inter_pairs
     if expected < 1.0:
         raise ValueError(f"expected edge count {expected:.3g} is below 1; spec would be empty")
@@ -213,6 +210,14 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
     np.concatenate([v for _u, v in runs], out=edges[:, 1])
     del runs  # before build_graph makes its own arrays
     return build_graph(spec.n, edges), labels
+
+
+def _pair_counts(sizes: list[int]) -> tuple[int, int]:
+    """The numbers of node pairs inside one community and across two, for
+    communities of these sizes: the pairs that are not inside one of them
+    are half of n^2 less the sum of the squares."""
+    n = sum(sizes)
+    return sum(s * (s - 1) // 2 for s in sizes), (n * n - sum(s * s for s in sizes)) // 2
 
 
 def _planted_runs(spec: PlantedSpec, sizes: list[int], starts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:

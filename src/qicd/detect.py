@@ -51,13 +51,11 @@ def _neighbour_lists(graph: Graph) -> tuple[list[int], list[int]]:
 
 def _flat(graph: Graph) -> tuple:
     """What the move loop reads of a graph: _neighbour_lists, then its
-    weights and strengths as lists, then its total weight. weights holds
-    one float when all weights are equal."""
+    weights, then its strengths as a list, then its total weight. weights
+    is one float when every weight is equal (level 0 of every unweighted
+    graph), and one float per CSR entry otherwise."""
     w = graph.weights
-    if len(w) and w.min() == w.max():
-        weights = [float(w[0])] * len(w)
-    else:
-        weights = w.tolist()
+    weights = float(w[0]) if len(w) and w.min() == w.max() else w.tolist()
     return (*_neighbour_lists(graph), weights, graph.strengths.tolist(), graph.total_weight)
 
 
@@ -84,11 +82,15 @@ def _move_pass(
     indptr, indices, weights, strengths, m = flat
     inv_m = 1.0 / m
     coef = resolution / (2.0 * m * m)
+    equal = isinstance(weights, float)
 
-    # Flat per-community accumulator with a touched list; edge weights are
-    # strictly positive, so a zero entry always means "not seen yet".
+    # Flat per-community accumulator with a touched list; a zero entry
+    # means "not seen yet". A weight that scaling underflowed to 0.0 can
+    # list a community twice: its second read sees the 0.0 that the first
+    # left, and the gain never rises as the tally falls, so it never wins.
     weight_to = [0.0] * len(comm_strength)
     touched: list[int] = []
+    append = touched.append
 
     gain = 0.0
     for u in rng.permutation(len(labels)).tolist():
@@ -101,11 +103,20 @@ def _move_pass(
             continue
         nbrs = indices[lo:hi]
         a = labels[u]
-        for v, w in zip(nbrs, weights[lo:hi]):
-            c = labels[v]
-            if weight_to[c] == 0.0:
-                touched.append(c)
-            weight_to[c] += w
+        if equal:
+            for v in nbrs:
+                c = labels[v]
+                x = weight_to[c]
+                if x == 0.0:
+                    append(c)
+                weight_to[c] = x + weights
+        else:
+            for v, w in zip(nbrs, weights[lo:hi]):
+                c = labels[v]
+                x = weight_to[c]
+                if x == 0.0:
+                    append(c)
+                weight_to[c] = x + w
         w_old = weight_to[a]
         s = strengths[u]
         base = comm_strength[a] - s
@@ -113,9 +124,11 @@ def _move_pass(
         best = a
         best_gain = 0.0
         for c in touched:
+            x = weight_to[c]
+            weight_to[c] = 0.0
             if c == a:
                 continue
-            d = (weight_to[c] - w_old) * inv_m - k * (comm_strength[c] - base)
+            d = (x - w_old) * inv_m - k * (comm_strength[c] - base)
             if d > best_gain or (d == best_gain and d > 0.0 and c < best):
                 best_gain = d
                 best = c
@@ -129,8 +142,6 @@ def _move_pass(
             for v in nbrs:
                 if labels[v] != best:
                     active[v] = True
-        for c in touched:
-            weight_to[c] = 0.0
         touched.clear()
     return gain
 
@@ -157,8 +168,11 @@ def move_nodes(
     e = math.frexp(m)[1]
     if abs(e) > 500:
         # One ldexp per value: for subnormal weights 2^-e itself overflows.
-        scaled = ([math.ldexp(x, -e) for x in xs] for xs in (weights, strengths, comm_strength))
-        weights, strengths, comm_strength = scaled
+        if isinstance(weights, float):
+            weights = math.ldexp(weights, -e)
+        else:
+            weights = [math.ldexp(x, -e) for x in weights]
+        strengths, comm_strength = ([math.ldexp(x, -e) for x in xs] for xs in (strengths, comm_strength))
         m = math.ldexp(m, -e)
     flat = (indptr, indices, weights, strengths, m)
     active = [True] * len(labels)

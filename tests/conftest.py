@@ -3,7 +3,8 @@
 The oracles here (double-sum modularity, set-partition enumeration, BFS
 connectivity, a line-by-line edge-list parser) deliberately avoid the package's own aggregate-based
 implementations so the two routes check each other. check_move_pass holds
-the move kernel to them.
+the move kernel to them, and reference_move_pass keeps the kernel's earlier
+loop, which it must match bit for bit.
 """
 
 from __future__ import annotations
@@ -105,6 +106,58 @@ def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, ac
     kept = [comm_strength[c] for c in sorted(set(moved))]
     assert kept == pytest.approx(member_strengths(graph, fresh), rel=1e-12, abs=1e-9)
     return gain, fresh
+
+
+def reference_move_pass(flat, labels, comm_strength, rng, resolution, active) -> float:
+    """detect._move_pass as it was before its equal-weight tally: the same
+    pass, reading one weight per CSR entry from a list and resetting the
+    tally in a loop of its own."""
+    indptr, indices, weights, strengths, m = flat
+    inv_m = 1.0 / m
+    coef = resolution / (2.0 * m * m)
+    weight_to = [0.0] * len(comm_strength)
+    touched: list[int] = []
+    gain = 0.0
+    for u in rng.permutation(len(labels)).tolist():
+        if not active[u]:
+            continue
+        active[u] = False
+        lo = indptr[u]
+        hi = indptr[u + 1]
+        if lo == hi:
+            continue
+        nbrs = indices[lo:hi]
+        a = labels[u]
+        for v, w in zip(nbrs, weights[lo:hi]):
+            c = labels[v]
+            if weight_to[c] == 0.0:
+                touched.append(c)
+            weight_to[c] += w
+        w_old = weight_to[a]
+        s = strengths[u]
+        base = comm_strength[a] - s
+        k = coef * s
+        best = a
+        best_gain = 0.0
+        for c in touched:
+            if c == a:
+                continue
+            d = (weight_to[c] - w_old) * inv_m - k * (comm_strength[c] - base)
+            if d > best_gain or (d == best_gain and d > 0.0 and c < best):
+                best_gain = d
+                best = c
+        if best != a:
+            comm_strength[a] = base
+            comm_strength[best] += s
+            labels[u] = best
+            gain += best_gain
+            for v in nbrs:
+                if labels[v] != best:
+                    active[v] = True
+        for c in touched:
+            weight_to[c] = 0.0
+        touched.clear()
+    return gain
 
 
 def iter_set_partitions(n: int):

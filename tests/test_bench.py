@@ -262,6 +262,16 @@ def test_planted_reproducible():
 def test_planted_expected_empty_rejected():
     with pytest.raises(ValueError, match="below 1"):
         generate_planted(PlantedSpec(10, 2, 0.0, 0.0, seed=1))
+    # sizes 4, 3, 3: 12 intra and 33 inter pairs, 0.12 + 0.33 expected edges
+    with pytest.raises(ValueError, match=r"^expected edge count 0\.45 is below 1; spec would be empty$"):
+        generate_planted(PlantedSpec(10, 3, 0.01, 0.01, seed=1))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 1), (7, 7), (10, 3), (50, 50), (997, 40), (1000, 7)])
+def test_pair_counts_match_the_pair_loop(n, k):
+    sizes = planted_sizes(n, k)
+    inter = sum(sizes[a] * sizes[b] for a in range(k) for b in range(a + 1, k))
+    assert qicd.bench._pair_counts(sizes) == (sum(s * (s - 1) // 2 for s in sizes), inter)
 
 
 def test_planted_is_unweighted():

@@ -8,6 +8,7 @@ from qicd import (
     DetectorConfig,
     Partition,
     QicdConfig,
+    aggregate,
     build_graph,
     leiden,
     leiden_refine,
@@ -18,7 +19,8 @@ from qicd import (
     run_qicd,
     singleton_partition,
 )
-from qicd.detect import _flat, _move_pass, seeded_pass
+import qicd.detect
+from qicd.detect import _flat, _move_pass, move_nodes, seeded_pass
 
 from conftest import (
     communities_connected,
@@ -26,6 +28,7 @@ from conftest import (
     make_random_graph,
     member_strengths,
     modularity_double_sum,
+    reference_move_pass,
 )
 
 
@@ -75,12 +78,14 @@ def test_ring_of_cliques_recovered():
     assert pl.labels == pd.labels
 
 
-def test_labels_do_not_change_when_every_weight_is_scaled_by_a_power_of_two():
+def check_labels_under_scaling(equal: bool):
     # Q is scale-free and scaling by 2**k is exact, so every decision, and
     # so every label, must be that of k = 0.
     rnd = random.Random(40)
     n = 40
     edges = [(u, v, rnd.uniform(0.1, 3.0)) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.2]
+    if equal:
+        edges = [(u, v, 1.0) for u, v, _w in edges]
     weights = [w for *_, w in edges]
     # At both ends of the range of k every weight stays a normal float and 2m stays finite.
     assert math.ldexp(min(weights), -1000) >= sys.float_info.min
@@ -95,6 +100,15 @@ def test_labels_do_not_change_when_every_weight_is_scaled_by_a_power_of_two():
     expected = labels(0)
     for k in range(-1000, 1001, 25):
         assert labels(k) == expected, k
+
+
+def test_labels_do_not_change_when_every_weight_is_scaled_by_a_power_of_two():
+    check_labels_under_scaling(equal=False)
+
+
+def test_labels_do_not_change_when_every_equal_weight_is_scaled_by_a_power_of_two():
+    # Level 0's move loop reads one float, which move_nodes scales outside 2**±500.
+    check_labels_under_scaling(equal=True)
 
 
 def test_edgeless_graph_rejected():
@@ -140,6 +154,92 @@ def test_local_move_is_a_single_pass(two_triangles):
     assert _move_pass(_flat(two_triangles), labels, [6.0, 6.0], make_rng(0), 1.0, active) == 0.0
     assert active == [False] * 6
     assert labels == [0, 0, 0, 1, 1, 1]
+
+
+def _pass_outcome(kernel, flat, labels, comm_strength, active, seed, resolution):
+    """labels, community strengths, active flags and gain after one pass of
+    kernel, with every float as its hex string, so equal means bit-identical."""
+    labels, comm_strength, active = list(labels), list(comm_strength), list(active)
+    gain = kernel(flat, labels, comm_strength, make_rng(seed), resolution, active)
+    return labels, [x.hex() for x in comm_strength], active, gain.hex()
+
+
+def _one_weight_per_entry(flat):
+    indptr, indices, weights, strengths, m = flat
+    if isinstance(weights, float):
+        weights = [weights] * len(indices)
+    return indptr, indices, weights, strengths, m
+
+
+def _random_graph(rnd, weight=None):
+    """A random graph on 2 to 40 nodes with at least two edges, whose edges
+    all weigh `weight`, or distinct weights from [0.1, 3) when it is None."""
+    while True:
+        n = rnd.randint(2, 40)
+        p = rnd.uniform(0.05, 0.6)
+        edges = [(u, v, weight or rnd.uniform(0.1, 3.0)) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+        if len(edges) > 1:
+            return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("kind", ["1.0", "0.1", "2.5", "distinct", "collapsed", "zeros"])
+def test_move_pass_matches_the_reference_loop(kind):
+    # The equal-weight tally adds the same float in the same order as the
+    # reference's per-entry list; "zeros" lists communities twice in touched.
+    rnd = random.Random(f"tally-{kind}")
+    for _ in range(60):
+        graph = _random_graph(rnd, None if kind in ("distinct", "collapsed", "zeros") else float(kind))
+        n = graph.node_count
+        if kind == "collapsed":
+            graph = aggregate(graph, Partition(graph, [rnd.randrange(rnd.randint(1, n)) for _ in range(n)]))
+        flat = _flat(graph)
+        if kind != "collapsed":
+            assert isinstance(flat[2], float) == (kind != "distinct" and kind != "zeros")
+        if kind == "zeros":
+            flat = (flat[0], flat[1], [0.0 if rnd.random() < 0.3 else w for w in flat[2]], *flat[3:])
+        start = Partition(graph, [rnd.randrange(rnd.randint(1, graph.node_count)) for _ in range(graph.node_count)])
+        args = (start.labels, member_strengths(graph, start), [rnd.random() < 0.7 for _ in range(graph.node_count)],
+                rnd.randrange(2**32), rnd.choice([1.0, 0.7]))
+        expected = _pass_outcome(reference_move_pass, _one_weight_per_entry(flat), *args)
+        assert _pass_outcome(_move_pass, flat, *args) == expected
+
+
+@pytest.mark.parametrize("weight", [1.0, 3e-200, 2.5e200, None])
+def test_move_nodes_matches_the_reference_loop(monkeypatch, weight):
+    # A pass divides by m * m, so equal weights of 3e-200 or 2.5e200 only
+    # run scaled: move_nodes scales a float weights with one ldexp and a
+    # list value by value. The reference runs on the list form throughout.
+    rnd = random.Random(f"scaled-{weight}")
+    for _ in range(20):
+        graph = _random_graph(rnd, weight)
+        assert isinstance(_flat(graph)[2], float) == (weight is not None)
+        start = Partition(graph, [rnd.randrange(rnd.randint(1, graph.node_count)) for _ in range(graph.node_count)])
+        det = DetectorConfig(resolution=rnd.choice([1.0, 0.7]))
+        seed = rnd.randrange(2**32)
+        with monkeypatch.context() as patched:
+            patched.setattr(qicd.detect, "_flat", lambda g: _one_weight_per_entry(_flat(g)))
+            patched.setattr(qicd.detect, "_move_pass", reference_move_pass)
+            expected = move_nodes(graph, start, det, make_rng(seed)).labels
+        assert move_nodes(graph, start, det, make_rng(seed)).labels == expected
+
+
+def test_a_zero_weight_lists_a_community_twice_and_its_second_read_loses():
+    # Node 0 alone in community 0; nodes 1 and 2 in community 1, reached by
+    # weights 0.0 and 2.0; node 3 in community 2, reached by 1.0. Community
+    # 1 enters touched twice: the first read scores its full 2.0 and wins
+    # (gain 2/5 - 0.06 * 2), the second reads the 0.0 the first left.
+    indptr = [0, 3, 4, 5, 7, 8]
+    indices = [1, 2, 3, 0, 0, 0, 4, 3]
+    weights = [0.0, 2.0, 1.0, 0.0, 2.0, 1.0, 2.0, 2.0]
+    strengths = [3.0, 0.0, 2.0, 3.0, 2.0]
+    flat = (indptr, indices, weights, strengths, 5.0)
+    args = ([0, 1, 1, 2, 2], [3.0, 2.0, 5.0], [True, False, False, False, False], 0, 1.0)
+    outcome = _pass_outcome(_move_pass, flat, *args)
+    assert outcome == _pass_outcome(reference_move_pass, flat, *args)
+    labels, comm_strength, _active, gain = outcome
+    assert labels == [1, 1, 1, 2, 2]
+    assert comm_strength == [x.hex() for x in (0.0, 5.0, 5.0)]
+    assert float.fromhex(gain) == pytest.approx(0.28, abs=1e-15)
 
 
 def test_refine_noop_when_connected(two_triangles):

@@ -322,12 +322,17 @@ def random_unit_edges(n: int, m: int) -> np.ndarray:
 
 def test_edge_list_io_memory_per_edge():
     """Traced allocation per edge on a 100k-edge unit-weight text. A per-line
-    parser and per-entry Python objects cost about twice these bounds."""
+    parser and per-entry Python objects cost about twice these bounds. With
+    every weight equal, _flat's weights are one float (26 B/edge); with
+    distinct weights they are one float per CSR entry (90 B/edge)."""
     n, m = 10_000, 100_000
-    graph = build_graph(n, random_unit_edges(n, m))
+    edges = random_unit_edges(n, m)
+    graph = build_graph(n, edges)
     text = dump_edge_list(graph)
     assert traced_bytes(load_edge_list, text) / m < 250
-    assert traced_bytes(_flat, graph) / m < 100
+    assert traced_bytes(_flat, graph) / m < 32
+    edges[:, 2] = np.random.default_rng(2).uniform(0.1, 3.0, m)
+    assert traced_bytes(_flat, build_graph(n, edges)) / m < 100
     assert traced_bytes(dump_edge_list, graph) / m < 120
     # 24 of them are the three (m,) arrays it returns.
     assert traced_bytes(graph.edge_arrays) / m < 30
