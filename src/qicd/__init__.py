@@ -40,7 +40,6 @@ from .partition import (
 )
 from .rng import RNG_NAME, make_rng, mix
 from .sampling import (
-    HyperuniformParams,
     hu_noise,
     hyperuniform_adjust,
     propose_partition,

@@ -285,15 +285,13 @@ def calibrate_planted(
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
 
-    det = DetectorConfig()
-
     def mean_q(ratio: float) -> float:
         qs = []
         for i in range(runs):
             spec = spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i))
             graph, _truth = generate_planted(spec)
-            part = leiden(graph, replace(det, seed=mix(seed, 1000 + i)))
-            qs.append(modularity(graph, part, det.resolution))
+            part = leiden(graph, DetectorConfig(seed=mix(seed, 1000 + i)))
+            qs.append(modularity(graph, part))
         return sum(qs) / len(qs)
 
     lo, hi = 0.0, 1.0  # q decreases as the ratio grows
@@ -327,16 +325,18 @@ def ring_of_cliques(cliques: int, size: int) -> Graph:
         raise ValueError("need at least 3 cliques")
     if size < 3:
         raise ValueError("clique size must be at least 3")
-    edges: list[tuple[int, int, float]] = []
-    for c in range(cliques):
-        base = c * size
-        for i in range(size):
-            for j in range(i + 1, size):
-                edges.append((base + i, base + j, 1.0))
-    for c in range(cliques):
-        u = c * size + size - 1
-        v = ((c + 1) % cliques) * size
-        edges.append((u, v, 1.0))
+    # The pairs i < j of one clique in row order; every clique lists them
+    # from its first node, then the bridges follow, one clique to the next.
+    counts = np.arange(size - 1, 0, -1)
+    i = np.repeat(np.arange(size - 1), counts)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts) + i + 1
+    base = np.arange(cliques) * size
+    edges = np.ones((cliques * (len(i) + 1), 3))
+    inside = edges[: cliques * len(i)].reshape(cliques, len(i), 3)
+    np.add.outer(base, i, out=inside[:, :, 0])
+    np.add.outer(base, j, out=inside[:, :, 1])
+    edges[cliques * len(i) :, 0] = base + size - 1
+    edges[cliques * len(i) :, 1] = np.roll(base, -1)
     return build_graph(cliques * size, edges)
 
 
@@ -417,7 +417,7 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) 
     det = replace(cfg.detector, seed=seed)
     if kind is None:
         part = louvain(graph, det) if base == "louvain" else leiden(graph, det)
-        return modularity(graph, part, det.resolution)
+        return modularity(graph, part)
     return run_qicd(graph, replace(cfg, kind=kind, base=base, detector=det, seed=mix(seed, 1))).q_star
 
 
@@ -456,8 +456,8 @@ def run_experiment(
         for ri in range(len(method_seeds)):
             try:
                 qs.append(next(results))
-            except BrokenExecutor:
-                raise  # a worker died; which run it held is unknown
+            except (BrokenExecutor, MemoryError):
+                raise  # a dead worker's run is unknown, and no run can go on without memory
             except Exception as exc:
                 raise RuntimeError(f"method {name!r} run {ri} failed: {exc}") from exc
         samples.append(TrialSample(name, tuple(qs), method_seeds))

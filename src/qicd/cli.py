@@ -45,6 +45,7 @@ from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, draws_weights, result_
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity
 from .rng import RNG_NAME, mix
+from .sampling import REASSIGN_FRACTION, SKEW_FACTOR
 from .stats import summarize, welch_t_test
 
 EXIT_OK = 0
@@ -58,15 +59,13 @@ BENCHMARK_RUNS = 6
 
 # Flag defaults come from the config dataclasses and the library functions'
 # own defaults, and a replayed manifest lacking a key takes its flag's; the
-# CLI restates none of them. The maps below send config keys to field names.
+# CLI restates none of them. The map below sends config keys to field names.
 _QICD = QicdConfig()
-_DETECTOR_KEYS = {"resolution": "resolution"}
-_HU_KEYS = {"alpha": "skew_factor", "fraction": "reassign_fraction"}
 _QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "base", "refine_before_accept")}
 # Config keys that no flag sets any more, each with the one value that the
 # code now runs. A replayed manifest that records another value is refused.
 _RETIRED = {"random_ties": False, "init_mode": "quick-leiden", "max_levels": MAX_LEVELS, "max_sweeps": MAX_SWEEPS,
-            "min_gain": MIN_GAIN}
+            "min_gain": MIN_GAIN, "resolution": 1.0, "alpha": SKEW_FACTOR, "fraction": REASSIGN_FRACTION}
 
 
 class UsageError(Exception):
@@ -124,21 +123,12 @@ def _pick(config: dict, keys: dict[str, str]) -> dict:
     return {field: config[key] for key, field in keys.items() if key in config}
 
 
-def _detector_from(config: dict) -> DetectorConfig:
-    return DetectorConfig(seed=config["seed"], **_pick(config, _DETECTOR_KEYS))
-
-
 def _qicd_config(config: dict) -> QicdConfig:
     kind = config.get("kind", _QICD.kind)  # benchmark has no --kind: its method names set it
     if config["proposal_seeds"] is not None and not draws_weights(kind):
         raise UsageError("--seeds has no effect with --kind hu, which draws no weights")
-    return replace(
-        _QICD,
-        hu=replace(_QICD.hu, **_pick(config, _HU_KEYS)),
-        detector=_detector_from(config),
-        seed=mix(config["seed"], 1),
-        **_pick(config, _QICD_KEYS),
-    )
+    return replace(_QICD, detector=DetectorConfig(seed=config["seed"]), seed=mix(config["seed"], 1),
+                   **_pick(config, _QICD_KEYS))
 
 
 # ---------------------------------------------------------------- generate
@@ -198,9 +188,9 @@ def _run_generate_rewire(config: dict):
 
 def _run_detect(config: dict):
     graph, files = _load_graph(config)
-    det = _detector_from(config)
+    det = DetectorConfig(seed=config["seed"])
     part = louvain(graph, det) if config["method"] == "louvain" else leiden(graph, det)
-    q = modularity(graph, part, det.resolution)
+    q = modularity(graph, part)
     files["partition"] = (_out(config), labels_to_csv(part.labels))
     return {"graph": config["graph"]}, files, {}, f"Q={q:.6f}\n"
 
@@ -402,10 +392,6 @@ def _add_graph_input(p: _Parser, required: bool = True) -> None:
     p.add_argument("--relabel", action="store_true", help="accept arbitrary node labels; writes a .labels.csv sidecar")
 
 
-def _add_detector_flags(p: _Parser) -> None:
-    p.add_argument("--resolution", type=float, default=DetectorConfig().resolution)
-
-
 def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
     """QICD flags; `benchmark` omits --kind and --base, which each of its
     method names sets."""
@@ -415,8 +401,6 @@ def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
     p.add_argument("--iterations", type=int, default=_QICD.iterations)
     p.add_argument("--seeds", dest="proposal_seeds", type=int, default=_QICD.proposal_seeds,
                    help="proposal seed count K (default: ceil(sqrt(n)))")
-    p.add_argument("--alpha", type=float, default=_QICD.hu.skew_factor, help="oversize threshold factor")
-    p.add_argument("--fraction", type=float, default=_QICD.hu.reassign_fraction, help="reassignment fraction")
     p.add_argument("--stall-limit", type=int, default=_QICD.stall_limit)
     p.add_argument("--refine-before-accept", action="store_true",
                    help="polish proposals with a full seeded pass before the acceptance check")
@@ -449,12 +433,10 @@ def build_parser(default_seed: int) -> _Parser:
     det = sub.add_parser("detect", help="run a classical detector")
     _add_graph_input(det)
     det.add_argument("--method", choices=BASE_METHODS, required=True)
-    _add_detector_flags(det)
 
     qic = sub.add_parser("qicd", help="run the quantum-inspired refinement loop")
     _add_graph_input(qic)
     _add_qicd_flags(qic)
-    _add_detector_flags(qic)
 
     ben = sub.add_parser("benchmark", help="multi-method experiment with statistics")
     _add_graph_input(ben, required=False)
@@ -470,7 +452,6 @@ def build_parser(default_seed: int) -> _Parser:
     mrg_p.add_argument("--nulls", type=int, default=_default(mrg_significance, "null_count"))
     mrg_p.add_argument("--swap-factor", type=float, default=_default(mrg_significance, "swap_factor"))
     _add_qicd_flags(mrg_p)
-    _add_detector_flags(mrg_p)
 
     # Each command's parser, by the command name that manifests record.
     parser.commands = {

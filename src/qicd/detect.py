@@ -31,11 +31,6 @@ MIN_GAIN = 1e-7
 @dataclass(frozen=True)
 class DetectorConfig:
     seed: int = 0
-    resolution: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError("resolution must be finite and > 0")
 
 
 def _neighbour_lists(graph: Graph) -> tuple[list[int], list[int]]:
@@ -64,7 +59,6 @@ def _move_pass(
     labels: list[int],
     comm_strength: list[float],
     rng: np.random.Generator,
-    resolution: float,
     active: list[bool],
 ) -> float:
     """One greedy pass over nodes in random order, in place.
@@ -81,7 +75,7 @@ def _move_pass(
     """
     indptr, indices, weights, strengths, m = flat
     inv_m = 1.0 / m
-    coef = resolution / (2.0 * m * m)
+    coef = 1.0 / (2.0 * m * m)
     equal = isinstance(weights, float)
 
     # Flat per-community accumulator with a touched list; a zero entry
@@ -177,7 +171,7 @@ def move_nodes(
     flat = (indptr, indices, weights, strengths, m)
     active = [True] * len(labels)
     for _ in range(MAX_SWEEPS):
-        if _move_pass(flat, labels, comm_strength, rng, cfg.resolution, active) < MIN_GAIN:
+        if _move_pass(flat, labels, comm_strength, rng, active) < MIN_GAIN:
             break
     return Partition(graph, labels)
 

@@ -20,14 +20,7 @@ from .detect import DetectorConfig, leiden, leiden_refine, louvain, move_nodes, 
 from .graph import Graph
 from .partition import Partition, modularity
 from .rng import make_rng, mix
-from .sampling import (
-    HyperuniformParams,
-    hu_noise,
-    hyperuniform_adjust,
-    propose_partition,
-    sample_haar_weights,
-    sample_pt_weights,
-)
+from .sampling import hu_noise, hyperuniform_adjust, propose_partition, sample_haar_weights, sample_pt_weights
 
 BASE_METHODS = ("leiden", "louvain")
 # Proposal kinds: Porter-Thomas (pt) or Haar weights, alone or followed by
@@ -43,7 +36,6 @@ class QicdConfig:
     proposal_seeds: int | None = None
     iterations: int = 10
     stall_limit: int = 5
-    hu: HyperuniformParams = field(default_factory=HyperuniformParams)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     # Classical optimizer of the MRG baseline, which is also the loop's start.
     base: str = "leiden"
@@ -97,11 +89,11 @@ def _propose(
     rng: np.random.Generator,
 ) -> Partition:
     if seed_count is None:
-        return hu_noise(graph, current, cfg.hu, rng)
+        return hu_noise(graph, current, rng)
     sample = sample_pt_weights if cfg.kind.startswith("pt") else sample_haar_weights
     proposal = propose_partition(graph, sample(graph.node_count, rng), seed_count)
     if cfg.kind.endswith("-hu"):
-        proposal = hyperuniform_adjust(graph, proposal, cfg.hu, rng)
+        proposal = hyperuniform_adjust(graph, proposal, rng)
     return proposal
 
 
@@ -126,8 +118,7 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     """
     detect = louvain if cfg.base == "louvain" else leiden
     baseline_partition = detect(graph, cfg.detector)
-    resolution = cfg.detector.resolution
-    q_baseline = modularity(graph, baseline_partition, resolution)
+    q_baseline = modularity(graph, baseline_partition)
 
     current = best = baseline_partition
     q_star = q_baseline
@@ -145,13 +136,13 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
         rng = make_rng(mix(cfg.seed, t))
         if accepted:
             current = leiden_refine(graph, move_nodes(graph, current, cfg.detector, rng))
-            q_ref = modularity(graph, current, resolution)
+            q_ref = modularity(graph, current)
         proposal = _propose(graph, current, cfg, seed_count, rng)
         if cfg.refine_before_accept:
             proposal = seeded_pass(
                 graph, proposal, cfg.detector, refine=cfg.base == "leiden", rng=rng
             )
-        q_quant = modularity(graph, proposal, resolution)
+        q_quant = modularity(graph, proposal)
         accepted = q_quant > q_ref
         if accepted:
             current = proposal

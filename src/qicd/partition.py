@@ -83,12 +83,12 @@ def community_members(partition: Partition) -> list[list[int]]:
     return out
 
 
-def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> float:
-    """Modularity Q of the partition, in [-1, 1].
+def modularity(graph: Graph, partition: Partition) -> float:
+    """Newman-Girvan modularity Q of the partition, in [-1, 1].
 
-    Q = sum_c [ e_c / m - resolution * (S_c / 2m)^2 ] with e_c the internal
-    weight, S_c the total member strength, and m the total weight, all
-    three of this graph. resolution=1 is the classic definition.
+    Q = sum_c [ e_c / m - (S_c / 2m)^2 ] with e_c the internal weight, S_c
+    the total member strength, and m the total weight, all three of this
+    graph.
     """
     if len(partition.labels) != graph.node_count:
         raise ValueError("partition does not cover this graph")
@@ -103,7 +103,7 @@ def modularity(graph: Graph, partition: Partition, resolution: float = 1.0) -> f
     q = 0.0
     for e, s in zip(internal, strength):
         frac = s / two_m
-        q += e / m - resolution * frac * frac
+        q += e / m - frac * frac
     return q
 
 

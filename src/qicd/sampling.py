@@ -10,7 +10,6 @@ BFS from the highest-weighted nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,23 +18,11 @@ from .graph import Graph
 from .partition import Partition, community_members
 
 
-@dataclass(frozen=True)
-class HyperuniformParams:
-    """Knobs for the size-flattening step.
-
-    A community is oversized when its size exceeds skew_factor * (n / C).
-    reassign_fraction of an oversized community's members are relocated.
-    fraction 0 is allowed and makes the perturbation a no-op.
-    """
-
-    skew_factor: float = 2.0
-    reassign_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.skew_factor) and self.skew_factor > 1.0):
-            raise ValueError("skew_factor must be finite and > 1")
-        if not 0.0 <= self.reassign_fraction <= 1.0:
-            raise ValueError("reassign_fraction must be in [0, 1]")
+# The size-flattening rule is part of the method, not a setting: a community
+# is oversized when its size exceeds SKEW_FACTOR * (n / C), and each
+# perturbation relocates REASSIGN_FRACTION of the nodes it draws from.
+SKEW_FACTOR = 2.0
+REASSIGN_FRACTION = 0.1
 
 
 def sample_pt_weights(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,16 +104,11 @@ def propose_partition(graph: Graph, weights: np.ndarray, seed_count: int) -> Par
     return Partition(graph, labels.tolist())
 
 
-def hyperuniform_adjust(
-    graph: Graph,
-    partition: Partition,
-    params: HyperuniformParams,
-    rng: np.random.Generator,
-) -> Partition:
+def hyperuniform_adjust(graph: Graph, partition: Partition, rng: np.random.Generator) -> Partition:
     """Shrink oversized communities by relocating a fraction of their nodes.
 
-    Communities whose input size exceeds skew_factor * n / C lose
-    ceil(reassign_fraction * size) members (capped at size - 1 so nothing
+    Communities whose input size exceeds SKEW_FACTOR * n / C lose
+    ceil(REASSIGN_FRACTION * size) members (capped at size - 1 so nothing
     empties), each reassigned to a uniformly random community that was not
     oversized; the cap plus non-oversized targets guarantee every oversized
     community ends strictly smaller. With a single community the partition
@@ -137,22 +119,18 @@ def hyperuniform_adjust(
         return partition
     members = community_members(partition)
     sizes = [len(nodes) for nodes in members]
-    threshold = params.skew_factor * graph.node_count / c_count
+    threshold = SKEW_FACTOR * graph.node_count / c_count
     if max(sizes) <= threshold:
         return partition
     receivers = [c for c in range(c_count) if sizes[c] <= threshold]
-    batch = [min(math.ceil(params.reassign_fraction * s), s - 1) if s > threshold else 0 for s in sizes]
+    batch = [min(math.ceil(REASSIGN_FRACTION * s), s - 1) if s > threshold else 0 for s in sizes]
     labels = _relocate(partition, members, batch, lambda _c: receivers[int(rng.integers(len(receivers)))], rng)
     return Partition(graph, labels)
 
 
-def hu_noise(
-    graph: Graph,
-    partition: Partition,
-    params: HyperuniformParams,
-    rng: np.random.Generator,
-) -> Partition:
-    """Noise-only perturbation: relabel ceil(f * n) nodes across communities.
+def hu_noise(graph: Graph, partition: Partition, rng: np.random.Generator) -> Partition:
+    """Noise-only perturbation: relabel ceil(REASSIGN_FRACTION * n) nodes
+    across communities.
 
     The relocation budget is spread proportionally over communities (largest
     remainder, one batch per community, never draining a community) and each
@@ -163,13 +141,10 @@ def hu_noise(
     if c_count <= 1:
         return partition
     n = graph.node_count
-    total = math.ceil(params.reassign_fraction * n)
-    if total <= 0:
-        return partition
     members = community_members(partition)
     sizes = [len(nodes) for nodes in members]
     caps = [s - 1 for s in sizes]
-    total = min(total, sum(caps))
+    total = min(math.ceil(REASSIGN_FRACTION * n), sum(caps))
     if total <= 0:
         return partition
 

@@ -43,7 +43,7 @@ def traced_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def modularity_double_sum(graph: Graph, labels, resolution: float = 1.0) -> float:
+def modularity_double_sum(graph: Graph, labels) -> float:
     """Direct double-sum evaluation over all node pairs (including i == j)."""
     n = graph.node_count
     m = graph.total_weight
@@ -58,7 +58,7 @@ def modularity_double_sum(graph: Graph, labels, resolution: float = 1.0) -> floa
     for i in range(n):
         for j in range(n):
             if labels[i] == labels[j]:
-                total += weight[i][j] - resolution * s[i] * s[j] / two_m
+                total += weight[i][j] - s[i] * s[j] / two_m
     return total / two_m
 
 
@@ -77,8 +77,7 @@ def member_strengths(graph: Graph, partition: Partition) -> list[float]:
     return [math.fsum(strengths) for strengths in members]
 
 
-def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, active=None,
-                    original: Graph | None = None, node_of=None):
+def check_move_pass(graph: Graph, labels, seed: int, active=None, original: Graph | None = None, node_of=None):
     """Run one detect._move_pass from a fresh Partition over `labels`, with
     member_strengths as its community strengths, and check it by independent
     routes; returns its gain and the fresh Partition over the labels it ends
@@ -97,10 +96,10 @@ def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, ac
     start = Partition(graph, labels)
     moved = list(start.labels)
     comm_strength = member_strengths(graph, start)
-    gain = _move_pass(_flat(graph), moved, comm_strength, make_rng(seed), resolution, active)
+    gain = _move_pass(_flat(graph), moved, comm_strength, make_rng(seed), active)
     before = [start.labels[c] for c in node_of]
     after = [moved[c] for c in node_of]
-    expected = modularity_double_sum(original, after, resolution) - modularity_double_sum(original, before, resolution)
+    expected = modularity_double_sum(original, after) - modularity_double_sum(original, before)
     assert abs(gain - expected) < 1e-12, (gain, expected)
     fresh = Partition(graph, moved)
     kept = [comm_strength[c] for c in sorted(set(moved))]
@@ -111,7 +110,8 @@ def check_move_pass(graph: Graph, labels, seed: int, resolution: float = 1.0, ac
 def reference_move_pass(flat, labels, comm_strength, rng, resolution, active) -> float:
     """detect._move_pass as it was before its equal-weight tally: the same
     pass, reading one weight per CSR entry from a list and resetting the
-    tally in a loop of its own."""
+    tally in a loop of its own. Its resolution is 1.0 in every comparison,
+    the kernel's Newman-Girvan objective."""
     indptr, indices, weights, strengths, m = flat
     inv_m = 1.0 / m
     coef = resolution / (2.0 * m * m)

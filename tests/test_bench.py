@@ -322,6 +322,30 @@ def test_ring_of_cliques_small_example():
     assert abs(q - 3 * (3 / 12 - (8 / 24) ** 2)) < 1e-12
 
 
+def _ring_of_cliques_loop(cliques, size):
+    """ring_of_cliques as a Python list of (u, v, 1.0) triples: each
+    clique's pairs i < j in row order, then one bridge per clique."""
+    edges = []
+    for c in range(cliques):
+        base = c * size
+        for i in range(size):
+            for j in range(i + 1, size):
+                edges.append((base + i, base + j, 1.0))
+    for c in range(cliques):
+        edges.append((c * size + size - 1, ((c + 1) % cliques) * size, 1.0))
+    return build_graph(cliques * size, edges)
+
+
+@pytest.mark.parametrize("cliques, size", [(3, 3), (4, 5), (10, 7), (3, 300), (3, 1000)])
+def test_ring_of_cliques_matches_the_triple_loop(cliques, size):
+    got, expected = ring_of_cliques(cliques, size), _ring_of_cliques_loop(cliques, size)
+    for name in ("indptr", "indices", "weights", "strengths"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.total_weight == expected.total_weight
+    assert got.self_weights is None and expected.self_weights is None
+
+
 def test_ring_of_cliques_validation():
     with pytest.raises(ValueError):
         ring_of_cliques(2, 5)

@@ -35,21 +35,8 @@ from conftest import (
 def one_pass(graph, partition, rng):
     """One greedy move pass over every node, from partition's labels."""
     labels = list(partition.labels)
-    _move_pass(_flat(graph), labels, member_strengths(graph, partition), rng, 1.0, [True] * graph.node_count)
+    _move_pass(_flat(graph), labels, member_strengths(graph, partition), rng, [True] * graph.node_count)
     return Partition(graph, labels)
-
-
-def test_config_validation():
-    nan, inf = float("nan"), float("inf")
-    rows = [
-        ("resolution", 0.0),
-        ("resolution", nan),
-        ("resolution", inf),
-        ("resolution", -inf),
-    ]
-    for field, value in rows:
-        with pytest.raises(ValueError, match=field):
-            DetectorConfig(**{field: value})
 
 
 def test_two_triangles_is_enumerated_optimum(two_triangles):
@@ -151,16 +138,21 @@ def test_local_move_is_a_single_pass(two_triangles):
     # flag, and moves nothing, so no node is flagged again.
     labels = [0, 0, 0, 1, 1, 1]
     active = [True] * 6
-    assert _move_pass(_flat(two_triangles), labels, [6.0, 6.0], make_rng(0), 1.0, active) == 0.0
+    assert _move_pass(_flat(two_triangles), labels, [6.0, 6.0], make_rng(0), active) == 0.0
     assert active == [False] * 6
     assert labels == [0, 0, 0, 1, 1, 1]
 
 
-def _pass_outcome(kernel, flat, labels, comm_strength, active, seed, resolution):
+def _reference_pass(flat, labels, comm_strength, rng, active):
+    """reference_move_pass at resolution 1, with _move_pass's signature."""
+    return reference_move_pass(flat, labels, comm_strength, rng, 1.0, active)
+
+
+def _pass_outcome(kernel, flat, labels, comm_strength, active, seed):
     """labels, community strengths, active flags and gain after one pass of
     kernel, with every float as its hex string, so equal means bit-identical."""
     labels, comm_strength, active = list(labels), list(comm_strength), list(active)
-    gain = kernel(flat, labels, comm_strength, make_rng(seed), resolution, active)
+    gain = kernel(flat, labels, comm_strength, make_rng(seed), active)
     return labels, [x.hex() for x in comm_strength], active, gain.hex()
 
 
@@ -199,8 +191,8 @@ def test_move_pass_matches_the_reference_loop(kind):
             flat = (flat[0], flat[1], [0.0 if rnd.random() < 0.3 else w for w in flat[2]], *flat[3:])
         start = Partition(graph, [rnd.randrange(rnd.randint(1, graph.node_count)) for _ in range(graph.node_count)])
         args = (start.labels, member_strengths(graph, start), [rnd.random() < 0.7 for _ in range(graph.node_count)],
-                rnd.randrange(2**32), rnd.choice([1.0, 0.7]))
-        expected = _pass_outcome(reference_move_pass, _one_weight_per_entry(flat), *args)
+                rnd.randrange(2**32))
+        expected = _pass_outcome(_reference_pass, _one_weight_per_entry(flat), *args)
         assert _pass_outcome(_move_pass, flat, *args) == expected
 
 
@@ -214,11 +206,11 @@ def test_move_nodes_matches_the_reference_loop(monkeypatch, weight):
         graph = _random_graph(rnd, weight)
         assert isinstance(_flat(graph)[2], float) == (weight is not None)
         start = Partition(graph, [rnd.randrange(rnd.randint(1, graph.node_count)) for _ in range(graph.node_count)])
-        det = DetectorConfig(resolution=rnd.choice([1.0, 0.7]))
+        det = DetectorConfig()
         seed = rnd.randrange(2**32)
         with monkeypatch.context() as patched:
             patched.setattr(qicd.detect, "_flat", lambda g: _one_weight_per_entry(_flat(g)))
-            patched.setattr(qicd.detect, "_move_pass", reference_move_pass)
+            patched.setattr(qicd.detect, "_move_pass", _reference_pass)
             expected = move_nodes(graph, start, det, make_rng(seed)).labels
         assert move_nodes(graph, start, det, make_rng(seed)).labels == expected
 
@@ -233,9 +225,9 @@ def test_a_zero_weight_lists_a_community_twice_and_its_second_read_loses():
     weights = [0.0, 2.0, 1.0, 0.0, 2.0, 1.0, 2.0, 2.0]
     strengths = [3.0, 0.0, 2.0, 3.0, 2.0]
     flat = (indptr, indices, weights, strengths, 5.0)
-    args = ([0, 1, 1, 2, 2], [3.0, 2.0, 5.0], [True, False, False, False, False], 0, 1.0)
+    args = ([0, 1, 1, 2, 2], [3.0, 2.0, 5.0], [True, False, False, False, False], 0)
     outcome = _pass_outcome(_move_pass, flat, *args)
-    assert outcome == _pass_outcome(reference_move_pass, flat, *args)
+    assert outcome == _pass_outcome(_reference_pass, flat, *args)
     labels, comm_strength, _active, gain = outcome
     assert labels == [1, 1, 1, 2, 2]
     assert comm_strength == [x.hex() for x in (0.0, 5.0, 5.0)]

@@ -4,7 +4,6 @@ import pytest
 
 from qicd import (
     DetectorConfig,
-    HyperuniformParams,
     PlantedSpec,
     QicdConfig,
     build_graph,
@@ -148,21 +147,6 @@ def test_stall_limit_stops_early():
     assert len(result.trace) <= 50
     # baseline is optimal here, so nothing improves and the loop stalls out
     assert len(result.trace) == 3
-
-
-def test_hu_zero_fraction_matches_refined_trace():
-    g = ring_of_cliques(4, 4)
-    cfg = _cfg(
-        seed=6,
-        kind="hu",
-        hu=HyperuniformParams(2.0, 0.0),
-        iterations=6,
-        stall_limit=6,
-    )
-    result = run_qicd(g, cfg)
-    # empty perturbations: Q* equals the best refined value in its own trace
-    assert result.q_star == max(r.q_ref for r in result.trace)
-    assert all(not r.accepted for r in result.trace)
 
 
 def test_proposal_seed_count_resolution():

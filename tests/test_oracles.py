@@ -71,14 +71,13 @@ def communities(labels):
     return list(groups.values())
 
 
-@pytest.mark.parametrize("resolution", [1.0, 0.7])
 @PROPERTY
 @given(case=labelled_graphs())
-def test_modularity_matches_networkx(case, resolution):
+def test_modularity_matches_networkx(case):
     n, triples, labels = case
     g = build_graph(n, triples)
-    expected = nx.community.modularity(nx_graph(n, triples), communities(labels), weight="weight", resolution=resolution)
-    assert modularity(g, Partition(g, labels), resolution) == pytest.approx(expected, abs=1e-12)
+    expected = nx.community.modularity(nx_graph(n, triples), communities(labels), weight="weight")
+    assert modularity(g, Partition(g, labels)) == pytest.approx(expected, abs=1e-12)
 
 
 def _planted_triples(rnd, n=300, k=6, p_in=0.1, p_out=0.01):
@@ -326,8 +325,8 @@ def test_load_edge_list_matches_a_line_by_line_parser(case):
 @st.composite
 def move_cases(draw, collapsed):
     """check_move_pass arguments: a graph, or the graph collapsed by a
-    drawn grouping (self weights included), with labels, an active mask,
-    a seed and a resolution for one pass over it."""
+    drawn grouping (self weights included), with labels, an active mask
+    and a seed for one pass over it."""
     n, triples, labels = draw(labelled_graphs())
     original = build_graph(n, triples)
     graph, node_of = original, None
@@ -336,7 +335,7 @@ def move_cases(draw, collapsed):
         labels = draw(st.lists(st.integers(0, n - 1), min_size=graph.node_count, max_size=graph.node_count))
     active = draw(st.lists(st.booleans(), min_size=graph.node_count, max_size=graph.node_count))
     return dict(graph=graph, labels=labels, active=active, original=original, node_of=node_of,
-                seed=draw(st.integers(0, 2**32 - 1)), resolution=draw(st.sampled_from([1.0, 0.7])))
+                seed=draw(st.integers(0, 2**32 - 1)))
 
 
 # Both properties check the pass's gain and its community strengths: the

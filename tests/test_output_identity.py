@@ -69,15 +69,15 @@ PINNED = {
     "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
     "cfg.stdout": "ce21f0503fc9b677159dfca00fa7933ae1b0170ab4f1dd11deea04ccccd85a31",
-    "bench.manifest.json": "86da1d7d6dfac97c365082f2651d4911a3e49f4804c5297878da72aeb8eba2d4",
+    "bench.manifest.json": "1e80fab7c1020b7b4f8b44b5501496279ac5db395b6d13f2796566ed008f13bb",
     "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "cfg.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
-    "cfg.manifest.json": "7f6e191f04e96f0167107eff7a299728976273cbdc80c4a6a6eaa7d06bfcf772",
+    "cfg.manifest.json": "6ff131535468086b11f1df4c87eb973696057a191c35395f80c982ae946b1eee",
     "det.conf": "070b73b8a3a6cf6b4ee5c8df0c74209585c56edde26a19c7f4a6c36a2d33132d",
     "det.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
-    "det.manifest.json": "be553dc776612f8b2515f656b33bc08eb5ebada0c61a9f4f7fe5104ec51c650e",
+    "det.manifest.json": "09e1d7335fec139032d9e4bc0e49b5e2acc59b56820eaba337700fea39292c5c",
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
     "g.manifest.json": "5d79d6781c4bb8edba3aabeee093cc09d28c3486248662108bf9f8fb103c6004",
     "g.truth.csv": "3ef62bb3386805e5cb67d4c2b362e0b65ca8162ef1f6484cf159e3dd68a7c9dc",
@@ -85,25 +85,25 @@ PINNED = {
     "g60.el": "cbe328f2fa263d1d73499a91f685e065f1a11bb2ed22c227d983dea7389dc3b1",
     "g60.manifest.json": "3e4643ee553d04af7529bf5f61b715188f360df84d0465f2c195e78f4bc535fa",
     "g60.truth.csv": "023189e78ff9d948b81e8c3067d13b4096f17ed7304ddb1b322ee0ca194d0bae",
-    "hh.json": "a5cdc248dae88a210dc13af42791bb46813dfc9ae9137254b2d62624865b6942",
-    "hh.manifest.json": "f4d95107dfdae5d91a29737b9b9ba942b7a2923e21e81bfbdbc2cbbfb0f0ea52",
+    "hh.json": "081d0721495b0ba97f23220732209a7e1f59402f1a3602ad69ecdba30262ade4",
+    "hh.manifest.json": "c61aabf7e9dfb96b990f2c362d1b1f828d26f0dfd995275c47080840a985199d",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
     "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
-    "pt.json": "763392f9e2405be465118e7716e4f47e7e679fda1852667cc92a97756f64485b",
-    "pt.manifest.json": "274763d7f4a56df1710c93e67f8db2826bd7f0975a21ee7333b14bb1910abc0d",
+    "pt.json": "3f6618b364adfbb840b2342ef2f270be5ad2fdd7a88be78994bb133cd80bd83d",
+    "pt.manifest.json": "4a9519fa17261ade4a009fa1c70777238fe29a296befb274b3f7acf2c0f0392e",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
     "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
-    "sig.manifest.json": "3db8a5391ce4f7a6283158b7c16e3e20441321fa02daa6dbb709d0907c0179db",
+    "sig.manifest.json": "34b5a82926771f24907bfd9d582615f6c65e04356db4f72402adad33fb384e8e",
     "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
     "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
-    "wdet.manifest.json": "1629f195bf5e4dd67b3d09ecfd37aa31bb022d0cf3722aaf965706ff7ec69ebf",
+    "wdet.manifest.json": "7552909f8187ebaf40bd191831ba28cecbec54a031b672e4e2e5b70a08e3c8ff",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
     # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.json": "b8a26e9f862dad540a33f2cbd52ef542d4cc076428911cfbc16d25dd4a1e4dbb",
-    "whh.manifest.json": "ab199dac8ed5473163e1217b6e3814394b14e8b888cbea20098f9fee558b228f",
+    "whh.json": "43d95b0861bb4ed8547bd9a93239e93102eddf850a8b8c4d1ebb51a37f694dc7",
+    "whh.manifest.json": "825ce639904b7fadc13bcf9bc1a9f2cbaa4c0a049e7cca2dc26a2a1d18beab0a",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
     "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",

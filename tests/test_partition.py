@@ -7,7 +7,6 @@ import pytest
 
 from qicd import (
     DetectorConfig,
-    HyperuniformParams,
     Partition,
     PlantedSpec,
     QicdConfig,
@@ -175,14 +174,6 @@ def test_modularity_matches_double_sum():
         assert abs(modularity(g, p) - modularity_double_sum(g, labels)) < 1e-12
 
 
-def test_modularity_resolution_parameter():
-    g = build_graph(6, TWO_TRIANGLES_EDGES)
-    labels = [0, 0, 0, 1, 1, 1]
-    p = Partition(g, labels)
-    for gamma in (0.5, 1.0, 1.7):
-        assert abs(modularity(g, p, gamma) - modularity_double_sum(g, labels, gamma)) < 1e-12
-
-
 def test_relabeling_invariance():
     rnd = random.Random(9)
     for _ in range(30):
@@ -252,8 +243,8 @@ def test_delta_q_matches_full_recompute_randomly():
         if checked % 2:  # a collapsed graph, which carries self weights
             graph, node_of = collapse(g, _random_partition(rnd, g.node_count, c_max=6))
         n = graph.node_count
-        check_move_pass(graph, _random_partition(rnd, n), rnd.randrange(2**32), rnd.choice([1.0, 0.7]),
-                        [rnd.random() < 0.7 for _ in range(n)], original=g, node_of=node_of)
+        check_move_pass(graph, _random_partition(rnd, n), rnd.randrange(2**32), [rnd.random() < 0.7 for _ in range(n)],
+                        original=g, node_of=node_of)
 
 
 def test_move_nodes_returns_no_empty_community(two_triangles):
@@ -362,7 +353,6 @@ def test_partitions_are_values():
     # route alters its input or returns a partition with an empty community.
     rnd = random.Random(31)
     det = DetectorConfig(seed=3)
-    hu = HyperuniformParams(skew_factor=1.5, reassign_fraction=0.3)
     checked = 0
     while checked < 30:
         g = make_random_graph(rnd, n_max=14)
@@ -377,8 +367,8 @@ def test_partitions_are_values():
             leiden_refine(g, p),
             seeded_pass(g, p, det, refine=True, rng=rng),
             seeded_pass(g, p, det, refine=False, rng=rng),
-            hyperuniform_adjust(g, p, hu, rng),
-            hu_noise(g, p, hu, rng),
+            hyperuniform_adjust(g, p, rng),
+            hu_noise(g, p, rng),
         ]
         assert _state(p) == before
         outputs += [leiden(g, det), louvain(g, det)]

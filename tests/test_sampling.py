@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from qicd import (
-    HyperuniformParams,
     Partition,
     PlantedSpec,
     QicdConfig,
@@ -19,6 +19,7 @@ from qicd import (
     sample_haar_weights,
     sample_pt_weights,
 )
+from qicd.sampling import REASSIGN_FRACTION, SKEW_FACTOR
 
 from conftest import make_random_graph
 
@@ -147,86 +148,88 @@ def test_propose_community_bound():
         assert sorted(set(p.labels)) == list(range(p.community_count))
 
 
-def test_hyperuniform_params_validation():
-    with pytest.raises(ValueError):
-        HyperuniformParams(skew_factor=1.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="skew_factor must be finite"):
-            HyperuniformParams(skew_factor=bad)
-    with pytest.raises(ValueError):
-        HyperuniformParams(reassign_fraction=1.5)
-    HyperuniformParams(reassign_fraction=0.0)  # degenerate no-op is allowed
-
-
 def _cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
 def test_hyperuniform_adjust_example():
+    # n / C = 10 / 3, so community 0, of 8, is oversized, and it loses
+    # ceil(0.1 * 8) = 1 node to one of the others.
     g = _cycle_graph(10)
-    p = Partition(g, [0] * 9 + [1])
-    out = hyperuniform_adjust(g, p, HyperuniformParams(1.5, 0.2), make_rng(3))
-    assert sorted(Counter(out.labels).values()) == [3, 7]
+    p = Partition(g, [0] * 8 + [1, 2])
+    out = hyperuniform_adjust(g, p, make_rng(3))
+    assert Counter(out.labels)[0] == 7
+    assert sorted(Counter(out.labels).values()) == [1, 2, 7]
 
 
 def test_hyperuniform_adjust_noop_cases():
     g = _cycle_graph(10)
     balanced = Partition(g, [i % 2 for i in range(10)])
-    out = hyperuniform_adjust(g, balanced, HyperuniformParams(1.5, 0.2), make_rng(1))
+    out = hyperuniform_adjust(g, balanced, make_rng(1))
     assert out.labels == balanced.labels
+    # 9 of 10 in two communities is not above SKEW_FACTOR * n / C = 10.
+    skewed = Partition(g, [0] * 9 + [1])
+    assert hyperuniform_adjust(g, skewed, make_rng(1)).labels == skewed.labels
     single = Partition(g, [0] * 10)
-    out = hyperuniform_adjust(g, single, HyperuniformParams(1.5, 0.2), make_rng(1))
+    out = hyperuniform_adjust(g, single, make_rng(1))
     assert out.labels == single.labels
 
 
 def test_hyperuniform_adjust_properties():
+    # Every oversized community loses ceil(REASSIGN_FRACTION * size) of its
+    # members, at most all but one, and no other community loses any.
     rnd = random.Random(19)
-    for _ in range(40):
+    oversized = 0
+    for _ in range(60):
         g = make_random_graph(rnd, n_max=16)
         n = g.node_count
         c = rnd.randint(2, max(2, n // 2))
-        labels = [rnd.randrange(c) for _ in range(n)]
-        p = Partition(g, labels)
-        params = HyperuniformParams(rnd.uniform(1.1, 2.5), rnd.uniform(0.05, 1.0))
-        out = hyperuniform_adjust(g, p, params, make_rng(rnd.randrange(2**32)))
-        threshold = params.skew_factor * n / p.community_count
+        heavy = rnd.uniform(0.0, 0.8)
+        p = Partition(g, [0 if rnd.random() < heavy else rnd.randrange(c) for _ in range(n)])
+        out = hyperuniform_adjust(g, p, make_rng(rnd.randrange(2**32)))
+        threshold = SKEW_FACTOR * n / p.community_count
         assert out.community_count <= p.community_count  # no new ids
         assert set(out.labels) == set(range(out.community_count))
         sizes = Counter(p.labels)
         for comm in range(p.community_count):
+            moved_away = sum(1 for u in range(n) if p.labels[u] == comm and out.labels[u] != comm)
             if sizes[comm] > threshold:
-                moved_away = sum(
-                    1 for u in range(n) if p.labels[u] == comm and out.labels[u] != p.labels[u]
-                )
-                assert moved_away >= 1
+                oversized += 1
+                assert moved_away == min(math.ceil(REASSIGN_FRACTION * sizes[comm]), sizes[comm] - 1) >= 1
+            else:
+                assert moved_away == 0
+    assert oversized >= 10
 
 
 def test_hu_noise_moves_exact_count():
-    g = _cycle_graph(10)
-    p = Partition(g, [0] * 5 + [1] * 5)
-    out = hu_noise(g, p, HyperuniformParams(2.0, 0.3), make_rng(5))
+    # ceil(0.1 * 25) = 3 nodes move, spread 1 and 2 by largest remainder.
+    g = _cycle_graph(25)
+    p = Partition(g, [0] * 12 + [1] * 13)
+    out = hu_noise(g, p, make_rng(5))
     moved = sum(1 for a, b in zip(p.labels, out.labels) if a != b)
     assert moved == 3
-
-
-def test_hu_noise_zero_fraction_is_noop():
-    g = _cycle_graph(10)
-    p = Partition(g, [0] * 5 + [1] * 5)
-    out = hu_noise(g, p, HyperuniformParams(2.0, 0.0), make_rng(5))
-    assert out.labels == p.labels
+    assert Counter(out.labels) == {0: 13, 1: 12}
 
 
 def test_hu_noise_keeps_partition_valid():
+    # Each picked node moves to another community, so exactly
+    # ceil(REASSIGN_FRACTION * n) nodes move, unless the communities hold
+    # fewer than that beyond one member each.
     rnd = random.Random(29)
     for _ in range(40):
         g = make_random_graph(rnd, n_max=14)
         n = g.node_count
         c = rnd.randint(2, max(2, n - 1))
         p = Partition(g, [rnd.randrange(c) for _ in range(n)])
-        out = hu_noise(g, p, HyperuniformParams(2.0, rnd.uniform(0.05, 1.0)), make_rng(rnd.randrange(2**32)))
+        out = hu_noise(g, p, make_rng(rnd.randrange(2**32)))
         assert len(out.labels) == n
         assert set(out.labels) == set(range(out.community_count))
         assert out.community_count <= p.community_count
+        moved = sum(1 for a, b in zip(p.labels, out.labels) if a != b)
+        if p.community_count > 1:
+            assert moved == min(math.ceil(REASSIGN_FRACTION * n), n - p.community_count)
+        else:
+            assert moved == 0
 
 
 def test_pt_and_haar_give_the_same_proposal_from_one_stream():
