@@ -13,7 +13,6 @@ from .bench import (
     run_experiment,
 )
 from .detect import (
-    DetectorConfig,
     leiden,
     leiden_refine,
     louvain,

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .detect import DetectorConfig, leiden, louvain
+from .detect import leiden, louvain
 from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, run_qicd
 from .graph import _MAX_NODES, Graph, NodeCountError, build_graph
 from .partition import modularity
@@ -290,7 +290,7 @@ def calibrate_planted(
         for i in range(runs):
             spec = spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i))
             graph, _truth = generate_planted(spec)
-            part = leiden(graph, DetectorConfig(seed=mix(seed, 1000 + i)))
+            part = leiden(graph, mix(seed, 1000 + i))
             qs.append(modularity(graph, part))
         return sum(qs) / len(qs)
 
@@ -414,11 +414,10 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) 
     """
     cfg = cfg or QicdConfig()
     base, kind = METHODS[name]
-    det = replace(cfg.detector, seed=seed)
     if kind is None:
-        part = louvain(graph, det) if base == "louvain" else leiden(graph, det)
+        part = louvain(graph, seed) if base == "louvain" else leiden(graph, seed)
         return modularity(graph, part)
-    return run_qicd(graph, replace(cfg, kind=kind, base=base, detector=det, seed=mix(seed, 1))).q_star
+    return run_qicd(graph, replace(cfg, kind=kind, base=base, baseline_seed=seed, seed=mix(seed, 1))).q_star
 
 
 def _method_run(name: str, seed: int, source: Graph | Callable[[int], Graph], cfg: QicdConfig | None) -> float:
@@ -466,12 +465,7 @@ def run_experiment(
 
 def _null_mrg(graph: Graph, cfg: QicdConfig, swap_factor: float, seed: int, i: int) -> float:
     null_graph = degree_preserving_rewire(graph, swap_factor, seed=mix(seed, 1, i))
-    cfg_i = replace(
-        cfg,
-        seed=mix(seed, 2, i),
-        detector=replace(cfg.detector, seed=mix(seed, 3, i)),
-    )
-    return run_qicd(null_graph, cfg_i).mrg
+    return run_qicd(null_graph, replace(cfg, seed=mix(seed, 2, i), baseline_seed=mix(seed, 3, i))).mrg
 
 
 def mrg_significance(

@@ -40,7 +40,7 @@ from .bench import (
     ring_of_cliques,
     run_experiment,
 )
-from .detect import MAX_LEVELS, MAX_SWEEPS, MIN_GAIN, DetectorConfig, leiden, louvain
+from .detect import MAX_LEVELS, MAX_SWEEPS, MIN_GAIN, leiden, louvain
 from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity
@@ -127,8 +127,7 @@ def _qicd_config(config: dict) -> QicdConfig:
     kind = config.get("kind", _QICD.kind)  # benchmark has no --kind: its method names set it
     if config["proposal_seeds"] is not None and not draws_weights(kind):
         raise UsageError("--seeds has no effect with --kind hu, which draws no weights")
-    return replace(_QICD, detector=DetectorConfig(seed=config["seed"]), seed=mix(config["seed"], 1),
-                   **_pick(config, _QICD_KEYS))
+    return replace(_QICD, baseline_seed=config["seed"], seed=mix(config["seed"], 1), **_pick(config, _QICD_KEYS))
 
 
 # ---------------------------------------------------------------- generate
@@ -188,8 +187,8 @@ def _run_generate_rewire(config: dict):
 
 def _run_detect(config: dict):
     graph, files = _load_graph(config)
-    det = DetectorConfig(seed=config["seed"])
-    part = louvain(graph, det) if config["method"] == "louvain" else leiden(graph, det)
+    seed = config["seed"]
+    part = louvain(graph, seed) if config["method"] == "louvain" else leiden(graph, seed)
     q = modularity(graph, part)
     files["partition"] = (_out(config), labels_to_csv(part.labels))
     return {"graph": config["graph"]}, files, {}, f"Q={q:.6f}\n"
@@ -215,7 +214,7 @@ def _run_qicd_cmd(config: dict):
 
 
 def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
-    default = BENCHMARK_RUNS
+    default: int | None = None
     overrides: dict[str, int] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -231,10 +230,14 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
         except ValueError:
             raise UsageError(f"bad --runs entry {part!r}; expected a count or method=count") from None
         if eq:
+            if name in overrides:
+                raise UsageError(f"--runs sets a count for {name!r} more than once")
             overrides[name] = value
+        elif default is not None:
+            raise UsageError(f"--runs gives more than one default count; the second is {part!r}")
         else:
             default = value
-    return {m: overrides.get(m, default) for m in methods}
+    return {m: overrides.get(m, BENCHMARK_RUNS if default is None else default) for m in methods}
 
 
 def _parse_generate_spec(text: str) -> tuple[str, dict]:
@@ -255,6 +258,8 @@ def _parse_generate_spec(text: str) -> tuple[str, dict]:
         key = key.strip().replace("-", "_")
         if key not in flags:
             raise UsageError(f"unknown --generate-spec key {key!r}; {takes}")
+        if key in params:
+            raise UsageError(f"--generate-spec sets {key!r} more than once")
         try:
             params[key] = flags[key](value)
         except ValueError:

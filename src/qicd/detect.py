@@ -12,7 +12,6 @@ It is not the randomized refinement phase of Traag, Waltman & van Eck (2019).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +25,6 @@ from .rng import make_rng
 MAX_LEVELS = 20
 MAX_SWEEPS = 100
 MIN_GAIN = 1e-7
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    seed: int = 0
 
 
 def _neighbour_lists(graph: Graph) -> tuple[list[int], list[int]]:
@@ -140,12 +134,7 @@ def _move_pass(
     return gain
 
 
-def move_nodes(
-    graph: Graph,
-    partition: Partition,
-    cfg: DetectorConfig,
-    rng: np.random.Generator,
-) -> Partition:
+def move_nodes(graph: Graph, partition: Partition, rng: np.random.Generator) -> Partition:
     """Greedy move passes from partition's labels until a sweep gains less
     than MIN_GAIN, or for MAX_SWEEPS passes; returns the Partition of the
     labels they end with.
@@ -212,28 +201,20 @@ def leiden_refine(graph: Graph, partition: Partition) -> Partition:
     return Partition(graph, labels)
 
 
-def _multilevel(
-    graph: Graph,
-    cfg: DetectorConfig,
-    refine: bool,
-    initial: Partition | None = None,
-    rng: np.random.Generator | None = None,
-) -> Partition:
+def _multilevel(graph: Graph, rng: np.random.Generator, refine: bool, initial: Partition | None = None) -> Partition:
     if graph.total_weight <= 0.0:
         raise ValueError("modularity undefined: graph has no edges")
-    if rng is None:
-        rng = make_rng(cfg.seed)
     level_graph = graph
     level_labels: list[list[int]] = []
     part = initial
     for _level in range(MAX_LEVELS):
         if part is None:
             part = singleton_partition(level_graph)
-        part = move_nodes(level_graph, part, cfg, rng)
+        part = move_nodes(level_graph, part, rng)
         if refine:
             refined = leiden_refine(level_graph, part)
             if refined is not part:
-                part = move_nodes(level_graph, refined, cfg, rng)
+                part = move_nodes(level_graph, refined, rng)
         level_labels.append(part.labels)
         if part.community_count == level_graph.node_count:
             break
@@ -250,27 +231,24 @@ def _multilevel(
     return result
 
 
-def louvain(graph: Graph, cfg: DetectorConfig) -> Partition:
-    """Greedy multilevel modularity optimization."""
-    return _multilevel(graph, cfg, refine=False)
+def louvain(graph: Graph, seed: int) -> Partition:
+    """Greedy multilevel modularity optimization; seed sets the node-visit
+    order."""
+    return _multilevel(graph, make_rng(seed), refine=False)
 
 
-def leiden(graph: Graph, cfg: DetectorConfig) -> Partition:
+def leiden(graph: Graph, seed: int) -> Partition:
     """Louvain plus a connected-component split at each level and at the
-    end; returned communities are connected."""
-    return _multilevel(graph, cfg, refine=True)
+    end; returned communities are connected. seed sets the node-visit
+    order."""
+    return _multilevel(graph, make_rng(seed), refine=True)
 
 
-def seeded_pass(
-    graph: Graph,
-    initial: Partition,
-    cfg: DetectorConfig,
-    refine: bool = True,
-    rng: np.random.Generator | None = None,
-) -> Partition:
-    """Full multilevel pass started from an existing partition.
+def seeded_pass(graph: Graph, initial: Partition, rng: np.random.Generator, refine: bool) -> Partition:
+    """Full multilevel pass started from an existing partition, visiting
+    nodes in the order rng draws.
 
     Used to polish an externally generated candidate: local moves reshape it
     at node level, then aggregation continues from whatever scale survives.
     """
-    return _multilevel(graph, cfg, refine, initial=initial, rng=rng)
+    return _multilevel(graph, rng, refine, initial=initial)

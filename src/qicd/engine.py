@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detect import DetectorConfig, leiden, leiden_refine, louvain, move_nodes, seeded_pass
+from .detect import leiden, leiden_refine, louvain, move_nodes, seeded_pass
 from .graph import Graph
 from .partition import Partition, modularity
 from .rng import make_rng, mix
@@ -36,7 +36,8 @@ class QicdConfig:
     proposal_seeds: int | None = None
     iterations: int = 10
     stall_limit: int = 5
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    # Seed of the baseline run's node-visit order.
+    baseline_seed: int = 0
     # Classical optimizer of the MRG baseline, which is also the loop's start.
     base: str = "leiden"
     # When set, each proposal is polished by a full seeded base-method pass
@@ -112,12 +113,13 @@ def resolve_seed_count(cfg: QicdConfig, n: int) -> int | None:
 def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     """Run the refinement loop and return the best partition with its trace.
 
-    The baseline is a full classical run (cfg.base with cfg.detector), and
-    the loop starts from that partition. The best is kept across iterations,
-    so q_star >= q_baseline, and the MRG is >= 0, for every config.
+    The baseline is a full classical run of cfg.base at the baseline seed,
+    and the loop starts from that partition. The best is kept across
+    iterations, so q_star >= q_baseline, and the MRG is >= 0, for every
+    config.
     """
     detect = louvain if cfg.base == "louvain" else leiden
-    baseline_partition = detect(graph, cfg.detector)
+    baseline_partition = detect(graph, cfg.baseline_seed)
     q_baseline = modularity(graph, baseline_partition)
 
     current = best = baseline_partition
@@ -135,13 +137,11 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
         started = time.perf_counter()
         rng = make_rng(mix(cfg.seed, t))
         if accepted:
-            current = leiden_refine(graph, move_nodes(graph, current, cfg.detector, rng))
+            current = leiden_refine(graph, move_nodes(graph, current, rng))
             q_ref = modularity(graph, current)
         proposal = _propose(graph, current, cfg, seed_count, rng)
         if cfg.refine_before_accept:
-            proposal = seeded_pass(
-                graph, proposal, cfg.detector, refine=cfg.base == "leiden", rng=rng
-            )
+            proposal = seeded_pass(graph, proposal, rng, refine=cfg.base == "leiden")
         q_quant = modularity(graph, proposal)
         accepted = q_quant > q_ref
         if accepted:
@@ -184,7 +184,7 @@ def trace_to_csv(trace: list[IterationRecord]) -> str:
 
 
 def result_to_json(result: QicdResult, cfg: QicdConfig) -> dict:
-    """JSON envelope: config echo (cfg as nested dicts) plus the headline
+    """JSON envelope: config echo (cfg as a dict) plus the headline
     numbers."""
     return {
         "config": asdict(cfg),

@@ -84,7 +84,8 @@ def community_members(partition: Partition) -> list[list[int]]:
 
 
 def modularity(graph: Graph, partition: Partition) -> float:
-    """Newman-Girvan modularity Q of the partition, in [-1, 1].
+    """Newman-Girvan modularity Q of the partition, in [-1/2, 1] (Brandes et
+    al. 2008).
 
     Q = sum_c [ e_c / m - (S_c / 2m)^2 ] with e_c the internal weight, S_c
     the total member strength, and m the total weight, all three of this

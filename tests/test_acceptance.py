@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from qicd import (
-    DetectorConfig,
     Partition,
     QicdConfig,
     build_graph,
@@ -105,7 +104,7 @@ def test_baseline_sanity():
         g = ring_of_cliques(10, 5)
         expected = 10.0 / 11.0 - 0.1
         for detector in (louvain, leiden):
-            p = detector(g, DetectorConfig(seed=17))
+            p = detector(g, 17)
             assert p.community_count == 10
             assert abs(modularity(g, p) - expected) < 1e-9
             for clique in range(10):
@@ -117,7 +116,7 @@ def test_baseline_sanity():
             graph = make_random_graph(rnd, n_max=30)
             if graph.total_weight == 0:
                 continue
-            part = leiden(graph, DetectorConfig(seed=rnd.randrange(2**32)))
+            part = leiden(graph, rnd.randrange(2**32))
             assert communities_connected(graph, part.labels)
             checked += 1
 
@@ -205,13 +204,12 @@ def test_directional_uplift(weak_planted_graph):
         base_qs, star_qs, gaps = [], [], []
         for i in range(6):
             seed = mix(777, i)
-            det = DetectorConfig(seed=seed)
-            base_qs.append(modularity(graph, leiden(graph, det)))
+            base_qs.append(modularity(graph, leiden(graph, seed)))
             cfg = QicdConfig(
                 kind="haar",
                 iterations=10,
                 stall_limit=10,
-                detector=det,
+                baseline_seed=seed,
                 refine_before_accept=True,
                 seed=mix(seed, 1),
             )
@@ -247,7 +245,7 @@ def test_high_q_no_inflation(strong_planted_graph):
                         kind=kind,
                         iterations=10,
                         stall_limit=10,
-                        detector=DetectorConfig(seed=seed),
+                        baseline_seed=seed,
                         refine_before_accept=True,
                         seed=mix(seed, 1),
                     )
@@ -271,7 +269,7 @@ def test_monotone_best_trace():
             kind = rnd.choice(kinds)
             iterations = rnd.randint(1, 8)
             stall_limit = rnd.randint(1, 8)
-            detector = DetectorConfig(seed=rnd.randrange(2**32))
+            baseline_seed = rnd.randrange(2**32)
             # Drawn and discarded: this draw chose the retired start mode,
             # and keeping it keeps the same 50 graphs and configs.
             rnd.choice(("singleton", "quick-leiden"))
@@ -279,7 +277,7 @@ def test_monotone_best_trace():
                 kind=kind,
                 iterations=iterations,
                 stall_limit=stall_limit,
-                detector=detector,
+                baseline_seed=baseline_seed,
                 refine_before_accept=rnd.random() < 0.5,
                 seed=rnd.randrange(2**32),
             )
@@ -329,7 +327,7 @@ def test_scaling_subquadratic():
         cfg = QicdConfig(
             kind="haar",
             iterations=10,
-            detector=DetectorConfig(seed=3),
+            baseline_seed=3,
             seed=7,
         )
         # The minimum of two runs per size filters scheduler noise out of the

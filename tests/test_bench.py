@@ -11,7 +11,6 @@ import qicd.cli
 import qicd.rng
 
 from qicd import (
-    DetectorConfig,
     Partition,
     PlantedSpec,
     QicdConfig,
@@ -382,7 +381,7 @@ def test_rewire_destroys_clique_ring_structure():
     g = ring_of_cliques(10, 5)
     for i in range(5):
         null = degree_preserving_rewire(g, 10.0, seed=mix(77, i))
-        q = modularity(null, leiden(null, DetectorConfig(seed=i)))
+        q = modularity(null, leiden(null, i))
         assert q < 0.65
 
 
@@ -505,7 +504,7 @@ def test_mrg_significance_mechanics():
         kind="haar",
         iterations=2,
         stall_limit=2,
-        detector=DetectorConfig(seed=5),
+        baseline_seed=5,
         seed=11,
     )
     with pytest.raises(ValueError, match=">= 5"):
@@ -525,7 +524,7 @@ def test_mrg_percentile_low_on_er_graph():
         kind="haar",
         iterations=4,
         stall_limit=4,
-        detector=DetectorConfig(seed=11),
+        baseline_seed=11,
         refine_before_accept=True,
         seed=13,
     )

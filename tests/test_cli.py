@@ -391,9 +391,15 @@ def test_benchmark_usage_errors(workdir, capsys):
         (["--graph", "g.el", "--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
         (["--graph", "g.el", "--runs", "two"], "bad --runs entry 'two'"),
         (["--graph", "g.el", "--runs", "zzz=3"], "unknown method in --runs: 'zzz'"),
+        (["--graph", "g.el", "--runs", "2,3"], "--runs gives more than one default count; the second is '3'"),
+        (["--graph", "g.el", "--runs", "leiden=2,leiden=4"], "--runs sets a count for 'leiden' more than once"),
+        (["--generate-spec", "planted:n=100,k=4,p_in=0.3,p_out=0.02,n=60"], "--generate-spec sets 'n' more than once"),
+        (["--generate-spec", "planted:n=100,k=4,p-in=0.3,p_out=0.02,p_in=0.2"],
+         "--generate-spec sets 'p_in' more than once"),
     ],
     ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "non-integer",
-         "runs-count", "runs-default", "runs-unknown-method"],
+         "runs-count", "runs-default", "runs-unknown-method", "runs-second-default", "runs-repeated-method",
+         "repeated-key", "repeated-normalised-key"],
 )
 def test_benchmark_spec_errors_name_the_entry(workdir, capsys, flags, message):
     _make_graph(workdir)
@@ -847,17 +853,11 @@ def test_init_mode_is_retired(workdir, capsys, command):
 def test_config_surface():
     """Every field of the configs that `qicd` runs is set by one of its
     flags, and no command has a flag for a retired key, which replay drops."""
-
-    def leaves(value, prefix=""):
-        if isinstance(value, dict):
-            return {path: v for k, item in value.items() for path, v in leaves(item, f"{prefix}{k}.").items()}
-        return {prefix[:-1]: value}
-
     parser = build_parser(0)
     actions = [a for a in parser.commands["qicd"]._actions if a.default is not argparse.SUPPRESS]
     config = {a.dest: a.default for a in actions}
-    fields = leaves(asdict(_qicd_config(config)))
-    assert sorted(fields) == ["base", "detector.seed", "iterations", "kind", "proposal_seeds", "refine_before_accept",
+    fields = asdict(_qicd_config(config))
+    assert sorted(fields) == ["base", "baseline_seed", "iterations", "kind", "proposal_seeds", "refine_before_accept",
                               "seed", "stall_limit"]
     set_by_flags = set()
     for a in actions:
@@ -871,10 +871,13 @@ def test_config_surface():
             value = a.default * 1.5
         else:
             continue  # --graph and --out name files
-        changed = leaves(asdict(_qicd_config({**config, a.dest: value})))
-        set_by_flags |= {path for path in fields if changed[path] != fields[path]}
+        changed = asdict(_qicd_config({**config, a.dest: value}))
+        set_by_flags |= {key for key in fields if changed[key] != fields[key]}
     assert set_by_flags == set(fields)
     assert not {a.dest for p in parser.commands.values() for a in p._actions} & set(_RETIRED)
+    # --seed s runs the baseline at s and the loop at mix(s, 1).
+    seeded = _qicd_config({**config, "seed": 5})
+    assert (seeded.baseline_seed, seeded.seed) == (5, mix(5, 1))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from qicd import (
-    DetectorConfig,
     Partition,
     QicdConfig,
     aggregate,
@@ -46,7 +45,7 @@ def test_two_triangles_is_enumerated_optimum(two_triangles):
     )
     assert abs(best - 0.5) < 1e-12
     for detector in (louvain, leiden):
-        p = detector(two_triangles, DetectorConfig(seed=7))
+        p = detector(two_triangles, 7)
         assert modularity(two_triangles, p) == 0.5
         assert p.community_count == 2
         assert p.labels[0] == p.labels[1] == p.labels[2]
@@ -57,11 +56,11 @@ def test_ring_of_cliques_recovered():
     g = ring_of_cliques(10, 5)
     expected = 10.0 / 11.0 - 0.1
     for detector in (louvain, leiden):
-        p = detector(g, DetectorConfig(seed=3))
+        p = detector(g, 3)
         assert p.community_count == 10
         assert abs(modularity(g, p) - expected) < 1e-9
-    pl = louvain(g, DetectorConfig(seed=3))
-    pd = leiden(g, DetectorConfig(seed=3))
+    pl = louvain(g, 3)
+    pd = leiden(g, 3)
     assert pl.labels == pd.labels
 
 
@@ -77,12 +76,11 @@ def check_labels_under_scaling(equal: bool):
     # At both ends of the range of k every weight stays a normal float and 2m stays finite.
     assert math.ldexp(min(weights), -1000) >= sys.float_info.min
     assert math.ldexp(2.0 * math.fsum(weights), 1000) < sys.float_info.max
-    det = DetectorConfig(seed=5)
-    polished = QicdConfig(kind="haar-hu", iterations=3, refine_before_accept=True, detector=det, seed=5)
+    polished = QicdConfig(kind="haar-hu", iterations=3, refine_before_accept=True, baseline_seed=5, seed=5)
 
     def labels(k):
         g = build_graph(n, [(u, v, math.ldexp(w, k)) for u, v, w in edges])
-        return [leiden(g, det).labels, louvain(g, det).labels, run_qicd(g, polished).best_partition.labels]
+        return [leiden(g, 5).labels, louvain(g, 5).labels, run_qicd(g, polished).best_partition.labels]
 
     expected = labels(0)
     for k in range(-1000, 1001, 25):
@@ -102,7 +100,7 @@ def test_edgeless_graph_rejected():
     g = build_graph(4, [])
     for detector in (louvain, leiden):
         with pytest.raises(ValueError, match="no edges"):
-            detector(g, DetectorConfig(seed=1))
+            detector(g, 1)
 
 
 def test_local_move_fixed_point(two_triangles):
@@ -206,13 +204,12 @@ def test_move_nodes_matches_the_reference_loop(monkeypatch, weight):
         graph = _random_graph(rnd, weight)
         assert isinstance(_flat(graph)[2], float) == (weight is not None)
         start = Partition(graph, [rnd.randrange(rnd.randint(1, graph.node_count)) for _ in range(graph.node_count)])
-        det = DetectorConfig()
         seed = rnd.randrange(2**32)
         with monkeypatch.context() as patched:
             patched.setattr(qicd.detect, "_flat", lambda g: _one_weight_per_entry(_flat(g)))
             patched.setattr(qicd.detect, "_move_pass", _reference_pass)
-            expected = move_nodes(graph, start, det, make_rng(seed)).labels
-        assert move_nodes(graph, start, det, make_rng(seed)).labels == expected
+            expected = move_nodes(graph, start, make_rng(seed)).labels
+        assert move_nodes(graph, start, make_rng(seed)).labels == expected
 
 
 def test_a_zero_weight_lists_a_community_twice_and_its_second_read_loses():
@@ -266,7 +263,7 @@ def test_leiden_connectivity_guarantee():
         g = make_random_graph(rnd, n_max=24)
         if g.total_weight == 0:
             continue
-        p = leiden(g, DetectorConfig(seed=rnd.randrange(2**32)))
+        p = leiden(g, rnd.randrange(2**32))
         assert communities_connected(g, p.labels)
         checked += 1
 
@@ -274,9 +271,8 @@ def test_leiden_connectivity_guarantee():
 def test_determinism():
     rnd = random.Random(15)
     g = make_random_graph(rnd, n_max=30)
-    cfg = DetectorConfig(seed=99)
-    assert louvain(g, cfg).labels == louvain(g, cfg).labels
-    assert leiden(g, cfg).labels == leiden(g, cfg).labels
+    assert louvain(g, 99).labels == louvain(g, 99).labels
+    assert leiden(g, 99).labels == leiden(g, 99).labels
 
 
 def test_q_never_below_singletons():
@@ -287,7 +283,7 @@ def test_q_never_below_singletons():
             continue
         q0 = modularity(g, singleton_partition(g))
         for detector in (louvain, leiden):
-            assert modularity(g, detector(g, DetectorConfig(seed=1))) >= q0 - 1e-12
+            assert modularity(g, detector(g, 1)) >= q0 - 1e-12
 
 
 def test_equal_gain_tie_goes_to_lowest_community_id():
@@ -303,7 +299,7 @@ def test_equal_gain_tie_goes_to_lowest_community_id():
 
 def test_seeded_pass_improves_initial(two_triangles):
     init = Partition(two_triangles, [0, 1, 0, 1, 0, 1])
-    out = seeded_pass(two_triangles, init, DetectorConfig(seed=6), refine=True)
+    out = seeded_pass(two_triangles, init, make_rng(6), refine=True)
     assert modularity(two_triangles, out) == 0.5
 
 

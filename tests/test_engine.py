@@ -3,7 +3,6 @@ import random
 import pytest
 
 from qicd import (
-    DetectorConfig,
     PlantedSpec,
     QicdConfig,
     build_graph,
@@ -24,7 +23,7 @@ ALL_KINDS = ("pt", "haar", "hu", "pt-hu", "haar-hu")
 
 def _cfg(seed=0, **kw):
     kw.setdefault("kind", "haar")
-    kw.setdefault("detector", DetectorConfig(seed=mix(seed, 9)))
+    kw.setdefault("baseline_seed", mix(seed, 9))
     return QicdConfig(seed=seed, **kw)
 
 
@@ -123,7 +122,7 @@ def test_mrg_never_negative(kind, base, refine):
 def test_louvain_base():
     g = ring_of_cliques(5, 4)
     result = run_qicd(g, _cfg(seed=4, base="louvain"))
-    baseline = louvain(g, DetectorConfig(seed=mix(4, 9)))
+    baseline = louvain(g, mix(4, 9))
     assert result.q_baseline == pytest.approx(modularity(g, baseline))
 
 
@@ -240,5 +239,8 @@ def test_result_json_envelope():
     assert payload["Q_star"] == result.q_star
     assert payload["mrg"] == result.mrg
     assert payload["config"]["kind"] == "haar"
-    assert payload["config"]["detector"]["seed"] == cfg.detector.seed
+    assert payload["config"]["baseline_seed"] == cfg.baseline_seed
+    # The config echo is flat: one scalar per field, no nested detector object.
+    assert sorted(payload["config"]) == ["base", "baseline_seed", "iterations", "kind", "proposal_seeds",
+                                         "refine_before_accept", "seed", "stall_limit"]
     assert payload["iterations_run"] == len(result.trace)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qicd import (
-    DetectorConfig,
     EdgeListError,
     Partition,
     aggregate,
@@ -26,6 +25,7 @@ from qicd import (
     dump_edge_list,
     leiden,
     load_edge_list,
+    make_rng,
     modularity,
 )
 from qicd.detect import seeded_pass
@@ -93,7 +93,7 @@ def test_leiden_communities_are_connected_in_networkx(seed):
     triples = _planted_triples(random.Random(seed))
     g = build_graph(300, triples)
     reference = nx_graph(300, triples)
-    part = leiden(g, DetectorConfig(seed=seed))
+    part = leiden(g, seed)
     assert part.community_count > 1
     for members in communities(part.labels):
         assert nx.is_connected(reference.subgraph(members))
@@ -116,11 +116,10 @@ def test_leiden_split_reconnects_what_the_local_moves_leave_apart():
     reference = nx_graph(13, SPLIT_TRIPLES)
     initial = [0] * 6 + [1] * 7
     for seed in range(50):
-        cfg = DetectorConfig(seed=seed)
-        split = seeded_pass(g, Partition(g, initial), cfg, refine=True).labels
+        split = seeded_pass(g, Partition(g, initial), make_rng(seed), refine=True).labels
         assert communities_connected(g, split)
         assert all(nx.is_connected(reference.subgraph(members)) for members in communities(split))
-        unsplit = seeded_pass(g, Partition(g, initial), cfg, refine=False).labels
+        unsplit = seeded_pass(g, Partition(g, initial), make_rng(seed), refine=False).labels
         assert not communities_connected(g, unsplit)
         assert not all(nx.is_connected(reference.subgraph(members)) for members in communities(unsplit))
 

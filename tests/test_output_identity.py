@@ -85,13 +85,14 @@ PINNED = {
     "g60.el": "cbe328f2fa263d1d73499a91f685e065f1a11bb2ed22c227d983dea7389dc3b1",
     "g60.manifest.json": "3e4643ee553d04af7529bf5f61b715188f360df84d0465f2c195e78f4bc535fa",
     "g60.truth.csv": "023189e78ff9d948b81e8c3067d13b4096f17ed7304ddb1b322ee0ca194d0bae",
-    "hh.json": "081d0721495b0ba97f23220732209a7e1f59402f1a3602ad69ecdba30262ade4",
+    # hh.json, pt.json and whh.json: the config echo holds a flat baseline_seed, not a nested detector seed.
+    "hh.json": "09816fe37d6bc5c5f76e31c35f897b984b153a3812e9e2e016fee49911e8956b",
     "hh.manifest.json": "c61aabf7e9dfb96b990f2c362d1b1f828d26f0dfd995275c47080840a985199d",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
     "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
-    "pt.json": "3f6618b364adfbb840b2342ef2f270be5ad2fdd7a88be78994bb133cd80bd83d",
+    "pt.json": "633fd5e997247d013e9f2de062119182fa39e0703e7b48e35d1fa2078c782a28",
     "pt.manifest.json": "4a9519fa17261ade4a009fa1c70777238fe29a296befb274b3f7acf2c0f0392e",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
     "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
@@ -102,7 +103,7 @@ PINNED = {
     "wdet.manifest.json": "7552909f8187ebaf40bd191831ba28cecbec54a031b672e4e2e5b70a08e3c8ff",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
     # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.json": "43d95b0861bb4ed8547bd9a93239e93102eddf850a8b8c4d1ebb51a37f694dc7",
+    "whh.json": "83bf3d0dd430efbb08535bee2038a4c573054ab410ef56c328b42cc5ffc19097",
     "whh.manifest.json": "825ce639904b7fadc13bcf9bc1a9f2cbaa4c0a049e7cca2dc26a2a1d18beab0a",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qicd import (
-    DetectorConfig,
     Partition,
     PlantedSpec,
     QicdConfig,
@@ -142,7 +141,6 @@ def _random_graph(rnd, n):
 def test_move_nodes_reads_the_graph_it_is_given():
     # Nodes move by the community strengths of the graph they move on, never
     # by those of the graph the Partition was built over.
-    det = DetectorConfig()
     rnd = random.Random(9)
     for _ in range(40):
         n = rnd.randint(3, 8)
@@ -151,9 +149,9 @@ def test_move_nodes_reads_the_graph_it_is_given():
             continue
         labels = _random_partition(rnd, n)
         for refine in (True, False):
-            own, foreign = (seeded_pass(g2, Partition(g, labels), det, refine, make_rng(2)) for g in (g2, g1))
+            own, foreign = (seeded_pass(g2, Partition(g, labels), make_rng(2), refine) for g in (g2, g1))
             assert foreign.labels == own.labels
-        own, foreign = (move_nodes(g2, Partition(g, labels), det, make_rng(2)) for g in (g2, g1))
+        own, foreign = (move_nodes(g2, Partition(g, labels), make_rng(2)) for g in (g2, g1))
         assert foreign.labels == own.labels
 
 
@@ -249,7 +247,7 @@ def test_delta_q_matches_full_recompute_randomly():
 
 def test_move_nodes_returns_no_empty_community(two_triangles):
     # node 5 alone in community 2 joins 3 and 4, which empties community 2
-    p = move_nodes(two_triangles, Partition(two_triangles, [0, 0, 0, 1, 1, 2]), DetectorConfig(), make_rng(0))
+    p = move_nodes(two_triangles, Partition(two_triangles, [0, 0, 0, 1, 1, 2]), make_rng(0))
     assert p.community_count == 2
     assert Counter(p.labels) == {0: 3, 1: 3}
     assert p.labels == [0, 0, 0, 1, 1, 1]
@@ -313,7 +311,7 @@ def test_aggregate_memory_per_edge():
     graph = generate_planted(PlantedSpec(2000, 10, 0.3, 0.01, seed=1))[0]
     m = graph.edge_count
     scattered = Partition(graph, np.random.default_rng(0).integers(0, 500, graph.node_count).tolist())
-    moved = move_nodes(graph, singleton_partition(graph), DetectorConfig(), make_rng(0))
+    moved = move_nodes(graph, singleton_partition(graph), make_rng(0))
     assert traced_bytes(aggregate, graph, scattered) / m < 110
     assert traced_bytes(aggregate, graph, moved) / m < 50
 
@@ -352,7 +350,6 @@ def test_partitions_are_values():
     # Only detect.move_nodes changes a Partition, on its own copy: no public
     # route alters its input or returns a partition with an empty community.
     rnd = random.Random(31)
-    det = DetectorConfig(seed=3)
     checked = 0
     while checked < 30:
         g = make_random_graph(rnd, n_max=14)
@@ -363,17 +360,17 @@ def test_partitions_are_values():
         before = _state(p)
         rng = make_rng(rnd.randrange(2**32))
         outputs = [
-            move_nodes(g, p, det, rng),
+            move_nodes(g, p, rng),
             leiden_refine(g, p),
-            seeded_pass(g, p, det, refine=True, rng=rng),
-            seeded_pass(g, p, det, refine=False, rng=rng),
+            seeded_pass(g, p, rng, refine=True),
+            seeded_pass(g, p, rng, refine=False),
             hyperuniform_adjust(g, p, rng),
             hu_noise(g, p, rng),
         ]
         assert _state(p) == before
-        outputs += [leiden(g, det), louvain(g, det)]
+        outputs += [leiden(g, 3), louvain(g, 3)]
         for kind in ("haar-hu", "hu"):
-            cfg = QicdConfig(kind=kind, iterations=3, refine_before_accept=True, detector=det, seed=checked)
+            cfg = QicdConfig(kind=kind, iterations=3, refine_before_accept=True, baseline_seed=3, seed=checked)
             outputs.append(run_qicd(g, cfg).best_partition)
         for out in outputs:
             _assert_compact_value(g, out)
