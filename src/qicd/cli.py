@@ -41,7 +41,7 @@ from .bench import (
     run_experiment,
 )
 from .detect import MAX_LEVELS, MAX_SWEEPS, MIN_GAIN, leiden, louvain
-from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, draws_weights, result_to_json, run_qicd, trace_to_csv
+from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity
 from .rng import RNG_NAME, mix
@@ -61,11 +61,13 @@ BENCHMARK_RUNS = 6
 # own defaults, and a replayed manifest lacking a key takes its flag's; the
 # CLI restates none of them. The map below sends config keys to field names.
 _QICD = QicdConfig()
-_QICD_KEYS = {k: k for k in ("kind", "proposal_seeds", "iterations", "stall_limit", "base", "refine_before_accept")}
+_QICD_KEYS = {k: k for k in ("kind", "iterations", "stall_limit", "base", "refine_before_accept")}
 # Config keys that no flag sets any more, each with the one value that the
-# code now runs. A replayed manifest that records another value is refused.
+# code now runs (a null proposal_seeds is K = ceil(sqrt(n))). A replayed
+# manifest that records another value is refused.
 _RETIRED = {"random_ties": False, "init_mode": "quick-leiden", "max_levels": MAX_LEVELS, "max_sweeps": MAX_SWEEPS,
-            "min_gain": MIN_GAIN, "resolution": 1.0, "alpha": SKEW_FACTOR, "fraction": REASSIGN_FRACTION}
+            "min_gain": MIN_GAIN, "resolution": 1.0, "alpha": SKEW_FACTOR, "fraction": REASSIGN_FRACTION,
+            "proposal_seeds": None}
 
 
 class UsageError(Exception):
@@ -124,9 +126,6 @@ def _pick(config: dict, keys: dict[str, str]) -> dict:
 
 
 def _qicd_config(config: dict) -> QicdConfig:
-    kind = config.get("kind", _QICD.kind)  # benchmark has no --kind: its method names set it
-    if config["proposal_seeds"] is not None and not draws_weights(kind):
-        raise UsageError("--seeds has no effect with --kind hu, which draws no weights")
     return replace(_QICD, baseline_seed=config["seed"], seed=mix(config["seed"], 1), **_pick(config, _QICD_KEYS))
 
 
@@ -303,9 +302,6 @@ def _run_benchmark(config: dict):
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise UsageError(f"--methods lists {repeated[0]!r} more than once")
-    proposals = [METHODS[m][1] for m in methods if METHODS[m][1] is not None]
-    if config["proposal_seeds"] is not None and not any(map(draws_weights, proposals)):
-        raise UsageError("--seeds has no effect: --methods lists only plain and hu methods, which draw no weights")
     runs = _parse_runs_spec(config["runs"], methods)
     for name, count in runs.items():
         if count < 2:
@@ -404,8 +400,6 @@ def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
         p.add_argument("--kind", choices=KIND_NAMES, default=_QICD.kind)
         p.add_argument("--base", choices=BASE_METHODS, default=_QICD.base)
     p.add_argument("--iterations", type=int, default=_QICD.iterations)
-    p.add_argument("--seeds", dest="proposal_seeds", type=int, default=_QICD.proposal_seeds,
-                   help="proposal seed count K (default: ceil(sqrt(n)))")
     p.add_argument("--stall-limit", type=int, default=_QICD.stall_limit)
     p.add_argument("--refine-before-accept", action="store_true",
                    help="polish proposals with a full seeded pass before the acceptance check")

@@ -31,9 +31,6 @@ KIND_NAMES = ("pt", "haar", "hu", "pt-hu", "haar-hu")
 @dataclass(frozen=True)
 class QicdConfig:
     kind: str = "haar"
-    # Proposal seed count K of the weight-based kinds; None defers to
-    # ceil(sqrt(n)) at run time. The hu kind ignores it.
-    proposal_seeds: int | None = None
     iterations: int = 10
     stall_limit: int = 5
     # Seed of the baseline run's node-visit order.
@@ -51,8 +48,6 @@ class QicdConfig:
     def __post_init__(self):
         if self.kind not in KIND_NAMES:
             raise ValueError(f"unknown perturbation kind {self.kind!r}; expected one of {KIND_NAMES}")
-        if self.proposal_seeds is not None and self.proposal_seeds < 1:
-            raise ValueError("proposal_seeds must be >= 1")
         # iterations = 0 disables proposals entirely (degenerate but legal).
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
@@ -98,18 +93,6 @@ def _propose(
     return proposal
 
 
-def draws_weights(kind: str) -> bool:
-    """Whether a proposal kind draws weights, so that K applies to it."""
-    return kind != "hu"
-
-
-def resolve_seed_count(cfg: QicdConfig, n: int) -> int | None:
-    if not draws_weights(cfg.kind):
-        return None
-    k = cfg.proposal_seeds if cfg.proposal_seeds is not None else math.ceil(math.sqrt(n))
-    return max(1, min(k, n))
-
-
 def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     """Run the refinement loop and return the best partition with its trace.
 
@@ -124,7 +107,9 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
 
     current = best = baseline_partition
     q_star = q_baseline
-    seed_count = resolve_seed_count(cfg, graph.node_count)
+    # The weight-based kinds grow proposals from the K = ceil(sqrt(n))
+    # heaviest nodes; hu draws no weights.
+    seed_count = None if cfg.kind == "hu" else math.ceil(math.sqrt(graph.node_count))
 
     trace: list[IterationRecord] = []
     stall = 0

@@ -557,44 +557,6 @@ def test_benchmark_refuses_input_it_would_ignore(workdir, capsys, settings, mess
         assert not list(workdir.glob("b.*"))
 
 
-_HU_SEEDS = "--seeds has no effect with --kind hu, which draws no weights"
-
-
-@pytest.mark.parametrize("source", ["flags", "manifest"])
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["qicd", "--kind", "hu"], _HU_SEEDS),
-        (["mrg", "--kind", "hu", "--nulls", "5"], _HU_SEEDS),
-        (["benchmark", "--methods", "leiden,leiden-hu,louvain-hu", "--runs", "2"],
-         "--seeds has no effect: --methods lists only plain and hu methods, which draw no weights"),
-        # One method that draws weights is enough.
-        (["benchmark", "--methods", "leiden-haar,leiden-hu", "--baseline", "leiden-haar", "--runs", "2"], None),
-    ],
-    ids=["qicd", "mrg", "benchmark", "benchmark-with-haar"],
-)
-def test_seeds_with_hu_is_a_usage_error(workdir, capsys, argv, message, source):
-    """--seeds sets how many weights a proposal draws; where no proposal
-    draws any, it is refused, also on replay."""
-    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
-    argv = [*argv, "--graph", "g.el", "--iterations", "1"]
-    if source == "flags":
-        run = [*argv, "--seeds", "7", "--out", "b"]
-    else:
-        assert main([*argv, "--out", "a"]) == 0
-        manifest = json.loads((workdir / "a.manifest.json").read_text())
-        manifest["config"].update(proposal_seeds=7, out="b")
-        (workdir / "old.manifest.json").write_text(json.dumps(manifest))
-        run = ["--from-manifest", "old.manifest.json"]
-    capsys.readouterr()
-    if message is None:
-        assert main(run) == 0
-        return
-    assert main(run) == 1
-    assert capsys.readouterr().err == f"usage error: {message}\n"
-    assert not list(workdir.glob("b*"))
-
-
 def test_fresh_graphs_with_graph_is_a_usage_error(workdir, capsys):
     """--fresh-graphs needs a generator that draws a new graph from each
     seed: a graph file or a clique ring would give the same graph."""
@@ -774,17 +736,18 @@ def test_config_with_from_manifest_is_a_usage_error(workdir, capsys, exists):
     assert before == {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in workdir.iterdir()}
 
 
-# Each retired config key: a value the code no longer runs, and the
-# commands that once had its flag.
+# Each retired config key: a value the code no longer runs, the commands
+# that once had its flag, and that flag as it was spelled.
 _RETIRED_RUNS = {
-    "random_ties": (True, ["detect", "qicd", "mrg"]),
-    "init_mode": ("singleton", ["qicd", "benchmark", "mrg"]),
-    "max_levels": (5, ["detect", "qicd", "mrg"]),
-    "max_sweeps": (3, ["detect", "qicd", "mrg"]),
-    "min_gain": (1e-5, ["detect", "qicd", "mrg"]),
-    "resolution": (0.7, ["detect", "qicd", "mrg"]),
-    "alpha": (1.5, ["qicd", "benchmark", "mrg"]),
-    "fraction": (0.3, ["qicd", "benchmark", "mrg"]),
+    "random_ties": (True, ["detect", "qicd", "mrg"], "--random-ties"),
+    "init_mode": ("singleton", ["qicd", "benchmark", "mrg"], "--init-mode"),
+    "max_levels": (5, ["detect", "qicd", "mrg"], "--max-levels"),
+    "max_sweeps": (3, ["detect", "qicd", "mrg"], "--max-sweeps"),
+    "min_gain": (1e-5, ["detect", "qicd", "mrg"], "--min-gain"),
+    "resolution": (0.7, ["detect", "qicd", "mrg"], "--resolution"),
+    "alpha": (1.5, ["qicd", "benchmark", "mrg"], "--alpha"),
+    "fraction": (0.3, ["qicd", "benchmark", "mrg"], "--fraction"),
+    "proposal_seeds": (7, ["qicd", "benchmark", "mrg"], "--seeds"),
 }
 _RETIRED_ARGV = {
     "detect": ["detect", "--graph", "g.el", "--method", "leiden"],
@@ -800,9 +763,8 @@ def _assert_retired(workdir, capsys, key, command):
     in a --config file, and a manifest of it that records the key is
     refused with nothing written unless it holds the one value the code now
     runs; then it replays unchanged."""
-    other = _RETIRED_RUNS[key][0]
+    other, _commands, flag = _RETIRED_RUNS[key]
     kept = _RETIRED[key]
-    flag = f"--{key.replace('_', '-')}"
     refused = (f"usage error: manifest sets {key} to {json.dumps(other)}, which is no longer supported; "
                "it cannot be replayed\n")
     if key == "init_mode":  # the message of older releases, byte for byte
@@ -811,7 +773,7 @@ def _assert_retired(workdir, capsys, key, command):
     argv = _RETIRED_ARGV[command]
     for value in (other, kept):
         assert main([*argv, *([flag] if value is True else [flag, str(value)]), "--out", "r"]) == 1
-        (workdir / "old.conf").write_text(f"{key}={value}\n")
+        (workdir / "old.conf").write_text(f"{flag[2:].replace('-', '_')}={value}\n")
         assert main(["--config", "old.conf", *argv, "--out", "r"]) == 1
     assert not list(workdir.glob("r.*"))
     assert main([*argv, "--seed", "3", "--out", "a"]) == 0
@@ -857,8 +819,8 @@ def test_config_surface():
     actions = [a for a in parser.commands["qicd"]._actions if a.default is not argparse.SUPPRESS]
     config = {a.dest: a.default for a in actions}
     fields = asdict(_qicd_config(config))
-    assert sorted(fields) == ["base", "baseline_seed", "iterations", "kind", "proposal_seeds", "refine_before_accept",
-                              "seed", "stall_limit"]
+    assert sorted(fields) == ["base", "baseline_seed", "iterations", "kind", "refine_before_accept", "seed",
+                              "stall_limit"]
     set_by_flags = set()
     for a in actions:
         if a.nargs == 0:

@@ -30,8 +30,6 @@ def _cfg(seed=0, **kw):
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown perturbation kind 'bogus'"):
         QicdConfig(kind="bogus")
-    with pytest.raises(ValueError, match="proposal_seeds must be >= 1"):
-        QicdConfig(proposal_seeds=0)
     with pytest.raises(ValueError):
         QicdConfig(iterations=-1)
     with pytest.raises(ValueError):
@@ -149,13 +147,14 @@ def test_stall_limit_stops_early():
 
 
 def test_proposal_seed_count_resolution():
-    g = ring_of_cliques(4, 4)  # n = 16 -> default K = 4
-    result = run_qicd(g, _cfg(seed=1, iterations=1, stall_limit=1))
-    assert result.proposal_seed_count == 4
-    result = run_qicd(g, _cfg(seed=1, kind="pt", proposal_seeds=7, iterations=1, stall_limit=1))
-    assert result.proposal_seed_count == 7
-    result = run_qicd(g, _cfg(seed=1, kind="hu", iterations=1, stall_limit=1))
-    assert result.proposal_seed_count is None
+    """K = ceil(sqrt(n)) for every weight-based kind, also at n = k^2 and
+    k^2 + 1, where a floor or a floor plus one would miss; hu draws no
+    weights."""
+    for n, k in ((16, 4), (17, 5), (200, 15)):
+        g = build_graph(n, [(u, (u + 1) % n, 1.0) for u in range(n)])  # a cycle
+        for kind in ALL_KINDS:
+            result = run_qicd(g, _cfg(seed=1, kind=kind, iterations=1, stall_limit=1))
+            assert result.proposal_seed_count == (None if kind == "hu" else k), (n, kind)
 
 
 @pytest.mark.parametrize(
@@ -241,6 +240,6 @@ def test_result_json_envelope():
     assert payload["config"]["kind"] == "haar"
     assert payload["config"]["baseline_seed"] == cfg.baseline_seed
     # The config echo is flat: one scalar per field, no nested detector object.
-    assert sorted(payload["config"]) == ["base", "baseline_seed", "iterations", "kind", "proposal_seeds",
-                                         "refine_before_accept", "seed", "stall_limit"]
+    assert sorted(payload["config"]) == ["base", "baseline_seed", "iterations", "kind", "refine_before_accept",
+                                         "seed", "stall_limit"]
     assert payload["iterations_run"] == len(result.trace)

@@ -35,7 +35,7 @@ COMMANDS = {
     "cfg": ["detect", "--config", "det.conf", "--graph", "g.el", "--out", "cfg.csv"],
     "hh": ["qicd", "--graph", "g.el", "--kind", "haar-hu", "--refine-before-accept", "--iterations", "4",
            "--seed", "3", "--out", "hh"],
-    "pt": ["qicd", "--graph", "g.el", "--kind", "pt", "--base", "louvain", "--seeds", "7", "--iterations", "4",
+    "pt": ["qicd", "--graph", "g.el", "--kind", "pt", "--base", "louvain", "--iterations", "4",
            "--seed", "4", "--out", "pt"],
     "bench": ["benchmark", "--graph", "g.el", "--methods", "leiden,louvain-hu,leiden-haar", "--runs", "3",
               "--iterations", "2", "--seed", "9", "--out", "bench"],
@@ -69,7 +69,7 @@ PINNED = {
     "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
     "cfg.stdout": "ce21f0503fc9b677159dfca00fa7933ae1b0170ab4f1dd11deea04ccccd85a31",
-    "bench.manifest.json": "1e80fab7c1020b7b4f8b44b5501496279ac5db395b6d13f2796566ed008f13bb",
+    "bench.manifest.json": "7e978cfcec0b2b8f00183af415e4d60ce123f452d0a20138b0071800196c2717",
     "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
@@ -85,26 +85,29 @@ PINNED = {
     "g60.el": "cbe328f2fa263d1d73499a91f685e065f1a11bb2ed22c227d983dea7389dc3b1",
     "g60.manifest.json": "3e4643ee553d04af7529bf5f61b715188f360df84d0465f2c195e78f4bc535fa",
     "g60.truth.csv": "023189e78ff9d948b81e8c3067d13b4096f17ed7304ddb1b322ee0ca194d0bae",
-    # hh.json, pt.json and whh.json: the config echo holds a flat baseline_seed, not a nested detector seed.
-    "hh.json": "09816fe37d6bc5c5f76e31c35f897b984b153a3812e9e2e016fee49911e8956b",
-    "hh.manifest.json": "c61aabf7e9dfb96b990f2c362d1b1f828d26f0dfd995275c47080840a985199d",
+    # hh.json, pt.json and whh.json: the config echo holds a flat baseline_seed, not a nested detector seed,
+    # and no proposal_seeds. The manifests of bench, hh, pt, sig and whh record no proposal_seeds either.
+    "hh.json": "a0755aae41e23ad8c44fa3c1526763f81afbf2864f3de09e5902fbcfd278653b",
+    "hh.manifest.json": "897c9b0293b784f07e8330fac7ee396e7e2494595b7285e42c371b1681f1478e",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
     "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
-    "pt.json": "633fd5e997247d013e9f2de062119182fa39e0703e7b48e35d1fa2078c782a28",
-    "pt.manifest.json": "4a9519fa17261ade4a009fa1c70777238fe29a296befb274b3f7acf2c0f0392e",
+    "pt.json": "1bb84b8d26616431f338a9e0ef0adb7b0693c5a3f9dbb45a0306c62e22029609",
+    "pt.manifest.json": "60dc9486ab77ef39915c56fcd0dfbfc0a37bdbde0242a1403f08062e9f618321",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
-    "pt.trace.csv": "c41010ac91043f090bee47593281a4420b8b720b2a337ad19e298aa0eb2f08cb",
-    "sig.manifest.json": "34b5a82926771f24907bfd9d582615f6c65e04356db4f72402adad33fb384e8e",
+    # pt.trace.csv: K is ceil(sqrt(200)) = 15, not the 7 that the retired --seeds once set; the
+    # partition and stdout held.
+    "pt.trace.csv": "f9b259a18d876055c78f9f2bdaf0d6c8b9575e2f18c2bc0d73b1b1018448a551",
+    "sig.manifest.json": "96f2e21b07ae07ffe5bc040a91fa06768c0fcdaf13325b03e8b6361918c638c3",
     "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
     "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
     "wdet.manifest.json": "7552909f8187ebaf40bd191831ba28cecbec54a031b672e4e2e5b70a08e3c8ff",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
     # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.json": "83bf3d0dd430efbb08535bee2038a4c573054ab410ef56c328b42cc5ffc19097",
-    "whh.manifest.json": "825ce639904b7fadc13bcf9bc1a9f2cbaa4c0a049e7cca2dc26a2a1d18beab0a",
+    "whh.json": "e4c62ac3d2cd229a32eb92d523bfac8f51004cd6c709b218a5334aea593690eb",
+    "whh.manifest.json": "65faf89b28cd4c277cff80620ebbd8ee1973a2eb96f026234f9ff4cb5407e8e5",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
     "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",
