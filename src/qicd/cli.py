@@ -19,7 +19,6 @@ import csv
 import inspect
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -132,9 +131,9 @@ def _qicd_config(config: dict) -> QicdConfig:
 # ---------------------------------------------------------------- generate
 
 
-# The generators that build a graph from numbers. `generate <kind>` and
-# `benchmark --generate-spec kind:key=value,...` both read their flags here:
-# help text, then each flag's destination and type. Every flag is required
+# The generators that build a graph from numbers: help text, then each flag's
+# destination and type. `generate <kind>` and `benchmark --generate-spec
+# kind:key=value,...` both parse with these flags. Every flag is required
 # but calibrated's optional ones, which take calibrate_planted's defaults.
 _GENERATORS = {
     "planted": ("planted-partition graph", {"n": int, "k": int, "p_in": float, "p_out": float}),
@@ -240,33 +239,27 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
 
 
 def _parse_generate_spec(text: str) -> tuple[str, dict]:
-    """A `kind:key=value,...` spec: its keys are the `generate <kind>`
-    destinations, and each value is converted with its flag's type."""
+    """A `kind:key=value,...` spec, whose keys are the `generate <kind>`
+    destinations, parsed by that command's flags."""
     head, _, rest = text.partition(":")
     head = head.strip()
     if head not in _GENERATORS:
         raise UsageError(f"unknown --generate-spec type {head!r}; expected one of {', '.join(_GENERATORS)}")
-    flags = _GENERATORS[head][1]
-    takes = f"{head} takes {', '.join(flags)}"
-    params: dict = {}
+    pairs: dict[str, str] = {}
     for item in rest.split(","):
         item = item.strip()
         if not item:
             continue
         key, _, value = item.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in flags:
-            raise UsageError(f"unknown --generate-spec key {key!r}; {takes}")
-        if key in params:
-            raise UsageError(f"--generate-spec sets {key!r} more than once")
-        try:
-            params[key] = flags[key](value)
-        except ValueError:
-            raise UsageError(f"bad --generate-spec entry {item!r}; invalid {flags[key].__name__} value") from None
-    for key in flags:
-        if key not in params and key not in _CALIBRATION_KEYS:
-            raise UsageError(f"--generate-spec is missing {key!r}; {takes}")
-    return head, params
+        if key in pairs:
+            raise UsageError(f"--generate-spec {head} sets {key!r} more than once")
+        pairs[key] = value
+    parser = _generator_flags(head)
+    try:
+        return head, vars(parser.parse_args(_flags(pairs.items(), parser)))
+    except UsageError as exc:
+        raise UsageError(f"--generate-spec {head}: {exc}") from None
 
 
 def _render_table(rows: dict[str, dict], baseline: str) -> str:
@@ -284,7 +277,6 @@ def _render_table(rows: dict[str, dict], baseline: str) -> str:
 
 
 def _run_benchmark(config: dict):
-    # Checked here, not in the parser, so that replayed manifests meet them too.
     if bool(config["graph"]) == bool(config["generate_spec"]):
         raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
     for key in ("relabel", "merge_duplicates"):
@@ -387,6 +379,31 @@ RUNNERS = {
 # ------------------------------------------------------------ CLI parsing
 
 
+def _flags(pairs, parser: _Parser) -> list[str]:
+    """The tokens that set each (key, text) pair as a flag of `parser`: an
+    on/off flag reads true or false as on or off, and any other pair is
+    --key=text, for argparse to check."""
+    switches = {flag for a in parser._actions if isinstance(a, argparse._StoreTrueAction) for flag in a.option_strings}
+    tokens = []
+    for key, text in pairs:
+        flag = "--" + key.replace("_", "-")
+        if flag not in switches or text.lower() not in ("true", "false"):
+            tokens.append(f"{flag}={text}")
+        elif text.lower() == "true":
+            tokens.append(flag)
+    return tokens
+
+
+def _generator_flags(kind: str) -> _Parser:
+    """The typed flags of a `_GENERATORS` kind."""
+    p = _Parser(add_help=False)
+    for dest, type_ in _GENERATORS[kind][1].items():
+        optional = dest in _CALIBRATION_KEYS
+        default = _default(calibrate_planted, _CALIBRATION_KEYS[dest]) if optional else None
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type_, default=default, required=not optional)
+    return p
+
+
 def _add_graph_input(p: _Parser, required: bool = True) -> None:
     p.add_argument("--graph", required=required, help="edge-list file")
     p.add_argument("--merge-duplicates", action="store_true", help="sum duplicate edges instead of rejecting")
@@ -405,7 +422,7 @@ def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
                    help="polish proposals with a full seeded pass before the acceptance check")
 
 
-def build_parser(default_seed: int) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="qicd", description="Community detection with quantum-inspired refinement")
     parser.add_argument("--from-manifest", help="re-run a command from its manifest file")
     parser.add_argument("--config", help="key=value defaults file (flags override)")
@@ -415,14 +432,8 @@ def build_parser(default_seed: int) -> _Parser:
     gen = sub.add_parser("generate", help="write synthetic graphs")
     gen_sub = gen.add_subparsers(dest="generator")
 
-    for kind, (text, flags) in _GENERATORS.items():
-        g = gen_sub.add_parser(kind, help=text)
-        for dest, type_ in flags.items():
-            flag = f"--{dest.replace('_', '-')}"
-            if dest in _CALIBRATION_KEYS:
-                g.add_argument(flag, type=type_, default=_default(calibrate_planted, _CALIBRATION_KEYS[dest]))
-            else:
-                g.add_argument(flag, type=type_, required=True)
+    for kind, (text, _types) in _GENERATORS.items():
+        gen_sub.add_parser(kind, help=text, parents=[_generator_flags(kind)])
 
     g_rw = gen_sub.add_parser("rewire", help="degree-preserving rewiring of an existing graph")
     g_rw.add_argument("--input", required=True)
@@ -458,7 +469,7 @@ def build_parser(default_seed: int) -> _Parser:
         **{name: p for name, p in sub.choices.items() if name != "generate"},
     }
     for p in parser.commands.values():
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
     return parser
 
@@ -480,18 +491,20 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
-    """The command and config of the manifest at `path`, completed as the
-    command line completes them. Keys that no flag of the command defines
-    are dropped (older manifests hold retired ones), unless the run they
-    record cannot be reproduced: a `_RETIRED` key set to another value. A
-    value that its flag could not have given is refused: its type (an int
-    is not a bool, a float may be an int), a store_true flag's bool, and its
-    choices; an optional flag whose default is None may be null. A key the
-    manifest lacks takes its flag's default, which passes those checks, but
-    a required flag has none, and neither has the seed, whose default comes
-    from QICD_SEED."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """The command and config of the manifest at `path`, parsed as the
+    command line is. Keys that no flag of the command defines are dropped
+    (older manifests hold retired ones), unless the run they record cannot
+    be reproduced: a `_RETIRED` key set to another value. Each non-null
+    value goes to its flag as text (a string as it is, else as JSON) and
+    must be what the flag reads from that text; a null or lacking key takes
+    the flag's default."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"manifest {path} is not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"manifest {path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise UsageError(f"manifest {path} is not a JSON object")
     for key in ("command", "config"):
@@ -507,35 +520,24 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
         if recorded.get(key, value) != value:
             raise UsageError(f"manifest sets {key} to {json.dumps(recorded[key])}, which is no longer supported; "
                              "it cannot be replayed")
-    config = {}
-    for action in parser.commands[command]._actions:
-        key = action.dest
-        if action.default is argparse.SUPPRESS:  # --help
-            continue
-        if key not in recorded and (action.required or key == "seed"):
-            raise UsageError(f"{where} lacks {key!r}")
-        value = config[key] = recorded.get(key, action.default)
-        if value is None and action.default is None and not action.required:
-            continue
-        if action.nargs == 0:
-            expected, ok = "true or false", type(value) is bool
-        elif action.type is int:
-            expected, ok = "an int", type(value) is int
-        elif action.type is float:
-            expected, ok = "a number", type(value) in (int, float)
-        else:
-            expected, ok = "a string", type(value) is str
-        if ok and action.choices is not None and value not in action.choices:
-            expected, ok = f"one of {', '.join(action.choices)}", False
-        if not ok:
-            raise UsageError(f"{where} sets {key!r} to {json.dumps(value)}; expected {expected}")
+    subparser = parser.commands[command]
+    keys = {a.dest for a in subparser._actions if a.default is not argparse.SUPPRESS}
+    kept = {key: value for key, value in recorded.items() if key in keys and value is not None}
+    texts = ((key, value if isinstance(value, str) else json.dumps(value)) for key, value in kept.items())
+    try:
+        config = _config_from_args(parser.parse_args([*command.split("-", 1), *_flags(texts, subparser)]))[1]
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+    for key, value in kept.items():
+        if config[key] != value:  # 1 == 1.0, so an int may stand for a float
+            raise UsageError(f"{where} sets {key!r} to {json.dumps(value)}, which --{key.replace('_', '-')} "
+                             f"reads as {json.dumps(config[key])}")
     return command, config
 
 
 def _inject_config_file(argv: list[str], parser: _Parser) -> list[str]:
     """Splice key=value defaults from --config in after the command tokens,
-    so that explicit flags win. A store_true flag reads true or false as on
-    or off; every other line becomes --key=value, for argparse to check. A
+    so that explicit flags win; each line is set as `_flags` sets it. A
     replay takes its flags from its manifest, so --config beside
     --from-manifest is refused before either file is read."""
     finder = _Parser(add_help=False)
@@ -546,37 +548,27 @@ def _inject_config_file(argv: list[str], parser: _Parser) -> list[str]:
         return argv
     if found.from_manifest is not None:
         raise UsageError("--config does not apply to --from-manifest, which replays the manifest's own config")
-    switches = {flag for p in parser.commands.values() for a in p._actions
-                if isinstance(a, argparse._StoreTrueAction) for flag in a.option_strings}
-    extra: list[str] = []
-    with open(found.config, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if flag == "--" or not value:
-                raise UsageError(f"bad config line: {raw.strip()!r}")
-            if flag in switches and value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    extra.append(flag)
-            else:
-                extra.append(f"{flag}={value}")
+    pairs = []
+    try:
+        with open(found.config, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, _, value = line.partition("=")
+                if not key.strip() or not value.strip():
+                    raise UsageError(f"bad config line: {line!r}")
+                pairs.append((key.strip(), value.strip()))
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {found.config} is not UTF-8: {exc}") from None
     head = list(takewhile(lambda token: not token.startswith("-"), rest))
-    return head + extra + rest[len(head):]
+    return head + _flags(pairs, parser.commands.get("-".join(head), parser)) + rest[len(head):]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        default_seed = int(os.environ.get("QICD_SEED", "0"))
-    except ValueError:
-        print("error: QICD_SEED must be an integer", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        parser = build_parser(default_seed)
+        parser = build_parser()
         argv = _inject_config_file(argv, parser)
         args = parser.parse_args(argv)
         if args.from_manifest:

@@ -362,7 +362,6 @@ def _strip_millis(data: bytes) -> bytes:
 def test_determinism_manifest_rerun(tmp_path, monkeypatch, capsys):
     with criterion("determinism (manifest reruns reproduce output files)"):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("QICD_SEED", raising=False)
 
         commands = [
             ["generate", "planted", "--n", "120", "--k", "4", "--p-in", "0.3",

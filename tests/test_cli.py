@@ -15,14 +15,13 @@ import pytest
 
 import qicd
 from qicd import PlantedSpec
-from qicd.cli import _RETIRED, UsageError, _parse_generate_spec, _qicd_config, build_parser, main
+from qicd.cli import _RETIRED, UsageError, _Parser, _parse_generate_spec, _qicd_config, build_parser, main
 from qicd.rng import mix
 
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QICD_SEED", raising=False)
     return tmp_path
 
 
@@ -380,22 +379,26 @@ def test_benchmark_usage_errors(workdir, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--generate-spec", "planted:n=10"], "--generate-spec is missing 'k'; planted takes n, k, p_in, p_out"),
+        (["--generate-spec", "planted:n=10"],
+         "--generate-spec planted: the following arguments are required: --k, --p-in, --p-out"),
         (["--generate-spec", "planted:n=10,k=2,p_in=0.5,p_out=0.1,zzz=1"],
-         "unknown --generate-spec key 'zzz'; planted takes n, k, p_in, p_out"),
+         "--generate-spec planted: unrecognized arguments: --zzz=1"),
         (["--generate-spec", "calibrated:n=60,k=3,target_q=0.3,avg_deg=30"],
-         "unknown --generate-spec key 'avg_deg'; calibrated takes n, k, target_q, tolerance, avg_degree"),
-        (["--generate-spec", "clique-ring:cliques=4,size=x"], "bad --generate-spec entry 'size=x'"),
+         "--generate-spec calibrated: unrecognized arguments: --avg-deg=30"),
+        (["--generate-spec", "clique-ring:cliques=4,size=x"],
+         "--generate-spec clique-ring: argument --size: invalid int value: 'x'"),
         (["--generate-spec", "ring:cliques=4,size=3"], "unknown --generate-spec type 'ring'"),
-        (["--generate-spec", "planted:n=60.9,k=3,p_in=0.4,p_out=0.05"], "bad --generate-spec entry 'n=60.9'"),
+        (["--generate-spec", "planted:n=60.9,k=3,p_in=0.4,p_out=0.05"],
+         "--generate-spec planted: argument --n: invalid int value: '60.9'"),
         (["--graph", "g.el", "--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
         (["--graph", "g.el", "--runs", "two"], "bad --runs entry 'two'"),
         (["--graph", "g.el", "--runs", "zzz=3"], "unknown method in --runs: 'zzz'"),
         (["--graph", "g.el", "--runs", "2,3"], "--runs gives more than one default count; the second is '3'"),
         (["--graph", "g.el", "--runs", "leiden=2,leiden=4"], "--runs sets a count for 'leiden' more than once"),
-        (["--generate-spec", "planted:n=100,k=4,p_in=0.3,p_out=0.02,n=60"], "--generate-spec sets 'n' more than once"),
+        (["--generate-spec", "planted:n=100,k=4,p_in=0.3,p_out=0.02,n=60"],
+         "--generate-spec planted sets 'n' more than once"),
         (["--generate-spec", "planted:n=100,k=4,p-in=0.3,p_out=0.02,p_in=0.2"],
-         "--generate-spec sets 'p_in' more than once"),
+         "--generate-spec planted sets 'p_in' more than once"),
     ],
     ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "non-integer",
          "runs-count", "runs-default", "runs-unknown-method", "runs-second-default", "runs-repeated-method",
@@ -414,25 +417,28 @@ def _subcommands(parser):
     return action.choices
 
 
-_GENERATE = _subcommands(_subcommands(build_parser(0))["generate"])
+_GENERATE = _subcommands(_subcommands(build_parser())["generate"])
 
 
 @pytest.mark.parametrize("kind", sorted(set(_GENERATE) - {"rewire"}))
 def test_generate_spec_keys_are_the_generate_flags(kind):
     """A spec takes the destinations of `generate <kind>` but seed and out,
-    typed and required as the flags are."""
+    typed, required and defaulted as the flags are."""
     flags = [a for a in _GENERATE[kind]._actions if a.dest not in ("help", "seed", "out")]
     keys = [a.dest for a in flags]
     name, params = _parse_generate_spec(f"{kind}:" + ",".join(f"{key}=1" for key in keys))
     assert name == kind
+    assert params == {a.dest: a.type("1") for a in flags}
     assert {key: type(value) for key, value in params.items()} == {a.dest: a.type for a in flags}
     for flag in flags:
         rest = f"{kind}:" + ",".join(f"{key}=1" for key in keys if key != flag.dest)
         if flag.required:
-            with pytest.raises(UsageError, match=f"missing '{flag.dest}'; {kind} takes {', '.join(keys)}$"):
+            (option,) = flag.option_strings
+            with pytest.raises(UsageError, match=f"^--generate-spec {kind}: the following arguments are required: "
+                                                 f"{option}$"):
                 _parse_generate_spec(rest)
         else:
-            assert flag.dest not in _parse_generate_spec(rest)[1]
+            assert _parse_generate_spec(rest)[1][flag.dest] == flag.default
 
 
 def test_calibrated_spec_takes_calibration_runs(workdir, monkeypatch):
@@ -447,7 +453,8 @@ def test_calibrated_spec_takes_calibration_runs(workdir, monkeypatch):
     spec = "calibrated:n=60,k=3,target_q=0.3,calibration_runs=1"
     assert main(["benchmark", "--generate-spec", spec, "--methods", "leiden", "--runs", "2", "--seed", "4",
                  "--out", "b"]) == 0
-    assert calls == [(60, 3, 0.3, {"seed": mix(4, 71), "runs": 1})]
+    defaults = {name: qicd.cli._default(qicd.bench.calibrate_planted, name) for name in ("tolerance", "avg_degree")}
+    assert calls == [(60, 3, 0.3, {"seed": mix(4, 71), "runs": 1, **defaults})]
 
 
 def test_benchmark_edgeless_is_data_error(workdir, capsys):
@@ -815,7 +822,7 @@ def test_init_mode_is_retired(workdir, capsys, command):
 def test_config_surface():
     """Every field of the configs that `qicd` runs is set by one of its
     flags, and no command has a flag for a retired key, which replay drops."""
-    parser = build_parser(0)
+    parser = build_parser()
     actions = [a for a in parser.commands["qicd"]._actions if a.default is not argparse.SUPPRESS]
     config = {a.dest: a.default for a in actions}
     fields = asdict(_qicd_config(config))
@@ -842,15 +849,36 @@ def test_config_surface():
     assert (seeded.baseline_seed, seeded.seed) == (5, mix(5, 1))
 
 
+def _misspelled_flags(parser) -> list[str]:
+    """`dest: flags` for each flag of `parser` but --help whose only
+    spelling is not -- plus its destination with - for _."""
+    return [f"{a.dest}: {', '.join(a.option_strings)}" for a in parser._actions
+            if a.dest != "help" and a.option_strings != [f"--{a.dest.replace('_', '-')}"]]
+
+
+def test_every_flag_is_spelled_from_its_destination():
+    """--config lines, manifest keys and --generate-spec keys all set a
+    flag by its destination, so every flag of every command is spelled
+    from it; a flag with a custom destination breaks the rule."""
+    for command, parser in build_parser().commands.items():
+        assert _misspelled_flags(parser) == [], command
+    custom = _Parser()
+    custom.add_argument("--swaps", dest="swap_factor")
+    custom.add_argument("-s", "--seed")
+    assert _misspelled_flags(custom) == ["swap_factor: --swaps", "seed: -s, --seed"]
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
-        ("config-lacks-graph", "config of manifest old.manifest.json lacks 'graph'"),
+        ("config-lacks-graph", "config of manifest old.manifest.json: the following arguments are required: --graph"),
         ("lacks-command", "manifest old.manifest.json lacks 'command'"),
         ("json-list", "manifest old.manifest.json is not a JSON object"),
         ("unknown-command", "manifest names unknown command 'cluster'"),
+        ("not-json", "manifest old.manifest.json is not JSON: Expecting property name enclosed in double quotes"),
+        ("not-utf8", "manifest old.manifest.json is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["config-lacks-graph", "lacks-command", "json-list", "unknown-command"],
+    ids=["config-lacks-graph", "lacks-command", "json-list", "unknown-command", "not-json", "not-utf8"],
 )
 def test_malformed_manifest_is_a_usage_error(workdir, capsys, fault, message):
     _make_graph(workdir)
@@ -863,9 +891,14 @@ def test_malformed_manifest_is_a_usage_error(workdir, capsys, fault, message):
         del manifest["command"]
     elif fault == "unknown-command":
         manifest["command"] = "cluster"
-    else:
+    elif fault == "json-list":
         manifest = [manifest]
-    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    text = json.dumps(manifest).encode()
+    if fault == "not-json":
+        text = text.replace(b'"', b"'")
+    elif fault == "not-utf8":
+        text = b"\xff" + text
+    (workdir / "old.manifest.json").write_bytes(text)
     capsys.readouterr()
     assert main(["--from-manifest", "old.manifest.json"]) == 1
     assert f"usage error: {message}" in capsys.readouterr().err
@@ -879,20 +912,29 @@ _BENCHMARK = ["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "
 @pytest.mark.parametrize(
     "argv, key, value, expected",
     [
-        (_PLANTED, "n", 60.9, "an int"),
-        (_PLANTED, "n", "60", "an int"),
-        (_PLANTED, "n", True, "an int"),
-        (["generate", "clique-ring", "--cliques", "4", "--size", "3"], "cliques", 4.5, "an int"),
-        (["detect", "--graph", "g.el", "--method", "leiden"], "method", "bogus", "one of leiden, louvain"),
-        (["detect", "--graph", "g.el", "--method", "leiden"], "graph", None, "a string"),
-        (["qicd", "--graph", "g.el", "--iterations", "1"], "refine_before_accept", 1, "true or false"),
-        (_BENCHMARK, "runs", 2, "a string"),
+        (_PLANTED, "n", 60.9, ": argument --n: invalid int value: '60.9'"),
+        (_PLANTED, "n", "60", ' sets \'n\' to "60", which --n reads as 60'),
+        (_PLANTED, "n", True, ": argument --n: invalid int value: 'true'"),
+        (["generate", "clique-ring", "--cliques", "4", "--size", "3"], "cliques", 4.5,
+         ": argument --cliques: invalid int value: '4.5'"),
+        (["detect", "--graph", "g.el", "--method", "leiden"], "method", "bogus",
+         ": argument --method: invalid choice: 'bogus'"),
+        (["detect", "--graph", "g.el", "--method", "leiden"], "graph", None,
+         ": the following arguments are required: --graph"),
+        (["qicd", "--graph", "g.el", "--iterations", "1"], "refine_before_accept", 1,
+         ": argument --refine-before-accept: ignored explicit argument '1'"),
+        (_BENCHMARK, "runs", 2, ' sets \'runs\' to 2, which --runs reads as "2"'),
+        (["detect", "--graph", "g.el", "--method", "leiden"], "relabel", "true",
+         ' sets \'relabel\' to "true", which --relabel reads as true'),
+        # NaN != NaN, and no float flag's consumer accepts one.
+        (_PLANTED, "p_in", float("nan"), " sets 'p_in' to NaN, which --p-in reads as NaN"),
         # --runs takes a string, so a string replays.
         (_BENCHMARK, "runs", "2", None),
         (_PLANTED, "p_in", 1, None),
     ],
     ids=["planted-float-n", "planted-string-n", "planted-bool-n", "clique-ring-float", "detect-choice",
-         "detect-null-graph", "qicd-int-flag", "benchmark-int-runs", "benchmark-string-runs", "planted-int-p-in"],
+         "detect-null-graph", "qicd-int-flag", "benchmark-int-runs", "detect-string-relabel", "planted-nan-p-in",
+         "benchmark-string-runs", "planted-int-p-in"],
 )
 def test_replayed_values_must_fit_their_flags(workdir, capsys, argv, key, value, expected):
     _make_graph(workdir)
@@ -905,9 +947,8 @@ def test_replayed_values_must_fit_their_flags(workdir, capsys, argv, key, value,
         assert main(["--from-manifest", "old.manifest.json"]) == 0
         return
     assert main(["--from-manifest", "old.manifest.json"]) == 1
-    assert capsys.readouterr().err == (
-        f"usage error: config of manifest old.manifest.json sets {key!r} to {json.dumps(value)}; expected {expected}\n"
-    )
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config of manifest old.manifest.json{expected}") and err.count("\n") == 1
     assert not list(workdir.glob("b.*"))
 
 
@@ -958,8 +999,10 @@ _CONF_RUN = ["--graph", "g.el", "--out", "c.csv"]
         (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\n seed \n", "bad config line: 'seed'"),
         (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\nseed=false\n",
          "argument --seed: invalid int value: 'false'"),
+        (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\nseed=\udcff9\n",
+         "config file conf.txt is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
     ],
-    ids=["equals-form", "before-command", "flag-false", "malformed-line", "value-false"],
+    ids=["equals-form", "before-command", "flag-false", "malformed-line", "value-false", "not-utf8"],
 )
 def test_config_file_forms(workdir, capsys, argv, lines, error):
     """Wherever --config stands, its lines act as the flags they name; a
@@ -967,7 +1010,7 @@ def test_config_file_forms(workdir, capsys, argv, lines, error):
     and argparse checks every other value as it checks the flag's."""
     _make_graph(workdir)
     assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "9", "--out", "d.csv"]) == 0
-    (workdir / "conf.txt").write_text(lines)
+    (workdir / "conf.txt").write_bytes(lines.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     if error is not None:
         assert main(argv) == 1
@@ -978,23 +1021,6 @@ def test_config_file_forms(workdir, capsys, argv, lines, error):
     assert (workdir / "c.csv").read_bytes() == (workdir / "d.csv").read_bytes()
     config = json.loads((workdir / "c.manifest.json").read_text())["config"]
     assert config == {**json.loads((workdir / "d.manifest.json").read_text())["config"], "out": "c.csv"}
-
-
-def test_env_seed_default(workdir, monkeypatch, capsys):
-    _make_graph(workdir)
-    monkeypatch.setenv("QICD_SEED", "9")
-    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "e1.csv"]) == 0
-    monkeypatch.delenv("QICD_SEED")
-    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "9", "--out", "e2.csv"]) == 0
-    assert (workdir / "e1.csv").read_bytes() == (workdir / "e2.csv").read_bytes()
-
-
-def test_env_seed_must_be_an_integer(workdir, monkeypatch, capsys):
-    _make_graph(workdir)
-    monkeypatch.setenv("QICD_SEED", "abc")
-    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "e.csv"]) == 1
-    assert capsys.readouterr().err == "error: QICD_SEED must be an integer\n"
-    assert not list(workdir.glob("e.*"))
 
 
 def test_relabel_sidecar(workdir, capsys):
@@ -1091,8 +1117,8 @@ def test_replay_is_a_fixed_point(workdir, capsys, argv):
     """Replaying a manifest rewrites it, wall clock aside. A replayed
     config lacking an optional key reads it as the command line does: the
     flag's default, which the new manifest records, and which writes the
-    same files when the key held that default. Lacking a required key or
-    the seed, whose default comes from QICD_SEED, it is a usage error."""
+    same files when the key held that default; a seedless one runs at seed
+    0. Lacking a required key, it is a usage error."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     assert main(argv) == 0
     stem = Path(argv[-1]).stem
@@ -1103,7 +1129,7 @@ def test_replay_is_a_fixed_point(workdir, capsys, argv):
     manifest = json.loads(written)
     command, config = manifest["command"], manifest["config"]
     outputs = {name: file for name, file in manifest["outputs"].items() if name != "achieved_q"}
-    for action in build_parser(0).commands[command]._actions:
+    for action in build_parser().commands[command]._actions:
         key = action.dest
         if key == "help":
             continue
@@ -1117,8 +1143,9 @@ def test_replay_is_a_fixed_point(workdir, capsys, argv):
         error = None
         if (command, key) == ("benchmark", "graph"):  # which then has no graph source
             error = "benchmark needs exactly one of --graph or --generate-spec"
-        elif action.required or key == "seed":
-            error = f"config of manifest old.manifest.json lacks {key!r}"
+        elif action.required:
+            (flag,) = action.option_strings
+            error = f"config of manifest old.manifest.json: the following arguments are required: {flag}"
         if error is not None:
             assert main(["--from-manifest", "old.manifest.json"]) == 1, key
             assert capsys.readouterr().err == f"usage error: {error}\n"
@@ -1128,6 +1155,7 @@ def test_replay_is_a_fixed_point(workdir, capsys, argv):
         replayed = json.loads((workdir / f"{out}.manifest.json").read_text())
         # benchmark records the baseline it chose in place of None.
         assert replayed["config"][key] == (config[key] if key == "baseline" else action.default), key
+        assert replayed["config"]["seed"] == (0 if key == "seed" else config["seed"])
         if config[key] == action.default:
             for name, old in outputs.items():
                 new = replayed["outputs"][name]
@@ -1144,7 +1172,7 @@ def test_every_help_text_prints(capsys, argv):
     """Each parser's --help formats its help strings (a stray % would
     raise) and exits 0."""
     with pytest.raises(SystemExit) as info:
-        build_parser(0).parse_args([*argv, "--help"])
+        build_parser().parse_args([*argv, "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: {' '.join(['qicd', *argv])} ")
 

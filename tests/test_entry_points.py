@@ -47,7 +47,6 @@ def _counting(fn, counts: dict, key: tuple[str, str]):
 def test_every_traced_entry_point_is_called(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QICD_SEED", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # runs inline, so counters see them
     spans = importlib.import_module("spans")
     counts: dict[tuple[str, str], int] = {}

@@ -146,5 +146,4 @@ def run_commands(workdir, capsys):
 )
 def test_seeded_outputs_match_their_pinned_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QICD_SEED", raising=False)
     assert run_commands(tmp_path, capsys) == PINNED

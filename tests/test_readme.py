@@ -19,7 +19,7 @@ def test_cli_block_commands_parse():
     lines = block.group(1).replace("\\\n", " ").splitlines()
     commands = [line.split()[1:] for line in lines if line.startswith("qicd ")]
     assert {argv[0] for argv in commands} == {"generate", "detect", "qicd", "benchmark", "mrg"}
-    parser = build_parser(0)
+    parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
 
@@ -28,7 +28,7 @@ def test_readme_names_only_live_flags():
     """Every --flag the README names is a flag of some qicd command, so a
     retired flag cannot linger in the docs. pytest's flag and the
     `--key=value` placeholder of the --config section are the exceptions."""
-    parser = build_parser(0)
+    parser = build_parser()
     flags = {flag for p in (parser, *parser.commands.values()) for a in p._actions for flag in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
     assert named - flags - {"--continue-on-collection-errors", "--key"} == set()
