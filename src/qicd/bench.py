@@ -254,25 +254,20 @@ def spec_for_ratio(n: int, k: int, ratio: float, avg_degree: float, seed: int = 
     return PlantedSpec(n, k, p_in, p_out, seed)
 
 
-# Bisection steps calibrate_planted takes before it gives up.
+# Bisection steps calibrate_planted takes before it gives up, and the
+# seeded graphs whose mean Leiden Q it reads at each step.
 CALIBRATION_STEPS = 30
+CALIBRATION_RUNS = 3
 
 
 def calibrate_planted(
-    n: int,
-    k: int,
-    target_q: float,
-    tolerance: float = 0.01,
-    *,
-    avg_degree: float = 20.0,
-    seed: int = 0,
-    runs: int = 3,
+    n: int, k: int, target_q: float, tolerance: float = 0.01, *, avg_degree: float = 20.0, seed: int = 0
 ) -> tuple[PlantedSpec, float]:
     """Find a planted spec whose mean Leiden Q hits target_q.
 
     Holds the average degree fixed and bisects the mixing ratio p_out/p_in
     (ratio 1 is ER-like, ratio 0 fully separated), evaluating the mean
-    Leiden modularity over `runs` seeded graphs at each step. Raises when
+    Leiden Q of CALIBRATION_RUNS seeded graphs at each step. Raises when
     the target cannot be bracketed or reached within CALIBRATION_STEPS.
     """
     if not 1 <= k < n:  # k = n leaves no intra pair, and its spec divides by zero
@@ -282,12 +277,10 @@ def calibrate_planted(
     for name, value in (("tolerance", tolerance), ("avg_degree", avg_degree)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
 
     def mean_q(ratio: float) -> float:
         qs = []
-        for i in range(runs):
+        for i in range(CALIBRATION_RUNS):
             spec = spec_for_ratio(n, k, ratio, avg_degree, seed=mix(seed, i))
             graph, _truth = generate_planted(spec)
             part = leiden(graph, mix(seed, 1000 + i))
@@ -344,15 +337,14 @@ def clique_ring_truth(cliques: int, size: int) -> list[int]:
     return [c for c in range(cliques) for _ in range(size)]
 
 
-def _check_swap_factor(swap_factor: float) -> None:
-    if not (math.isfinite(swap_factor) and swap_factor > 0):
-        raise ValueError(f"swap_factor must be finite and > 0, got {swap_factor}")
+# Swaps that degree_preserving_rewire tries per edge.
+SWAP_FACTOR = 10
 
 
-def degree_preserving_rewire(graph: Graph, swap_factor: float = 10.0, seed: int = 0) -> Graph:
+def degree_preserving_rewire(graph: Graph, *, seed: int = 0) -> Graph:
     """Randomize a graph by double-edge swaps, preserving every degree.
 
-    Tries ceil(swap_factor * m) swaps in rounds. Each round draws up to
+    Tries SWAP_FACTOR * m swaps in rounds. Each round draws up to
     m // 2 disjoint edge pairs; a swap replaces edges (a, b) and (c, d)
     with (a, c) and (b, d), where a random flip may first exchange c and d.
     All pairs of a round are checked against the edge set at the start of
@@ -362,13 +354,12 @@ def degree_preserving_rewire(graph: Graph, swap_factor: float = 10.0, seed: int 
     removes), or if either is proposed twice in the round. Each weight
     stays with its edge slot and so travels with the rewired edge.
     """
-    _check_swap_factor(swap_factor)
     us, vs, ws = graph.edge_arrays()
     m = len(us)
     if m < 2:
         raise ValueError("rewiring needs at least 2 edges")
     n = graph.node_count
-    attempts = math.ceil(swap_factor * m)
+    attempts = SWAP_FACTOR * m
     rng = make_rng(seed)
     tried = 0
     while tried < attempts:
@@ -463,18 +454,12 @@ def run_experiment(
     return samples
 
 
-def _null_mrg(graph: Graph, cfg: QicdConfig, swap_factor: float, seed: int, i: int) -> float:
-    null_graph = degree_preserving_rewire(graph, swap_factor, seed=mix(seed, 1, i))
+def _null_mrg(graph: Graph, cfg: QicdConfig, seed: int, i: int) -> float:
+    null_graph = degree_preserving_rewire(graph, seed=mix(seed, 1, i))
     return run_qicd(null_graph, replace(cfg, seed=mix(seed, 2, i), baseline_seed=mix(seed, 3, i))).mrg
 
 
-def mrg_significance(
-    graph: Graph,
-    cfg: QicdConfig,
-    null_count: int = 20,
-    seed: int = 0,
-    swap_factor: float = 10.0,
-) -> MrgReport:
+def mrg_significance(graph: Graph, cfg: QicdConfig, null_count: int = 20, seed: int = 0) -> MrgReport:
     """Compare the observed MRG against degree-preserving null graphs.
 
     Rewires the graph null_count times, runs the same QICD configuration on
@@ -484,10 +469,9 @@ def mrg_significance(
     """
     if null_count < 5:
         raise ValueError("null_count must be >= 5")
-    _check_swap_factor(swap_factor)
     observed, *gaps = run_seeded([
         lambda: run_qicd(graph, cfg).mrg,
-        *(partial(_null_mrg, graph, cfg, swap_factor, seed, i) for i in range(null_count)),
+        *(partial(_null_mrg, graph, cfg, seed, i) for i in range(null_count)),
     ])
     count = len(gaps)
     null_mean = sum(gaps) / count

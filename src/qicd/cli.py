@@ -29,7 +29,9 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    CALIBRATION_RUNS,
     METHODS,
+    SWAP_FACTOR,
     PlantedSpec,
     calibrate_planted,
     clique_ring_truth,
@@ -58,15 +60,14 @@ BENCHMARK_RUNS = 6
 
 # Flag defaults come from the config dataclasses and the library functions'
 # own defaults, and a replayed manifest lacking a key takes its flag's; the
-# CLI restates none of them. The map below sends config keys to field names.
+# CLI restates none of them.
 _QICD = QicdConfig()
-_QICD_KEYS = {k: k for k in ("kind", "iterations", "stall_limit", "base", "refine_before_accept")}
 # Config keys that no flag sets any more, each with the one value that the
 # code now runs (a null proposal_seeds is K = ceil(sqrt(n))). A replayed
-# manifest that records another value is refused.
+# manifest or a --generate-spec that sets another value is refused.
 _RETIRED = {"random_ties": False, "init_mode": "quick-leiden", "max_levels": MAX_LEVELS, "max_sweeps": MAX_SWEEPS,
             "min_gain": MIN_GAIN, "resolution": 1.0, "alpha": SKEW_FACTOR, "fraction": REASSIGN_FRACTION,
-            "proposal_seeds": None}
+            "proposal_seeds": None, "swap_factor": SWAP_FACTOR, "calibration_runs": CALIBRATION_RUNS}
 
 
 class UsageError(Exception):
@@ -118,14 +119,10 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-def _pick(config: dict, keys: dict[str, str]) -> dict:
-    """The fields or keyword arguments, named through `keys`, that config
-    sets; a key that config lacks keeps its default."""
-    return {field: config[key] for key, field in keys.items() if key in config}
-
-
 def _qicd_config(config: dict) -> QicdConfig:
-    return replace(_QICD, baseline_seed=config["seed"], seed=mix(config["seed"], 1), **_pick(config, _QICD_KEYS))
+    """The QicdConfig fields that config sets (benchmark sets no kind or base), seeded from --seed."""
+    fields = {key: config[key] for key in asdict(_QICD) if key in config and key != "seed"}
+    return replace(_QICD, **fields, baseline_seed=config["seed"], seed=mix(config["seed"], 1))
 
 
 # ---------------------------------------------------------------- generate
@@ -139,12 +136,12 @@ _GENERATORS = {
     "planted": ("planted-partition graph", {"n": int, "k": int, "p_in": float, "p_out": float}),
     "calibrated": (
         "planted graph calibrated to a target Leiden Q",
-        {"n": int, "k": int, "target_q": float, "tolerance": float, "avg_degree": float, "calibration_runs": int},
+        {"n": int, "k": int, "target_q": float, "tolerance": float, "avg_degree": float},
     ),
     "clique-ring": ("ring of cliques control graph", {"cliques": int, "size": int}),
 }
-# Calibrated's optional flags, sent to calibrate_planted's parameters.
-_CALIBRATION_KEYS = {"tolerance": "tolerance", "avg_degree": "avg_degree", "calibration_runs": "runs"}
+# Calibrated's optional flags, each a parameter of calibrate_planted.
+_CALIBRATION_KEYS = ("tolerance", "avg_degree")
 
 
 def _generate(kind: str, params: dict, seed: int):
@@ -156,8 +153,8 @@ def _generate(kind: str, params: dict, seed: int):
     if kind == "planted":
         spec, found = PlantedSpec(params["n"], params["k"], params["p_in"], params["p_out"], seed), {}
     else:
-        spec, achieved = calibrate_planted(params["n"], params["k"], params["target_q"], seed=seed,
-                                           **_pick(params, _CALIBRATION_KEYS))
+        spec, achieved = calibrate_planted(params["n"], params["k"], params["target_q"], params["tolerance"],
+                                           avg_degree=params["avg_degree"], seed=seed)
         found = {"p_in": spec.p_in, "p_out": spec.p_out, "achieved_q": achieved}
     graph, truth = generate_planted(spec)
     return graph, truth, found
@@ -175,7 +172,7 @@ def _run_generate(kind: str, config: dict):
 
 def _run_generate_rewire(config: dict):
     graph, _files = _load_graph(config, "input")
-    rewired = degree_preserving_rewire(graph, config["swap_factor"], config["seed"])
+    rewired = degree_preserving_rewire(graph, seed=config["seed"])
     message = f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})\n"
     return {"graph": config["input"]}, {"graph": (_out(config), dump_edge_list(rewired))}, {}, message
 
@@ -240,7 +237,8 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
 
 def _parse_generate_spec(text: str) -> tuple[str, dict]:
     """A `kind:key=value,...` spec, whose keys are the `generate <kind>`
-    destinations, parsed by that command's flags."""
+    destinations, parsed by that command's flags. A `_RETIRED` key is
+    dropped when its value, read as JSON, is the one the code runs."""
     head, _, rest = text.partition(":")
     head = head.strip()
     if head not in _GENERATORS:
@@ -255,6 +253,8 @@ def _parse_generate_spec(text: str) -> tuple[str, dict]:
         if key in pairs:
             raise UsageError(f"--generate-spec {head} sets {key!r} more than once")
         pairs[key] = value
+    _refuse_retired({key: _json_or_text(pairs.pop(key)) for key in _RETIRED if key in pairs},
+                    f"--generate-spec {head}", "no graph can be drawn from it")
     parser = _generator_flags(head)
     try:
         return head, vars(parser.parse_args(_flags(pairs.items(), parser)))
@@ -354,13 +354,12 @@ def _run_benchmark(config: dict):
 
 
 def _run_mrg(config: dict):
-    nulls, swap_factor = config["nulls"], config["swap_factor"]
-    if nulls < 5:
+    if config["nulls"] < 5:
         raise UsageError("--nulls must be at least 5")
     cfg = _qicd_config(config)
     graph, files = _load_graph(config)
-    report = mrg_significance(graph, cfg, nulls, seed=mix(config["seed"], 2), swap_factor=swap_factor)
-    payload = asdict(report) | {"null_count": nulls, "swap_factor": swap_factor}
+    report = mrg_significance(graph, cfg, config["nulls"], seed=mix(config["seed"], 2))
+    payload = asdict(report) | {"null_count": config["nulls"], "swap_factor": float(SWAP_FACTOR)}
     files["report"] = (_out(config, ".mrg.json"), _json_text(payload))
     message = f"MRG={report.observed_mrg:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}\n"
     return {"graph": config["graph"]}, files, {}, message
@@ -399,7 +398,7 @@ def _generator_flags(kind: str) -> _Parser:
     p = _Parser(add_help=False)
     for dest, type_ in _GENERATORS[kind][1].items():
         optional = dest in _CALIBRATION_KEYS
-        default = _default(calibrate_planted, _CALIBRATION_KEYS[dest]) if optional else None
+        default = _default(calibrate_planted, dest) if optional else None
         p.add_argument(f"--{dest.replace('_', '-')}", type=type_, default=default, required=not optional)
     return p
 
@@ -437,7 +436,6 @@ def build_parser() -> _Parser:
 
     g_rw = gen_sub.add_parser("rewire", help="degree-preserving rewiring of an existing graph")
     g_rw.add_argument("--input", required=True)
-    g_rw.add_argument("--swap-factor", type=float, default=_default(degree_preserving_rewire, "swap_factor"))
     g_rw.add_argument("--merge-duplicates", action="store_true")
 
     det = sub.add_parser("detect", help="run a classical detector")
@@ -460,7 +458,6 @@ def build_parser() -> _Parser:
     mrg_p = sub.add_parser("mrg", help="MRG significance against rewired null graphs")
     _add_graph_input(mrg_p)
     mrg_p.add_argument("--nulls", type=int, default=_default(mrg_significance, "null_count"))
-    mrg_p.add_argument("--swap-factor", type=float, default=_default(mrg_significance, "swap_factor"))
     _add_qicd_flags(mrg_p)
 
     # Each command's parser, by the command name that manifests record.
@@ -490,6 +487,22 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     return command, config
 
 
+def _json_or_text(text: str):
+    """The value that `text` spells as JSON, or else the text itself."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def _refuse_retired(values: dict, source: str, outcome: str) -> None:
+    """Refuse `values` that set a `_RETIRED` key to another value than the code runs."""
+    for key, value in _RETIRED.items():
+        if values.get(key, value) != value:
+            raise UsageError(f"{source} sets {key} to {json.dumps(values[key])}, which is no longer supported; "
+                             f"{outcome}")
+
+
 def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     """The command and config of the manifest at `path`, parsed as the
     command line is. Keys that no flag of the command defines are dropped
@@ -516,10 +529,7 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     where = f"config of manifest {path}"
     if not isinstance(recorded, dict):
         raise UsageError(f"{where} is not a JSON object")
-    for key, value in _RETIRED.items():
-        if recorded.get(key, value) != value:
-            raise UsageError(f"manifest sets {key} to {json.dumps(recorded[key])}, which is no longer supported; "
-                             "it cannot be replayed")
+    _refuse_retired(recorded, "manifest", "it cannot be replayed")
     subparser = parser.commands[command]
     keys = {a.dest for a in subparser._actions if a.default is not argparse.SUPPRESS}
     kept = {key: value for key, value in recorded.items() if key in keys and value is not None}
@@ -584,13 +594,17 @@ def main(argv: list[str] | None = None) -> int:
             # Raised before any file is written.
             print(f"{command}: out of memory; no output was written", file=sys.stderr)
             return EXIT_DATA
+        manifest_path = _out(config, ".manifest.json")
+        for path in [*(path for path, _text in files.values()), manifest_path]:
+            if "graph" in inputs and Path(path).resolve() == Path(inputs["graph"]).resolve():
+                raise UsageError(f"output {path} would overwrite the input graph {inputs['graph']}")
         for path, text in files.values():
             _write_text(path, text)
         outputs = {key: path for key, (path, _text) in files.items()} | recorded
         manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME,
                     "base_seed": config["seed"], "config": config, "inputs": inputs, "outputs": outputs,
                     "duration_seconds": time.perf_counter() - started}
-        _write_text(_out(config, ".manifest.json"), _json_text(manifest))
+        _write_text(manifest_path, _json_text(manifest))
         sys.stdout.write(message)
         return EXIT_OK
     except UsageError as exc:

@@ -367,10 +367,9 @@ def test_determinism_manifest_rerun(tmp_path, monkeypatch, capsys):
             ["generate", "planted", "--n", "120", "--k", "4", "--p-in", "0.3",
              "--p-out", "0.04", "--seed", "7", "--out", "g.el"],
             ["generate", "clique-ring", "--cliques", "6", "--size", "4", "--out", "ring.el"],
-            ["generate", "rewire", "--input", "g.el", "--swap-factor", "4", "--seed", "3", "--out", "null.el"],
+            ["generate", "rewire", "--input", "g.el", "--seed", "3", "--out", "null.el"],
             ["generate", "calibrated", "--n", "150", "--k", "3", "--target-q", "0.5",
-             "--tolerance", "0.08", "--avg-degree", "10", "--calibration-runs", "2",
-             "--seed", "5", "--out", "cal.el"],
+             "--tolerance", "0.08", "--avg-degree", "10", "--seed", "5", "--out", "cal.el"],
             ["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "part.csv"],
             ["qicd", "--graph", "g.el", "--kind", "haar-hu", "--iterations", "3",
              "--seed", "11", "--out", "run"],

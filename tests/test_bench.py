@@ -280,10 +280,10 @@ def test_planted_is_unweighted():
 
 def test_calibrate_limits():
     # near the mixing limit the best ratio is ~1; near separation it is small
-    spec, achieved = calibrate_planted(300, 2, 0.30, 0.06, avg_degree=8.0, seed=4, runs=2)
+    spec, achieved = calibrate_planted(300, 2, 0.30, 0.06, avg_degree=8.0, seed=4)
     assert spec.p_out / spec.p_in > 0.6
     assert abs(achieved - 0.30) <= 0.06
-    spec, achieved = calibrate_planted(300, 2, 0.46, 0.03, avg_degree=8.0, seed=4, runs=2)
+    spec, achieved = calibrate_planted(300, 2, 0.46, 0.03, avg_degree=8.0, seed=4)
     assert spec.p_out / spec.p_in < 0.25
     assert abs(achieved - 0.46) <= 0.03
 
@@ -296,7 +296,7 @@ def test_calibrate_validation_and_bracket_failure():
         calibrate_planted(10, 10, 0.3)
     # a target below anything reachable at this scale cannot be bracketed
     with pytest.raises(ValueError, match="bracket|steps"):
-        calibrate_planted(200, 4, 0.01, 0.001, avg_degree=8.0, seed=1, runs=2)
+        calibrate_planted(200, 4, 0.01, 0.001, avg_degree=8.0, seed=1)
 
 
 def test_ring_of_cliques_structure():
@@ -355,7 +355,7 @@ def test_ring_of_cliques_validation():
 def test_rewire_preserves_degree_multiset():
     for seed in range(5):
         g, _ = generate_planted(PlantedSpec(120, 4, 0.3, 0.05, seed=seed))
-        rewired = degree_preserving_rewire(g, 10.0, seed=seed)
+        rewired = degree_preserving_rewire(g, seed=seed)
         assert sorted(np.diff(rewired.indptr)) == sorted(np.diff(g.indptr))
         assert rewired.node_count == g.node_count
         assert rewired.edge_count == g.edge_count
@@ -363,7 +363,7 @@ def test_rewire_preserves_degree_multiset():
 
 def test_rewire_star_is_fixed_point():
     star = build_graph(6, [(0, i, 1.0) for i in range(1, 6)])
-    rewired = degree_preserving_rewire(star, 20.0, seed=3)
+    rewired = degree_preserving_rewire(star, seed=3)
     for name in ("indptr", "indices", "weights"):
         assert np.array_equal(getattr(rewired, name), getattr(star, name))
 
@@ -371,16 +371,13 @@ def test_rewire_star_is_fixed_point():
 def test_rewire_validation():
     g = build_graph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
-        degree_preserving_rewire(g, 10.0, seed=1)
-    g2 = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(ValueError):
-        degree_preserving_rewire(g2, 0.0, seed=1)
+        degree_preserving_rewire(g, seed=1)
 
 
 def test_rewire_destroys_clique_ring_structure():
     g = ring_of_cliques(10, 5)
     for i in range(5):
-        null = degree_preserving_rewire(g, 10.0, seed=mix(77, i))
+        null = degree_preserving_rewire(g, seed=mix(77, i))
         q = modularity(null, leiden(null, i))
         assert q < 0.65
 

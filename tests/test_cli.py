@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import qicd
-from qicd import PlantedSpec
 from qicd.cli import _RETIRED, UsageError, _Parser, _parse_generate_spec, _qicd_config, build_parser, main
 from qicd.rng import mix
 
@@ -60,7 +59,7 @@ def test_generate_clique_ring(workdir):
 
 def test_generate_rewire(workdir):
     _make_graph(workdir)
-    assert main(["generate", "rewire", "--input", "g.el", "--swap-factor", "5", "--seed", "3", "--out", "null.el"]) == 0
+    assert main(["generate", "rewire", "--input", "g.el", "--seed", "3", "--out", "null.el"]) == 0
     assert (workdir / "null.el").exists()
     assert not (workdir / "null.truth.csv").exists()
     manifest = json.loads((workdir / "null.manifest.json").read_text())
@@ -68,25 +67,30 @@ def test_generate_rewire(workdir):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, graph, output",
     [
-        ["generate", "rewire", "--input", "g.el", "--swap-factor", "nan", "--out", "null.el"],
-        ["generate", "rewire", "--input", "g.el", "--swap-factor", "inf", "--out", "null.el"],
-        ["mrg", "--graph", "g.el", "--nulls", "5", "--swap-factor", "nan", "--out", "sig"],
+        (["detect", "--graph", "g.el", "--method", "leiden", "--out", "g.el"], "g.el", "g.el"),
+        (["generate", "rewire", "--input", "h.el", "--out", "h.el"], "h.el", "h.el"),
+        (["qicd", "--graph", "run.partition.csv", "--iterations", "1", "--out", "run"], "run.partition.csv",
+         "run.partition.csv"),
+        (["detect", "--graph", "d.manifest.json", "--method", "leiden", "--out", "d.csv"], "d.manifest.json",
+         "d.manifest.json"),
+        (["detect", "--graph", "g.el", "--method", "leiden", "--out", "sub/../g.el"], "g.el", "sub/../g.el"),
     ],
+    ids=["detect", "rewire", "qicd-partition", "manifest", "other-spelling"],
 )
-def test_swap_factor_must_be_finite(workdir, capsys, monkeypatch, argv):
-    _make_graph(workdir)
-    before = sorted(workdir.iterdir())
-
-    def observed_run(*_args, **_kwargs):
-        raise AssertionError("swap_factor must be checked before the observed run")
-
-    monkeypatch.setattr("qicd.bench.run_qicd", observed_run)
+def test_an_output_may_not_overwrite_the_input_graph(workdir, capsys, argv, graph, output):
+    """A command whose output file or manifest is its own input graph is a
+    usage error that writes nothing; otherwise its manifest could not be
+    replayed from the input it names."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    (workdir / "sub").mkdir()
+    (workdir / graph).write_bytes((workdir / "g.el").read_bytes())
+    before = {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()}
     capsys.readouterr()
-    assert main(argv) == 2
-    assert "swap_factor must be finite and > 0" in capsys.readouterr().err
-    assert sorted(workdir.iterdir()) == before
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: output {output} would overwrite the input graph {graph}\n"
+    assert {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()} == before
 
 
 def test_generate_calibrated_small(workdir, capsys):
@@ -94,7 +98,7 @@ def test_generate_calibrated_small(workdir, capsys):
         [
             "generate", "calibrated",
             "--n", "150", "--k", "3", "--target-q", "0.5", "--tolerance", "0.08",
-            "--avg-degree", "10", "--calibration-runs", "2",
+            "--avg-degree", "10",
             "--seed", "5", "--out", "cal.el",
         ]
     )
@@ -115,7 +119,6 @@ _CALIBRATED = ["generate", "calibrated", "--n", "60", "--k", "3", "--target-q", 
         ([*_CALIBRATED, "--tolerance", "-1"], "tolerance must be finite and > 0"),
         ([*_CALIBRATED, "--avg-degree", "nan"], "avg_degree must be finite and > 0"),
         ([*_CALIBRATED, "--avg-degree", "inf"], "avg_degree must be finite and > 0"),
-        ([*_CALIBRATED, "--calibration-runs", "0"], "runs must be at least 1"),
         (["benchmark", "--generate-spec", "calibrated:n=60,k=3,target_q=0.3,tolerance=nan",
           "--methods", "leiden", "--out", "b"], "tolerance must be finite and > 0"),
         (["generate", "calibrated", "--n", "10", "--k", "10", "--target-q", "0.3", "--out", "cal.el"],
@@ -125,7 +128,7 @@ _CALIBRATED = ["generate", "calibrated", "--n", "60", "--k", "3", "--target-q", 
         (["benchmark", "--generate-spec", "calibrated:n=10,k=10,target_q=0.3", "--methods", "leiden", "--out", "b"],
          "k must satisfy 1 <= k < n, got k=10 with n=10"),
     ],
-    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "runs-zero", "spec-tolerance-nan",
+    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "spec-tolerance-nan",
          "k-equals-n", "k-zero", "spec-k-equals-n"],
 )
 def test_calibration_settings_are_checked_before_any_leiden_run(workdir, capsys, monkeypatch, argv, message):
@@ -441,20 +444,48 @@ def test_generate_spec_keys_are_the_generate_flags(kind):
             assert _parse_generate_spec(rest)[1][flag.dest] == flag.default
 
 
-def test_calibrated_spec_takes_calibration_runs(workdir, monkeypatch):
+@pytest.mark.parametrize("runs", [3, 2])
+def test_calibrated_spec_takes_only_the_calibration_run_count_that_runs(workdir, capsys, monkeypatch, runs):
+    """A spec's retired calibration_runs is dropped when it is
+    CALIBRATION_RUNS, on the command line and on replay, and refused with
+    nothing written when it is any other count. The spec's graph is
+    calibrated at mix(seed, 71), with calibrate_planted's default
+    avg_degree."""
+    assert qicd.bench.CALIBRATION_RUNS == 3
+    base = "calibrated:n=60,k=3,target_q=0.3,tolerance=0.05"
+    argv = ["benchmark", "--methods", "leiden", "--runs", "2", "--seed", "4"]
+    assert main([*argv, "--generate-spec", base, "--out", "a"]) == 0
+    spec = f"{base},calibration_runs={runs}"
+    manifest = json.loads((workdir / "a.manifest.json").read_text())
+    manifest["config"].update({"generate_spec": spec, "out": "r"})
+    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    if runs != 3:
+        refused = (f"usage error: --generate-spec calibrated sets calibration_runs to {runs}, which is no longer "
+                   "supported; no graph can be drawn from it\n")
+        for call in ([*argv, "--generate-spec", spec, "--out", "b"], ["--from-manifest", "old.manifest.json"]):
+            assert main(call) == 1
+            assert capsys.readouterr().err == refused
+        assert not list(workdir.glob("[br].*"))
+        return
     calls = []
+    calibrate_planted = qicd.cli.calibrate_planted
 
-    @functools.wraps(qicd.cli.calibrate_planted)  # the parser reads its defaults
-    def calibrate_planted(n, k, target_q, **kwargs):
-        calls.append((n, k, target_q, kwargs))
-        return PlantedSpec(n, k, 0.4, 0.05, kwargs["seed"]), target_q
+    @functools.wraps(calibrate_planted)  # the parser reads its defaults
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return calibrate_planted(*args, **kwargs)
 
-    monkeypatch.setattr("qicd.cli.calibrate_planted", calibrate_planted)
-    spec = "calibrated:n=60,k=3,target_q=0.3,calibration_runs=1"
-    assert main(["benchmark", "--generate-spec", spec, "--methods", "leiden", "--runs", "2", "--seed", "4",
-                 "--out", "b"]) == 0
-    defaults = {name: qicd.cli._default(qicd.bench.calibrate_planted, name) for name in ("tolerance", "avg_degree")}
-    assert calls == [(60, 3, 0.3, {"seed": mix(4, 71), "runs": 1, **defaults})]
+    monkeypatch.setattr(qicd.cli, "calibrate_planted", spy)
+    assert main([*argv, "--generate-spec", spec, "--out", "b"]) == 0
+    avg_degree = qicd.cli._default(calibrate_planted, "avg_degree")
+    assert calls == [((60, 3, 0.3, 0.05), {"avg_degree": avg_degree, "seed": mix(4, 71)})]
+    assert main(["--from-manifest", "b.manifest.json"]) == 0
+    assert main(["--from-manifest", "old.manifest.json"]) == 0
+    assert json.loads((workdir / "b.manifest.json").read_text())["config"]["generate_spec"] == spec
+    for name in ("runs.csv", "summary.json", "table.txt"):
+        assert (workdir / f"b.{name}").read_bytes() == (workdir / f"a.{name}").read_bytes(), name
+        assert (workdir / f"r.{name}").read_bytes() == (workdir / f"a.{name}").read_bytes(), name
 
 
 def test_benchmark_edgeless_is_data_error(workdir, capsys):
@@ -597,7 +628,7 @@ def test_benchmark_fresh_graphs(workdir):
     assert code == 0
 
 
-_CALIBRATED_SPEC = "calibrated:n=60,k=3,target_q=0.3,tolerance=0.05,calibration_runs=2"
+_CALIBRATED_SPEC = "calibrated:n=60,k=3,target_q=0.3,tolerance=0.05"
 
 
 @pytest.mark.parametrize(
@@ -755,8 +786,13 @@ _RETIRED_RUNS = {
     "alpha": (1.5, ["qicd", "benchmark", "mrg"], "--alpha"),
     "fraction": (0.3, ["qicd", "benchmark", "mrg"], "--fraction"),
     "proposal_seeds": (7, ["qicd", "benchmark", "mrg"], "--seeds"),
+    "swap_factor": (5.0, ["generate-rewire", "mrg"], "--swap-factor"),
+    "calibration_runs": (2, ["generate-calibrated"], "--calibration-runs"),
 }
 _RETIRED_ARGV = {
+    "generate-calibrated": ["generate", "calibrated", "--n", "150", "--k", "3", "--target-q", "0.5",
+                            "--tolerance", "0.08", "--avg-degree", "10"],
+    "generate-rewire": ["generate", "rewire", "--input", "g.el"],
     "detect": ["detect", "--graph", "g.el", "--method", "leiden"],
     "qicd": ["qicd", "--graph", "g.el", "--iterations", "2"],
     "benchmark": ["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-haar", "--runs", "2",
@@ -794,7 +830,8 @@ def _assert_retired(workdir, capsys, key, command):
         assert capsys.readouterr().err == err
     assert not list(workdir.glob("s*"))
     for name, path in manifest["outputs"].items():
-        assert _without_wall_clock(workdir / path) == _without_wall_clock(workdir / f"q{path[1:]}"), (command, name)
+        if name != "achieved_q":  # calibrated records its Q beside its files
+            assert _without_wall_clock(workdir / path) == _without_wall_clock(workdir / f"q{path[1:]}"), (command, name)
 
 
 @pytest.mark.parametrize("key", [key for key in _RETIRED_RUNS if key != "init_mode"])
@@ -1081,9 +1118,9 @@ _EVERY_COMMAND = pytest.mark.parametrize(
     [
         [*_PLANTED, "--out", "planted.el"],
         ["generate", "calibrated", "--n", "150", "--k", "3", "--target-q", "0.5", "--tolerance", "0.08",
-         "--avg-degree", "10", "--calibration-runs", "2", "--out", "calibrated.el"],
+         "--avg-degree", "10", "--out", "calibrated.el"],
         ["generate", "clique-ring", "--cliques", "4", "--size", "3", "--out", "ring.el"],
-        ["generate", "rewire", "--input", "g.el", "--swap-factor", "5", "--out", "rewired.el"],
+        ["generate", "rewire", "--input", "g.el", "--out", "rewired.el"],
         ["detect", "--graph", "g.el", "--relabel", "--method", "leiden", "--out", "labelled.csv"],
         ["qicd", "--graph", "g.el", "--iterations", "2", "--out", "refined"],
         [*_BENCHMARK, "--out", "bench"],

@@ -109,7 +109,7 @@ def test_every_graph_array_is_read_only():
         once,
         aggregate(once, Partition(once, [0, 0, 1])),
         aggregate(plain, Partition(plain, [0, 1, 0, 1, 0, 1])),
-        degree_preserving_rewire(plain, 2.0, seed=1),
+        degree_preserving_rewire(plain, seed=1),
     ]
     for graph in graphs:
         arrays = ["indptr", "indices", "weights", "strengths"]

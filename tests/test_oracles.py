@@ -136,18 +136,18 @@ def csr_triples(graph):
 
 
 @PROPERTY
-@given(case=edge_lists(min_edges=2, min_nodes=4), seed=st.integers(0, 2**32), swap_factor=st.floats(0.1, 20.0))
-def test_rewire_keeps_each_degree_and_weight_in_networkx(case, seed, swap_factor):
+@given(case=edge_lists(min_edges=2, min_nodes=4), seed=st.integers(0, 2**32))
+def test_rewire_keeps_each_degree_and_weight_in_networkx(case, seed):
     n, triples = case
     g = build_graph(n, triples)
-    null = degree_preserving_rewire(g, swap_factor, seed=seed)
+    null = degree_preserving_rewire(g, seed=seed)
     rewired = csr_triples(null)
     before, after = nx_graph(n, triples), nx_graph(n, rewired)
     assert after.number_of_edges() == len(rewired) == len(triples)  # no duplicate pairs
     assert nx.number_of_selfloops(after) == 0
     assert dict(after.degree()) == dict(before.degree())
     assert sorted(w for _u, _v, w in rewired) == sorted(w for _u, _v, w in triples)
-    again = degree_preserving_rewire(g, swap_factor, seed=seed)
+    again = degree_preserving_rewire(g, seed=seed)
     for name in ("indptr", "indices", "weights"):
         assert np.array_equal(getattr(again, name), getattr(null, name)), name
 
@@ -155,7 +155,7 @@ def test_rewire_keeps_each_degree_and_weight_in_networkx(case, seed, swap_factor
 @pytest.mark.parametrize("seed", [1, 2])
 def test_rewire_moves_nearly_every_edge(seed):
     triples = _planted_triples(random.Random(seed))
-    null = degree_preserving_rewire(build_graph(300, triples), 10.0, seed=seed)
+    null = degree_preserving_rewire(build_graph(300, triples), seed=seed)
     before = {frozenset((u, v)) for u, v, _w in triples}
     rewired = csr_triples(null)
     moved = sum(frozenset((u, v)) not in before for u, v, _w in rewired)

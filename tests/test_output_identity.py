@@ -2,8 +2,9 @@
 
 Each command below runs on a 200-node planted graph with unit weights, or
 on a 120-node graph whose weights are not integers, where the order in
-which aggregates are summed changes their bits; one more generates a
-3,000-node planted graph of 60 communities. The digest of every
+which aggregates are summed changes their bits; three more generate a
+3,000-node planted graph of 60 communities, a calibrated planted graph and
+a ring of cliques. The digest of every
 file it writes, and of its stdout, is pinned, so a change that moves any
 seeded output by one bit fails here; a change that means to move them
 records new digests and says why. Manifests are hashed without
@@ -29,6 +30,9 @@ COMMANDS = {
     # needs a second chunk of gaps.
     "g60": ["generate", "planted", "--n", "3000", "--k", "60", "--p-in", "0.1", "--p-out", "0.01", "--seed", "1",
             "--out", "g60.el"],
+    "cal": ["generate", "calibrated", "--n", "150", "--k", "3", "--target-q", "0.5", "--tolerance", "0.08",
+            "--avg-degree", "10", "--seed", "5", "--out", "cal.el"],
+    "ring": ["generate", "clique-ring", "--cliques", "6", "--size", "4", "--out", "ring.el"],
     "null": ["generate", "rewire", "--input", "g.el", "--seed", "5", "--out", "null.el"],
     "det": ["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "det.csv"],
     # The same run with its method and seed read from a --config file.
@@ -73,6 +77,13 @@ PINNED = {
     "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
+    "cal.el": "71da83b6ef03bd2f23c1f14b0ea78a3f7f57d2d85990c1203e5458fe322930f6",
+    # cal.manifest.json, null.manifest.json and sig.manifest.json: the calibration's run count and the rewire's
+    # swap factor are the constants CALIBRATION_RUNS and SWAP_FACTOR, so the configs no longer record
+    # calibration_runs or swap_factor; the graphs, truth, report and stdout held.
+    "cal.manifest.json": "1ba9f5f03f24dd1160c0aec3507ebbf1136369d23ccc47607ed2bb5c7c0c3108",
+    "cal.stdout": "92488bad7e5a8932554b5ed2213f3e2ca17fe72c034c255d8a811f60caac45ba",
+    "cal.truth.csv": "a2579d0ef6dcb689a894f63833363ee201682d0abb7a11951ea5fee1bdb007d8",
     "cfg.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
     "cfg.manifest.json": "6ff131535468086b11f1df4c87eb973696057a191c35395f80c982ae946b1eee",
     "det.conf": "070b73b8a3a6cf6b4ee5c8df0c74209585c56edde26a19c7f4a6c36a2d33132d",
@@ -92,14 +103,18 @@ PINNED = {
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
-    "null.manifest.json": "20663497a7cbb327f8c83660a2b0ad904578b643480fad171624de8c179e699a",
+    "null.manifest.json": "1a7bbffe7d79d785dfc496f5751cb48246475ce3a77127e97aed67338f5646fa",
     "pt.json": "1bb84b8d26616431f338a9e0ef0adb7b0693c5a3f9dbb45a0306c62e22029609",
     "pt.manifest.json": "60dc9486ab77ef39915c56fcd0dfbfc0a37bdbde0242a1403f08062e9f618321",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
     # pt.trace.csv: K is ceil(sqrt(200)) = 15, not the 7 that the retired --seeds once set; the
     # partition and stdout held.
     "pt.trace.csv": "f9b259a18d876055c78f9f2bdaf0d6c8b9575e2f18c2bc0d73b1b1018448a551",
-    "sig.manifest.json": "96f2e21b07ae07ffe5bc040a91fa06768c0fcdaf13325b03e8b6361918c638c3",
+    "ring.el": "8a7934cf6912152e2124e8a585ea3d1c68de3d81a8c88046ca018c17cefb0ef3",
+    "ring.manifest.json": "653b53069ab14336850525a5788a000a91ccf4449865a04d08cffffe5aa5b46d",
+    "ring.stdout": "a0aac7dbfe7f125c6723fa2234a453409978ccd5afecf0c7d4c94c8682aacd45",
+    "ring.truth.csv": "fd9dd9bba2e8cb41bc69db766440b8462e8fd42bf90989dab69ae021104465b9",
+    "sig.manifest.json": "1f6610fabff8a0f1b4699ee3b717566300b11126ce6bc922980611250e435911",
     "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
     "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",

@@ -1,7 +1,7 @@
 import re
 from pathlib import Path
 
-from qicd.cli import build_parser
+from qicd.cli import _RETIRED, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +32,11 @@ def test_readme_names_only_live_flags():
     flags = {flag for p in (parser, *parser.commands.values()) for a in p._actions for flag in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
     assert named - flags - {"--continue-on-collection-errors", "--key"} == set()
+
+
+def test_replay_paragraph_names_every_retired_key():
+    """The README's replay paragraph names, in backticks, every config key
+    that `cli._RETIRED` maps to the one value the code now runs."""
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    (replay,) = [p for p in paragraphs if "`qicd --from-manifest FILE`" in p]
+    assert [key for key in _RETIRED if f"`{key}`" not in replay] == []
