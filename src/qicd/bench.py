@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -411,23 +410,16 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) 
     return run_qicd(graph, replace(cfg, kind=kind, base=base, baseline_seed=seed, seed=mix(seed, 1))).q_star
 
 
-def _method_run(name: str, seed: int, source: Graph | Callable[[int], Graph], cfg: QicdConfig | None) -> float:
-    graph = source if isinstance(source, Graph) else source(mix(seed, 0xF))
-    return method_q(name, graph, seed, cfg)
-
-
 def run_experiment(
-    source: Graph | Callable[[int], Graph], runs: dict[str, int], base_seed: int, *, cfg: QicdConfig | None = None
+    graph: Graph, runs: dict[str, int], base_seed: int, *, cfg: QicdConfig | None = None
 ) -> list[TrialSample]:
-    """Run each method of `runs` as many times as it maps to, with
-    decoupled per-run seeds, in the mapping's order.
+    """Run each method of `runs` on `graph` as many times as it maps to,
+    with decoupled per-run seeds, in the mapping's order.
 
-    source is the graph that every run reads, or a function from a run's
-    seed to a fresh graph. The runs go through run_seeded; each result
-    depends only on its seed.
+    The runs go through run_seeded; each result depends only on its seed.
     """
-    if not (isinstance(source, Graph) or callable(source)):
-        raise ValueError(f"source must be a Graph or a function from seed to Graph, got {type(source).__name__}")
+    if not isinstance(graph, Graph):
+        raise ValueError(f"graph must be a Graph, got {type(graph).__name__}")
     unknown = [m for m in runs if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method names: {', '.join(unknown)}")
@@ -438,7 +430,7 @@ def run_experiment(
     seeds = {name: tuple(mix(base_seed, mi, ri) for ri in range(count))
              for mi, (name, count) in enumerate(runs.items())}
     results = run_seeded([
-        partial(_method_run, name, seed, source, cfg) for name, method_seeds in seeds.items() for seed in method_seeds
+        partial(method_q, name, graph, seed, cfg) for name, method_seeds in seeds.items() for seed in method_seeds
     ])
     samples = []
     for name, method_seeds in seeds.items():

@@ -7,9 +7,11 @@ fully resolved configuration and every file it wrote; re-running with
 on success, 1 for usage errors, 2 for data or domain errors; a command
 that fails writes nothing.
 
-A runner returns (inputs, files, recorded, message): `files` maps each
-output key to (path, text), `recorded` holds outputs that are not files and
-`message` is the stdout text; `main` writes the files, manifest and message.
+`_OUTPUTS` names each command's output files. `main` resolves their paths
+and refuses a bad one before the command computes; the runner returns
+(texts, recorded, message): `texts` maps each output key to its file's
+text, `recorded` holds outputs that are not files and `message` is the
+stdout text. `main` then writes the files, manifest and message.
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ BENCHMARK_RUNS = 6
 # CLI restates none of them.
 _QICD = QicdConfig()
 # Config keys that no flag sets any more, each with the one value that the
-# code now runs (a null proposal_seeds is K = ceil(sqrt(n))). A replayed
-# manifest or a --generate-spec that sets another value is refused.
+# code now runs (a null proposal_seeds is K = ceil(sqrt(n)); a benchmark
+# that drew no graph of its own read its --graph). A replayed manifest that
+# sets another value is refused.
 _RETIRED = {"random_ties": False, "init_mode": "quick-leiden", "max_levels": MAX_LEVELS, "max_sweeps": MAX_SWEEPS,
             "min_gain": MIN_GAIN, "resolution": 1.0, "alpha": SKEW_FACTOR, "fraction": REASSIGN_FRACTION,
-            "proposal_seeds": None, "swap_factor": SWAP_FACTOR, "calibration_runs": CALIBRATION_RUNS}
+            "proposal_seeds": None, "swap_factor": SWAP_FACTOR, "calibration_runs": CALIBRATION_RUNS,
+            "generate_spec": None, "fresh_graphs": False}
 
 
 class UsageError(Exception):
@@ -84,12 +88,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _out(config: dict, suffix: str | None = None) -> str:
-    """The path --out names, or, given a suffix, its stem with the suffix."""
-    out = Path(config["out"])
-    return str(out) if suffix is None else str(out.with_suffix("") if out.suffix else out) + suffix
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -101,8 +99,8 @@ def _json_text(value) -> str:
 
 
 def _load_graph(config: dict, key: str = "graph"):
-    """The graph that config[key] names (--graph by default), and the files
-    that loading it adds: with --relabel, the .labels.csv sidecar."""
+    """The graph that config[key] names (--graph by default), and the texts
+    of the files that loading it adds: with --relabel, the labels sidecar."""
     relabel = config.get("relabel", False)  # generate rewire has no --relabel
     with open(config[key], "rb") as fh:
         loaded = load_edge_list(fh, merge_duplicates=config["merge_duplicates"], relabel=relabel)
@@ -111,7 +109,7 @@ def _load_graph(config: dict, key: str = "graph"):
     graph, labels = loaded
     text = io.StringIO()  # csv quotes a label that holds "," or '"'
     csv.writer(text, lineterminator="\n").writerows([("node_id", "label"), *enumerate(labels)])
-    return graph, {"labels": (_out(config, ".labels.csv"), text.getvalue())}
+    return graph, {"labels": text.getvalue()}
 
 
 def _default(fn, name: str):
@@ -129,9 +127,8 @@ def _qicd_config(config: dict) -> QicdConfig:
 
 
 # The generators that build a graph from numbers: help text, then each flag's
-# destination and type. `generate <kind>` and `benchmark --generate-spec
-# kind:key=value,...` both parse with these flags. Every flag is required
-# but calibrated's optional ones, which take calibrate_planted's defaults.
+# destination and type. Every flag of `generate <kind>` is required but
+# calibrated's optional ones, which take calibrate_planted's defaults.
 _GENERATORS = {
     "planted": ("planted-partition graph", {"n": int, "k": int, "p_in": float, "p_out": float}),
     "calibrated": (
@@ -144,49 +141,43 @@ _GENERATORS = {
 _CALIBRATION_KEYS = ("tolerance", "avg_degree")
 
 
-def _generate(kind: str, params: dict, seed: int):
-    """The graph of a `_GENERATORS` kind, its truth labels, and what the
-    manifest records besides: calibrated's p_in, p_out and achieved Q."""
-    if kind == "clique-ring":
-        cliques, size = params["cliques"], params["size"]
-        return ring_of_cliques(cliques, size), clique_ring_truth(cliques, size), {}
-    if kind == "planted":
-        spec, found = PlantedSpec(params["n"], params["k"], params["p_in"], params["p_out"], seed), {}
-    else:
-        spec, achieved = calibrate_planted(params["n"], params["k"], params["target_q"], params["tolerance"],
-                                           avg_degree=params["avg_degree"], seed=seed)
-        found = {"p_in": spec.p_in, "p_out": spec.p_out, "achieved_q": achieved}
-    graph, truth = generate_planted(spec)
-    return graph, truth, found
-
-
 def _run_generate(kind: str, config: dict):
-    graph, truth, found = _generate(kind, config, config["seed"])
-    recorded = {"achieved_q": found.pop("achieved_q")} if "achieved_q" in found else {}
-    config.update(found)  # the manifest records calibrated's p_in and p_out
-    files = {"graph": (_out(config), dump_edge_list(graph)), "truth": (_out(config, ".truth.csv"), labels_to_csv(truth))}
+    recorded = {}
+    if kind == "clique-ring":
+        cliques, size = config["cliques"], config["size"]
+        graph, truth = ring_of_cliques(cliques, size), clique_ring_truth(cliques, size)
+    else:
+        if kind == "planted":
+            spec = PlantedSpec(config["n"], config["k"], config["p_in"], config["p_out"], config["seed"])
+        else:
+            spec, recorded["achieved_q"] = calibrate_planted(config["n"], config["k"], config["target_q"],
+                                                             config["tolerance"], avg_degree=config["avg_degree"],
+                                                             seed=config["seed"])
+            config.update(p_in=spec.p_in, p_out=spec.p_out)  # the manifest records them
+        graph, truth = generate_planted(spec)
     detail = (f"achieved Q={recorded['achieved_q']:.4f}, p_in={config['p_in']:.6g}, p_out={config['p_out']:.6g}"
               if recorded else f"n={graph.node_count}, m={graph.total_weight:g}")
-    return {}, files, recorded, f"wrote {config['out']} ({detail})\n"
+    texts = {"graph": dump_edge_list(graph), "truth": labels_to_csv(truth)}
+    return texts, recorded, f"wrote {config['out']} ({detail})\n"
 
 
 def _run_generate_rewire(config: dict):
-    graph, _files = _load_graph(config, "input")
+    graph, _texts = _load_graph(config, "input")
     rewired = degree_preserving_rewire(graph, seed=config["seed"])
     message = f"wrote {config['out']} (n={rewired.node_count}, m={rewired.total_weight:g})\n"
-    return {"graph": config["input"]}, {"graph": (_out(config), dump_edge_list(rewired))}, {}, message
+    return {"graph": dump_edge_list(rewired)}, {}, message
 
 
 # ------------------------------------------------------------------ detect
 
 
 def _run_detect(config: dict):
-    graph, files = _load_graph(config)
+    graph, texts = _load_graph(config)
     seed = config["seed"]
     part = louvain(graph, seed) if config["method"] == "louvain" else leiden(graph, seed)
     q = modularity(graph, part)
-    files["partition"] = (_out(config), labels_to_csv(part.labels))
-    return {"graph": config["graph"]}, files, {}, f"Q={q:.6f}\n"
+    texts["partition"] = labels_to_csv(part.labels)
+    return texts, {}, f"Q={q:.6f}\n"
 
 
 # ------------------------------------------------------------------- qicd
@@ -194,15 +185,14 @@ def _run_detect(config: dict):
 
 def _run_qicd_cmd(config: dict):
     cfg = _qicd_config(config)
-    graph, files = _load_graph(config)
+    graph, texts = _load_graph(config)
     result = run_qicd(graph, cfg)
     envelope = result_to_json(result, cfg)
     envelope["graph"] = config["graph"]
-    files["partition"] = (_out(config, ".partition.csv"), labels_to_csv(result.best_partition.labels))
-    files["trace"] = (_out(config, ".trace.csv"), trace_to_csv(result.trace))
-    files["result"] = (_out(config, ".json"), _json_text(envelope))
-    message = f"Q*={result.q_star:.6f} baseline={result.q_baseline:.6f} MRG={result.mrg:.6f}\n"
-    return {"graph": config["graph"]}, files, {}, message
+    texts["partition"] = labels_to_csv(result.best_partition.labels)
+    texts["trace"] = trace_to_csv(result.trace)
+    texts["result"] = _json_text(envelope)
+    return texts, {}, f"Q*={result.q_star:.6f} baseline={result.q_baseline:.6f} MRG={result.mrg:.6f}\n"
 
 
 # -------------------------------------------------------------- benchmark
@@ -235,33 +225,6 @@ def _parse_runs_spec(spec: str, methods: list[str]) -> dict[str, int]:
     return {m: overrides.get(m, BENCHMARK_RUNS if default is None else default) for m in methods}
 
 
-def _parse_generate_spec(text: str) -> tuple[str, dict]:
-    """A `kind:key=value,...` spec, whose keys are the `generate <kind>`
-    destinations, parsed by that command's flags. A `_RETIRED` key is
-    dropped when its value, read as JSON, is the one the code runs."""
-    head, _, rest = text.partition(":")
-    head = head.strip()
-    if head not in _GENERATORS:
-        raise UsageError(f"unknown --generate-spec type {head!r}; expected one of {', '.join(_GENERATORS)}")
-    pairs: dict[str, str] = {}
-    for item in rest.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key = key.strip().replace("-", "_")
-        if key in pairs:
-            raise UsageError(f"--generate-spec {head} sets {key!r} more than once")
-        pairs[key] = value
-    _refuse_retired({key: _json_or_text(pairs.pop(key)) for key in _RETIRED if key in pairs},
-                    f"--generate-spec {head}", "no graph can be drawn from it")
-    parser = _generator_flags(head)
-    try:
-        return head, vars(parser.parse_args(_flags(pairs.items(), parser)))
-    except UsageError as exc:
-        raise UsageError(f"--generate-spec {head}: {exc}") from None
-
-
 def _render_table(rows: dict[str, dict], baseline: str) -> str:
     """The summary's rows as a table, by descending mean; methods with
     equal means keep their run order."""
@@ -277,14 +240,6 @@ def _render_table(rows: dict[str, dict], baseline: str) -> str:
 
 
 def _run_benchmark(config: dict):
-    if bool(config["graph"]) == bool(config["generate_spec"]):
-        raise UsageError("benchmark needs exactly one of --graph or --generate-spec")
-    for key in ("relabel", "merge_duplicates"):
-        if config["generate_spec"] and config[key]:
-            raise UsageError(f"--{key.replace('_', '-')} applies to --graph, not to --generate-spec")
-    kind, params = _parse_generate_spec(config["generate_spec"]) if config["generate_spec"] else (None, {})
-    if config["fresh_graphs"] and kind in (None, "clique-ring"):
-        raise UsageError("--fresh-graphs needs a randomized generator spec")
     methods = [m.strip() for m in config["methods"].split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods lists no method names")
@@ -312,19 +267,9 @@ def _run_benchmark(config: dict):
     if baseline not in methods:
         raise UsageError(f"baseline {baseline!r} must be one of --methods")
 
-    seed = config["seed"]
-    if kind is None:
-        source, files = _load_graph(config)
-        inputs = {"graph": config["graph"]}
-    else:
-        inputs, files = {"generate_spec": config["generate_spec"]}, {}
-        if config["fresh_graphs"]:
-            source = lambda s: _generate(kind, params, s)[0]
-        else:
-            source = _generate(kind, params, mix(seed, 71))[0]
-
+    graph, texts = _load_graph(config)
     try:
-        samples = run_experiment(source, runs, seed, cfg=_qicd_config(config))
+        samples = run_experiment(graph, runs, config["seed"], cfg=_qicd_config(config))
     except RuntimeError as exc:
         # The message names the failed method and run.
         if isinstance(exc.__cause__, DATA_ERRORS):
@@ -335,19 +280,16 @@ def _run_benchmark(config: dict):
     for sample in samples:
         for run_idx, (q, run_seed) in enumerate(zip(sample.q_values, sample.seeds)):
             lines.append(f"{sample.method},{run_idx},{run_seed},{q!r}")
-    files["runs"] = (_out(config, ".runs.csv"), "\n".join(lines) + "\n")
+    texts["runs"] = "\n".join(lines) + "\n"
 
-    base_sample = next((s for s in samples if s.method == baseline), None)
+    base_sample = next(s for s in samples if s.method == baseline)
     rows = {}
     for sample in samples:
-        p_value = None
-        if base_sample is not None and sample.method != baseline:
-            p_value = welch_t_test(sample.q_values, base_sample.q_values).p
+        p_value = None if sample.method == baseline else welch_t_test(sample.q_values, base_sample.q_values).p
         rows[sample.method] = asdict(summarize(sample.q_values)) | {"p_vs_baseline": p_value}
-    files["summary"] = (_out(config, ".summary.json"), _json_text({"baseline": baseline, "methods": rows}))
-    table = _render_table(rows, baseline)
-    files["table"] = (_out(config, ".table.txt"), table)
-    return inputs, files, {}, table
+    texts["summary"] = _json_text({"baseline": baseline, "methods": rows})
+    texts["table"] = _render_table(rows, baseline)
+    return texts, {}, texts["table"]
 
 
 # -------------------------------------------------------------------- mrg
@@ -357,12 +299,11 @@ def _run_mrg(config: dict):
     if config["nulls"] < 5:
         raise UsageError("--nulls must be at least 5")
     cfg = _qicd_config(config)
-    graph, files = _load_graph(config)
+    graph, texts = _load_graph(config)
     report = mrg_significance(graph, cfg, config["nulls"], seed=mix(config["seed"], 2))
-    payload = asdict(report) | {"null_count": config["nulls"], "swap_factor": float(SWAP_FACTOR)}
-    files["report"] = (_out(config, ".mrg.json"), _json_text(payload))
+    texts["report"] = _json_text(asdict(report) | {"null_count": config["nulls"], "swap_factor": float(SWAP_FACTOR)})
     message = f"MRG={report.observed_mrg:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}\n"
-    return {"graph": config["graph"]}, files, {}, message
+    return texts, {}, message
 
 
 RUNNERS = {
@@ -372,6 +313,18 @@ RUNNERS = {
     "qicd": _run_qicd_cmd,
     "benchmark": _run_benchmark,
     "mrg": _run_mrg,
+}
+
+# Each command's output files: key -> the suffix that replaces --out's, or
+# None for the --out path itself. --relabel adds the labels sidecar, and
+# every command writes its manifest beside them.
+_OUTPUTS = {
+    **{f"generate-{kind}": {"graph": None, "truth": ".truth.csv"} for kind in _GENERATORS},
+    "generate-rewire": {"graph": None},
+    "detect": {"partition": None},
+    "qicd": {"partition": ".partition.csv", "trace": ".trace.csv", "result": ".json"},
+    "benchmark": {"runs": ".runs.csv", "summary": ".summary.json", "table": ".table.txt"},
+    "mrg": {"report": ".mrg.json"},
 }
 
 
@@ -393,18 +346,8 @@ def _flags(pairs, parser: _Parser) -> list[str]:
     return tokens
 
 
-def _generator_flags(kind: str) -> _Parser:
-    """The typed flags of a `_GENERATORS` kind."""
-    p = _Parser(add_help=False)
-    for dest, type_ in _GENERATORS[kind][1].items():
-        optional = dest in _CALIBRATION_KEYS
-        default = _default(calibrate_planted, dest) if optional else None
-        p.add_argument(f"--{dest.replace('_', '-')}", type=type_, default=default, required=not optional)
-    return p
-
-
-def _add_graph_input(p: _Parser, required: bool = True) -> None:
-    p.add_argument("--graph", required=required, help="edge-list file")
+def _add_graph_input(p: _Parser) -> None:
+    p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--merge-duplicates", action="store_true", help="sum duplicate edges instead of rejecting")
     p.add_argument("--relabel", action="store_true", help="accept arbitrary node labels; writes a .labels.csv sidecar")
 
@@ -431,8 +374,12 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="write synthetic graphs")
     gen_sub = gen.add_subparsers(dest="generator")
 
-    for kind, (text, _types) in _GENERATORS.items():
-        gen_sub.add_parser(kind, help=text, parents=[_generator_flags(kind)])
+    for kind, (text, types) in _GENERATORS.items():
+        g_kind = gen_sub.add_parser(kind, help=text)
+        for dest, type_ in types.items():
+            optional = dest in _CALIBRATION_KEYS
+            default = _default(calibrate_planted, dest) if optional else None
+            g_kind.add_argument(f"--{dest.replace('_', '-')}", type=type_, default=default, required=not optional)
 
     g_rw = gen_sub.add_parser("rewire", help="degree-preserving rewiring of an existing graph")
     g_rw.add_argument("--input", required=True)
@@ -447,9 +394,7 @@ def build_parser() -> _Parser:
     _add_qicd_flags(qic)
 
     ben = sub.add_parser("benchmark", help="multi-method experiment with statistics")
-    _add_graph_input(ben, required=False)
-    ben.add_argument("--generate-spec", help="e.g. planted:n=1000,k=10,p_in=0.05,p_out=0.02")
-    ben.add_argument("--fresh-graphs", action="store_true", help="new graph per run (with --generate-spec)")
+    _add_graph_input(ben)
     ben.add_argument("--methods", required=True, help="comma list of method names")
     ben.add_argument("--runs", default=str(BENCHMARK_RUNS), help="run count, with name=count overrides")
     ben.add_argument("--baseline", help="default: a lone method; else leiden if listed, else the first plain method")
@@ -487,22 +432,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     return command, config
 
 
-def _json_or_text(text: str):
-    """The value that `text` spells as JSON, or else the text itself."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def _refuse_retired(values: dict, source: str, outcome: str) -> None:
-    """Refuse `values` that set a `_RETIRED` key to another value than the code runs."""
-    for key, value in _RETIRED.items():
-        if values.get(key, value) != value:
-            raise UsageError(f"{source} sets {key} to {json.dumps(values[key])}, which is no longer supported; "
-                             f"{outcome}")
-
-
 def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     """The command and config of the manifest at `path`, parsed as the
     command line is. Keys that no flag of the command defines are dropped
@@ -529,7 +458,10 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     where = f"config of manifest {path}"
     if not isinstance(recorded, dict):
         raise UsageError(f"{where} is not a JSON object")
-    _refuse_retired(recorded, "manifest", "it cannot be replayed")
+    for key, value in _RETIRED.items():
+        if recorded.get(key, value) != value:
+            raise UsageError(f"manifest sets {key} to {json.dumps(recorded[key])}, which is no longer supported; "
+                             "it cannot be replayed")
     subparser = parser.commands[command]
     keys = {a.dest for a in subparser._actions if a.default is not argparse.SUPPRESS}
     kept = {key: value for key, value in recorded.items() if key in keys and value is not None}
@@ -587,20 +519,30 @@ def main(argv: list[str] | None = None) -> int:
             command, config = _replayed(args.from_manifest, parser)
         else:
             command, config = _config_from_args(args)
+        out = Path(config["out"])
+        stem = str(out.with_suffix("") if out.suffix else out)
+        suffixes = _OUTPUTS[command] | ({"labels": ".labels.csv"} if config.get("relabel") else {})
+        paths = {key: str(out) if suffix is None else stem + suffix for key, suffix in suffixes.items()}
+        manifest_path = stem + ".manifest.json"
+        input_graph = config.get("graph", config.get("input"))
+        inputs = {} if input_graph is None else {"graph": input_graph}
+        for path in [*paths.values(), manifest_path]:
+            if input_graph is not None and Path(path).resolve() == Path(input_graph).resolve():
+                raise UsageError(f"output {path} would overwrite the input graph {input_graph}")
+            if Path(path).is_dir():
+                raise IsADirectoryError(f"output {path} is a directory")
+            if not Path(path).parent.is_dir():
+                raise FileNotFoundError(f"output {path} is in a directory that does not exist")
         started = time.perf_counter()
         try:
-            inputs, files, recorded, message = RUNNERS[command](config)
+            texts, recorded, message = RUNNERS[command](config)
         except MemoryError:
             # Raised before any file is written.
             print(f"{command}: out of memory; no output was written", file=sys.stderr)
             return EXIT_DATA
-        manifest_path = _out(config, ".manifest.json")
-        for path in [*(path for path, _text in files.values()), manifest_path]:
-            if "graph" in inputs and Path(path).resolve() == Path(inputs["graph"]).resolve():
-                raise UsageError(f"output {path} would overwrite the input graph {inputs['graph']}")
-        for path, text in files.values():
-            _write_text(path, text)
-        outputs = {key: path for key, (path, _text) in files.items()} | recorded
+        for key, path in paths.items():
+            _write_text(path, texts[key])
+        outputs = paths | recorded
         manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME,
                     "base_seed": config["seed"], "config": config, "inputs": inputs, "outputs": outputs,
                     "duration_seconds": time.perf_counter() - started}

@@ -410,9 +410,9 @@ def test_run_experiment_validation():
         run_experiment(g, {"bogus": 2}, 1)
     with pytest.raises(ValueError, match="at least 1 run"):
         run_experiment(g, {"leiden": 0}, 1)
-    for source in (None, [g]):
-        with pytest.raises(ValueError, match="source must be a Graph or a function"):
-            run_experiment(source, {"leiden": 2}, 1)
+    for graph in (None, [g]):
+        with pytest.raises(ValueError, match="graph must be a Graph, got "):
+            run_experiment(graph, {"leiden": 2}, 1)
 
 
 def test_run_experiment_failure_identifies_run():
@@ -477,22 +477,6 @@ def test_run_experiment_lets_a_dead_worker_through(monkeypatch):
     with pytest.raises(BrokenProcessPool) as info:
         run_experiment(g, {"leiden": 2, "louvain": 2}, 1)
     assert "failed" not in str(info.value)
-
-
-def test_run_experiment_graph_factory():
-    cfg = QicdConfig(iterations=1, stall_limit=1)
-    factory = lambda seed: generate_planted(PlantedSpec(50, 2, 0.5, 0.05, seed=seed))[0]
-    samples = run_experiment(factory, {"leiden": 2}, 3, cfg=cfg)
-    assert len(samples[0].q_values) == 2
-
-
-def test_run_experiment_reads_a_graph_as_a_constant_source():
-    """A graph source is the same as a function that returns it for every
-    seed."""
-    g, _ = generate_planted(PlantedSpec(60, 3, 0.4, 0.05, seed=7))
-    runs = {"leiden": 2, "louvain-hu": 2}
-    cfg = QicdConfig(iterations=2, stall_limit=2)
-    assert run_experiment(g, runs, 5, cfg=cfg) == run_experiment(lambda _seed: g, runs, 5, cfg=cfg)
 
 
 def test_mrg_significance_mechanics():

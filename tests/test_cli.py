@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import json
 import os
 import re
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qicd
-from qicd.cli import _RETIRED, UsageError, _Parser, _parse_generate_spec, _qicd_config, build_parser, main
+from qicd.cli import _RETIRED, _Parser, _qicd_config, build_parser, main
 from qicd.rng import mix
 
 
@@ -79,18 +78,45 @@ def test_generate_rewire(workdir):
     ],
     ids=["detect", "rewire", "qicd-partition", "manifest", "other-spelling"],
 )
-def test_an_output_may_not_overwrite_the_input_graph(workdir, capsys, argv, graph, output):
+def test_an_output_may_not_overwrite_the_input_graph(workdir, capsys, monkeypatch, argv, graph, output):
     """A command whose output file or manifest is its own input graph is a
-    usage error that writes nothing; otherwise its manifest could not be
-    replayed from the input it names."""
+    usage error, refused before the command computes, that writes nothing;
+    otherwise its manifest could not be replayed from the input it names."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     (workdir / "sub").mkdir()
     (workdir / graph).write_bytes((workdir / "g.el").read_bytes())
+    _refuse_to_compute(monkeypatch)
     before = {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()}
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"usage error: output {output} would overwrite the input graph {graph}\n"
     assert {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()} == before
+
+
+def _refuse_to_compute(monkeypatch):
+    def compute(*_args, **_kwargs):
+        raise AssertionError("a bad output path must be refused before the command computes")
+
+    for name in ("leiden", "run_qicd", "degree_preserving_rewire"):
+        monkeypatch.setattr(qicd.cli, name, compute)
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [("nodir/x.csv", "output nodir/x.csv is in a directory that does not exist"), ("d", "output d is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_an_output_that_cannot_be_written_is_refused_before_computing(workdir, capsys, monkeypatch, out, message):
+    """An output whose directory is missing, or that is a directory, is a
+    data error that names the path, found before the command computes."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    (workdir / "d").mkdir()
+    _refuse_to_compute(monkeypatch)
+    before = {path: path.is_file() and path.read_bytes() for path in workdir.rglob("*")}
+    capsys.readouterr()
+    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", out]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert {path: path.is_file() and path.read_bytes() for path in workdir.rglob("*")} == before
 
 
 def test_generate_calibrated_small(workdir, capsys):
@@ -119,17 +145,12 @@ _CALIBRATED = ["generate", "calibrated", "--n", "60", "--k", "3", "--target-q", 
         ([*_CALIBRATED, "--tolerance", "-1"], "tolerance must be finite and > 0"),
         ([*_CALIBRATED, "--avg-degree", "nan"], "avg_degree must be finite and > 0"),
         ([*_CALIBRATED, "--avg-degree", "inf"], "avg_degree must be finite and > 0"),
-        (["benchmark", "--generate-spec", "calibrated:n=60,k=3,target_q=0.3,tolerance=nan",
-          "--methods", "leiden", "--out", "b"], "tolerance must be finite and > 0"),
         (["generate", "calibrated", "--n", "10", "--k", "10", "--target-q", "0.3", "--out", "cal.el"],
          "k must satisfy 1 <= k < n, got k=10 with n=10"),
         (["generate", "calibrated", "--n", "10", "--k", "0", "--target-q", "0.3", "--out", "cal.el"],
          "k must satisfy 1 <= k < n, got k=0 with n=10"),
-        (["benchmark", "--generate-spec", "calibrated:n=10,k=10,target_q=0.3", "--methods", "leiden", "--out", "b"],
-         "k must satisfy 1 <= k < n, got k=10 with n=10"),
     ],
-    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "spec-tolerance-nan",
-         "k-equals-n", "k-zero", "spec-k-equals-n"],
+    ids=["tolerance-nan", "tolerance-negative", "avg-degree-nan", "avg-degree-inf", "k-equals-n", "k-zero"],
 )
 def test_calibration_settings_are_checked_before_any_leiden_run(workdir, capsys, monkeypatch, argv, message):
     def leiden(*_args, **_kwargs):
@@ -147,10 +168,8 @@ def test_calibration_settings_are_checked_before_any_leiden_run(workdir, capsys,
         ["generate", "planted", "--n", "10000000000000", "--k", "1", "--p-in", "1e-20", "--p-out", "0",
          "--out", "g.el"],
         ["generate", "calibrated", "--n", "10000000000000", "--k", "1", "--target-q", "0.3", "--out", "g.el"],
-        ["benchmark", "--generate-spec", "planted:n=10000000000000,k=1,p_in=1e-20,p_out=0", "--methods", "leiden",
-         "--out", "b"],
     ],
-    ids=["planted", "calibrated", "benchmark-spec"],
+    ids=["planted", "calibrated"],
 )
 def test_planted_node_count_past_the_graph_cap_is_a_data_error(workdir, capsys, monkeypatch, argv):
     """A planted node count that build_graph would refuse is refused before
@@ -240,7 +259,7 @@ def test_detect_rejects_a_node_count_past_the_pair_key_range(workdir, capsys):
 def test_usage_errors_exit_1(workdir, capsys):
     assert main(["detect", "--graph", "g.el", "--method", "bogus", "--out", "x.csv"]) == 1
     assert main(["mrg", "--graph", "g.el", "--nulls", "4", "--out", "x"]) == 1
-    assert main(["benchmark", "--methods", "leiden", "--out", "x"]) == 1  # no graph and no spec
+    assert main(["benchmark", "--methods", "leiden", "--out", "x"]) == 1  # no --graph
     assert main([]) == 1
     capsys.readouterr()
     assert main(["generate"]) == 1
@@ -371,10 +390,8 @@ def test_benchmark_usage_errors(workdir, capsys):
     _make_graph(workdir)
     assert main(["benchmark", "--graph", "g.el", "--methods", "nope", "--out", "x"]) == 1
     assert main(["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "1", "--out", "x"]) == 1
-    assert (
-        main(["benchmark", "--graph", "g.el", "--methods", "louvain", "--baseline", "leiden", "--runs", "2",
-              "--out", "x", "--generate-spec", "planted:n=10,k=2,p_in=0.5,p_out=0.1"]) == 1
-    )
+    assert main(["benchmark", "--graph", "g.el", "--methods", "louvain", "--baseline", "leiden", "--runs", "2",
+                 "--out", "x"]) == 1
     assert main(["benchmark", "--methods", "louvain,leiden", "--baseline", "bogus-name", "--graph", "g.el",
                  "--runs", "2", "--out", "x"]) == 1
 
@@ -382,35 +399,18 @@ def test_benchmark_usage_errors(workdir, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--generate-spec", "planted:n=10"],
-         "--generate-spec planted: the following arguments are required: --k, --p-in, --p-out"),
-        (["--generate-spec", "planted:n=10,k=2,p_in=0.5,p_out=0.1,zzz=1"],
-         "--generate-spec planted: unrecognized arguments: --zzz=1"),
-        (["--generate-spec", "calibrated:n=60,k=3,target_q=0.3,avg_deg=30"],
-         "--generate-spec calibrated: unrecognized arguments: --avg-deg=30"),
-        (["--generate-spec", "clique-ring:cliques=4,size=x"],
-         "--generate-spec clique-ring: argument --size: invalid int value: 'x'"),
-        (["--generate-spec", "ring:cliques=4,size=3"], "unknown --generate-spec type 'ring'"),
-        (["--generate-spec", "planted:n=60.9,k=3,p_in=0.4,p_out=0.05"],
-         "--generate-spec planted: argument --n: invalid int value: '60.9'"),
-        (["--graph", "g.el", "--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
-        (["--graph", "g.el", "--runs", "two"], "bad --runs entry 'two'"),
-        (["--graph", "g.el", "--runs", "zzz=3"], "unknown method in --runs: 'zzz'"),
-        (["--graph", "g.el", "--runs", "2,3"], "--runs gives more than one default count; the second is '3'"),
-        (["--graph", "g.el", "--runs", "leiden=2,leiden=4"], "--runs sets a count for 'leiden' more than once"),
-        (["--generate-spec", "planted:n=100,k=4,p_in=0.3,p_out=0.02,n=60"],
-         "--generate-spec planted sets 'n' more than once"),
-        (["--generate-spec", "planted:n=100,k=4,p-in=0.3,p_out=0.02,p_in=0.2"],
-         "--generate-spec planted sets 'p_in' more than once"),
+        (["--runs", "leiden=x"], "bad --runs entry 'leiden=x'"),
+        (["--runs", "two"], "bad --runs entry 'two'"),
+        (["--runs", "zzz=3"], "unknown method in --runs: 'zzz'"),
+        (["--runs", "2,3"], "--runs gives more than one default count; the second is '3'"),
+        (["--runs", "leiden=2,leiden=4"], "--runs sets a count for 'leiden' more than once"),
     ],
-    ids=["missing-key", "unknown-key", "calibrated-unknown-key", "bad-value", "unknown-type", "non-integer",
-         "runs-count", "runs-default", "runs-unknown-method", "runs-second-default", "runs-repeated-method",
-         "repeated-key", "repeated-normalised-key"],
+    ids=["runs-count", "runs-default", "runs-unknown-method", "runs-second-default", "runs-repeated-method"],
 )
 def test_benchmark_spec_errors_name_the_entry(workdir, capsys, flags, message):
     _make_graph(workdir)
     capsys.readouterr()
-    assert main(["benchmark", "--methods", "leiden", "--out", "x", *flags]) == 1
+    assert main(["benchmark", "--graph", "g.el", "--methods", "leiden", "--out", "x", *flags]) == 1
     assert message in capsys.readouterr().err
     assert not (workdir / "x.manifest.json").exists()
 
@@ -421,71 +421,6 @@ def _subcommands(parser):
 
 
 _GENERATE = _subcommands(_subcommands(build_parser())["generate"])
-
-
-@pytest.mark.parametrize("kind", sorted(set(_GENERATE) - {"rewire"}))
-def test_generate_spec_keys_are_the_generate_flags(kind):
-    """A spec takes the destinations of `generate <kind>` but seed and out,
-    typed, required and defaulted as the flags are."""
-    flags = [a for a in _GENERATE[kind]._actions if a.dest not in ("help", "seed", "out")]
-    keys = [a.dest for a in flags]
-    name, params = _parse_generate_spec(f"{kind}:" + ",".join(f"{key}=1" for key in keys))
-    assert name == kind
-    assert params == {a.dest: a.type("1") for a in flags}
-    assert {key: type(value) for key, value in params.items()} == {a.dest: a.type for a in flags}
-    for flag in flags:
-        rest = f"{kind}:" + ",".join(f"{key}=1" for key in keys if key != flag.dest)
-        if flag.required:
-            (option,) = flag.option_strings
-            with pytest.raises(UsageError, match=f"^--generate-spec {kind}: the following arguments are required: "
-                                                 f"{option}$"):
-                _parse_generate_spec(rest)
-        else:
-            assert _parse_generate_spec(rest)[1][flag.dest] == flag.default
-
-
-@pytest.mark.parametrize("runs", [3, 2])
-def test_calibrated_spec_takes_only_the_calibration_run_count_that_runs(workdir, capsys, monkeypatch, runs):
-    """A spec's retired calibration_runs is dropped when it is
-    CALIBRATION_RUNS, on the command line and on replay, and refused with
-    nothing written when it is any other count. The spec's graph is
-    calibrated at mix(seed, 71), with calibrate_planted's default
-    avg_degree."""
-    assert qicd.bench.CALIBRATION_RUNS == 3
-    base = "calibrated:n=60,k=3,target_q=0.3,tolerance=0.05"
-    argv = ["benchmark", "--methods", "leiden", "--runs", "2", "--seed", "4"]
-    assert main([*argv, "--generate-spec", base, "--out", "a"]) == 0
-    spec = f"{base},calibration_runs={runs}"
-    manifest = json.loads((workdir / "a.manifest.json").read_text())
-    manifest["config"].update({"generate_spec": spec, "out": "r"})
-    (workdir / "old.manifest.json").write_text(json.dumps(manifest))
-    capsys.readouterr()
-    if runs != 3:
-        refused = (f"usage error: --generate-spec calibrated sets calibration_runs to {runs}, which is no longer "
-                   "supported; no graph can be drawn from it\n")
-        for call in ([*argv, "--generate-spec", spec, "--out", "b"], ["--from-manifest", "old.manifest.json"]):
-            assert main(call) == 1
-            assert capsys.readouterr().err == refused
-        assert not list(workdir.glob("[br].*"))
-        return
-    calls = []
-    calibrate_planted = qicd.cli.calibrate_planted
-
-    @functools.wraps(calibrate_planted)  # the parser reads its defaults
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return calibrate_planted(*args, **kwargs)
-
-    monkeypatch.setattr(qicd.cli, "calibrate_planted", spy)
-    assert main([*argv, "--generate-spec", spec, "--out", "b"]) == 0
-    avg_degree = qicd.cli._default(calibrate_planted, "avg_degree")
-    assert calls == [((60, 3, 0.3, 0.05), {"avg_degree": avg_degree, "seed": mix(4, 71)})]
-    assert main(["--from-manifest", "b.manifest.json"]) == 0
-    assert main(["--from-manifest", "old.manifest.json"]) == 0
-    assert json.loads((workdir / "b.manifest.json").read_text())["config"]["generate_spec"] == spec
-    for name in ("runs.csv", "summary.json", "table.txt"):
-        assert (workdir / f"b.{name}").read_bytes() == (workdir / f"a.{name}").read_bytes(), name
-        assert (workdir / f"r.{name}").read_bytes() == (workdir / f"a.{name}").read_bytes(), name
 
 
 def test_benchmark_edgeless_is_data_error(workdir, capsys):
@@ -541,23 +476,46 @@ def test_benchmark_replays_manifest_with_retired_keys(workdir, capsys):
 
 @pytest.mark.parametrize("sources", ["neither", "both"])
 def test_replayed_benchmark_needs_exactly_one_graph_source(workdir, capsys, sources):
+    """A replayed benchmark reads its graph from --graph alone: a manifest
+    without one lacks a required flag, and one that also records a
+    generator spec records a run that can no longer be made."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     assert main(["benchmark", "--graph", "g.el", "--methods", "leiden", "--runs", "2", "--out", "a"]) == 0
     manifest = json.loads((workdir / "a.manifest.json").read_text())
-    assert manifest["config"]["generate_spec"] is None
+    assert not {"generate_spec", "fresh_graphs"} & set(manifest["config"])
     if sources == "neither":
         manifest["config"]["graph"] = None
+        error = "config of manifest old.manifest.json: the following arguments are required: --graph"
     else:
         manifest["config"]["generate_spec"] = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
+        error = ('manifest sets generate_spec to "planted:n=60,k=3,p_in=0.4,p_out=0.05", which is no longer '
+                 "supported; it cannot be replayed")
     manifest["config"]["out"] = "b"
     (workdir / "old.manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["--from-manifest", "old.manifest.json"]) == 1
-    assert capsys.readouterr().err == "usage error: benchmark needs exactly one of --graph or --generate-spec\n"
+    assert capsys.readouterr().err == f"usage error: {error}\n"
     assert not list(workdir.glob("b.*"))
 
 
-_SPEC = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
+def _assert_unrecognized(workdir, capsys, flags):
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    capsys.readouterr()
+    assert main(["benchmark", "--graph", "g.el", *flags, "--methods", "leiden", "--runs", "2", "--out", "x"]) == 1
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
+    assert not list(workdir.glob("x.*"))
+
+
+def test_benchmark_generate_spec(workdir, capsys):
+    """`benchmark` reads its graph from --graph; it draws none from a
+    generator spec."""
+    _assert_unrecognized(workdir, capsys, ["--generate-spec", "planted:n=60,k=3,p_in=0.4,p_out=0.05"])
+
+
+def test_benchmark_fresh_graphs(workdir, capsys):
+    """`benchmark` runs every method on its one --graph; it draws no new
+    graph per run."""
+    _assert_unrecognized(workdir, capsys, ["--fresh-graphs"])
 
 
 @pytest.mark.parametrize(
@@ -567,25 +525,18 @@ _SPEC = "planted:n=60,k=3,p_in=0.4,p_out=0.05"
         ({"methods": ","}, "--methods lists no method names"),
         ({"methods": "leiden,leiden-hu,leiden"}, "--methods lists 'leiden' more than once"),
         ({"runs": "2,louvain=5"}, "--runs sets a count for 'louvain', which --methods does not list"),
-        ({"graph": None, "generate_spec": _SPEC, "relabel": True},
-         "--relabel applies to --graph, not to --generate-spec"),
-        ({"graph": None, "generate_spec": _SPEC, "merge_duplicates": True},
-         "--merge-duplicates applies to --graph, not to --generate-spec"),
     ],
-    ids=["empty-methods", "comma-methods", "repeated-method", "runs-for-unlisted-method", "relabel-with-spec",
-         "merge-with-spec"],
+    ids=["empty-methods", "comma-methods", "repeated-method", "runs-for-unlisted-method"],
 )
 def test_benchmark_refuses_input_it_would_ignore(workdir, capsys, settings, message):
-    """Settings that would have no effect, a method list that names no
+    """A run count that would have no effect, a method list that names no
     method, or a repeated method whose rows the summary would fold into
     one, are usage errors, also on replay."""
     _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
     assert main(["benchmark", "--graph", "g.el", "--methods", "leiden,leiden-hu", "--runs", "2", "--out", "a"]) == 0
     manifest = json.loads((workdir / "a.manifest.json").read_text())
     config = {**manifest["config"], **settings}
-    argv = ["benchmark", "--methods", config["methods"], "--runs", config["runs"], "--out", "b"]
-    argv += ["--graph", config["graph"]] if config["graph"] else ["--generate-spec", config["generate_spec"]]
-    argv += [f"--{key.replace('_', '-')}" for key in ("relabel", "merge_duplicates") if config[key]]
+    argv = ["benchmark", "--graph", "g.el", "--methods", config["methods"], "--runs", config["runs"], "--out", "b"]
     manifest["config"] = {**config, "out": "b"}
     (workdir / "old.manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
@@ -595,55 +546,14 @@ def test_benchmark_refuses_input_it_would_ignore(workdir, capsys, settings, mess
         assert not list(workdir.glob("b.*"))
 
 
-def test_fresh_graphs_with_graph_is_a_usage_error(workdir, capsys):
-    """--fresh-graphs needs a generator that draws a new graph from each
-    seed: a graph file or a clique ring would give the same graph."""
-    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
-    capsys.readouterr()
-    for source in (["--graph", "g.el"], ["--generate-spec", "clique-ring:cliques=4,size=3"]):
-        argv = ["benchmark", *source, "--fresh-graphs", "--methods", "leiden", "--runs", "2", "--out", "x"]
-        assert main(argv) == 1, source
-        assert capsys.readouterr().err == "usage error: --fresh-graphs needs a randomized generator spec\n"
-        assert not list(workdir.glob("x.*"))
-
-
-def test_benchmark_generate_spec(workdir, capsys):
-    code = main(
-        [
-            "benchmark", "--generate-spec", "planted:n=60,k=3,p_in=0.4,p_out=0.05",
-            "--methods", "leiden", "--runs", "2", "--seed", "4", "--out", "spec",
-        ]
-    )
-    assert code == 0
-    assert (workdir / "spec.runs.csv").exists()
-
-
-def test_benchmark_fresh_graphs(workdir):
-    code = main(
-        [
-            "benchmark", "--generate-spec", "planted:n=60,k=3,p_in=0.4,p_out=0.05",
-            "--fresh-graphs", "--methods", "leiden", "--runs", "2", "--seed", "4", "--out", "fresh",
-        ]
-    )
-    assert code == 0
-
-
-_CALIBRATED_SPEC = "calibrated:n=60,k=3,target_q=0.3,tolerance=0.05"
-
-
 @pytest.mark.parametrize(
     "argv, outputs",
     [
         (["benchmark", "--graph", "g.el", "--methods", "leiden,louvain-hu,leiden-haar", "--runs", "3",
           "--iterations", "2"], ["runs.csv", "summary.json", "table.txt"]),
-        (["benchmark", "--generate-spec", "planted:n=60,k=3,p_in=0.4,p_out=0.05", "--fresh-graphs",
-          "--methods", "leiden,leiden-pt", "--runs", "2", "--iterations", "2"], ["runs.csv", "summary.json", "table.txt"]),
-        # Each run calibrates its graph inside a pool worker.
-        (["benchmark", "--generate-spec", _CALIBRATED_SPEC, "--fresh-graphs", "--methods", "leiden", "--runs", "2"],
-         ["runs.csv", "summary.json", "table.txt"]),
         (["mrg", "--graph", "g.el", "--nulls", "5", "--iterations", "2"], ["mrg.json"]),
     ],
-    ids=["grid", "fresh-planted", "fresh-calibrated", "mrg"],
+    ids=["grid", "mrg"],
 )
 def test_outputs_do_not_depend_on_cpu_count(workdir, monkeypatch, argv, outputs):
     """Seeded runs and nulls go to one forked worker per usable CPU, and
@@ -788,6 +698,8 @@ _RETIRED_RUNS = {
     "proposal_seeds": (7, ["qicd", "benchmark", "mrg"], "--seeds"),
     "swap_factor": (5.0, ["generate-rewire", "mrg"], "--swap-factor"),
     "calibration_runs": (2, ["generate-calibrated"], "--calibration-runs"),
+    "generate_spec": ("planted:n=60,k=3,p_in=0.4,p_out=0.05", ["benchmark"], "--generate-spec"),
+    "fresh_graphs": (True, ["benchmark"], "--fresh-graphs"),
 }
 _RETIRED_ARGV = {
     "generate-calibrated": ["generate", "calibrated", "--n", "150", "--k", "3", "--target-q", "0.5",
@@ -894,9 +806,9 @@ def _misspelled_flags(parser) -> list[str]:
 
 
 def test_every_flag_is_spelled_from_its_destination():
-    """--config lines, manifest keys and --generate-spec keys all set a
-    flag by its destination, so every flag of every command is spelled
-    from it; a flag with a custom destination breaks the rule."""
+    """--config lines and manifest keys both set a flag by its
+    destination, so every flag of every command is spelled from it; a flag
+    with a custom destination breaks the rule."""
     for command, parser in build_parser().commands.items():
         assert _misspelled_flags(parser) == [], command
     custom = _Parser()
@@ -1178,9 +1090,7 @@ def test_replay_is_a_fixed_point(workdir, capsys, argv):
         before = sorted(workdir.iterdir())
         capsys.readouterr()
         error = None
-        if (command, key) == ("benchmark", "graph"):  # which then has no graph source
-            error = "benchmark needs exactly one of --graph or --generate-spec"
-        elif action.required:
+        if action.required:
             (flag,) = action.option_strings
             error = f"config of manifest old.manifest.json: the following arguments are required: {flag}"
         if error is not None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import qicd.bench
 import qicd.cli
-from qicd.cli import main
+from qicd.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,6 +67,28 @@ def test_every_traced_entry_point_is_called(tmp_path, monkeypatch):
     uncalled = [f"{owner}.{attr}" for (owner, attr), n in counts.items() if n == 0]
     assert uncalled == [], f"traced but never called: {uncalled}"
     assert len(counts) == len(spans.ENTRY_POINTS)
+
+
+def test_perfbench_command_lines_parse(monkeypatch):
+    """Every command line that perfbench's workloads run parses: each
+    workload's set-up and timed command, and the `generate rewire` of the
+    nulls check, whose argv a fake run_cli records."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    argvs = []
+
+    def run_cli(argv):
+        argvs.append(argv)
+        return 1, ""
+
+    for workload in workloads.WORKLOADS.values():
+        argvs += [workload.setup_argv(1), workload.argv(1)]
+        if workload.run_check is not None:
+            workload.run_check(run_cli, 1)
+    assert sum(argv[:2] == ["generate", "rewire"] for argv in argvs) == 1
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
 
 
 class _CountingFlips:
