@@ -26,7 +26,6 @@ import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, replace
 from functools import partial
-from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
@@ -331,21 +330,6 @@ _OUTPUTS = {
 # ------------------------------------------------------------ CLI parsing
 
 
-def _flags(pairs, parser: _Parser) -> list[str]:
-    """The tokens that set each (key, text) pair as a flag of `parser`: an
-    on/off flag reads true or false as on or off, and any other pair is
-    --key=text, for argparse to check."""
-    switches = {flag for a in parser._actions if isinstance(a, argparse._StoreTrueAction) for flag in a.option_strings}
-    tokens = []
-    for key, text in pairs:
-        flag = "--" + key.replace("_", "-")
-        if flag not in switches or text.lower() not in ("true", "false"):
-            tokens.append(f"{flag}={text}")
-        elif text.lower() == "true":
-            tokens.append(flag)
-    return tokens
-
-
 def _add_graph_input(p: _Parser) -> None:
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--merge-duplicates", action="store_true", help="sum duplicate edges instead of rejecting")
@@ -367,7 +351,6 @@ def _add_qicd_flags(p: _Parser, *, kind_and_base: bool = True) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="qicd", description="Community detection with quantum-inspired refinement")
     parser.add_argument("--from-manifest", help="re-run a command from its manifest file")
-    parser.add_argument("--config", help="key=value defaults file (flags override)")
     parser.add_argument("--version", action="version", version=f"qicd {__version__}")
     sub = parser.add_subparsers(dest="command")
 
@@ -422,7 +405,7 @@ def _config_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     config = dict(vars(args))
     command = config.pop("command")
     generator = config.pop("generator", None)
-    del config["from_manifest"], config["config"]
+    del config["from_manifest"]
     if command == "generate":
         if generator is None:
             raise UsageError(f"generate requires a subcommand: {' | '.join([*_GENERATORS, 'rewire'])}")
@@ -438,8 +421,9 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     (older manifests hold retired ones), unless the run they record cannot
     be reproduced: a `_RETIRED` key set to another value. Each non-null
     value goes to its flag as text (a string as it is, else as JSON) and
-    must be what the flag reads from that text; a null or lacking key takes
-    the flag's default."""
+    must be what the flag reads from that text: an on/off flag reads true
+    or false as on or off, and any other value is --key=text, for argparse
+    to check. A null or lacking key takes the flag's default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -464,10 +448,17 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
                              "it cannot be replayed")
     subparser = parser.commands[command]
     keys = {a.dest for a in subparser._actions if a.default is not argparse.SUPPRESS}
+    switches = {a.dest for a in subparser._actions if isinstance(a, argparse._StoreTrueAction)}
     kept = {key: value for key, value in recorded.items() if key in keys and value is not None}
-    texts = ((key, value if isinstance(value, str) else json.dumps(value)) for key, value in kept.items())
+    tokens = []
+    for key, value in kept.items():
+        flag, text = "--" + key.replace("_", "-"), value if isinstance(value, str) else json.dumps(value)
+        if key not in switches or text.lower() not in ("true", "false"):
+            tokens.append(f"{flag}={text}")
+        elif text.lower() == "true":
+            tokens.append(flag)
     try:
-        config = _config_from_args(parser.parse_args([*command.split("-", 1), *_flags(texts, subparser)]))[1]
+        config = _config_from_args(parser.parse_args([*command.split("-", 1), *tokens]))[1]
     except UsageError as exc:
         raise UsageError(f"{where}: {exc}") from None
     for key, value in kept.items():
@@ -477,41 +468,9 @@ def _replayed(path: str, parser: _Parser) -> tuple[str, dict]:
     return command, config
 
 
-def _inject_config_file(argv: list[str], parser: _Parser) -> list[str]:
-    """Splice key=value defaults from --config in after the command tokens,
-    so that explicit flags win; each line is set as `_flags` sets it. A
-    replay takes its flags from its manifest, so --config beside
-    --from-manifest is refused before either file is read."""
-    finder = _Parser(add_help=False)
-    finder.add_argument("--config")
-    finder.add_argument("--from-manifest")
-    found, rest = finder.parse_known_args(argv)
-    if found.config is None:
-        return argv
-    if found.from_manifest is not None:
-        raise UsageError("--config does not apply to --from-manifest, which replays the manifest's own config")
-    pairs = []
-    try:
-        with open(found.config, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                if not key.strip() or not value.strip():
-                    raise UsageError(f"bad config line: {line!r}")
-                pairs.append((key.strip(), value.strip()))
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"config file {found.config} is not UTF-8: {exc}") from None
-    head = list(takewhile(lambda token: not token.startswith("-"), rest))
-    return head + _flags(pairs, parser.commands.get("-".join(head), parser)) + rest[len(head):]
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = build_parser()
-        argv = _inject_config_file(argv, parser)
         args = parser.parse_args(argv)
         if args.from_manifest:
             if args.command is not None:

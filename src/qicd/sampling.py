@@ -107,12 +107,13 @@ def propose_partition(graph: Graph, weights: np.ndarray, seed_count: int) -> Par
 def hyperuniform_adjust(graph: Graph, partition: Partition, rng: np.random.Generator) -> Partition:
     """Shrink oversized communities by relocating a fraction of their nodes.
 
-    Communities whose input size exceeds SKEW_FACTOR * n / C lose
-    ceil(REASSIGN_FRACTION * size) members (capped at size - 1 so nothing
-    empties), each reassigned to a uniformly random community that was not
-    oversized; the cap plus non-oversized targets guarantee every oversized
-    community ends strictly smaller. With a single community the partition
-    is returned unchanged.
+    Communities whose input size s exceeds SKEW_FACTOR * n / C lose
+    ceil(REASSIGN_FRACTION * s) members, each reassigned to a uniformly
+    random community that was not oversized, so every oversized community
+    ends strictly smaller. None empties: C <= n, so an oversized community
+    has s > SKEW_FACTOR * n / C >= 2, hence s >= 3, and for s >= 3
+    ceil(REASSIGN_FRACTION * s) <= s - 1. With a single community the
+    partition is returned unchanged.
     """
     c_count = partition.community_count
     if c_count <= 1:
@@ -123,7 +124,7 @@ def hyperuniform_adjust(graph: Graph, partition: Partition, rng: np.random.Gener
     if max(sizes) <= threshold:
         return partition
     receivers = [c for c in range(c_count) if sizes[c] <= threshold]
-    batch = [min(math.ceil(REASSIGN_FRACTION * s), s - 1) if s > threshold else 0 for s in sizes]
+    batch = [math.ceil(REASSIGN_FRACTION * s) if s > threshold else 0 for s in sizes]
     labels = _relocate(partition, members, batch, lambda _c: receivers[int(rng.integers(len(receivers)))], rng)
     return Partition(graph, labels)
 

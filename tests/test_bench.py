@@ -497,6 +497,16 @@ def test_mrg_significance_mechanics():
     assert math.isfinite(report.observed_mrg)
 
 
+def test_mrg_percentile_is_the_mid_rank(monkeypatch):
+    """The observed gap's percentile among the nulls counts each null below
+    it as 1 and each null equal to it as 1/2."""
+    gaps = [0.01, 0.0, 0.01, 0.01, 0.02, 0.03]  # the observed gap, then the nulls'
+    monkeypatch.setattr(qicd.bench, "run_seeded", lambda tasks: iter(gaps[: len(tasks)]))
+    report = mrg_significance(ring_of_cliques(3, 4), QicdConfig(), null_count=5)
+    assert (report.observed_mrg, report.null_gaps) == (0.01, (0.0, 0.01, 0.01, 0.02, 0.03))
+    assert report.percentile == 40.0
+
+
 def test_mrg_percentile_low_on_er_graph():
     # a null-like input should not stand out against its own rewires
     er = spec_for_ratio(400, 1, 1.0, 12.0, seed=5)

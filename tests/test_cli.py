@@ -518,6 +518,18 @@ def test_benchmark_fresh_graphs(workdir, capsys):
     _assert_unrecognized(workdir, capsys, ["--fresh-graphs"])
 
 
+def test_config_file(workdir, capsys):
+    """Flag values come from the command line or a replayed manifest; no
+    option reads them from a file. Before the command, argparse takes the
+    file's name for the command."""
+    (workdir / "c.conf").write_text("runs=2\n")
+    for flags in (["--config", "c.conf"], ["--config=c.conf"]):
+        _assert_unrecognized(workdir, capsys, flags)
+    assert main(["--config", "c.conf", "benchmark", "--graph", "g.el", "--methods", "leiden", "--out", "x"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument command: invalid choice: 'c.conf'")
+    assert not list(workdir.glob("x.*"))
+
+
 @pytest.mark.parametrize(
     "settings, message",
     [
@@ -664,26 +676,6 @@ def test_from_manifest_with_a_command_is_a_usage_error(workdir, capsys):
     assert before == {name: ((workdir / name).read_bytes(), (workdir / name).stat().st_mtime_ns) for name in before}
 
 
-@pytest.mark.parametrize("exists", [True, False], ids=["files", "no-files"])
-def test_config_with_from_manifest_is_a_usage_error(workdir, capsys, exists):
-    """A replay takes every flag from its manifest, so --config beside
-    --from-manifest is refused before either file is read or anything is
-    written."""
-    if exists:
-        _make_graph(workdir)
-        assert main(["detect", "--graph", "g.el", "--method", "leiden", "--out", "d.csv"]) == 0
-        (workdir / "c.conf").write_text("method=louvain\nout=zz.csv\n")
-    before = {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in workdir.iterdir()}
-    capsys.readouterr()
-    for argv in (["--from-manifest", "d.manifest.json", "--config", "c.conf"],
-                 ["--config=c.conf", "--from-manifest=d.manifest.json"]):
-        assert main(argv) == 1, argv
-        assert capsys.readouterr().err == (
-            "usage error: --config does not apply to --from-manifest, which replays the manifest's own config\n"
-        )
-    assert before == {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in workdir.iterdir()}
-
-
 # Each retired config key: a value the code no longer runs, the commands
 # that once had its flag, and that flag as it was spelled.
 _RETIRED_RUNS = {
@@ -714,10 +706,9 @@ _RETIRED_ARGV = {
 
 
 def _assert_retired(workdir, capsys, key, command):
-    """`command` has no flag for the retired `key`, on the command line or
-    in a --config file, and a manifest of it that records the key is
-    refused with nothing written unless it holds the one value the code now
-    runs; then it replays unchanged."""
+    """`command` has no flag for the retired `key`, and a manifest of it
+    that records the key is refused with nothing written unless it holds
+    the one value the code now runs; then it replays unchanged."""
     other, _commands, flag = _RETIRED_RUNS[key]
     kept = _RETIRED[key]
     refused = (f"usage error: manifest sets {key} to {json.dumps(other)}, which is no longer supported; "
@@ -728,8 +719,6 @@ def _assert_retired(workdir, capsys, key, command):
     argv = _RETIRED_ARGV[command]
     for value in (other, kept):
         assert main([*argv, *([flag] if value is True else [flag, str(value)]), "--out", "r"]) == 1
-        (workdir / "old.conf").write_text(f"{flag[2:].replace('-', '_')}={value}\n")
-        assert main(["--config", "old.conf", *argv, "--out", "r"]) == 1
     assert not list(workdir.glob("r.*"))
     assert main([*argv, "--seed", "3", "--out", "a"]) == 0
     manifest = json.loads((workdir / "a.manifest.json").read_text())
@@ -806,9 +795,9 @@ def _misspelled_flags(parser) -> list[str]:
 
 
 def test_every_flag_is_spelled_from_its_destination():
-    """--config lines and manifest keys both set a flag by its
-    destination, so every flag of every command is spelled from it; a flag
-    with a custom destination breaks the rule."""
+    """A replayed manifest sets each flag by its destination, so every
+    flag of every command is spelled from it; a flag with a custom
+    destination breaks the rule."""
     for command, parser in build_parser().commands.items():
         assert _misspelled_flags(parser) == [], command
     custom = _Parser()
@@ -914,64 +903,6 @@ def test_key_error_inside_a_replayed_run_stays_a_data_error(workdir, capsys, mon
     assert capsys.readouterr().err == "'deep'\n"
 
 
-def test_config_file_defaults(workdir, capsys):
-    _make_graph(workdir)
-    (workdir / "conf.txt").write_text("method=leiden\nseed=9\n")
-    capsys.readouterr()
-    assert main(["detect", "--config", "conf.txt", "--graph", "g.el", "--out", "c1.csv"]) == 0
-    q1 = capsys.readouterr().out
-    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "9", "--out", "c2.csv"]) == 0
-    q2 = capsys.readouterr().out
-    assert q1 == q2
-    assert (workdir / "c1.csv").read_bytes() == (workdir / "c2.csv").read_bytes()
-
-
-def test_config_file_flag_override(workdir, capsys):
-    _make_graph(workdir)
-    (workdir / "conf.txt").write_text("method=louvain\nseed=1\n")
-    assert main(["detect", "--config", "conf.txt", "--graph", "g.el", "--method", "leiden", "--seed", "9",
-                 "--out", "c3.csv"]) == 0
-    manifest = json.loads((workdir / "c3.manifest.json").read_text())
-    assert manifest["config"]["method"] == "leiden"
-    assert manifest["config"]["seed"] == 9
-
-
-_CONF_RUN = ["--graph", "g.el", "--out", "c.csv"]
-
-
-@pytest.mark.parametrize(
-    "argv, lines, error",
-    [
-        (["detect", "--config=conf.txt", *_CONF_RUN], "method=leiden\nseed=9\n", None),
-        (["--config", "conf.txt", "detect", *_CONF_RUN], "method=leiden\nseed=9\n", None),
-        (["detect", "--config", "conf.txt", *_CONF_RUN], "# a comment\n\nmethod=leiden\nseed=9\nrelabel=false\n", None),
-        (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\n seed \n", "bad config line: 'seed'"),
-        (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\nseed=false\n",
-         "argument --seed: invalid int value: 'false'"),
-        (["detect", "--config", "conf.txt", *_CONF_RUN], "method=leiden\nseed=\udcff9\n",
-         "config file conf.txt is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
-    ],
-    ids=["equals-form", "before-command", "flag-false", "malformed-line", "value-false", "not-utf8"],
-)
-def test_config_file_forms(workdir, capsys, argv, lines, error):
-    """Wherever --config stands, its lines act as the flags they name; a
-    false on/off flag is left unset, a line without a value is refused,
-    and argparse checks every other value as it checks the flag's."""
-    _make_graph(workdir)
-    assert main(["detect", "--graph", "g.el", "--method", "leiden", "--seed", "9", "--out", "d.csv"]) == 0
-    (workdir / "conf.txt").write_bytes(lines.encode("utf-8", "surrogateescape"))
-    capsys.readouterr()
-    if error is not None:
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"usage error: {error}\n"
-        assert not list(workdir.glob("c.*"))
-        return
-    assert main(argv) == 0
-    assert (workdir / "c.csv").read_bytes() == (workdir / "d.csv").read_bytes()
-    config = json.loads((workdir / "c.manifest.json").read_text())["config"]
-    assert config == {**json.loads((workdir / "d.manifest.json").read_text())["config"], "out": "c.csv"}
-
-
 def test_relabel_sidecar(workdir, capsys):
     (workdir / "named.el").write_text("alice bob\nbob carol\ncarol alice\ndan erin\nerin frank\nfrank dan\n")
     assert main(["detect", "--graph", "named.el", "--relabel", "--method", "leiden", "--seed", "1",
@@ -980,18 +911,6 @@ def test_relabel_sidecar(workdir, capsys):
     assert labels[0] == "node_id,label"
     assert labels[1] == "0,alice"
     assert capsys.readouterr().out.strip() == "Q=0.500000"
-
-
-@pytest.mark.parametrize("value, sidecar", [("true", True), ("false", False)])
-def test_config_file_relabel_line(workdir, capsys, value, sidecar):
-    """A relabel line of --config turns the .labels.csv sidecar on or off."""
-    (workdir / "g.el").write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
-    (workdir / "conf.txt").write_text(f"method=leiden\nrelabel={value}\n")
-    assert main(["detect", "--config", "conf.txt", "--graph", "g.el", "--out", "c.csv"]) == 0
-    assert (workdir / "c.labels.csv").exists() == sidecar
-    manifest = json.loads((workdir / "c.manifest.json").read_text())
-    assert manifest["config"]["relabel"] == sidecar
-    assert ("labels" in manifest["outputs"]) == sidecar
 
 
 def test_relabel_sidecar_quotes_labels_that_need_it(workdir, capsys):

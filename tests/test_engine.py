@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qicd import (
+    Partition,
     PlantedSpec,
     QicdConfig,
     build_graph,
@@ -14,6 +15,7 @@ from qicd import (
     run_qicd,
 )
 import qicd.engine
+from qicd.bench import clique_ring_truth
 from qicd.engine import result_to_json, trace_to_csv
 
 from conftest import make_random_graph
@@ -144,6 +146,30 @@ def test_stall_limit_stops_early():
     assert len(result.trace) <= 50
     # baseline is optimal here, so nothing improves and the loop stalls out
     assert len(result.trace) == 3
+
+
+def test_a_proposal_that_ties_the_incumbent_is_rejected(monkeypatch):
+    """Acceptance is strict: a proposal whose Q equals the incumbent's
+    leaves the incumbent in place."""
+    monkeypatch.setattr(qicd.engine, "_propose", lambda graph, current, cfg, seed_count, rng: current)
+    result = run_qicd(ring_of_cliques(5, 4), _cfg(seed=2, iterations=4, stall_limit=4))
+    assert [r.q_quant == r.q_ref for r in result.trace] == [True] * 4
+    assert [r.accepted for r in result.trace] == [False] * 4
+
+
+def test_an_improvement_resets_the_stall_count(monkeypatch):
+    """When the best improves after a stall, the run goes on for
+    stall_limit more iterations that do not improve it."""
+    g = ring_of_cliques(6, 4)
+    cliques = Partition(g, clique_ring_truth(6, 4))
+    pairs = Partition(g, [c // 2 for c in cliques.labels])  # a local optimum below the cliques' Q
+    merged = Partition(g, [0] * g.node_count)  # Q = 0
+    proposals = iter([merged, cliques, merged, merged, merged])
+    monkeypatch.setattr(qicd.engine, "leiden", lambda graph, seed: pairs)
+    monkeypatch.setattr(qicd.engine, "_propose", lambda *_args: next(proposals))
+    result = run_qicd(g, _cfg(seed=1, iterations=10, stall_limit=2))
+    assert result.trace[0].q_ref == modularity(g, pairs) < modularity(g, cliques) == result.q_star
+    assert [r.accepted for r in result.trace] == [False, True, False, False]
 
 
 def test_proposal_seed_count_resolution():

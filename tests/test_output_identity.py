@@ -35,8 +35,6 @@ COMMANDS = {
     "ring": ["generate", "clique-ring", "--cliques", "6", "--size", "4", "--out", "ring.el"],
     "null": ["generate", "rewire", "--input", "g.el", "--seed", "5", "--out", "null.el"],
     "det": ["detect", "--graph", "g.el", "--method", "leiden", "--seed", "3", "--out", "det.csv"],
-    # The same run with its method and seed read from a --config file.
-    "cfg": ["detect", "--config", "det.conf", "--graph", "g.el", "--out", "cfg.csv"],
     "hh": ["qicd", "--graph", "g.el", "--kind", "haar-hu", "--refine-before-accept", "--iterations", "4",
            "--seed", "3", "--out", "hh"],
     "pt": ["qicd", "--graph", "g.el", "--kind", "pt", "--base", "louvain", "--iterations", "4",
@@ -62,7 +60,7 @@ def _weighted_edge_list() -> str:
 
 
 # Input files that COMMANDS read, written before they run.
-INPUTS = {"det.conf": "method=leiden\nseed=3\n", "w.el": _weighted_edge_list()}
+INPUTS = {"w.el": _weighted_edge_list()}
 
 PINNED = {
     "g.stdout": "2a2860d381f133e66d61e0b846bc4f399a8936ef3bc8e2fd3314529c0c262e91",
@@ -72,7 +70,6 @@ PINNED = {
     "pt.stdout": "78608ab56da62df14f61e00649bed7b05941421b352693bfdbd5633a802f940d",
     "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
-    "cfg.stdout": "ce21f0503fc9b677159dfca00fa7933ae1b0170ab4f1dd11deea04ccccd85a31",
     # bench.manifest.json: benchmark reads its graph from --graph alone, so the config no longer records
     # generate_spec or fresh_graphs; the runs CSV, summary, table and stdout held.
     "bench.manifest.json": "526597ee9be9ccca6483a92e193c321786f763eb806c6b8f2322148f3550547c",
@@ -86,9 +83,6 @@ PINNED = {
     "cal.manifest.json": "1ba9f5f03f24dd1160c0aec3507ebbf1136369d23ccc47607ed2bb5c7c0c3108",
     "cal.stdout": "92488bad7e5a8932554b5ed2213f3e2ca17fe72c034c255d8a811f60caac45ba",
     "cal.truth.csv": "a2579d0ef6dcb689a894f63833363ee201682d0abb7a11951ea5fee1bdb007d8",
-    "cfg.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
-    "cfg.manifest.json": "6ff131535468086b11f1df4c87eb973696057a191c35395f80c982ae946b1eee",
-    "det.conf": "070b73b8a3a6cf6b4ee5c8df0c74209585c56edde26a19c7f4a6c36a2d33132d",
     "det.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
     "det.manifest.json": "09e1d7335fec139032d9e4bc0e49b5e2acc59b56820eaba337700fea39292c5c",
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",

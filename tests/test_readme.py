@@ -26,12 +26,11 @@ def test_cli_block_commands_parse():
 
 def test_readme_names_only_live_flags():
     """Every --flag the README names is a flag of some qicd command, so a
-    retired flag cannot linger in the docs. pytest's flag and the
-    `--key=value` placeholder of the --config section are the exceptions."""
+    retired flag cannot linger in the docs. pytest's flag is the exception."""
     parser = build_parser()
     flags = {flag for p in (parser, *parser.commands.values()) for a in p._actions for flag in a.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
-    assert named - flags - {"--continue-on-collection-errors", "--key"} == set()
+    assert named - flags - {"--continue-on-collection-errors"} == set()
 
 
 def test_replay_paragraph_names_every_retired_key():
