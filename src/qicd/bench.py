@@ -204,11 +204,10 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
         raise ValueError(f"expected edge count {expected:.3g} is below 1; spec would be empty")
 
     runs = _planted_runs(spec, sizes, starts)
-    edges = np.ones((sum(len(u) for u, _v in runs), 3))
-    np.concatenate([u for u, _v in runs], out=edges[:, 0])
-    np.concatenate([v for _u, v in runs], out=edges[:, 1])
+    us = np.concatenate([u for u, _v in runs])
+    vs = np.concatenate([v for _u, v in runs])
     del runs  # before build_graph makes its own arrays
-    return build_graph(spec.n, edges), labels
+    return build_graph(spec.n, us, vs, np.ones(len(us))), labels
 
 
 def _pair_counts(sizes: list[int]) -> tuple[int, int]:
@@ -323,13 +322,9 @@ def ring_of_cliques(cliques: int, size: int) -> Graph:
     i = np.repeat(np.arange(size - 1), counts)
     j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts) + i + 1
     base = np.arange(cliques) * size
-    edges = np.ones((cliques * (len(i) + 1), 3))
-    inside = edges[: cliques * len(i)].reshape(cliques, len(i), 3)
-    np.add.outer(base, i, out=inside[:, :, 0])
-    np.add.outer(base, j, out=inside[:, :, 1])
-    edges[cliques * len(i) :, 0] = base + size - 1
-    edges[cliques * len(i) :, 1] = np.roll(base, -1)
-    return build_graph(cliques * size, edges)
+    us = np.append(np.add.outer(base, i), base + size - 1)
+    vs = np.append(np.add.outer(base, j), np.roll(base, -1))
+    return build_graph(cliques * size, us, vs, np.ones(len(us)))
 
 
 def clique_ring_truth(cliques: int, size: int) -> list[int]:
@@ -386,7 +381,7 @@ def degree_preserving_rewire(graph: Graph, *, seed: int = 0) -> Graph:
         i, j = i[ok], j[ok]
         us[i], vs[i] = lo1[ok], hi1[ok]
         us[j], vs[j] = lo2[ok], hi2[ok]
-    return build_graph(n, np.column_stack((us, vs, ws)))
+    return build_graph(n, us, vs, ws)
 
 
 # Method labels: the classical optimizers plus every perturbation flavor

@@ -393,8 +393,9 @@ def build_parser() -> _Parser:
         **{f"generate-{kind}": p for kind, p in gen_sub.choices.items()},
         **{name: p for name, p in sub.choices.items() if name != "generate"},
     }
-    for p in parser.commands.values():
-        p.add_argument("--seed", type=int, default=0)
+    for name, p in parser.commands.items():
+        if name != "generate-clique-ring":  # the one command that draws nothing
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
     return parser
 
@@ -503,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_text(path, texts[key])
         outputs = paths | recorded
         manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME,
-                    "base_seed": config["seed"], "config": config, "inputs": inputs, "outputs": outputs,
+                    "base_seed": config.get("seed"), "config": config, "inputs": inputs, "outputs": outputs,
                     "duration_seconds": time.perf_counter() - started}
         _write_text(manifest_path, _json_text(manifest))
         sys.stdout.write(message)

@@ -73,7 +73,9 @@ class Graph:
         return len(self.indices) // 2
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) arrays holding each edge once with u < v, ordered by (u, v)."""
+        """(us, vs, ws): int64 endpoint and float64 weight columns, each edge
+        once with u < v, ordered by (u, v). build_graph takes these columns,
+        so build_graph(n, *g.edge_arrays()) rebuilds g bar any self weights."""
         m = self.edge_count
         us, vs, ws = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m)
         at = 0
@@ -103,33 +105,26 @@ def _edge_index(idx: int) -> str:
     return f"edge {idx}"
 
 
-def _first_malformed(edges) -> int:
-    """Index of the first edge that is not a triple of numbers."""
-    for idx, edge in enumerate(edges):
-        try:
-            u, v, w = edge
-            float(u), float(v), float(w)
-        except (TypeError, ValueError, OverflowError):
-            return idx
-    return 0
-
-
 def build_graph(
     n: int,
-    edges: Iterable[tuple[int, int, float]],
+    us: np.ndarray,
+    vs: np.ndarray,
+    ws: np.ndarray,
     *,
     merge_duplicates: bool = False,
     where: Callable[[int], str] = _edge_index,
 ) -> Graph:
-    """Build a Graph from (u, v, weight) triples over nodes 0..n-1.
+    """Build a Graph over nodes 0..n-1 from its edges' columns: integer
+    endpoint arrays us and vs and a weight array ws, all flat and of one
+    length, so that build_graph(n, *g.edge_arrays()) rebuilds g.
 
-    edges may also be an (m, 3) array. Isolated nodes are permitted, up to
-    n = isqrt(2**63 - 1), so that a pair's sort key lo * n + hi fits int64.
-    Duplicate undirected pairs are rejected unless merge_duplicates is set,
-    in which case one bincount sums each pair's weights in input order.
-    Errors name the first offending edge in input order as where(index), by
-    default its index. The graph's indices are int32 when n < 2**31, and
-    int64 above; the pair keys are int64 either way.
+    Isolated nodes are permitted, up to n = isqrt(2**63 - 1), so that a
+    pair's sort key lo * n + hi fits int64. Duplicate undirected pairs are
+    rejected unless merge_duplicates is set, in which case one bincount
+    sums each pair's weights in input order. Errors name the first
+    offending edge in input order as where(index), by default its index.
+    The graph's indices are int32 when n < 2**31, and int64 above; the pair
+    keys are int64 either way.
 
     Two stable single-key sorts order the edges: pairs by that key, so a
     repeated pair keeps input order, then the CSR entries by row alone,
@@ -147,24 +142,17 @@ def build_graph(
         indptr = np.zeros(n + 1, dtype=np.int64)
     except MemoryError:
         raise NodeCountError(f"node count {n} is too large") from None
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    try:
-        cols = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
-    except (TypeError, ValueError, OverflowError):
-        raise EdgeListError(f"{where(_first_malformed(edges))}: expected a (u, v, weight) triple") from None
-    del edges
+    us, vs, ws = np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=np.float64)
+    if us.ndim != 1 or vs.shape != us.shape or ws.shape != us.shape:
+        raise EdgeListError(f"us, vs and ws must be flat arrays of one length, got {us.shape}, {vs.shape}, {ws.shape}")
+    if us.dtype.kind not in "iu" or vs.dtype.kind not in "iu":
+        raise EdgeListError(f"endpoints must be integers, got {us.dtype} and {vs.dtype}")
 
-    # Endpoints are truncated towards zero, as int() does. A NaN endpoint
-    # makes lo and hi NaN, which fails both bounds.
-    u, v = np.trunc(cols[:, 0]), np.trunc(cols[:, 1])
-    loop = u == v
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v, out=v)
-    del u, v
+    loop = us == vs
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     outside = ~((lo >= 0) & (hi < n))
-    faults = np.flatnonzero(outside | loop | ~(np.isfinite(cols[:, 2]) & (cols[:, 2] > 0.0)))
-    valid = int(faults[0]) if faults.size else len(cols)
+    faults = np.flatnonzero(outside | loop | ~(np.isfinite(ws) & (ws > 0.0)))
+    valid = int(faults[0]) if faults.size else len(ws)
     del faults
 
     # Every edge before the first fault is well formed; a duplicate among
@@ -175,22 +163,20 @@ def build_graph(
     key *= n
     key += hi
     order = np.argsort(key, kind="stable")  # a repeated pair keeps input order
-    key, weights = key[order], cols[order, 2]
+    key, weights = key[order], ws[order]
     first = np.ones(valid, dtype=bool)
     first[1:] = key[1:] != key[:-1]
     del key
     if not merge_duplicates and not first.all():
         idx = int(order[~first].min())
-        u, v = sorted(int(x) for x in cols[idx, :2])
-        raise EdgeListError(f"{where(idx)}: duplicate edge {u}-{v}")
-    if valid < len(cols):
-        # A non-finite endpoint is out of range, and is shown as a float.
-        u, v = (int(x) if math.isfinite(x) else x for x in cols[valid, :2].tolist())
+        raise EdgeListError(f"{where(idx)}: duplicate edge {lo[idx]}-{hi[idx]}")
+    if valid < len(ws):
+        u, v = int(us[valid]), int(vs[valid])
         if outside[valid]:
             raise EdgeListError(f"{where(valid)}: endpoint out of range for n={n}: ({u}, {v})")
         if loop[valid]:
             raise EdgeListError(f"{where(valid)}: self-loop at node {u}")
-        raise EdgeListError(f"{where(valid)}: weight must be finite and positive, got {float(cols[valid, 2])}")
+        raise EdgeListError(f"{where(valid)}: weight must be finite and positive, got {float(ws[valid])}")
     del outside, loop
 
     starts = np.flatnonzero(first)
@@ -237,7 +223,7 @@ def build_graph(
         # only twice the total (the strength sum) does, twice the running
         # total does first.
         with np.errstate(over="ignore"):
-            running = np.cumsum(cols[:, 2]) * (1.0 if math.isinf(total_weight) else 2.0)
+            running = np.cumsum(ws) * (1.0 if math.isinf(total_weight) else 2.0)
         idx = min(int(np.searchsorted(running, math.inf)), valid - 1)
         raise EdgeListError(f"{where(idx)}: the edge weights sum past the float range")
     return Graph(
@@ -503,7 +489,7 @@ def load_edge_list(
         negative = beyond[ids[beyond] < 0]
         if negative.size:
             faults.append((int(rows[negative[0] // 2]), 2, "node ids must be non-negative: {!r}"))
-        elif beyond.size:  # a float64 rounds an id past 2**53, and _numbers clamps one past int64
+        elif beyond.size:  # build_graph prints ids exactly, bar one that _numbers clamped past int64
             edge = int(beyond[0]) // 2
             exact = edge, tuple(int(data[a:b]) for a, b in bounds[pair[2 * edge : 2 * edge + 2]].tolist())
     if faults:
@@ -528,19 +514,15 @@ def load_edge_list(
         n = top + 1
     del bounds, pair, buf, data, ends  # before the graph's arrays are made
 
-    cols = np.empty((len(rows), 3))
-    cols[:, 0] = ids[0::2]
-    cols[:, 1] = ids[1::2]
-    del ids
-    cols[:, 2] = 1.0
-    cols[weighted, 2] = weights
+    ws = np.ones(len(rows))
+    ws[weighted] = weights
     del weights, weighted
 
     def where(idx: int) -> str:
         return f"line {rows[idx] + 1}"
 
     try:
-        graph = build_graph(n, cols, merge_duplicates=merge_duplicates, where=where)
+        graph = build_graph(n, ids[0::2], ids[1::2], ws, merge_duplicates=merge_duplicates, where=where)
     except NodeCountError as exc:
         # The count comes from the header, or else from the largest node id.
         origin = f"line {header_line}" if header_n is not None else where(at // 2)

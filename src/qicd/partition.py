@@ -119,9 +119,9 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
     cu, cv, ws = _community_edges(graph, lab)
     internal = _internal_sums(graph, lab, partition.community_count, cu, cv, ws)
     cross = cu != cv
-    edges = np.column_stack((cu[cross], cv[cross], ws[cross]))
-    del cu, cv, ws, cross
-    collapsed = build_graph(partition.community_count, edges, merge_duplicates=True)
+    cu, cv, ws = cu[cross], cv[cross], ws[cross]  # frees the full-length columns
+    del cross
+    collapsed = build_graph(partition.community_count, cu, cv, ws, merge_duplicates=True)
     return dataclasses.replace(
         collapsed,
         strengths=collapsed.strengths + 2.0 * internal,

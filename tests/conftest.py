@@ -15,10 +15,17 @@ import re
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 
 from qicd import Graph, Partition, aggregate, build_graph, calibrate_planted, generate_planted, make_rng
 from qicd.detect import _flat, _move_pass
+
+
+def edge_columns(triples):
+    """The (us, vs, ws) columns that build_graph takes, of (u, v, w) triples."""
+    us, vs, ws = zip(*triples) if triples else ((), (), ())
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=np.float64)
 
 
 def make_random_graph(rnd: random.Random, n_max: int = 8, weighted: bool = True) -> Graph:
@@ -30,7 +37,7 @@ def make_random_graph(rnd: random.Random, n_max: int = 8, weighted: bool = True)
             if rnd.random() < p:
                 w = rnd.uniform(0.1, 3.0) if weighted else 1.0
                 edges.append((i, j, w))
-    return build_graph(n, edges)
+    return build_graph(n, *edge_columns(edges))
 
 
 def traced_bytes(fn, *args) -> int:
@@ -250,7 +257,7 @@ TWO_TRIANGLES_EDGES = TRIANGLE_EDGES + [(3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
 
 @pytest.fixture(scope="session")
 def two_triangles() -> Graph:
-    return build_graph(6, TWO_TRIANGLES_EDGES)
+    return build_graph(6, *edge_columns(TWO_TRIANGLES_EDGES))
 
 
 # Weak planted benchmark used by the uplift and significance checks: a

@@ -36,6 +36,7 @@ from conftest import (
     TWO_TRIANGLES_EDGES,
     check_move_pass,
     communities_connected,
+    edge_columns,
     iter_set_partitions,
     make_random_graph,
     modularity_double_sum,
@@ -91,7 +92,7 @@ def test_null_identities():
                 continue
             q = modularity(g, Partition(g, [0] * g.node_count))
             assert abs(q) <= 1e-12
-        tri = build_graph(6, TWO_TRIANGLES_EDGES)
+        tri = build_graph(6, *edge_columns(TWO_TRIANGLES_EDGES))
         assert modularity(tri, Partition(tri, [0, 0, 0, 1, 1, 1])) == 0.5
 
 

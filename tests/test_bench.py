@@ -28,6 +28,8 @@ from qicd import (
 from qicd.bench import METHODS, clique_ring_truth, planted_sizes, run_seeded, spec_for_ratio
 from qicd.graph import NodeCountError
 
+from conftest import edge_columns
+
 
 def _pin_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -332,7 +334,7 @@ def _ring_of_cliques_loop(cliques, size):
                 edges.append((base + i, base + j, 1.0))
     for c in range(cliques):
         edges.append((c * size + size - 1, ((c + 1) % cliques) * size, 1.0))
-    return build_graph(cliques * size, edges)
+    return build_graph(cliques * size, *edge_columns(edges))
 
 
 @pytest.mark.parametrize("cliques, size", [(3, 3), (4, 5), (10, 7), (3, 300), (3, 1000)])
@@ -362,14 +364,14 @@ def test_rewire_preserves_degree_multiset():
 
 
 def test_rewire_star_is_fixed_point():
-    star = build_graph(6, [(0, i, 1.0) for i in range(1, 6)])
+    star = build_graph(6, *edge_columns([(0, i, 1.0) for i in range(1, 6)]))
     rewired = degree_preserving_rewire(star, seed=3)
     for name in ("indptr", "indices", "weights"):
         assert np.array_equal(getattr(rewired, name), getattr(star, name))
 
 
 def test_rewire_validation():
-    g = build_graph(2, [(0, 1, 1.0)])
+    g = build_graph(2, *edge_columns([(0, 1, 1.0)]))
     with pytest.raises(ValueError):
         degree_preserving_rewire(g, seed=1)
 
@@ -416,14 +418,14 @@ def test_run_experiment_validation():
 
 
 def test_run_experiment_failure_identifies_run():
-    g = build_graph(4, [])  # edgeless: every run fails
+    g = build_graph(4, *edge_columns([]))  # edgeless: every run fails
     with pytest.raises(RuntimeError, match="method 'leiden' run 0"):
         run_experiment(g, {"leiden": 2}, 1)
 
 
 def test_run_experiment_failure_in_a_worker_keeps_its_cause(monkeypatch):
     _pin_cpus(monkeypatch, 2)
-    g = build_graph(4, [])
+    g = build_graph(4, *edge_columns([]))
     with pytest.raises(RuntimeError, match="method 'louvain' run 0 failed: modularity undefined") as info:
         run_experiment(g, {"louvain": 2}, 1)
     assert type(info.value.__cause__) is ValueError

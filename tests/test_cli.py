@@ -56,6 +56,24 @@ def test_generate_clique_ring(workdir):
     assert sum(1 for line in text.splitlines() if not line.startswith("#")) == 110
 
 
+def test_generate_clique_ring_takes_no_seed(workdir, capsys):
+    """The ring draws nothing, so --seed is an unrecognized argument and the
+    manifest records no seed; a ring manifest that records one, as older
+    ones do, replays to the same files."""
+    argv = ["generate", "clique-ring", "--cliques", "4", "--size", "3"]
+    assert main([*argv, "--seed", "99", "--out", "x.el"]) == 1
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --seed 99\n"
+    assert list(workdir.iterdir()) == []
+    assert main([*argv, "--out", "ring.el"]) == 0
+    manifest = json.loads((workdir / "ring.manifest.json").read_text())
+    assert manifest["base_seed"] is None and "seed" not in manifest["config"]
+    old = {**manifest, "base_seed": 99, "config": {**manifest["config"], "seed": 99, "out": "old.el"}}
+    (workdir / "old.json").write_text(json.dumps(old))
+    assert main(["--from-manifest", "old.json"]) == 0
+    for suffix in (".el", ".truth.csv"):
+        assert (workdir / f"old{suffix}").read_bytes() == (workdir / f"ring{suffix}").read_bytes()
+
+
 def test_generate_rewire(workdir):
     _make_graph(workdir)
     assert main(["generate", "rewire", "--input", "g.el", "--seed", "3", "--out", "null.el"]) == 0
@@ -1021,7 +1039,7 @@ def test_replay_is_a_fixed_point(workdir, capsys, argv):
         replayed = json.loads((workdir / f"{out}.manifest.json").read_text())
         # benchmark records the baseline it chose in place of None.
         assert replayed["config"][key] == (config[key] if key == "baseline" else action.default), key
-        assert replayed["config"]["seed"] == (0 if key == "seed" else config["seed"])
+        assert replayed["config"].get("seed") == (0 if key == "seed" else config.get("seed"))
         if config[key] == action.default:
             for name, old in outputs.items():
                 new = replayed["outputs"][name]

@@ -23,6 +23,7 @@ from qicd.detect import _flat, _move_pass, move_nodes, seeded_pass
 
 from conftest import (
     communities_connected,
+    edge_columns,
     iter_set_partitions,
     make_random_graph,
     member_strengths,
@@ -79,7 +80,7 @@ def check_labels_under_scaling(equal: bool):
     polished = QicdConfig(kind="haar-hu", iterations=3, refine_before_accept=True, baseline_seed=5, seed=5)
 
     def labels(k):
-        g = build_graph(n, [(u, v, math.ldexp(w, k)) for u, v, w in edges])
+        g = build_graph(n, *edge_columns([(u, v, math.ldexp(w, k)) for u, v, w in edges]))
         return [leiden(g, 5).labels, louvain(g, 5).labels, run_qicd(g, polished).best_partition.labels]
 
     expected = labels(0)
@@ -97,7 +98,7 @@ def test_labels_do_not_change_when_every_equal_weight_is_scaled_by_a_power_of_tw
 
 
 def test_edgeless_graph_rejected():
-    g = build_graph(4, [])
+    g = build_graph(4, *edge_columns([]))
     for detector in (louvain, leiden):
         with pytest.raises(ValueError, match="no edges"):
             detector(g, 1)
@@ -169,7 +170,7 @@ def _random_graph(rnd, weight=None):
         p = rnd.uniform(0.05, 0.6)
         edges = [(u, v, weight or rnd.uniform(0.1, 3.0)) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
         if len(edges) > 1:
-            return build_graph(n, edges)
+            return build_graph(n, *edge_columns(edges))
 
 
 @pytest.mark.parametrize("kind", ["1.0", "0.1", "2.5", "distinct", "collapsed", "zeros"])
@@ -290,7 +291,7 @@ def test_equal_gain_tie_goes_to_lowest_community_id():
     # Node 0 links the symmetric pairs {1, 3} and {2, 4}, so joining either
     # gains the same. Node 1 comes first in node 0's CSR row but carries the
     # higher community id 2; node 0 must still join community 1.
-    g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)])
+    g = build_graph(5, *edge_columns([(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)]))
     p = Partition(g, [0, 2, 1, 2, 1])
     for seed in range(8):
         out = one_pass(g, p, make_rng(seed))

@@ -18,7 +18,7 @@ import qicd.engine
 from qicd.bench import clique_ring_truth
 from qicd.engine import result_to_json, trace_to_csv
 
-from conftest import make_random_graph
+from conftest import edge_columns, make_random_graph
 
 ALL_KINDS = ("pt", "haar", "hu", "pt-hu", "haar-hu")
 
@@ -57,7 +57,7 @@ def test_clique_ring_control():
 
 
 def test_edgeless_graph_rejected():
-    g = build_graph(3, [])
+    g = build_graph(3, *edge_columns([]))
     with pytest.raises(ValueError, match="no edges"):
         run_qicd(g, _cfg())
 
@@ -177,7 +177,7 @@ def test_proposal_seed_count_resolution():
     k^2 + 1, where a floor or a floor plus one would miss; hu draws no
     weights."""
     for n, k in ((16, 4), (17, 5), (200, 15)):
-        g = build_graph(n, [(u, (u + 1) % n, 1.0) for u in range(n)])  # a cycle
+        g = build_graph(n, *edge_columns([(u, (u + 1) % n, 1.0) for u in range(n)]))  # a cycle
         for kind in ALL_KINDS:
             result = run_qicd(g, _cfg(seed=1, kind=kind, iterations=1, stall_limit=1))
             assert result.proposal_seed_count == (None if kind == "hu" else k), (n, kind)

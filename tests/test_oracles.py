@@ -1,7 +1,7 @@
 """Checks of qicd against routes that share no code with it.
 
-networkx graphs are built from the same (u, v, w) triples that are passed
-to build_graph, never from a qicd Graph, so a fault in graph construction
+networkx graphs are built from the same (u, v, w) triples whose columns
+are passed to build_graph, never from a qicd Graph, so a fault in graph construction
 cannot hide in both sides. hypothesis draws the graphs, partitions,
 groupings and active masks of the property checks.
 """
@@ -30,7 +30,7 @@ from qicd import (
 )
 from qicd.detect import seeded_pass
 
-from conftest import check_move_pass, collapse, communities_connected, reference_edge_list
+from conftest import check_move_pass, collapse, communities_connected, edge_columns, reference_edge_list
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -75,7 +75,7 @@ def communities(labels):
 @given(case=labelled_graphs())
 def test_modularity_matches_networkx(case):
     n, triples, labels = case
-    g = build_graph(n, triples)
+    g = build_graph(n, *edge_columns(triples))
     expected = nx.community.modularity(nx_graph(n, triples), communities(labels), weight="weight")
     assert modularity(g, Partition(g, labels)) == pytest.approx(expected, abs=1e-12)
 
@@ -91,7 +91,7 @@ def _planted_triples(rnd, n=300, k=6, p_in=0.1, p_out=0.01):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_leiden_communities_are_connected_in_networkx(seed):
     triples = _planted_triples(random.Random(seed))
-    g = build_graph(300, triples)
+    g = build_graph(300, *edge_columns(triples))
     reference = nx_graph(300, triples)
     part = leiden(g, seed)
     assert part.community_count > 1
@@ -112,7 +112,7 @@ SPLIT_TRIPLES = (
 
 
 def test_leiden_split_reconnects_what_the_local_moves_leave_apart():
-    g = build_graph(13, SPLIT_TRIPLES)
+    g = build_graph(13, *edge_columns(SPLIT_TRIPLES))
     reference = nx_graph(13, SPLIT_TRIPLES)
     initial = [0] * 6 + [1] * 7
     for seed in range(50):
@@ -139,7 +139,7 @@ def csr_triples(graph):
 @given(case=edge_lists(min_edges=2, min_nodes=4), seed=st.integers(0, 2**32))
 def test_rewire_keeps_each_degree_and_weight_in_networkx(case, seed):
     n, triples = case
-    g = build_graph(n, triples)
+    g = build_graph(n, *edge_columns(triples))
     null = degree_preserving_rewire(g, seed=seed)
     rewired = csr_triples(null)
     before, after = nx_graph(n, triples), nx_graph(n, rewired)
@@ -155,7 +155,7 @@ def test_rewire_keeps_each_degree_and_weight_in_networkx(case, seed):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_rewire_moves_nearly_every_edge(seed):
     triples = _planted_triples(random.Random(seed))
-    null = degree_preserving_rewire(build_graph(300, triples), seed=seed)
+    null = degree_preserving_rewire(build_graph(300, *edge_columns(triples)), seed=seed)
     before = {frozenset((u, v)) for u, v, _w in triples}
     rewired = csr_triples(null)
     moved = sum(frozenset((u, v)) not in before for u, v, _w in rewired)
@@ -166,7 +166,7 @@ def test_rewire_moves_nearly_every_edge(seed):
 @given(case=edge_lists(weights=st.floats(1e-300, 1e300)))
 def test_dump_load_round_trip_is_exact(case):
     n, triples = case
-    g = build_graph(n, triples)
+    g = build_graph(n, *edge_columns(triples))
     back = load_edge_list(dump_edge_list(g))
     for name in ("indptr", "indices", "weights"):
         assert np.array_equal(getattr(back, name), getattr(g, name)), name
@@ -186,8 +186,8 @@ def repeated_edge_lists(draw, weights):
 
 
 def reference_csr(n, triples):
-    """build_graph(n, triples, merge_duplicates=True), one edge at a time:
-    the CSR arrays (as lists), strengths and total weight."""
+    """build_graph(n, *edge_columns(triples), merge_duplicates=True), one
+    edge at a time: the CSR arrays (as lists), strengths and total weight."""
     merged: dict[tuple[int, int], float] = {}
     for u, v, w in triples:
         pair = (min(u, v), max(u, v))
@@ -222,11 +222,28 @@ BUILD_WEIGHTS = {
 def test_build_graph_matches_an_edge_by_edge_adjacency(data, weights, merge):
     strategy = repeated_edge_lists if merge else edge_lists
     n, triples = data.draw(strategy(weights=BUILD_WEIGHTS[weights]))
-    g = build_graph(n, triples, merge_duplicates=merge)
+    g = build_graph(n, *edge_columns(triples), merge_duplicates=merge)
     indptr, indices, csr_weights, strengths, total_weight = reference_csr(n, triples)
     assert (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()) == (indptr, indices, csr_weights)
     assert g.strengths.tolist() == strengths
     assert g.total_weight == total_weight
+
+
+@pytest.mark.parametrize("merge", [False, True])
+@pytest.mark.parametrize("weights", ["unit", *BUILD_WEIGHTS])
+@PROPERTY
+@given(data=st.data())
+def test_build_graph_rebuilds_a_graph_from_its_edge_arrays(data, weights, merge):
+    """build_graph(n, *g.edge_arrays()) is g, bit for bit, whether g was
+    built from distinct pairs or by merging repeated ones."""
+    strategy = repeated_edge_lists if merge else edge_lists
+    n, triples = data.draw(strategy(weights=st.just(1.0) if weights == "unit" else BUILD_WEIGHTS[weights]))
+    g = build_graph(n, *edge_columns(triples), merge_duplicates=merge)
+    again = build_graph(n, *g.edge_arrays())
+    for name in ("indptr", "indices", "weights", "strengths"):
+        a, b = getattr(again, name), getattr(g, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    assert again.total_weight.hex() == g.total_weight.hex()
 
 
 def reference_aggregate(graph, labels):
@@ -259,7 +276,7 @@ def test_aggregate_matches_an_edge_by_edge_merge(case, data):
     """One level and the aggregate of an aggregate, on fractional weights,
     whose sums change bits with the order of the additions."""
     n, triples, labels = case
-    graph = build_graph(n, triples)
+    graph = build_graph(n, *edge_columns(triples))
     for _level in range(2):
         collapsed = aggregate(graph, Partition(graph, labels))
         indptr, indices, weights, strengths, total_weight, self_weights = reference_aggregate(graph, labels)
@@ -327,7 +344,7 @@ def move_cases(draw, collapsed):
     drawn grouping (self weights included), with labels, an active mask
     and a seed for one pass over it."""
     n, triples, labels = draw(labelled_graphs())
-    original = build_graph(n, triples)
+    original = build_graph(n, *edge_columns(triples))
     graph, node_of = original, None
     if collapsed:
         graph, node_of = collapse(original, labels)

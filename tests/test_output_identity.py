@@ -107,7 +107,9 @@ PINNED = {
     # partition and stdout held.
     "pt.trace.csv": "f9b259a18d876055c78f9f2bdaf0d6c8b9575e2f18c2bc0d73b1b1018448a551",
     "ring.el": "8a7934cf6912152e2124e8a585ea3d1c68de3d81a8c88046ca018c17cefb0ef3",
-    "ring.manifest.json": "653b53069ab14336850525a5788a000a91ccf4449865a04d08cffffe5aa5b46d",
+    # ring.manifest.json: generate clique-ring draws nothing and takes no --seed, so its base_seed is
+    # null and its config holds no seed; the graph, truth and stdout held.
+    "ring.manifest.json": "3a23e95efeb94346bdf1b91211d16b891ef6e4a001701af98e8a78216ba75880",
     "ring.stdout": "a0aac7dbfe7f125c6723fa2234a453409978ccd5afecf0c7d4c94c8682aacd45",
     "ring.truth.csv": "fd9dd9bba2e8cb41bc69db766440b8462e8fd42bf90989dab69ae021104465b9",
     "sig.manifest.json": "1f6610fabff8a0f1b4699ee3b717566300b11126ce6bc922980611250e435911",

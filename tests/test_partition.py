@@ -29,6 +29,7 @@ from conftest import (
     TWO_TRIANGLES_EDGES,
     check_move_pass,
     collapse,
+    edge_columns,
     make_random_graph,
     modularity_double_sum,
     traced_bytes,
@@ -59,7 +60,7 @@ def _counted_sums(graph, labels):
 
 
 def test_labels_are_compacted():
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    g = build_graph(3, *edge_columns([(0, 1, 1.0), (1, 2, 1.0)]))
     p = Partition(g, [5, 9, 5])
     assert p.labels == [0, 1, 0]
     assert p.community_count == 2
@@ -67,17 +68,17 @@ def test_labels_are_compacted():
 
 
 def test_label_validation():
-    g = build_graph(2, [(0, 1, 1.0)])
+    g = build_graph(2, *edge_columns([(0, 1, 1.0)]))
     with pytest.raises(ValueError):
         Partition(g, [0])
     with pytest.raises(ValueError):
         Partition(g, [0, -1])
-    assert Partition(build_graph(0, []), []).community_count == 0
+    assert Partition(build_graph(0, *edge_columns([])), []).community_count == 0
 
 
 @pytest.mark.parametrize("labels", [[0.5, 1.7, 0.2], [0.0, 1.0, 0.0], ["1", "0", "1"], [True, False, True]])
 def test_non_integer_labels_are_rejected(labels):
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    g = build_graph(3, *edge_columns([(0, 1, 1.0), (1, 2, 1.0)]))
     with pytest.raises(ValueError, match="labels must be integers"):
         Partition(g, labels)
 
@@ -101,7 +102,7 @@ def test_aggregate_fields_consistent_on_randoms():
 def test_modularity_identities(two_triangles):
     assert abs(modularity(two_triangles, Partition(two_triangles, [0] * 6))) <= 1e-12
     assert modularity(two_triangles, Partition(two_triangles, [0, 0, 0, 1, 1, 1])) == 0.5
-    single = build_graph(2, [(0, 1, 1.0)])
+    single = build_graph(2, *edge_columns([(0, 1, 1.0)]))
     assert modularity(single, singleton_partition(single)) == -0.5
 
 
@@ -111,8 +112,8 @@ def test_modularity_reads_the_graph_it_is_given():
     def check(g1, g2, labels):
         assert modularity(g2, Partition(g1, labels)) == modularity(g2, Partition(g2, labels))
 
-    path = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    other_path = build_graph(4, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+    path = build_graph(4, *edge_columns([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]))
+    other_path = build_graph(4, *edge_columns([(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)]))
     assert modularity(other_path, Partition(path, [0, 0, 1, 1])) == -0.5
     check(path, other_path, [0, 0, 1, 1])
     rnd = random.Random(5)
@@ -135,7 +136,8 @@ def test_modularity_reads_the_graph_it_is_given():
 
 def _random_graph(rnd, n):
     """A weighted graph on exactly n nodes, each pair an edge with probability 1/2."""
-    return build_graph(n, [(i, j, rnd.uniform(0.1, 3.0)) for i in range(n) for j in range(i + 1, n) if rnd.random() < 0.5])
+    triples = [(i, j, rnd.uniform(0.1, 3.0)) for i in range(n) for j in range(i + 1, n) if rnd.random() < 0.5]
+    return build_graph(n, *edge_columns(triples))
 
 
 def test_move_nodes_reads_the_graph_it_is_given():
@@ -156,7 +158,7 @@ def test_move_nodes_reads_the_graph_it_is_given():
 
 
 def test_modularity_edgeless_errors():
-    g = build_graph(3, [])
+    g = build_graph(3, *edge_columns([]))
     with pytest.raises(ValueError, match="no edges"):
         modularity(g, Partition(g, [0, 0, 0]))
 
@@ -194,7 +196,7 @@ def test_weight_scaling_invariance():
             continue
         lam = rnd.uniform(0.01, 50.0)
         us, vs, ws = g.edge_arrays()
-        scaled = build_graph(g.node_count, zip(us.tolist(), vs.tolist(), (ws * lam).tolist()))
+        scaled = build_graph(g.node_count, us, vs, ws * lam)
         labels = _random_partition(rnd, g.node_count)
         q1 = modularity(g, Partition(g, labels))
         q2 = modularity(scaled, Partition(scaled, labels))
@@ -268,7 +270,7 @@ def test_aggregate_singletons_is_isomorphic():
 
 def test_aggregate_two_triangles_with_bridge():
     edges = TWO_TRIANGLES_EDGES + [(2, 3, 1.0)]
-    g = build_graph(6, edges)
+    g = build_graph(6, *edge_columns(edges))
     p = Partition(g, [0, 0, 0, 1, 1, 1])
     agg = aggregate(g, p)
     assert agg.node_count == 2

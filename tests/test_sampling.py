@@ -21,7 +21,7 @@ from qicd import (
 )
 from qicd.sampling import REASSIGN_FRACTION, SKEW_FACTOR
 
-from conftest import make_random_graph
+from conftest import edge_columns, make_random_graph
 
 
 class _UnitUniform:
@@ -80,7 +80,7 @@ def test_sampling_determinism():
 
 
 def _path_graph(n):
-    return build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    return build_graph(n, *edge_columns([(i, i + 1, 1.0) for i in range(n - 1)]))
 
 
 def test_propose_path_example():
@@ -99,7 +99,7 @@ def test_propose_all_seeds_gives_singletons():
 
 
 def test_propose_unreachable_nodes_become_singletons():
-    g = build_graph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+    g = build_graph(5, *edge_columns([(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]))
     p = propose_partition(g, np.array([9.0, 1.0, 1.0, 0.1, 0.2]), 1)
     assert p.labels[0] == p.labels[1] == p.labels[2]
     assert list(Counter(p.labels).values()).count(1) == 2
@@ -117,7 +117,7 @@ def test_propose_ties_break_to_lower_node_id():
 
 def test_propose_equidistant_tie_prefers_heavier_seed():
     # star-of-paths: node 2 is adjacent to both seeds 0 and 4
-    g = build_graph(5, [(0, 2, 1.0), (4, 2, 1.0), (0, 1, 1.0), (4, 3, 1.0)])
+    g = build_graph(5, *edge_columns([(0, 2, 1.0), (4, 2, 1.0), (0, 1, 1.0), (4, 3, 1.0)]))
     p = propose_partition(g, np.array([2.0, 0.1, 0.0, 0.1, 9.0]), 2)
     assert p.labels[2] == p.labels[4]  # heavier seed wins the simultaneous arrival
 
@@ -149,7 +149,7 @@ def test_propose_community_bound():
 
 
 def _cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    return build_graph(n, *edge_columns([(i, (i + 1) % n, 1.0) for i in range(n)]))
 
 
 def test_hyperuniform_adjust_example():
