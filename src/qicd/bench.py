@@ -191,19 +191,13 @@ def generate_planted(spec: PlantedSpec) -> tuple[Graph, list[int]]:
     p_in, inter-community pairs with p_out; edges are unweighted.
     """
     sizes = planted_sizes(spec.n, spec.k)
-    starts = [0]
-    for s in sizes[:-1]:
-        starts.append(starts[-1] + s)
-    labels = []
-    for c, s in enumerate(sizes):
-        labels.extend([c] * s)
-
+    labels = np.repeat(np.arange(spec.k), sizes).tolist()
     intra_pairs, inter_pairs = _pair_counts(sizes)
     expected = spec.p_in * intra_pairs + spec.p_out * inter_pairs
     if expected < 1.0:
         raise ValueError(f"expected edge count {expected:.3g} is below 1; spec would be empty")
 
-    runs = _planted_runs(spec, sizes, starts)
+    runs = _planted_runs(spec, sizes)
     us = np.concatenate([u for u, _v in runs])
     vs = np.concatenate([v for _u, v in runs])
     del runs  # before build_graph makes its own arrays
@@ -218,13 +212,14 @@ def _pair_counts(sizes: list[int]) -> tuple[int, int]:
     return sum(s * (s - 1) // 2 for s in sizes), (n * n - sum(s * s for s in sizes)) // 2
 
 
-def _planted_runs(spec: PlantedSpec, sizes: list[int], starts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _planted_runs(spec: PlantedSpec, sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (u, v) arrays of the pairs the intra blocks draw, then those of
     the inter blocks, each block in turn from the spec's seeded stream."""
     rng = make_rng(spec.seed)
     # Intra blocks: sample the full s*s rectangle and keep cells above the
     # diagonal, so each unordered pair is hit with probability exactly p_in.
-    size, start = np.array(sizes, dtype=np.int64), np.array(starts, dtype=np.int64)
+    size = np.array(sizes, dtype=np.int64)
+    start = np.cumsum(size) - size
     intra = np.flatnonzero(size >= 2)
     hits, counts = _bernoulli_runs(size[intra] ** 2, spec.p_in, rng)
     s = np.repeat(size[intra], counts)
@@ -318,9 +313,7 @@ def ring_of_cliques(cliques: int, size: int) -> Graph:
         raise ValueError("clique size must be at least 3")
     # The pairs i < j of one clique in row order; every clique lists them
     # from its first node, then the bridges follow, one clique to the next.
-    counts = np.arange(size - 1, 0, -1)
-    i = np.repeat(np.arange(size - 1), counts)
-    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts) + i + 1
+    i, j = np.triu_indices(size, 1)
     base = np.arange(cliques) * size
     us = np.append(np.add.outer(base, i), base + size - 1)
     vs = np.append(np.add.outer(base, j), np.roll(base, -1))
@@ -391,25 +384,22 @@ METHODS: dict[str, tuple[str, str | None]] = {
 }
 
 
-def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig | None = None) -> float:
+def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig = QicdConfig()) -> float:
     """Run one method of METHODS once; returns the modularity of its result.
 
     The method name sets the base optimizer and the proposal kind;
-    everything else comes from cfg, reseeded from `seed`.
+    everything else comes from cfg, reseeded with `seed`.
     """
-    cfg = cfg or QicdConfig()
     base, kind = METHODS[name]
     if kind is None:
         part = louvain(graph, seed) if base == "louvain" else leiden(graph, seed)
         return modularity(graph, part)
-    return run_qicd(graph, replace(cfg, kind=kind, base=base, baseline_seed=seed, seed=mix(seed, 1))).q_star
+    return run_qicd(graph, replace(cfg, kind=kind, base=base, seed=seed)).q_star
 
 
-def run_experiment(
-    graph: Graph, runs: dict[str, int], base_seed: int, *, cfg: QicdConfig | None = None
-) -> list[TrialSample]:
+def run_experiment(graph: Graph, runs: dict[str, int], *, cfg: QicdConfig = QicdConfig()) -> list[TrialSample]:
     """Run each method of `runs` on `graph` as many times as it maps to,
-    with decoupled per-run seeds, in the mapping's order.
+    in the mapping's order, with per-run seeds derived from cfg.seed.
 
     The runs go through run_seeded; each result depends only on its seed.
     """
@@ -422,7 +412,7 @@ def run_experiment(
         if count < 1:
             raise ValueError(f"method {m!r} needs at least 1 run")
 
-    seeds = {name: tuple(mix(base_seed, mi, ri) for ri in range(count))
+    seeds = {name: tuple(mix(cfg.seed, mi, ri) for ri in range(count))
              for mi, (name, count) in enumerate(runs.items())}
     results = run_seeded([
         partial(method_q, name, graph, seed, cfg) for name, method_seeds in seeds.items() for seed in method_seeds
@@ -443,19 +433,20 @@ def run_experiment(
 
 def _null_mrg(graph: Graph, cfg: QicdConfig, seed: int, i: int) -> float:
     null_graph = degree_preserving_rewire(graph, seed=mix(seed, 1, i))
-    return run_qicd(null_graph, replace(cfg, seed=mix(seed, 2, i), baseline_seed=mix(seed, 3, i))).mrg
+    return run_qicd(null_graph, replace(cfg, seed=mix(seed, 3, i))).mrg
 
 
-def mrg_significance(graph: Graph, cfg: QicdConfig, null_count: int = 20, seed: int = 0) -> MrgReport:
+def mrg_significance(graph: Graph, cfg: QicdConfig, null_count: int = 20) -> MrgReport:
     """Compare the observed MRG against degree-preserving null graphs.
 
     Rewires the graph null_count times, runs the same QICD configuration on
-    each null (with derived seeds), and reports where the observed gap falls
-    in the null distribution (mid-rank percentile). The observed run and
-    the nulls go through run_seeded.
+    each null (with seeds derived from mix(cfg.seed, 2)), and reports where
+    the observed gap falls in the null distribution (mid-rank percentile).
+    The observed run and the nulls go through run_seeded.
     """
     if null_count < 5:
         raise ValueError("null_count must be >= 5")
+    seed = mix(cfg.seed, 2)
     observed, *gaps = run_seeded([
         lambda: run_qicd(graph, cfg).mrg,
         *(partial(_null_mrg, graph, cfg, seed, i) for i in range(null_count)),

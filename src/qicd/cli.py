@@ -46,7 +46,7 @@ from .detect import MAX_LEVELS, MAX_SWEEPS, MIN_GAIN, leiden, louvain
 from .engine import BASE_METHODS, KIND_NAMES, QicdConfig, result_to_json, run_qicd, trace_to_csv
 from .graph import dump_edge_list, load_edge_list
 from .partition import labels_to_csv, modularity
-from .rng import RNG_NAME, mix
+from .rng import RNG_NAME
 from .sampling import REASSIGN_FRACTION, SKEW_FACTOR
 from .stats import summarize, welch_t_test
 
@@ -117,9 +117,8 @@ def _default(fn, name: str):
 
 
 def _qicd_config(config: dict) -> QicdConfig:
-    """The QicdConfig fields that config sets (benchmark sets no kind or base), seeded from --seed."""
-    fields = {key: config[key] for key in asdict(_QICD) if key in config and key != "seed"}
-    return replace(_QICD, **fields, baseline_seed=config["seed"], seed=mix(config["seed"], 1))
+    """The QicdConfig fields that config sets (benchmark sets no kind or base), --seed among them."""
+    return replace(_QICD, **{key: config[key] for key in asdict(_QICD) if key in config})
 
 
 # ---------------------------------------------------------------- generate
@@ -268,7 +267,7 @@ def _run_benchmark(config: dict):
 
     graph, texts = _load_graph(config)
     try:
-        samples = run_experiment(graph, runs, config["seed"], cfg=_qicd_config(config))
+        samples = run_experiment(graph, runs, cfg=_qicd_config(config))
     except RuntimeError as exc:
         # The message names the failed method and run.
         if isinstance(exc.__cause__, DATA_ERRORS):
@@ -299,7 +298,7 @@ def _run_mrg(config: dict):
         raise UsageError("--nulls must be at least 5")
     cfg = _qicd_config(config)
     graph, texts = _load_graph(config)
-    report = mrg_significance(graph, cfg, config["nulls"], seed=mix(config["seed"], 2))
+    report = mrg_significance(graph, cfg, config["nulls"])
     texts["report"] = _json_text(asdict(report) | {"null_count": config["nulls"], "swap_factor": float(SWAP_FACTOR)})
     message = f"MRG={report.observed_mrg:.6f} null_mean={report.null_mean:.6f} percentile={report.percentile:.1f}\n"
     return texts, {}, message
@@ -503,9 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, path in paths.items():
             _write_text(path, texts[key])
         outputs = paths | recorded
-        manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME,
-                    "base_seed": config.get("seed"), "config": config, "inputs": inputs, "outputs": outputs,
-                    "duration_seconds": time.perf_counter() - started}
+        manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME, "config": config,
+                    "inputs": inputs, "outputs": outputs, "duration_seconds": time.perf_counter() - started}
         _write_text(manifest_path, _json_text(manifest))
         sys.stdout.write(message)
         return EXIT_OK

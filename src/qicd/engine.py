@@ -33,8 +33,6 @@ class QicdConfig:
     kind: str = "haar"
     iterations: int = 10
     stall_limit: int = 5
-    # Seed of the baseline run's node-visit order.
-    baseline_seed: int = 0
     # Classical optimizer of the MRG baseline, which is also the loop's start.
     base: str = "leiden"
     # When set, each proposal is polished by a full seeded base-method pass
@@ -43,6 +41,9 @@ class QicdConfig:
     # rule compares the raw proposal, which on refined incumbents almost
     # never accepts.
     refine_before_accept: bool = False
+    # The run's one seed. The baseline's node-visit order is drawn at seed
+    # and the loop's streams from mix(seed, 1): every protocol compares a
+    # loop with the baseline it starts from, so no caller seeds them apart.
     seed: int = 0
 
     def __post_init__(self):
@@ -96,13 +97,13 @@ def _propose(
 def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     """Run the refinement loop and return the best partition with its trace.
 
-    The baseline is a full classical run of cfg.base at the baseline seed,
-    and the loop starts from that partition. The best is kept across
+    The baseline is a full classical run of cfg.base at cfg.seed, and the
+    loop starts from that partition. The best is kept across
     iterations, so q_star >= q_baseline, and the MRG is >= 0, for every
     config.
     """
     detect = louvain if cfg.base == "louvain" else leiden
-    baseline_partition = detect(graph, cfg.baseline_seed)
+    baseline_partition = detect(graph, cfg.seed)
     q_baseline = modularity(graph, baseline_partition)
 
     current = best = baseline_partition
@@ -118,9 +119,10 @@ def run_qicd(graph: Graph, cfg: QicdConfig) -> QicdResult:
     # gains below MIN_GAIN, so it is refined at t = 1 and after each
     # acceptance only.
     accepted = True
+    loop_seed = mix(cfg.seed, 1)
     for t in range(1, cfg.iterations + 1):
         started = time.perf_counter()
-        rng = make_rng(mix(cfg.seed, t))
+        rng = make_rng(mix(loop_seed, t))
         if accepted:
             current = leiden_refine(graph, move_nodes(graph, current, rng))
             q_ref = modularity(graph, current)

@@ -210,9 +210,8 @@ def test_directional_uplift(weak_planted_graph):
                 kind="haar",
                 iterations=10,
                 stall_limit=10,
-                baseline_seed=seed,
                 refine_before_accept=True,
-                seed=mix(seed, 1),
+                seed=seed,
             )
             result = run_qicd(graph, cfg)
             star_qs.append(result.q_star)
@@ -246,9 +245,8 @@ def test_high_q_no_inflation(strong_planted_graph):
                         kind=kind,
                         iterations=10,
                         stall_limit=10,
-                        baseline_seed=seed,
                         refine_before_accept=True,
-                        seed=mix(seed, 1),
+                        seed=seed,
                     )
                     gaps.append(run_qicd(graph, cfg).mrg)
                 assert sum(gaps) / len(gaps) <= 0.005, (kind, gaps)
@@ -270,15 +268,15 @@ def test_monotone_best_trace():
             kind = rnd.choice(kinds)
             iterations = rnd.randint(1, 8)
             stall_limit = rnd.randint(1, 8)
-            baseline_seed = rnd.randrange(2**32)
-            # Drawn and discarded: this draw chose the retired start mode,
-            # and keeping it keeps the same 50 graphs and configs.
+            # Drawn and discarded: these draws chose the retired baseline
+            # seed and start mode, and keeping them keeps the same 50 graphs
+            # and configs.
+            rnd.randrange(2**32)
             rnd.choice(("singleton", "quick-leiden"))
             cfg = QicdConfig(
                 kind=kind,
                 iterations=iterations,
                 stall_limit=stall_limit,
-                baseline_seed=baseline_seed,
                 refine_before_accept=rnd.random() < 0.5,
                 seed=rnd.randrange(2**32),
             )
@@ -328,8 +326,7 @@ def test_scaling_subquadratic():
         cfg = QicdConfig(
             kind="haar",
             iterations=10,
-            baseline_seed=3,
-            seed=7,
+            seed=3,
         )
         # The minimum of two runs per size filters scheduler noise out of the
         # wall-clock samples, and the sizes take turns (10k, 20k, 10k, 20k),

@@ -2,6 +2,7 @@ import math
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qicd import (
     mrg_significance,
     ring_of_cliques,
     run_experiment,
+    run_qicd,
 )
 from qicd.bench import METHODS, clique_ring_truth, planted_sizes, run_seeded, spec_for_ratio
 from qicd.graph import NodeCountError
@@ -223,7 +225,7 @@ def _reference_pairs(spec: PlantedSpec) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_planted_runs_match_the_per_block_loop(spec):
     sizes = planted_sizes(spec.n, spec.k)
-    runs = qicd.bench._planted_runs(spec, sizes, np.cumsum([0] + sizes[:-1]).tolist())
+    runs = qicd.bench._planted_runs(spec, sizes)
     u, v = _reference_pairs(spec)
     assert np.array_equal(np.concatenate([u for u, _v in runs]), u)
     assert np.array_equal(np.concatenate([v for _u, v in runs]), v)
@@ -395,9 +397,9 @@ def test_method_registry_covers_expected_grid():
 def test_run_experiment_grid_and_determinism():
     g, _ = generate_planted(PlantedSpec(80, 4, 0.4, 0.05, seed=6))
     runs = {"leiden": 2, "leiden-haar": 2, "louvain": 3}
-    cfg = QicdConfig(iterations=2, stall_limit=2)
-    samples_a = run_experiment(g, runs, 42, cfg=cfg)
-    samples_b = run_experiment(g, runs, 42, cfg=cfg)
+    cfg = QicdConfig(iterations=2, stall_limit=2, seed=42)
+    samples_a = run_experiment(g, runs, cfg=cfg)
+    samples_b = run_experiment(g, runs, cfg=cfg)
     assert samples_a == samples_b
     assert [s.method for s in samples_a] == list(runs)
     assert len(samples_a[2].q_values) == 3
@@ -406,28 +408,51 @@ def test_run_experiment_grid_and_determinism():
         assert len(s.seeds) == len(s.q_values)
 
 
+def test_run_experiment_samples_follow_cfg_seed():
+    """Run r of the m-th method is seeded with mix(cfg.seed, m, r), so another
+    cfg.seed draws other runs."""
+    g, _ = generate_planted(PlantedSpec(120, 4, 0.2, 0.06, seed=3))
+    runs = {"leiden": 4, "louvain": 4}
+    samples = {seed: run_experiment(g, runs, cfg=QicdConfig(seed=seed)) for seed in (1, 2)}
+    for seed, drawn in samples.items():
+        assert [s.seeds for s in drawn] == [tuple(mix(seed, mi, ri) for ri in range(4)) for mi in range(2)]
+    assert [s.q_values for s in samples[1]] != [s.q_values for s in samples[2]]
+
+
+@pytest.mark.parametrize("name", ["leiden-haar", "louvain-hu"])
+def test_a_qicd_method_runs_cfg_reseeded_with_its_run_seed(name):
+    """A QICD method's run at seed s is run_qicd on cfg with its method's
+    base and kind and seed s; the rest of cfg, its seed aside, is kept."""
+    g, _ = generate_planted(PlantedSpec(120, 4, 0.2, 0.06, seed=3))
+    cfg = QicdConfig(iterations=3, stall_limit=3, refine_before_accept=True, seed=99)
+    (sample,) = run_experiment(g, {name: 3}, cfg=cfg)
+    base, kind = METHODS[name]
+    expected = [run_qicd(g, replace(cfg, kind=kind, base=base, seed=s)).q_star for s in sample.seeds]
+    assert list(sample.q_values) == expected
+
+
 def test_run_experiment_validation():
     g, _ = generate_planted(PlantedSpec(40, 2, 0.4, 0.1, seed=2))
     with pytest.raises(ValueError, match="unknown method"):
-        run_experiment(g, {"bogus": 2}, 1)
+        run_experiment(g, {"bogus": 2})
     with pytest.raises(ValueError, match="at least 1 run"):
-        run_experiment(g, {"leiden": 0}, 1)
+        run_experiment(g, {"leiden": 0})
     for graph in (None, [g]):
         with pytest.raises(ValueError, match="graph must be a Graph, got "):
-            run_experiment(graph, {"leiden": 2}, 1)
+            run_experiment(graph, {"leiden": 2})
 
 
 def test_run_experiment_failure_identifies_run():
     g = build_graph(4, *edge_columns([]))  # edgeless: every run fails
     with pytest.raises(RuntimeError, match="method 'leiden' run 0"):
-        run_experiment(g, {"leiden": 2}, 1)
+        run_experiment(g, {"leiden": 2})
 
 
 def test_run_experiment_failure_in_a_worker_keeps_its_cause(monkeypatch):
     _pin_cpus(monkeypatch, 2)
     g = build_graph(4, *edge_columns([]))
     with pytest.raises(RuntimeError, match="method 'louvain' run 0 failed: modularity undefined") as info:
-        run_experiment(g, {"louvain": 2}, 1)
+        run_experiment(g, {"louvain": 2})
     assert type(info.value.__cause__) is ValueError
 
 
@@ -469,7 +494,7 @@ def test_run_experiment_lets_a_dead_worker_through(monkeypatch):
     parent = os.getpid()
     real_method_q = qicd.bench.method_q
 
-    def method_q(name, graph, seed, cfg=None):
+    def method_q(name, graph, seed, cfg):
         if name == "louvain" and os.getpid() != parent:  # never kill the test run itself
             os.kill(os.getpid(), signal.SIGKILL)
         return real_method_q(name, graph, seed, cfg)
@@ -477,7 +502,7 @@ def test_run_experiment_lets_a_dead_worker_through(monkeypatch):
     monkeypatch.setattr(qicd.bench, "method_q", method_q)
     g = ring_of_cliques(4, 4)
     with pytest.raises(BrokenProcessPool) as info:
-        run_experiment(g, {"leiden": 2, "louvain": 2}, 1)
+        run_experiment(g, {"leiden": 2, "louvain": 2})
     assert "failed" not in str(info.value)
 
 
@@ -487,16 +512,26 @@ def test_mrg_significance_mechanics():
         kind="haar",
         iterations=2,
         stall_limit=2,
-        baseline_seed=5,
-        seed=11,
+        seed=5,
     )
     with pytest.raises(ValueError, match=">= 5"):
-        mrg_significance(g, cfg, null_count=4, seed=1)
-    report = mrg_significance(g, cfg, null_count=5, seed=1)
+        mrg_significance(g, cfg, null_count=4)
+    report = mrg_significance(g, cfg, null_count=5)
     assert len(report.null_gaps) == 5
     assert 0.0 <= report.percentile <= 100.0
     assert report.null_std >= 0.0
     assert math.isfinite(report.observed_mrg)
+
+
+def test_mrg_significance_is_seeded_by_cfg_alone():
+    """The observed gap is run_qicd's on cfg itself; equal configs give equal
+    reports, and another cfg.seed rewires and runs other nulls."""
+    g, _ = generate_planted(PlantedSpec(100, 4, 0.2, 0.08, seed=8))
+    cfg = QicdConfig(kind="haar", iterations=3, stall_limit=3, seed=5)
+    report = mrg_significance(g, cfg, null_count=5)
+    assert report.observed_mrg == run_qicd(g, cfg).mrg
+    assert mrg_significance(g, QicdConfig(kind="haar", iterations=3, stall_limit=3, seed=5), null_count=5) == report
+    assert mrg_significance(g, replace(cfg, seed=6), null_count=5).null_gaps != report.null_gaps
 
 
 def test_mrg_percentile_is_the_mid_rank(monkeypatch):
@@ -517,9 +552,8 @@ def test_mrg_percentile_low_on_er_graph():
         kind="haar",
         iterations=4,
         stall_limit=4,
-        baseline_seed=11,
         refine_before_accept=True,
-        seed=13,
+        seed=11,
     )
-    report = mrg_significance(g, cfg, null_count=8, seed=21)
+    report = mrg_significance(g, cfg, null_count=8)
     assert report.percentile < 95.0

@@ -14,7 +14,6 @@ import pytest
 
 import qicd
 from qicd.cli import _RETIRED, _Parser, _qicd_config, build_parser, main
-from qicd.rng import mix
 
 
 @pytest.fixture()
@@ -66,7 +65,7 @@ def test_generate_clique_ring_takes_no_seed(workdir, capsys):
     assert list(workdir.iterdir()) == []
     assert main([*argv, "--out", "ring.el"]) == 0
     manifest = json.loads((workdir / "ring.manifest.json").read_text())
-    assert manifest["base_seed"] is None and "seed" not in manifest["config"]
+    assert "seed" not in manifest["config"] and "base_seed" not in manifest
     old = {**manifest, "base_seed": 99, "config": {**manifest["config"], "seed": 99, "out": "old.el"}}
     (workdir / "old.json").write_text(json.dumps(old))
     assert main(["--from-manifest", "old.json"]) == 0
@@ -782,8 +781,7 @@ def test_config_surface():
     actions = [a for a in parser.commands["qicd"]._actions if a.default is not argparse.SUPPRESS]
     config = {a.dest: a.default for a in actions}
     fields = asdict(_qicd_config(config))
-    assert sorted(fields) == ["base", "baseline_seed", "iterations", "kind", "refine_before_accept", "seed",
-                              "stall_limit"]
+    assert sorted(fields) == ["base", "iterations", "kind", "refine_before_accept", "seed", "stall_limit"]
     set_by_flags = set()
     for a in actions:
         if a.nargs == 0:
@@ -800,9 +798,8 @@ def test_config_surface():
         set_by_flags |= {key for key in fields if changed[key] != fields[key]}
     assert set_by_flags == set(fields)
     assert not {a.dest for p in parser.commands.values() for a in p._actions} & set(_RETIRED)
-    # --seed s runs the baseline at s and the loop at mix(s, 1).
-    seeded = _qicd_config({**config, "seed": 5})
-    assert (seeded.baseline_seed, seeded.seed) == (5, mix(5, 1))
+    # --seed s is the run's one seed, from which run_qicd derives the loop's.
+    assert _qicd_config({**config, "seed": 5}).seed == 5
 
 
 def _misspelled_flags(parser) -> list[str]:

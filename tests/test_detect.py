@@ -77,7 +77,7 @@ def check_labels_under_scaling(equal: bool):
     # At both ends of the range of k every weight stays a normal float and 2m stays finite.
     assert math.ldexp(min(weights), -1000) >= sys.float_info.min
     assert math.ldexp(2.0 * math.fsum(weights), 1000) < sys.float_info.max
-    polished = QicdConfig(kind="haar-hu", iterations=3, refine_before_accept=True, baseline_seed=5, seed=5)
+    polished = QicdConfig(kind="haar-hu", iterations=3, refine_before_accept=True, seed=5)
 
     def labels(k):
         g = build_graph(n, *edge_columns([(u, v, math.ldexp(w, k)) for u, v, w in edges]))
@@ -211,6 +211,29 @@ def test_move_nodes_matches_the_reference_loop(monkeypatch, weight):
             patched.setattr(qicd.detect, "_move_pass", _reference_pass)
             expected = move_nodes(graph, start, make_rng(seed)).labels
         assert move_nodes(graph, start, make_rng(seed)).labels == expected
+
+
+def test_move_nodes_stops_at_the_first_sweep_below_min_gain(monkeypatch):
+    # Two bridged triangles, then 0 -(7e-6)- 6 -(1e-6)- 7 with {6, 7} one
+    # community. Seed 4 visits 7 before 6, so the first sweep moves only 6
+    # to the first triangle and gains ~2.9e-7, between MIN_GAIN and ten
+    # times it; the second moves 7 after it and gains ~7.1e-8, below
+    # MIN_GAIN, which ends the level there with 7 moved.
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
+             (0, 6, 7e-6), (6, 7, 1e-6)]
+    graph = build_graph(8, *edge_columns(edges))
+    gains = []
+
+    def recorded(*args):
+        gains.append(_move_pass(*args))
+        return gains[-1]
+
+    monkeypatch.setattr(qicd.detect, "_move_pass", recorded)
+    out = move_nodes(graph, Partition(graph, [0, 0, 0, 1, 1, 1, 2, 2]), make_rng(4))
+    assert len(gains) == 2
+    assert qicd.detect.MIN_GAIN <= gains[0] < 10 * qicd.detect.MIN_GAIN
+    assert 0.0 < gains[1] < qicd.detect.MIN_GAIN
+    assert out.labels == [0, 0, 0, 1, 1, 1, 0, 0]
 
 
 def test_a_zero_weight_lists_a_community_twice_and_its_second_read_loses():

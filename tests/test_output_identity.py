@@ -69,60 +69,55 @@ PINNED = {
     "hh.stdout": "6eed093f46f5d6c3ab6e66ab8dfd0ff3b49408028b1ebc608a14380e3cb87775",
     "pt.stdout": "78608ab56da62df14f61e00649bed7b05941421b352693bfdbd5633a802f940d",
     "bench.stdout": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
-    "sig.stdout": "5fbab33d3144bc4f6e1e3db07580bbee710aa730b4f7e3902259560a48c6d814",
-    # bench.manifest.json: benchmark reads its graph from --graph alone, so the config no longer records
-    # generate_spec or fresh_graphs; the runs CSV, summary, table and stdout held.
-    "bench.manifest.json": "526597ee9be9ccca6483a92e193c321786f763eb806c6b8f2322148f3550547c",
+    # sig.stdout and sig.mrg.json: each null's loop draws from its own baseline seed, mix(seed, 3, i),
+    # not from mix(seed, 2, i); the observed gap, the percentile and every rewired null held.
+    "sig.stdout": "4f209c248cdc048c6a7b518bc7a36dc31d8d16bb4c126765addf2f172ddb2681",
+    # Every manifest: the config's seed is the one record of --seed, so no top-level base_seed is written.
+    "bench.manifest.json": "9492e901e1dcca0a5a09916e1e58955b742bc67524e2c45dbbf83d77f5a61c71",
     "bench.runs.csv": "b89c505789e901b5718a70c963007c39e3f74d1b5375709e124e66a8242afec9",
     "bench.summary.json": "5b85abb5f3dcb113135730edcfb672841f4c0245827083fc62ed6fe46daad283",
     "bench.table.txt": "e5647506acbf91b92f9b7f895a8b88265cb92af7d73c78a94c1a29f89a38ad54",
     "cal.el": "71da83b6ef03bd2f23c1f14b0ea78a3f7f57d2d85990c1203e5458fe322930f6",
-    # cal.manifest.json, null.manifest.json and sig.manifest.json: the calibration's run count and the rewire's
-    # swap factor are the constants CALIBRATION_RUNS and SWAP_FACTOR, so the configs no longer record
-    # calibration_runs or swap_factor; the graphs, truth, report and stdout held.
-    "cal.manifest.json": "1ba9f5f03f24dd1160c0aec3507ebbf1136369d23ccc47607ed2bb5c7c0c3108",
+    "cal.manifest.json": "c5e25529819e123314392e0b57ea5ea15d365adda537faac6278946b71ce9a95",
     "cal.stdout": "92488bad7e5a8932554b5ed2213f3e2ca17fe72c034c255d8a811f60caac45ba",
     "cal.truth.csv": "a2579d0ef6dcb689a894f63833363ee201682d0abb7a11951ea5fee1bdb007d8",
     "det.csv": "d7448b87a6b45e5b02104a39fc69428abe10a3d9b2c6396f35ee1b83a65efd40",
-    "det.manifest.json": "09e1d7335fec139032d9e4bc0e49b5e2acc59b56820eaba337700fea39292c5c",
+    "det.manifest.json": "d1f66c401a7c2ec91ec658753865961bb0f5fd1d408480cfd4eb8a64abaad4c4",
     "g.el": "b5a150026f9e12928df97351366399ffd91cf4b4dc9cbfe810ada3222ddeff54",
-    "g.manifest.json": "5d79d6781c4bb8edba3aabeee093cc09d28c3486248662108bf9f8fb103c6004",
+    "g.manifest.json": "a952b941689bdd12ee2721d4ee3c26ae06b44b3440368410c033d5ba3d8c9cd4",
     "g.truth.csv": "3ef62bb3386805e5cb67d4c2b362e0b65ca8162ef1f6484cf159e3dd68a7c9dc",
     "g60.stdout": "d675096c0cd01f3d40d6dfe2f984a327c97a26881a7e7beac05a80df85395a5d",
     "g60.el": "cbe328f2fa263d1d73499a91f685e065f1a11bb2ed22c227d983dea7389dc3b1",
-    "g60.manifest.json": "3e4643ee553d04af7529bf5f61b715188f360df84d0465f2c195e78f4bc535fa",
+    "g60.manifest.json": "8434de10ec82dbdd9fe12a9991d6457204df0c3196dbb27f615746970d41b426",
     "g60.truth.csv": "023189e78ff9d948b81e8c3067d13b4096f17ed7304ddb1b322ee0ca194d0bae",
-    # hh.json, pt.json and whh.json: the config echo holds a flat baseline_seed, not a nested detector seed,
-    # and no proposal_seeds. The manifests of bench, hh, pt, sig and whh record no proposal_seeds either.
-    "hh.json": "a0755aae41e23ad8c44fa3c1526763f81afbf2864f3de09e5902fbcfd278653b",
-    "hh.manifest.json": "897c9b0293b784f07e8330fac7ee396e7e2494595b7285e42c371b1681f1478e",
+    # hh.json, pt.json and whh.json: the config echo's seed is --seed itself, and it holds no baseline_seed.
+    "hh.json": "89c365b2c90108690bea4ececa5ea6448da906de4b18d9d4eabea09c872d5936",
+    "hh.manifest.json": "7643cfd5be1aa93688aeccf413ea64d28218a53b1f8d16783aec31347a72f713",
     "hh.partition.csv": "c1403becd7b94060afded2e3cd64079806f011ad18499d05d13c40300d705d9a",
     "hh.trace.csv": "8335349605feb469dbd5af2b984d2974dc5e6adb9ae76076a5dea55f1c229f9d",
     "null.el": "269ed06b26f235544869e6c9b5b35e6caad6913896b7987689bbc8df2a62a222",
-    "null.manifest.json": "1a7bbffe7d79d785dfc496f5751cb48246475ce3a77127e97aed67338f5646fa",
-    "pt.json": "1bb84b8d26616431f338a9e0ef0adb7b0693c5a3f9dbb45a0306c62e22029609",
-    "pt.manifest.json": "60dc9486ab77ef39915c56fcd0dfbfc0a37bdbde0242a1403f08062e9f618321",
+    "null.manifest.json": "30cd149570bad87eba0d252815d6c98c620d04c358e4d16d6f972d970bead6c6",
+    "pt.json": "7b697809a4f0f700425ea1c2e58cbe8e5bfe72e215457f3eacdabb3df41ef00c",
+    "pt.manifest.json": "986bb699da8639db41c4ee6d6601ab9e51f602c99482ac4b5b6c628b637f7dd5",
     "pt.partition.csv": "ae9e1952e2070e81848e963f0e4ce69ddc3227dd3b9ce66d88c60e070c8bde7f",
     # pt.trace.csv: K is ceil(sqrt(200)) = 15, not the 7 that the retired --seeds once set; the
     # partition and stdout held.
     "pt.trace.csv": "f9b259a18d876055c78f9f2bdaf0d6c8b9575e2f18c2bc0d73b1b1018448a551",
     "ring.el": "8a7934cf6912152e2124e8a585ea3d1c68de3d81a8c88046ca018c17cefb0ef3",
-    # ring.manifest.json: generate clique-ring draws nothing and takes no --seed, so its base_seed is
-    # null and its config holds no seed; the graph, truth and stdout held.
-    "ring.manifest.json": "3a23e95efeb94346bdf1b91211d16b891ef6e4a001701af98e8a78216ba75880",
+    "ring.manifest.json": "92927a5afbb7085ef1229057ef9e678c6344154bbced88a2d3d503c2081ec8a6",
     "ring.stdout": "a0aac7dbfe7f125c6723fa2234a453409978ccd5afecf0c7d4c94c8682aacd45",
     "ring.truth.csv": "fd9dd9bba2e8cb41bc69db766440b8462e8fd42bf90989dab69ae021104465b9",
-    "sig.manifest.json": "1f6610fabff8a0f1b4699ee3b717566300b11126ce6bc922980611250e435911",
-    "sig.mrg.json": "02a23d25e97fb4d94383745dfd5fa21034bdc7ca01d0a24ef8b3f93952d70ca2",
+    "sig.manifest.json": "cccb1db4e747c5fce27f3bdeef16735fe3456605da21ed5050d09e88725077bf",
+    "sig.mrg.json": "bf3c31cc5c0f52027f8cf25f4fea7e15c563408683a12d8cd7601bef7618da94",
     "w.el": "b59fb7c10dcb75737ecb493696b01482e01dce529ac400ee936024c36150edb7",
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
-    "wdet.manifest.json": "7552909f8187ebaf40bd191831ba28cecbec54a031b672e4e2e5b70a08e3c8ff",
+    "wdet.manifest.json": "f151cad7e34b57279da227b7df9702c40f986942518fd94fb90a92ffdce96a4e",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
-    # whh.json and whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.json": "e4c62ac3d2cd229a32eb92d523bfac8f51004cd6c709b218a5334aea593690eb",
-    "whh.manifest.json": "65faf89b28cd4c277cff80620ebbd8ee1973a2eb96f026234f9ff4cb5407e8e5",
+    "whh.json": "93daa7b6d7cc6e380e6b6a71e4d97215171e9dff1780a887eeea2dfa7d821baa",
+    "whh.manifest.json": "63196e8519e9b2f8855e88f420d4b05cce9cb85710e7d10d7efca62917833e14",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
+    # whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
     "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",
 }
 

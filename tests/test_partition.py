@@ -372,7 +372,7 @@ def test_partitions_are_values():
         assert _state(p) == before
         outputs += [leiden(g, 3), louvain(g, 3)]
         for kind in ("haar-hu", "hu"):
-            cfg = QicdConfig(kind=kind, iterations=3, refine_before_accept=True, baseline_seed=3, seed=checked)
+            cfg = QicdConfig(kind=kind, iterations=3, refine_before_accept=True, seed=checked)
             outputs.append(run_qicd(g, cfg).best_partition)
         for out in outputs:
             _assert_compact_value(g, out)

@@ -13,6 +13,13 @@ def test_library_tour_imports_exist():
     exec(blocks[0], {})
 
 
+def test_library_tour_runs():
+    """The README's library tour runs as written."""
+    (block,) = re.findall(r"^## Library tour$.*?^```python$(.*?)^```$", README.read_text(encoding="utf-8"),
+                          re.MULTILINE | re.DOTALL)
+    exec(block, {})
+
+
 def test_cli_block_commands_parse():
     """Every `qicd ...` command of the README's CLI block parses; none is run."""
     block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)

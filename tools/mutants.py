@@ -60,6 +60,13 @@ MUTANTS = [
     ("percentile-counts-ties-fully", "src/qicd/bench.py",
      "    percentile = 100.0 * (below + 0.5 * equal) / count",
      "    percentile = 100.0 * (below + equal) / count"),
+    # Each derived stream of a run comes from its one seed by its own mix tag.
+    ("loop-seed-is-the-baseline-seed", "src/qicd/engine.py",
+     "    loop_seed = mix(cfg.seed, 1)",
+     "    loop_seed = cfg.seed"),
+    ("null-seed-is-the-run-seed", "src/qicd/bench.py",
+     "    seed = mix(cfg.seed, 2)",
+     "    seed = cfg.seed"),
     # Q, aggregation, the stop rule, the proposal tie rule, hu sampling, replay and Welch's df.
     ("modularity-linear-penalty", "src/qicd/partition.py",
      "        q += e / m - frac * frac",
