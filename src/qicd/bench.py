@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -399,9 +400,9 @@ def method_q(name: str, graph: Graph, seed: int, cfg: QicdConfig = QicdConfig())
 
 def run_experiment(graph: Graph, runs: dict[str, int], *, cfg: QicdConfig = QicdConfig()) -> list[TrialSample]:
     """Run each method of `runs` on `graph` as many times as it maps to,
-    in the mapping's order, with per-run seeds derived from cfg.seed.
-
-    The runs go through run_seeded; each result depends only on its seed.
+    in the mapping's order, with per-run seeds derived from cfg.seed, through
+    run_seeded: each result depends only on its seed, and a run's exception
+    reaches the caller as raised.
     """
     if not isinstance(graph, Graph):
         raise ValueError(f"graph must be a Graph, got {type(graph).__name__}")
@@ -417,18 +418,7 @@ def run_experiment(graph: Graph, runs: dict[str, int], *, cfg: QicdConfig = Qicd
     results = run_seeded([
         partial(method_q, name, graph, seed, cfg) for name, method_seeds in seeds.items() for seed in method_seeds
     ])
-    samples = []
-    for name, method_seeds in seeds.items():
-        qs = []
-        for ri in range(len(method_seeds)):
-            try:
-                qs.append(next(results))
-            except (BrokenExecutor, MemoryError):
-                raise  # a dead worker's run is unknown, and no run can go on without memory
-            except Exception as exc:
-                raise RuntimeError(f"method {name!r} run {ri} failed: {exc}") from exc
-        samples.append(TrialSample(name, tuple(qs), method_seeds))
-    return samples
+    return [TrialSample(name, tuple(islice(results, len(s))), s) for name, s in seeds.items()]
 
 
 def _null_mrg(graph: Graph, cfg: QicdConfig, seed: int, i: int) -> float:

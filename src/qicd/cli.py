@@ -266,13 +266,7 @@ def _run_benchmark(config: dict):
         raise UsageError(f"baseline {baseline!r} must be one of --methods")
 
     graph, texts = _load_graph(config)
-    try:
-        samples = run_experiment(graph, runs, cfg=_qicd_config(config))
-    except RuntimeError as exc:
-        # The message names the failed method and run.
-        if isinstance(exc.__cause__, DATA_ERRORS):
-            raise ValueError(str(exc)) from exc
-        raise
+    samples = run_experiment(graph, runs, cfg=_qicd_config(config))
 
     lines = ["method,run,seed,Q"]
     for sample in samples:

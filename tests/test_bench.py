@@ -442,18 +442,17 @@ def test_run_experiment_validation():
             run_experiment(graph, {"leiden": 2})
 
 
-def test_run_experiment_failure_identifies_run():
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pool"])
+def test_run_experiment_raises_a_runs_own_exception(monkeypatch, cpus):
+    """A failed run's exception reaches the caller as the method raised it,
+    in this process or in a worker."""
+    _pin_cpus(monkeypatch, cpus)
     g = build_graph(4, *edge_columns([]))  # edgeless: every run fails
-    with pytest.raises(RuntimeError, match="method 'leiden' run 0"):
+    with pytest.raises(ValueError) as expected:
+        leiden(g, 0)
+    with pytest.raises(ValueError) as info:
         run_experiment(g, {"leiden": 2})
-
-
-def test_run_experiment_failure_in_a_worker_keeps_its_cause(monkeypatch):
-    _pin_cpus(monkeypatch, 2)
-    g = build_graph(4, *edge_columns([]))
-    with pytest.raises(RuntimeError, match="method 'louvain' run 0 failed: modularity undefined") as info:
-        run_experiment(g, {"louvain": 2})
-    assert type(info.value.__cause__) is ValueError
+    assert str(info.value) == str(expected.value) == "modularity undefined: graph has no edges"
 
 
 def test_run_seeded_yields_in_task_order(monkeypatch):
@@ -545,15 +544,12 @@ def test_mrg_percentile_is_the_mid_rank(monkeypatch):
 
 
 def test_mrg_percentile_low_on_er_graph():
-    # a null-like input should not stand out against its own rewires
+    """A null-like input does not stand out against its own rewires. On an
+    ER graph the observed gap's rank among the nulls is a uniform draw, so
+    one seed's percentile says little; over 12 seeds the mean percentile
+    of exchangeable nulls is 50, and it reaches 75 with chance below 0.4%."""
     er = spec_for_ratio(400, 1, 1.0, 12.0, seed=5)
     g, _ = generate_planted(er)
-    cfg = QicdConfig(
-        kind="haar",
-        iterations=4,
-        stall_limit=4,
-        refine_before_accept=True,
-        seed=11,
-    )
-    report = mrg_significance(g, cfg, null_count=8)
-    assert report.percentile < 95.0
+    cfg = QicdConfig(kind="haar", iterations=4, stall_limit=4, refine_before_accept=True)
+    percentiles = [mrg_significance(g, replace(cfg, seed=seed), null_count=8).percentile for seed in range(12)]
+    assert sum(percentiles) / len(percentiles) < 75.0, percentiles

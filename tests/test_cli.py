@@ -444,9 +444,21 @@ def test_benchmark_edgeless_is_data_error(workdir, capsys):
     (workdir / "empty.el").write_text("# nodes: 4\n")
     code = main(["benchmark", "--graph", "empty.el", "--methods", "leiden", "--runs", "2", "--out", "x"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "method 'leiden' run 0 failed: modularity undefined: graph has no edges" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "modularity undefined: graph has no edges\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pool"])
+def test_seeded_commands_fail_alike_on_an_edgeless_graph(workdir, capsys, monkeypatch, cpus):
+    """`benchmark`, `mrg` and `qicd` print the library's own message, exit 2
+    and write nothing, whether the runs go inline or to workers."""
+    (workdir / "empty.el").write_text("# nodes: 4\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    errors = []
+    for argv in (["benchmark", "--methods", "leiden,leiden-haar", "--runs", "2"], ["mrg", "--nulls", "5"], ["qicd"]):
+        assert main([*argv, "--graph", "empty.el", "--iterations", "1", "--out", "out"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["modularity undefined: graph has no edges\n"] * 3
+    assert [p.name for p in workdir.iterdir()] == ["empty.el"]
 
 
 def test_benchmark_passes_method_kind_and_base(workdir, capsys, monkeypatch):
