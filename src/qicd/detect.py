@@ -12,6 +12,8 @@ It is not the randomized refinement phase of Traag, Waltman & van Eck (2019).
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
 
 import numpy as np
 
@@ -27,25 +29,43 @@ MAX_SWEEPS = 100
 MIN_GAIN = 1e-7
 
 
-def _neighbour_lists(graph: Graph) -> tuple[list[int], list[int]]:
-    """A graph's indptr and indices as Python lists, which the interpreted
-    loops index much faster than numpy arrays. indices holds one int per
-    node, and is filled _CHUNK entries at a time."""
+# One view per live graph, built on first use, so every move_nodes and
+# leiden_refine call on a graph reads the same lists. A Graph hashes by
+# identity, and a view holds nothing of its graph, so it goes with it.
+_VIEWS: weakref.WeakKeyDictionary[Graph, tuple] = weakref.WeakKeyDictionary()
+
+
+def _view(graph: Graph) -> tuple:
+    """(nodes, flat): the graph's node ids as one Python int each, in an
+    object array, and what the move loop reads of the graph.
+
+    flat is (indptr, indices, weights, strengths, m). indptr and strengths
+    are array('q') and array('d') columns; indices is a list of the node
+    objects, filled _CHUNK entries at a time, which the interpreted loops
+    index much faster than a numpy array. weights is one float when every
+    weight is equal (level 0 of every unweighted graph), and one float per
+    CSR entry otherwise; m is the total weight."""
     nodes = np.arange(graph.node_count).astype(object)
     indices = [0] * len(graph.indices)
     for a in range(0, len(indices), _CHUNK):
         indices[a : a + _CHUNK] = nodes[graph.indices[a : a + _CHUNK]].tolist()
-    return graph.indptr.tolist(), indices
+    w = graph.weights
+    weights = float(w[0]) if len(w) and w.min() == w.max() else w.tolist()
+    strengths = array("d", graph.strengths.tobytes())
+    return nodes, (array("q", graph.indptr.tobytes()), indices, weights, strengths, graph.total_weight)
+
+
+def _cached(graph: Graph) -> tuple:
+    """graph's _view, built on its first use. Nothing changes a view."""
+    view = _VIEWS.get(graph)
+    if view is None:
+        view = _VIEWS[graph] = _view(graph)
+    return view
 
 
 def _flat(graph: Graph) -> tuple:
-    """What the move loop reads of a graph: _neighbour_lists, then its
-    weights, then its strengths as a list, then its total weight. weights
-    is one float when every weight is equal (level 0 of every unweighted
-    graph), and one float per CSR entry otherwise."""
-    w = graph.weights
-    weights = float(w[0]) if len(w) and w.min() == w.max() else w.tolist()
-    return (*_neighbour_lists(graph), weights, graph.strengths.tolist(), graph.total_weight)
+    """The flat half of graph's cached view."""
+    return _cached(graph)[1]
 
 
 def _move_pass(
@@ -53,7 +73,7 @@ def _move_pass(
     labels: list[int],
     comm_strength: list[float],
     rng: np.random.Generator,
-    active: list[bool],
+    active: bytearray,
 ) -> float:
     """One greedy pass over nodes in random order, in place.
 
@@ -145,7 +165,9 @@ def move_nodes(graph: Graph, partition: Partition, rng: np.random.Generator) -> 
     the passes read weights and strengths scaled by an exact power of two,
     so no gain and no move changes.
     """
-    labels = list(partition.labels)
+    # Labels are the graph's own node objects, so a neighbour's id and its
+    # community are the same few ints.
+    labels = _cached(graph)[0][partition.labels].tolist()
     comm_strength = np.bincount(partition.labels, weights=graph.strengths, minlength=partition.community_count).tolist()
     indptr, indices, weights, strengths, m = _flat(graph)
     e = math.frexp(m)[1]
@@ -158,7 +180,7 @@ def move_nodes(graph: Graph, partition: Partition, rng: np.random.Generator) -> 
         strengths, comm_strength = ([math.ldexp(x, -e) for x in xs] for xs in (strengths, comm_strength))
         m = math.ldexp(m, -e)
     flat = (indptr, indices, weights, strengths, m)
-    active = [True] * len(labels)
+    active = bytearray(b"\x01") * len(labels)
     for _ in range(MAX_SWEEPS):
         if _move_pass(flat, labels, comm_strength, rng, active) < MIN_GAIN:
             break
@@ -173,7 +195,7 @@ def leiden_refine(graph: Graph, partition: Partition) -> Partition:
     on, ordered by community and then by lowest node. When every community
     is connected, partition itself is returned.
     """
-    indptr, indices = _neighbour_lists(graph)
+    indptr, indices = _flat(graph)[:2]
     old = partition.labels
     seen = [False] * len(old)
     kept = [False] * partition.community_count

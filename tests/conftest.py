@@ -88,7 +88,8 @@ def check_move_pass(graph: Graph, labels, seed: int, active=None, original: Grap
     """Run one detect._move_pass from a fresh Partition over `labels`, with
     member_strengths as its community strengths, and check it by independent
     routes; returns its gain and the fresh Partition over the labels it ends
-    with.
+    with. The pass runs twice, with active as a list of bools and as a
+    bytearray, and must end the same.
 
     `graph` may be `original` collapsed by `collapse`, with node_of[u] the
     collapsed node of original node u. The gain must equal the double-sum
@@ -103,7 +104,11 @@ def check_move_pass(graph: Graph, labels, seed: int, active=None, original: Grap
     start = Partition(graph, labels)
     moved = list(start.labels)
     comm_strength = member_strengths(graph, start)
+    flags, moved_too, strengths_too = bytearray(active), list(moved), list(comm_strength)
     gain = _move_pass(_flat(graph), moved, comm_strength, make_rng(seed), active)
+    # The same pass with the bytearray of flags that move_nodes passes.
+    assert _move_pass(_flat(graph), moved_too, strengths_too, make_rng(seed), flags).hex() == gain.hex()
+    assert (moved_too, strengths_too, list(flags)) == (moved, comm_strength, active)
     before = [start.labels[c] for c in node_of]
     after = [moved[c] for c in node_of]
     expected = modularity_double_sum(original, after) - modularity_double_sum(original, before)

@@ -1,14 +1,23 @@
+import gc
+import json
 import math
+import os
 import random
+import subprocess
 import sys
+import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qicd import (
     Partition,
+    PlantedSpec,
     QicdConfig,
     aggregate,
     build_graph,
+    generate_planted,
     leiden,
     leiden_refine,
     louvain,
@@ -149,10 +158,12 @@ def _reference_pass(flat, labels, comm_strength, rng, active):
 
 def _pass_outcome(kernel, flat, labels, comm_strength, active, seed):
     """labels, community strengths, active flags and gain after one pass of
-    kernel, with every float as its hex string, so equal means bit-identical."""
-    labels, comm_strength, active = list(labels), list(comm_strength), list(active)
+    kernel on copies of its inputs, with every float as its hex string and
+    every flag as a bool, so equal means bit-identical. active may be a
+    list of bools or a bytearray, as move_nodes passes."""
+    labels, comm_strength, active = list(labels), list(comm_strength), type(active)(active)
     gain = kernel(flat, labels, comm_strength, make_rng(seed), active)
-    return labels, [x.hex() for x in comm_strength], active, gain.hex()
+    return labels, [x.hex() for x in comm_strength], [bool(x) for x in active], gain.hex()
 
 
 def _one_weight_per_entry(flat):
@@ -193,6 +204,10 @@ def test_move_pass_matches_the_reference_loop(kind):
                 rnd.randrange(2**32))
         expected = _pass_outcome(_reference_pass, _one_weight_per_entry(flat), *args)
         assert _pass_outcome(_move_pass, flat, *args) == expected
+        # move_nodes passes its flags as a bytearray.
+        labels, strengths, flags, seed = args
+        for kernel, kernel_flat in ((_move_pass, flat), (_reference_pass, _one_weight_per_entry(flat))):
+            assert _pass_outcome(kernel, kernel_flat, labels, strengths, bytearray(flags), seed) == expected
 
 
 @pytest.mark.parametrize("weight", [1.0, 3e-200, 2.5e200, None])
@@ -333,3 +348,83 @@ def test_local_move_rng_argument(two_triangles):
     b = one_pass(two_triangles, p, make_rng(5))
     assert a.labels == b.labels
 
+
+# The move loop's view of a graph: built once per graph, never shared,
+# never changed, and gone with its graph.
+
+
+def _planted_200():
+    """The 200-node planted graph of the output-identity tests."""
+    return generate_planted(PlantedSpec(200, 5, 0.2, 0.03, seed=11))[0]
+
+
+def test_one_run_qicd_builds_the_level_0_view_once(monkeypatch):
+    graph = _planted_200()
+    builds, reads = [], []
+    view, flat = qicd.detect._view, qicd.detect._flat
+
+    def counted_view(g):
+        builds.append(g is graph)
+        return view(g)
+
+    def counted_flat(g):
+        reads.append(g is graph)
+        return flat(g)
+
+    monkeypatch.setattr(qicd.detect, "_view", counted_view)
+    monkeypatch.setattr(qicd.detect, "_flat", counted_flat)
+    run_qicd(graph, QicdConfig(kind="haar", iterations=4, stall_limit=4, refine_before_accept=True, seed=2))
+    assert sum(reads) > 10
+    assert sum(builds) == 1
+    assert len(builds) > 1  # each aggregated level builds its own
+
+
+def test_a_view_goes_with_its_graph():
+    graph = _planted_200()
+    leiden(graph, 1)
+    nodes = weakref.ref(qicd.detect._VIEWS[graph][0])
+    key = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert key() is None
+    assert nodes() is None
+
+
+def test_graphs_of_one_size_never_share_a_view():
+    # No other test makes a 57-node graph, so a lookup by node count could
+    # only serve the first graph's view to the second.
+    first, second = (generate_planted(PlantedSpec(57, 3, 0.5, 0.03, seed=seed))[0] for seed in (1, 2))
+    move_nodes(first, singleton_partition(first), make_rng(3))
+    got = move_nodes(second, singleton_partition(second), make_rng(3)).labels
+    script = (
+        "import json\n"
+        "from qicd import PlantedSpec, generate_planted, make_rng, singleton_partition\n"
+        "from qicd.detect import move_nodes\n"
+        "g = generate_planted(PlantedSpec(57, 3, 0.5, 0.03, seed=2))[0]\n"
+        "print(json.dumps(move_nodes(g, singleton_partition(g), make_rng(3)).labels))\n"
+    )
+    package_root = str(Path(qicd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert got == json.loads(fresh.stdout)
+
+
+def _snapshot(view):
+    nodes, flat = view
+    return [nodes.tolist(), *(x if isinstance(x, float) else list(x) for x in flat)]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal", "distinct"])
+def test_a_leiden_run_leaves_the_view_as_built(weighted):
+    graph = _planted_200()
+    if weighted:
+        us, vs, _ws = graph.edge_arrays()
+        graph = build_graph(graph.node_count, us, vs, np.random.default_rng(1).uniform(0.1, 3.0, len(us)))
+    view = qicd.detect._cached(graph)
+    assert isinstance(view[1][2], list) == weighted
+    before = _snapshot(view)
+    leiden(graph, 4)
+    assert qicd.detect._cached(graph) is view
+    assert _snapshot(view) == before

@@ -335,8 +335,8 @@ def random_unit_edges(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def test_edge_list_io_memory_per_edge():
     """Traced allocation per edge on a 100k-edge unit-weight text. A per-line
     parser and per-entry Python objects cost about twice these bounds. With
-    every weight equal, _flat's weights are one float (26 B/edge); with
-    distinct weights they are one float per CSR entry (90 B/edge)."""
+    every weight equal, _flat's weights are one float (22.4 B/edge); with
+    distinct weights they are one float per CSR entry (86.4 B/edge)."""
     n, m = 10_000, 100_000
     us, vs, ws = random_unit_edges(n, m)
     graph = build_graph(n, us, vs, ws)

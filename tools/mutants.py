@@ -89,6 +89,10 @@ MUTANTS = [
     ("welch-df-without-bessel", "src/qicd/stats.py",
      "    df = pooled * pooled / (var_a * var_a / (n_a - 1) + var_b * var_b / (n_b - 1))",
      "    df = pooled * pooled / (var_a * var_a / n_a + var_b * var_b / n_b)"),
+    # The move loop's per-graph view: a graph never reads another's.
+    ("view-shared-by-node-count", "src/qicd/detect.py",
+     "    view = _VIEWS.get(graph)",
+     "    view = next((v for g, v in _VIEWS.items() if g.node_count == graph.node_count), None)"),
     # build_graph's column checks.
     ("endpoint-equal-to-n-passes", "src/qicd/graph.py",
      "    outside = ~((lo >= 0) & (hi < n))",
