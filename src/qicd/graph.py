@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -256,11 +257,8 @@ def _floats(values: np.ndarray) -> Iterator[float]:
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(b" \t\v\f\r\n")] = True
 _HEADER_RE = re.compile(rb"#\s*nodes:\s*(\d+)\s*")
-# Tokens are cast through a fixed-width bytes array as wide as the longest
-# of them, up to these widths; a wider token is converted on its own, so
-# that one long token cannot widen the whole array. Every integer written
-# in 18 characters fits in int64.
-_INT_WIDTH = 18
+# Tokens are cast to numbers, and ranked as labels, through one fixed-width
+# bytes array as wide as the longest of them, up to this width.
 _TOKEN_WIDTH = 64
 # Bytes of text scanned for token bounds, and tokens cast to numbers, at a
 # time: small next to a large text, so that each step's temporaries are.
@@ -270,96 +268,65 @@ _PAD = b" " * _TOKEN_WIDTH
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _fixed_width(buf: np.ndarray, bounds: np.ndarray, tokens: np.ndarray, width: int, fill: bytes):
-    """The tokens numbered `tokens` as one bytes array, as wide as the
-    longest of them up to `width`; bounds holds each token's start and stop
-    in buf. Each wider token is left as `fill`; their indices are returned,
-    with their starts and stops."""
-    starts = bounds[tokens, 0]
-    lengths = bounds[tokens, 1] - starts
-    wide = np.flatnonzero(lengths > width)
-    spans = bounds[tokens[wide]].tolist()
-    lengths[wide] = 0
+def _strings(buf: np.ndarray, spans: np.ndarray) -> np.ndarray | None:
+    """The tokens whose (start, stop) rows in buf are spans, as one bytes
+    array as wide as the longest of them; None when one is wider than
+    _TOKEN_WIDTH."""
+    starts = spans[:, 0]
+    lengths = spans[:, 1] - starts
     size = max(int(lengths.max(initial=0)), 1)
+    if size > _TOKEN_WIDTH:
+        return None
     chars = np.lib.stride_tricks.sliding_window_view(buf, size)[starts]
     chars[np.arange(size) >= lengths[:, None]] = 0
-    strings = chars.view(f"S{size}").ravel()
-    strings[wide] = fill
-    return strings, wide, spans
-
-
-def _first_failure(strings: np.ndarray, dtype) -> int:
-    """Index of the first string that does not cast to dtype; one does."""
-    lo, hi = 0, len(strings)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            strings[lo:mid].astype(dtype)
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return chars.view(f"S{size}").ravel()
 
 
 def _numbers(data: bytes, buf: np.ndarray, bounds: np.ndarray, tokens: np.ndarray, kind) -> tuple[np.ndarray, int]:
-    """kind(token) of each token, kind being int or float, as numpy's bytes
-    cast calls them, and the index of the first token that kind rejects
-    (len(tokens) when none does); the values from there on are meaningless.
-    Integers past the int64 range are clamped to it. Tokens are cast
-    _PARSE_BLOCK at a time into one array."""
+    """kind(token) of each token, kind being int or float, and the index of
+    the first token that kind rejects (len(tokens) when none does); the
+    values from there on are meaningless. Integers past the int64 range are
+    clamped to it. Tokens are cast _PARSE_BLOCK at a time by numpy's bytes
+    cast, which calls kind; a block that the cast cannot take is read with
+    kind one token at a time."""
     integer = kind is int
-    dtype, width = (np.int64, _INT_WIDTH) if integer else (np.float64, _TOKEN_WIDTH)
-    values = np.empty(len(tokens), dtype)
-    bad = len(tokens)
-    wide: list[tuple[int, list[int]]] = []  # (index, span) of each token cast below on its own
+    values = np.empty(len(tokens), np.int64 if integer else np.float64)
     for t in range(0, len(tokens), _PARSE_BLOCK):
-        strings, found, spans = _fixed_width(buf, bounds, tokens[t : t + _PARSE_BLOCK], width, b"0")
-        wide += zip((found + t).tolist(), spans)
-        try:
-            values[t : t + len(strings)] = strings.astype(dtype)
-        except ValueError:
-            bad = t + _first_failure(strings, dtype)
-            values[t:bad] = strings[: bad - t].astype(dtype)
-            break
-    for i, (a, b) in wide:
-        if i >= bad:
-            break
-        try:
-            value = kind(data[a:b])
-        except ValueError:
-            bad = i
-            break
-        values[i] = min(max(value, -_INT64_MAX), _INT64_MAX) if integer else value
-    return values, bad
+        spans = bounds[tokens[t : t + _PARSE_BLOCK]]
+        strings = _strings(buf, spans)
+        if strings is not None:
+            try:
+                values[t : t + len(spans)] = strings.astype(values.dtype)
+                continue
+            except (ValueError, OverflowError):  # a token kind rejects, or an id past int64
+                pass
+        for i, (a, b) in enumerate(spans.tolist(), t):
+            try:
+                value = kind(data[a:b])
+            except ValueError:
+                return values, i
+            values[i] = min(max(value, -_INT64_MAX), _INT64_MAX) if integer else value
+    return values, len(tokens)
 
 
 def _dense_ids(data: bytes, buf: np.ndarray, bounds: np.ndarray, tokens: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Each token's rank among the distinct tokens in order of first
-    appearance, and the distinct tokens in that order."""
-    strings, wide, spans = _fixed_width(buf, bounds, tokens, _TOKEN_WIDTH, b"")
+    appearance, and the distinct tokens in that order. One np.unique ranks
+    them when every token fits _TOKEN_WIDTH, else one dict."""
+    strings = _strings(buf, bounds[tokens])
+    if strings is None:
+        ranks: defaultdict[bytes, int] = defaultdict()
+        ranks.default_factory = ranks.__len__
+        codes = np.empty(len(tokens), dtype=np.int64)
+        for t in range(0, len(tokens), _PARSE_BLOCK):
+            codes[t : t + _PARSE_BLOCK] = [ranks[data[a:b]] for a, b in bounds[tokens[t : t + _PARSE_BLOCK]].tolist()]
+        return codes, [key.decode("utf-8") for key in ranks]
     keys, first, codes = np.unique(strings, return_index=True, return_inverse=True)
     del strings
-    keys = keys.tolist()
-    firsts: list[int] = []
-    if wide.size:
-        # keys[0] is the empty fill, which is no token: it is ranked last
-        # and dropped. Each wide token is looked up on its own.
-        first[0] = len(codes)
-        more: dict[bytes, int] = {}
-        for i, (a, b) in zip(wide.tolist(), spans):
-            token = data[a:b]
-            if token not in more:
-                more[token] = len(keys)
-                keys.append(token)
-                firsts.append(i)
-            codes[i] = more[token]
-        first = np.append(first, firsts)
     order = np.argsort(first)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    labels = [keys[k].decode("utf-8") for k in order[: len(order) - (wide.size > 0)].tolist()]
-    return rank[codes], labels
+    return rank[codes], [key.decode("utf-8") for key in keys[order].tolist()]
 
 
 def _token_bounds(buf: np.ndarray) -> np.ndarray:
@@ -476,7 +443,7 @@ def load_edge_list(
     del weight_at
     if bad < len(weights):
         faults.append((int(rows[weighted[bad]]), 3, "bad weight: {!r}"))
-    exact = None  # the first edge with an id past the header's count, and its ids as written
+    exact = None  # the first edge with an id past the header's count, and its id tokens
     if relabel:
         ids, labels = _dense_ids(data, buf, bounds, pair)
     else:
@@ -491,7 +458,7 @@ def load_edge_list(
             faults.append((int(rows[negative[0] // 2]), 2, "node ids must be non-negative: {!r}"))
         elif beyond.size:  # build_graph prints ids exactly, bar one that _numbers clamped past int64
             edge = int(beyond[0]) // 2
-            exact = edge, tuple(int(data[a:b]) for a, b in bounds[pair[2 * edge : 2 * edge + 2]].tolist())
+            exact = edge, [data[a:b] for a, b in bounds[pair[2 * edge : 2 * edge + 2]].tolist()]
     if faults:
         k, _rank, message = min(faults)
         raise EdgeListError(f"line {k + 1}: {message.format(text(k))}")
@@ -529,10 +496,11 @@ def load_edge_list(
         raise NodeCountError(f"{origin}: {exc}") from None
     except EdgeListError as exc:
         # build_graph names the first fault in file order: on that edge's
-        # line, it is the edge's range error.
+        # line, it is the edge's range error, whose ids are written exactly.
         if exact is None or not str(exc).startswith(f"{where(exact[0])}: "):
             raise
-        raise EdgeListError(f"{where(exact[0])}: endpoint out of range for n={n}: {exact[1]}") from None
+        u, v = map(int, exact[1])
+        raise EdgeListError(f"{where(exact[0])}: endpoint out of range for n={n}: ({u}, {v})") from None
     return (graph, labels) if relabel else graph
 
 

@@ -9,6 +9,7 @@ loop, which it must match bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -18,7 +19,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from qicd import Graph, Partition, aggregate, build_graph, calibrate_planted, generate_planted, make_rng
+from qicd import EdgeListError, Graph, Partition, aggregate, build_graph, calibrate_planted, generate_planted, make_rng
 from qicd.detect import _flat, _move_pass
 
 
@@ -210,50 +211,96 @@ def communities_connected(graph: Graph, labels) -> bool:
     return True
 
 
-def reference_edge_list(text: str, relabel: bool = False):
-    """The README's edge-list grammar, read one line at a time: the CSR
-    arrays (as lists), strengths, total weight and labels of the graph, or
-    a ValueError whose message starts with the line of the first fault."""
-    labels: dict[str, int] = {}
-    header = None
-    edges = []  # (line, u, v, w)
-    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        if line.startswith("#"):
-            found = re.fullmatch(rb"#\s*nodes:\s*(\d+)\s*", line.encode())
-            header = int(found[1]) if found else header
+def _parsed(kind, token: bytes):
+    """kind(token), or None where kind rejects it."""
+    try:
+        return kind(token)
+    except ValueError:
+        return None
+
+
+def reference_edge_list(text: bytes, relabel: bool = False, merge_duplicates: bool = False):
+    """The README's edge-list grammar, read one line at a time with
+    bytes.splitlines, split, int and float: the CSR arrays (as lists),
+    strengths, total weight and labels of the graph, or the EdgeListError
+    that load_edge_list raises. Its faults come in this order: bytes that
+    are not UTF-8; then line by line a NUL byte, a field count other than 2
+    or 3, an id that int() rejects, a negative id and a weight that float()
+    rejects; then a node count too large; then edge by edge an endpoint out
+    of range, a self-loop, a weight not finite and positive, and a
+    duplicate; last, weights whose sum, or twice it, leaves the float range."""
+    try:
+        (text + b"\n").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = text[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise EdgeListError(f"line {line}: {exc}") from None
+    header = header_line = None
+    edges = []  # (line, u, v, w), with u and v as ints or, under relabel, as label bytes
+    for k, line in enumerate(text.splitlines(), start=1):
+        if line.startswith(b"#"):
+            found = re.fullmatch(rb"#\s*nodes:\s*(\d+)\s*", line)
+            header, header_line = (int(found[1]), k) if found else (header, header_line)
             continue
-        fields = [f for f in re.split("[ \t\v\f]", line) if f]
+        fields = line.split()
         if not fields:
             continue
-        try:
-            if len(fields) not in (2, 3):
-                raise ValueError("field count")
-            if relabel:
-                u, v = (labels.setdefault(f, len(labels)) for f in fields[:2])
-            else:
-                u, v = (int(f.encode()) for f in fields[:2])
-                if min(u, v) < 0:
-                    raise ValueError("negative id")
-            w = float(fields[2].encode()) if len(fields) == 3 else 1.0
-        except ValueError:
-            raise ValueError(f"line {lineno}: parse") from None
-        edges.append((lineno, u, v, w))
+        ids = fields[:2] if relabel else [_parsed(int, field) for field in fields[:2]]
+        w = _parsed(float, fields[2]) if len(fields) == 3 else 1.0
+        fault = (
+            "NUL byte in" if b"\0" in line
+            else "expected 'u v' or 'u v w', got" if len(fields) not in (2, 3)
+            else "node ids must be integers:" if None in ids
+            else "node ids must be non-negative:" if not relabel and min(ids) < 0
+            else "bad weight:" if w is None
+            else None
+        )
+        if fault:
+            raise EdgeListError(f"line {k}: {fault} {line.decode()!r}")
+        edges.append((k, *ids, w))
+    labels: dict[bytes, int] = {}
     if relabel:
+        edges = [(k, labels.setdefault(u, len(labels)), labels.setdefault(v, len(labels)), w) for k, u, v, w in edges]
         n = len(labels)
+    elif header is not None:
+        n = header
     else:
-        n = header if header is not None else max((max(u, v) for _l, u, v, _w in edges), default=-1) + 1
+        # The count is the largest id plus one; the first line holding that id is named.
+        top = max(((max(u, v), -i, k) for i, (k, u, v, _w) in enumerate(edges)), default=(-1, 0, None))
+        n, header_line = top[0] + 1, top[2]
+    if n > math.isqrt(2**63 - 1):
+        raise EdgeListError(f"line {header_line}: node count {n} is too large")
+    pairs: dict[tuple[int, int], float] = {}
+    for k, u, v, w in edges:
+        if not (u < n and v < n):
+            raise EdgeListError(f"line {k}: endpoint out of range for n={n}: ({u}, {v})")
+        if u == v:
+            raise EdgeListError(f"line {k}: self-loop at node {u}")
+        if not (math.isfinite(w) and w > 0):
+            raise EdgeListError(f"line {k}: weight must be finite and positive, got {w}")
+        pair = (min(u, v), max(u, v))
+        if pair in pairs and not merge_duplicates:
+            raise EdgeListError(f"line {k}: duplicate edge {pair[0]}-{pair[1]}")
+        pairs[pair] = pairs.get(pair, 0.0) + w
+    try:
+        total = math.fsum(pairs.values())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(2.0 * total):
+        running = 0.0
+        for k, _u, _v, w in edges:
+            running += w
+            if math.isinf(running * (1.0 if math.isinf(total) else 2.0)):
+                break
+        raise EdgeListError(f"line {k}: the edge weights sum past the float range")
     adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    for lineno, u, v, w in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v or v in adjacency[u] or not (math.isfinite(w) and w > 0):
-            raise ValueError(f"line {lineno}: edge")
+    for (u, v), w in pairs.items():
         adjacency[u][v] = adjacency[v][u] = w
-    indptr, indices, weights = [0], [], []
-    for nbrs in adjacency:
-        indices.extend(sorted(nbrs))
-        weights.extend(nbrs[v] for v in sorted(nbrs))
-        indptr.append(len(indices))
+    rows = [sorted(nbrs.items()) for nbrs in adjacency]
+    indptr = [0, *itertools.accumulate(len(row) for row in rows)]
+    indices, weights = [v for row in rows for v, _w in row], [w for row in rows for _v, w in row]
     strengths = [math.fsum(nbrs.values()) for nbrs in adjacency]
-    return indptr, indices, weights, strengths, math.fsum(w for *_, w in edges), list(labels)
+    return indptr, indices, weights, strengths, total, [label.decode() for label in labels]
 
 
 TRIANGLE_EDGES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]

@@ -266,6 +266,13 @@ def test_detect_names_the_line_of_a_byte_that_is_not_utf8(workdir, capsys):
     assert capsys.readouterr().err.startswith("line 3: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_detect_names_the_line_of_a_bad_id_after_an_id_past_the_header(workdir, capsys):
+    (workdir / "bad.el").write_text("# nodes: 5\n12 x\n")
+    assert main(["detect", "--graph", "bad.el", "--method", "leiden", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "line 2: node ids must be integers: '12 x'\n"
+    assert [path.name for path in workdir.iterdir()] == ["bad.el"]
+
+
 def test_detect_rejects_a_node_count_past_the_pair_key_range(workdir, capsys):
     (workdir / "huge.el").write_text("# nodes: 3037000500\n0 1\n")
     assert main(["detect", "--graph", "huge.el", "--method", "leiden", "--out", "x.csv"]) == 2

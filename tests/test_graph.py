@@ -207,6 +207,9 @@ def test_load_parse_error_reports_line():
         (load_edge_list, "0 1\n# nodes: 99999999999999999999\n", "line 2: node count 99999999999999999999 is too large"),
         # without a header, the count comes from the line holding the largest id
         (load_edge_list, "0 1\n1 99999999999999999999\n", "line 2: node count 100000000000000000000 is too large"),
+        # an id past the header's count on the line of a bad id or a NUL byte
+        (load_edge_list, "# nodes: 5\n12 x\n", "^line 2: node ids must be integers: '12 x'$"),
+        (load_edge_list, "# nodes: 1\n12 1\x00\n", r"^line 2: NUL byte in '12 1\\x00'$"),
     ],
 )
 def test_load_validation_errors_report_file_line(loader, text, message):
@@ -440,7 +443,7 @@ def test_nul_byte_fails_on_an_edge_line_but_not_in_a_comment():
 
 
 def test_relabel_mixes_wide_and_short_labels_in_first_appearance_order():
-    # Labels over 64 bytes are looked up one by one, apart from the short ones.
+    # A label over 64 bytes makes one dict rank every label.
     wide_a, wide_b = "a" * 70, "b" * 65
     g, labels = load_edge_list(f"x {wide_a}\n{wide_b} y\n{wide_a} z\nx y\n", relabel=True)
     assert labels == ["x", wide_a, wide_b, "y", "z"]
@@ -449,9 +452,28 @@ def test_relabel_mixes_wide_and_short_labels_in_first_appearance_order():
 
 
 def test_wide_id_token_that_int_rejects_names_its_line():
-    # Over 18 characters, an id is read by int() on its own.
+    # The cast rejects this 20-byte token, so its block is read by int() a token at a time.
     with pytest.raises(EdgeListError, match="^line 2: node ids must be integers: '1234567890123456789x 2'$"):
         load_edge_list("0 1\n1234567890123456789x 2\n")
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [({35_000: f"{'0' * 68}12 7", 38_000: "5 x"}, "line 38000: node ids must be integers: '5 x'"),
+     ({35_000: "99999999999999999999 7"}, "line 35000: node count 100000000000000000000 is too large")],
+    ids=["70-byte-id", "20-digit-id"],
+)
+def test_a_second_cast_block_read_token_by_token_names_the_exact_line(edits, message):
+    """40,000 edge lines hold 80,000 ids, two 2**16-token cast blocks. On
+    line 35,000, in the second block, the cast cannot take a 70-byte id or
+    raises OverflowError on a 20-digit one, so that block is read by int()
+    a token at a time; each fault must still name its line in the file."""
+    lines = [f"{i} {i + 1}" for i in range(40_000)]
+    for line, edit in edits.items():
+        lines[line - 1] = edit
+    with pytest.raises(EdgeListError) as info:
+        load_edge_list("\n".join(lines))
+    assert str(info.value) == message
 
 
 def test_degrees_and_edge_count():

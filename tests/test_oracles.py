@@ -13,7 +13,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qicd import (
@@ -290,52 +290,61 @@ def test_aggregate_matches_an_edge_by_edge_merge(case, data):
                                     max_size=graph.node_count))
 
 
-# Malformed lines, each a different fault of the parser or of the graph.
-BAD_LINES = [" # not column 1", "0 1 2 3", "7", "x 1", "0 -1", "0 1 abc", "0 1 nan", "0 1 -2", "3 3", "0 99", "0 1 0x10"]
+# Fields and lines of the README's grammar. Each text draws from the plain
+# ones and a few odd ones: ids past int64, tokens that int() or float()
+# rejects, non-UTF-8 bytes, a NUL, weights that are not finite and positive
+# or that sum past the float range, and malformed lines. Fields come in
+# three widths: up to 18 bytes, 19 to 64 (20-digit ids among them) and over
+# 64, where the parser's cast gives way to int() and float() one token at
+# a time. Under relabel every id is a label.
+IDS = [b"%d" % i for i in range(20)]
+ODD_IDS = [b"+3", b"1_0", b"30", b"-1", b"x", b"1e3", b"\xc3\xa9", b"\xff", b"1\0", b"99999999999999999999",
+           b"-99999999999999999999", b"9223372036854775807", b"1" * 19 + b"x", b"0" * 68 + b"12", b"a" * 70]
+WEIGHTS = [b"", b"1", b"2.5", b"0.5", b"+1.5", b"1_0.5", b"1e-3", b"1." + b"0" * 68]
+ODD_WEIGHTS = [b"1e308", b"5e307", b"nan", b"inf", b"-1", b"0", b"x", b"2\0", b"x" * 70]
+LINES = [b"", b" ", b"\t", b"# c", b"#", b"#nodes:20 ", b"# nodes: 3 x", b"# nodes: 25"]
+ODD_LINES = [b"# nodes: 0", b"# nodes: 5", b"# nodes: 99999999999999999999", b" # not column 1", b"7", b"0 1 2 3"]
 
 
 @st.composite
 def edge_list_texts(draw):
-    """(text, relabel): edge-list text with comments, blank lines, mixed
-    separators and line ends, optional weights and header, and at most one
-    malformed line."""
-    relabel = draw(st.booleans())
-    ids = st.sampled_from(["a", "b", "c", "d", "é", "ß", "0", "10"]) if relabel else st.integers(0, 29).map(str)
-    sep = st.sampled_from([" ", "\t", "  ", " \t", "\v", "\f"])
-    pad = st.sampled_from(["", " ", "\t"])
-    weight = st.one_of(st.just(""), st.floats(0.01, 100.0).map(repr), st.sampled_from(["2", "1e-3", "+1.5", "1_0.5"]))
-    edge = st.builds(lambda p, u, s1, v, s2, w, q: p + u + s1 + v + (s2 + w if w else "") + q,
+    """Edge-list bytes: edge lines of drawn fields, separators and padding,
+    between other lines, with all three line ends."""
+
+    def mixed(plain, odd):
+        return st.sampled_from(plain + draw(st.lists(st.sampled_from(odd), max_size=3)))
+
+    ids, weight = mixed(IDS, ODD_IDS), mixed(WEIGHTS, ODD_WEIGHTS)
+    sep = st.sampled_from([b" ", b"\t", b"  ", b" \t", b"\v", b"\f"])
+    pad = st.sampled_from([b"", b" ", b"\t"])
+    edge = st.builds(lambda p, u, s1, v, s2, w, q: p + u + s1 + v + (s2 + w if w else b"") + q,
                      pad, ids, sep, ids, sep, weight, pad)
-    other = st.sampled_from(["", " ", "\t", "# a comment", "#", "#nodes"])
-    header = st.integers(28, 32).map(lambda k: f"# nodes: {k}")
-    lines = draw(st.lists(st.one_of(edge, edge, edge, other, header), max_size=12))
-    if draw(st.integers(0, 2)) == 0:
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
-    text = "".join(line + end for line, end in zip(lines, ends))
-    if text and draw(st.booleans()):
-        text = text.rstrip("\r\n")
-    return text, relabel
+    lines = draw(st.lists(st.one_of(edge, edge, mixed(LINES, ODD_LINES)), max_size=12))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=len(lines), max_size=len(lines)))
+    text = b"".join(line + end for line, end in zip(lines, ends))
+    return text.rstrip(b"\r\n") if draw(st.booleans()) else text
 
 
 @PROPERTY
-@given(case=edge_list_texts())
-def test_load_edge_list_matches_a_line_by_line_parser(case):
-    text, relabel = case
-    try:
-        expected = reference_edge_list(text, relabel)
-    except ValueError as exc:
-        with pytest.raises(EdgeListError) as got:
-            load_edge_list(text, relabel=relabel)
-        assert str(got.value).split(":")[0] == str(exc).split(":")[0]
-        return
-    loaded = load_edge_list(text, relabel=relabel)
-    g, labels = loaded if relabel else (loaded, [])
-    indptr, indices, weights, strengths, total_weight, ref_labels = expected
-    assert (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()) == (indptr, indices, weights)
-    assert g.strengths.tolist() == strengths
-    assert g.total_weight == total_weight
-    assert labels == ref_labels
+@example(text=b"# nodes: 5\n12 x\n")
+@example(text=b"# nodes: 1\n12 1\0\n")
+@given(text=edge_list_texts())
+def test_load_edge_list_matches_a_line_by_line_parser(text):
+    """With relabel and merge_duplicates each on and off, the loader gives
+    the reference's graph and labels, or its error message."""
+    for relabel, merge_duplicates in itertools.product((False, True), repeat=2):
+        try:
+            expected = reference_edge_list(text, relabel, merge_duplicates)
+        except EdgeListError as exc:
+            expected = str(exc)
+        try:
+            loaded = load_edge_list(text, relabel=relabel, merge_duplicates=merge_duplicates)
+        except EdgeListError as exc:
+            got = str(exc)
+        else:
+            g, labels = loaded if relabel else (loaded, [])
+            got = (g.indptr.tolist(), g.indices.tolist(), g.weights.tolist(), g.strengths.tolist(), g.total_weight, labels)
+        assert got == expected, (relabel, merge_duplicates)
 
 
 @st.composite
