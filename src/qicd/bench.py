@@ -432,15 +432,16 @@ def mrg_significance(graph: Graph, cfg: QicdConfig, null_count: int = 20) -> Mrg
     Rewires the graph null_count times, runs the same QICD configuration on
     each null (with seeds derived from mix(cfg.seed, 2)), and reports where
     the observed gap falls in the null distribution (mid-rank percentile).
-    The observed run and the nulls go through run_seeded.
+    The nulls and then the observed run go through run_seeded.
     """
     if null_count < 5:
         raise ValueError("null_count must be >= 5")
+    if graph.total_weight <= 0.0:
+        raise ValueError("modularity undefined: graph has no edges")
     seed = mix(cfg.seed, 2)
-    observed, *gaps = run_seeded([
-        lambda: run_qicd(graph, cfg).mrg,
-        *(partial(_null_mrg, graph, cfg, seed, i) for i in range(null_count)),
-    ])
+    nulls = (partial(_null_mrg, graph, cfg, seed, i) for i in range(null_count))
+    # The observed run goes last, so no null runs while the graph's move-loop view is live.
+    *gaps, observed = run_seeded([*nulls, lambda: run_qicd(graph, cfg).mrg])
     count = len(gaps)
     null_mean = sum(gaps) / count
     null_var = sum((g - null_mean) ** 2 for g in gaps) / (count - 1)

@@ -11,7 +11,7 @@ that fails writes nothing.
 and refuses a bad one before the command computes; the runner returns
 (texts, recorded, message): `texts` maps each output key to its file's
 text, `recorded` holds outputs that are not files and `message` is the
-stdout text. `main` then writes the files, manifest and message.
+stdout text. `main` then writes the files, the manifest last, and the message.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import inspect
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -90,6 +91,21 @@ class _Parser(argparse.ArgumentParser):
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_files(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text) to a temporary file beside path, then move each into place, in order.
+    On an OSError, remove every temporary file and raise one naming the path."""
+    temporaries = [f"{path}.{os.getpid()}.tmp" for path, _text in files]
+    try:
+        for temporary, (path, text) in zip(temporaries, files):
+            _write_text(temporary, text)
+        for temporary, (path, _text) in zip(temporaries, files):
+            os.replace(temporary, path)
+    except OSError as exc:
+        for temporary in temporaries:
+            Path(temporary).unlink(missing_ok=True)
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _json_text(value) -> str:
@@ -493,12 +509,9 @@ def main(argv: list[str] | None = None) -> int:
             # Raised before any file is written.
             print(f"{command}: out of memory; no output was written", file=sys.stderr)
             return EXIT_DATA
-        for key, path in paths.items():
-            _write_text(path, texts[key])
-        outputs = paths | recorded
         manifest = {"command": command, "tool": "qicd", "version": __version__, "rng": RNG_NAME, "config": config,
-                    "inputs": inputs, "outputs": outputs, "duration_seconds": time.perf_counter() - started}
-        _write_text(manifest_path, _json_text(manifest))
+                    "inputs": inputs, "outputs": paths | recorded, "duration_seconds": time.perf_counter() - started}
+        _write_files([*((path, texts[key]) for key, path in paths.items()), (manifest_path, _json_text(manifest))])
         sys.stdout.write(message)
         return EXIT_OK
     except UsageError as exc:

@@ -2,9 +2,9 @@
 
 Nodes are dense integer ids ``0..n-1``. A graph is stored once, in
 compressed sparse row (CSR) form, with each undirected edge in the
-neighbour runs of both endpoints. Self-loops and duplicate edges are
-rejected at construction. Edge weights are double precision and strictly
-positive.
+neighbour runs of both endpoints. Edge weights are double precision and
+strictly positive. Self-loops and duplicate edges are rejected at
+construction; a collapsed graph's self-loop weight lives in its strengths.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ class Graph:
     distinct edges. Every array a graph holds is made read-only when it is
     constructed, by build_graph or by dataclasses.replace.
 
-    self_weights is None except on a graph that partition.aggregate
-    collapsed: there self_weights[u] is the internal weight of the
-    community that node u stands for, and like a self-loop it counts twice
-    in strengths[u] and once in total_weight.
+    On a graph that partition.aggregate collapsed, strengths[u] is the
+    total strength of the members of the community u stands for, which
+    counts the weight inside it twice, and total_weight is the original
+    graph's.
     """
 
     node_count: int
@@ -62,12 +62,10 @@ class Graph:
     weights: np.ndarray
     strengths: np.ndarray
     total_weight: float
-    self_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        for array in (self.indptr, self.indices, self.weights, self.strengths, self.self_weights):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (self.indptr, self.indices, self.weights, self.strengths):
+            array.flags.writeable = False
 
     @property
     def edge_count(self) -> int:
@@ -75,8 +73,8 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(us, vs, ws): int64 endpoint and float64 weight columns, each edge
-        once with u < v, ordered by (u, v). build_graph takes these columns,
-        so build_graph(n, *g.edge_arrays()) rebuilds g bar any self weights."""
+        once with u < v, ordered by (u, v). build_graph(n, *g.edge_arrays())
+        rebuilds g, bar the strengths and m of a graph aggregate collapsed."""
         m = self.edge_count
         us, vs, ws = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64), np.empty(m)
         at = 0

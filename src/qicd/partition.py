@@ -6,19 +6,18 @@ of the graph but its node count. It is a value with no empty community
 that nothing changes after it is built. Every sum over a community is
 taken from the graph it is wanted on: detect.move_nodes sums community
 strengths from the graph it moves nodes on, and modularity and aggregate
-sum strengths and internal weights from the graph they are given.
+sum strengths and cut weights from the graph they are given.
 
-aggregate collapses each community into one node. The collapsed graph
-carries each community's internal weight as that node's self weight,
-which counts in its strengths and total weight, so modularity of a
-partition on the collapsed graph equals modularity of the expanded
-partition on the original graph.
+aggregate collapses each community into one node. A collapsed node's
+strength is its members' total strength, which counts the weight inside
+the community twice, and the total weight is the original graph's, so
+modularity of a partition on the collapsed graph equals modularity of the
+expanded partition on the original graph.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Sequence
 
 import numpy as np
@@ -50,18 +49,6 @@ class Partition:
         self.community_count = len(_uniq)
 
 
-def _internal_sums(graph: Graph, labels: np.ndarray, c_count: int, cu: np.ndarray, cv: np.ndarray,
-                   ws: np.ndarray) -> np.ndarray:
-    """Each community's internal weight: the weights of the edges whose
-    ends' communities cu and cv agree, in edge_arrays order, plus its
-    members' self weights on a collapsed graph."""
-    same = cu == cv
-    internal = np.bincount(cu[same], weights=ws[same], minlength=c_count)
-    if graph.self_weights is not None:
-        internal = internal + np.bincount(labels, weights=graph.self_weights, minlength=c_count)
-    return internal
-
-
 def _community_edges(graph: Graph, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The communities of each edge's two ends, and its weight, in
     edge_arrays order."""
@@ -89,7 +76,8 @@ def modularity(graph: Graph, partition: Partition) -> float:
 
     Q = sum_c [ e_c / m - (S_c / 2m)^2 ] with e_c the internal weight, S_c
     the total member strength, and m the total weight, all three of this
-    graph.
+    graph. S_c counts e_c twice and the weight cut_c of c's cut edges
+    once, so e_c = (S_c - cut_c) / 2.
     """
     if len(partition.labels) != graph.node_count:
         raise ValueError("partition does not cover this graph")
@@ -98,11 +86,14 @@ def modularity(graph: Graph, partition: Partition) -> float:
         raise ValueError("modularity undefined: graph has no edges")
     labels = np.asarray(partition.labels, dtype=np.int64)
     c_count = partition.community_count
-    internal = _internal_sums(graph, labels, c_count, *_community_edges(graph, labels)).tolist()
-    strength = np.bincount(labels, weights=graph.strengths, minlength=c_count).tolist()
+    cu, cv, ws = _community_edges(graph, labels)
+    ws = np.where(cu != cv, ws, 0.0)
+    cut = np.bincount(cu, weights=ws, minlength=c_count) + np.bincount(cv, weights=ws, minlength=c_count)
+    del cu, cv, ws
+    strength = np.bincount(labels, weights=graph.strengths, minlength=c_count)
     two_m = 2.0 * m
     q = 0.0
-    for e, s in zip(internal, strength):
+    for e, s in zip(((strength - cut) / 2.0).tolist(), strength.tolist()):
         frac = s / two_m
         q += e / m - frac * frac
     return q
@@ -113,21 +104,17 @@ def aggregate(graph: Graph, partition: Partition) -> Graph:
 
     The cross-community edges go to build_graph with merge_duplicates,
     which sums them into one edge per pair of communities in edge_arrays
-    order; each community's internal weight becomes its node's self weight.
+    order. A collapsed node's strength is its members' total strength, and
+    the total weight m does not change.
     """
     lab = np.asarray(partition.labels, dtype=np.int64)
     cu, cv, ws = _community_edges(graph, lab)
-    internal = _internal_sums(graph, lab, partition.community_count, cu, cv, ws)
     cross = cu != cv
     cu, cv, ws = cu[cross], cv[cross], ws[cross]  # frees the full-length columns
     del cross
     collapsed = build_graph(partition.community_count, cu, cv, ws, merge_duplicates=True)
-    return dataclasses.replace(
-        collapsed,
-        strengths=collapsed.strengths + 2.0 * internal,
-        total_weight=collapsed.total_weight + math.fsum(internal),
-        self_weights=internal,
-    )
+    strengths = np.bincount(lab, weights=graph.strengths, minlength=partition.community_count)
+    return dataclasses.replace(collapsed, strengths=strengths, total_weight=graph.total_weight)
 
 
 def labels_to_csv(labels: Sequence[int]) -> str:

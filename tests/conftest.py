@@ -71,8 +71,9 @@ def modularity_double_sum(graph: Graph, labels) -> float:
 
 
 def collapse(graph: Graph, groups):
-    """The graph collapsed by aggregate over the grouping `groups`, which
-    carries self weights, and the collapsed node of each original node."""
+    """The graph collapsed by aggregate over the grouping `groups`, whose
+    strengths count each group's inside weight twice, and the collapsed
+    node of each original node."""
     grouping = Partition(graph, groups)
     return aggregate(graph, grouping), grouping.labels
 

@@ -9,6 +9,7 @@ import pytest
 
 import qicd.bench
 import qicd.cli
+import qicd.detect
 import qicd.rng
 
 from qicd import (
@@ -346,7 +347,6 @@ def test_ring_of_cliques_matches_the_triple_loop(cliques, size):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.total_weight == expected.total_weight
-    assert got.self_weights is None and expected.self_weights is None
 
 
 def test_ring_of_cliques_validation():
@@ -533,10 +533,29 @@ def test_mrg_significance_is_seeded_by_cfg_alone():
     assert mrg_significance(g, replace(cfg, seed=6), null_count=5).null_gaps != report.null_gaps
 
 
+def test_mrg_runs_no_null_while_the_observed_graph_has_a_view(monkeypatch):
+    """The observed run goes last, so run inline its graph's move-loop view
+    is not built, and not live, when any null starts."""
+    _pin_cpus(monkeypatch, 1)
+    graph = generate_planted(PlantedSpec(200, 5, 0.2, 0.03, seed=11))[0]
+    live = []
+    null_mrg = qicd.bench._null_mrg
+
+    def recorded_null_mrg(*args):
+        live.append(graph in qicd.detect._VIEWS)
+        return null_mrg(*args)
+
+    monkeypatch.setattr(qicd.bench, "_null_mrg", recorded_null_mrg)
+    report = mrg_significance(graph, QicdConfig(kind="haar", iterations=2, stall_limit=2, seed=3), null_count=5)
+    assert live == [False] * 5
+    assert graph in qicd.detect._VIEWS  # the observed run did build it, last
+    assert len(report.null_gaps) == 5
+
+
 def test_mrg_percentile_is_the_mid_rank(monkeypatch):
     """The observed gap's percentile among the nulls counts each null below
     it as 1 and each null equal to it as 1/2."""
-    gaps = [0.01, 0.0, 0.01, 0.01, 0.02, 0.03]  # the observed gap, then the nulls'
+    gaps = [0.0, 0.01, 0.01, 0.02, 0.03, 0.01]  # the nulls', then the observed gap
     monkeypatch.setattr(qicd.bench, "run_seeded", lambda tasks: iter(gaps[: len(tasks)]))
     report = mrg_significance(ring_of_cliques(3, 4), QicdConfig(), null_count=5)
     assert (report.observed_mrg, report.null_gaps) == (0.01, (0.0, 0.01, 0.01, 0.02, 0.03))

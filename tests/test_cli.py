@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import os
 import re
@@ -1003,6 +1004,38 @@ def test_manifest_lists_every_file(workdir, capsys, argv):
     manifest = json.loads((workdir / f"{stem}.manifest.json").read_text())
     files = {path for key, path in manifest["outputs"].items() if key != "achieved_q"}
     assert {p.name for p in workdir.glob(f"{stem}.*")} == files | {f"{stem}.manifest.json"}
+
+
+@_EVERY_COMMAND
+def test_a_failed_write_leaves_every_older_file_as_it_was(workdir, capsys, monkeypatch, argv):
+    """Each output, then the manifest, is written to a temporary file beside
+    it, and none replaces its file until all are written. A write that
+    fails at the k-th file, for every k, exits 2 naming that file, leaves no
+    temporary file, and leaves the older files at those paths as they were."""
+    _make_graph(workdir, n=60, k=3, p_in=0.4, p_out=0.05)
+    assert main(argv) == 0
+    stem = Path(argv[-1]).stem
+    files = sorted(path.name for path in workdir.glob(f"{stem}.*"))
+    for name in files:
+        (workdir / name).write_text(f"older {name}\n")
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    write_text = qicd.cli._write_text
+    for k in range(1, len(files) + 1):
+        calls = []
+
+        def failing_write_text(path, text):
+            calls.append(Path(path).name)
+            if len(calls) == k:
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+            write_text(path, text)
+
+        monkeypatch.setattr(qicd.cli, "_write_text", failing_write_text)
+        capsys.readouterr()
+        assert main(argv) == 2
+        failed = max((name for name in files if calls[-1].startswith(name + ".")), key=len)
+        assert capsys.readouterr().err == f"cannot write {failed}: {os.strerror(errno.EFBIG)}\n"
+        assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+    assert len(calls) == len(files) and failed == f"{stem}.manifest.json"  # the manifest is written last
 
 
 def _without_wall_clock(path: Path) -> str:

@@ -124,12 +124,13 @@ def test_every_graph_array_is_read_only():
         degree_preserving_rewire(plain, seed=1),
     ]
     for graph in graphs:
-        arrays = ["indptr", "indices", "weights", "strengths"]
-        arrays += ["self_weights"] if graph.self_weights is not None else []
-        for name in arrays:
+        for name in ("indptr", "indices", "weights", "strengths"):
             assert isinstance(getattr(graph, name), np.ndarray), name
             assert getattr(graph, name).flags.writeable is False, name
-    assert sum(g.self_weights is not None for g in graphs) == 3
+    # The three collapsed graphs' strengths, set by dataclasses.replace, count
+    # inside weight that their edges lack, so a rebuild from edges differs.
+    rebuilt = [build_graph(g.node_count, *g.edge_arrays()).strengths for g in graphs]
+    assert [not np.array_equal(g.strengths, s) for g, s in zip(graphs, rebuilt)] == [False] * 4 + [True] * 3 + [False]
 
 
 def test_merge_duplicates_sums_weights():

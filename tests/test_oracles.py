@@ -248,26 +248,19 @@ def test_build_graph_rebuilds_a_graph_from_its_edge_arrays(data, weights, merge)
 
 def reference_aggregate(graph, labels):
     """aggregate(graph, Partition(graph, labels)), one edge at a time: the
-    collapsed CSR arrays (as lists), strengths, total and self weights.
-    Each cross edge (lab[u], lab[v], w) is merged in edge_arrays order."""
+    collapsed CSR arrays (as lists), strengths and total weight. Each cross
+    edge (lab[u], lab[v], w) is merged in edge_arrays order; each member's
+    strength is added to its community's in node order, and the total is
+    the graph's own."""
     rank = {c: i for i, c in enumerate(sorted(set(labels)))}
     lab = [rank[c] for c in labels]
-    internal = [0.0] * len(rank)
-    cross = []
     us, vs, ws = graph.edge_arrays()
-    for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
-        if lab[u] == lab[v]:
-            internal[lab[u]] += w
-        else:
-            cross.append((lab[u], lab[v], w))
-    if graph.self_weights is not None:
-        own = [0.0] * len(rank)
-        for u, w in enumerate(graph.self_weights.tolist()):
-            own[lab[u]] += w
-        internal = [a + b for a, b in zip(internal, own)]
-    indptr, indices, weights, strengths, total_weight = reference_csr(len(rank), cross)
-    strengths = [s + 2.0 * w for s, w in zip(strengths, internal)]
-    return indptr, indices, weights, strengths, total_weight + math.fsum(internal), internal
+    cross = [(lab[u], lab[v], w) for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()) if lab[u] != lab[v]]
+    indptr, indices, weights = reference_csr(len(rank), cross)[:3]
+    strengths = [0.0] * len(rank)
+    for u, s in enumerate(graph.strengths.tolist()):
+        strengths[lab[u]] += s
+    return indptr, indices, weights, strengths, graph.total_weight
 
 
 @PROPERTY
@@ -279,12 +272,11 @@ def test_aggregate_matches_an_edge_by_edge_merge(case, data):
     graph = build_graph(n, *edge_columns(triples))
     for _level in range(2):
         collapsed = aggregate(graph, Partition(graph, labels))
-        indptr, indices, weights, strengths, total_weight, self_weights = reference_aggregate(graph, labels)
+        indptr, indices, weights, strengths, total_weight = reference_aggregate(graph, labels)
         assert (collapsed.indptr.tolist(), collapsed.indices.tolist(), collapsed.weights.tolist()) == (
             indptr, indices, weights)
         assert collapsed.strengths.tolist() == strengths
         assert collapsed.total_weight == total_weight
-        assert collapsed.self_weights.tolist() == self_weights
         graph = collapsed
         labels = data.draw(st.lists(st.integers(0, graph.node_count - 1), min_size=graph.node_count,
                                     max_size=graph.node_count))
@@ -350,7 +342,7 @@ def test_load_edge_list_matches_a_line_by_line_parser(text):
 @st.composite
 def move_cases(draw, collapsed):
     """check_move_pass arguments: a graph, or the graph collapsed by a
-    drawn grouping (self weights included), with labels, an active mask
+    drawn grouping (inside weights in its strengths), with labels, an active mask
     and a seed for one pass over it."""
     n, triples, labels = draw(labelled_graphs())
     original = build_graph(n, *edge_columns(triples))
@@ -364,7 +356,7 @@ def move_cases(draw, collapsed):
 
 
 # Both properties check the pass's gain and its community strengths: the
-# first on collapsed graphs, whose self weights count in every strength,
+# first on collapsed graphs, whose strengths count their inside weights,
 # the second on plain graphs.
 @PROPERTY
 @given(case=move_cases(collapsed=True))

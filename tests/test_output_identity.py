@@ -113,12 +113,14 @@ PINNED = {
     "wdet.csv": "554ac9ac0a4056fb555c548b046ffb5da5e98f23d4651c6ffd728574302dc03e",
     "wdet.manifest.json": "f151cad7e34b57279da227b7df9702c40f986942518fd94fb90a92ffdce96a4e",
     "wdet.stdout": "d85eecabe6b9e9f2614e03dd32e2e85215cce9953dcfef1572ff418eecb2a898",
-    "whh.json": "93daa7b6d7cc6e380e6b6a71e4d97215171e9dff1780a887eeea2dfa7d821baa",
+    # whh.json and whh.trace.csv: modularity reads each community's internal weight as (strength - cut) / 2,
+    # which moves Q on these non-integer weights by 1-3 units in the last place (Q_star is now the correctly
+    # rounded exact value); the partition and stdout held.
+    "whh.json": "c799a1ddc4495d5ac40816af204ec6419c971e85029d41e28df5b29fa7a3ecbb",
     "whh.manifest.json": "63196e8519e9b2f8855e88f420d4b05cce9cb85710e7d10d7efca62917833e14",
     "whh.partition.csv": "d3a1845d5649a029dee04b78d064fae9b7ffcd19f0a1202b829dab1a48dc6f88",
     "whh.stdout": "c5eac21f1734d59e38e3fb4697213cec6f6e1152fd13c06979f9892133f27962",
-    # whh.trace.csv: Q of a refined incumbent is summed from labels, not accumulated move by move.
-    "whh.trace.csv": "b6b1ee3b998e7dc1361e7cf0e0e7f0e21cb7180f80b6fee33c5d22ec5b215301",
+    "whh.trace.csv": "d1c67cf1019a567648da118c65e147c0310bc4278ae0e3d5b2d60112900e1835",
 }
 
 

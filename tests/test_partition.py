@@ -42,8 +42,8 @@ def _random_partition(rnd, n, c_max=4):
 
 def _counted_sums(graph, labels):
     """Each community's total member strength and internal edge weight,
-    counted node by node and edge by edge, for dense labels on a graph
-    without self weights."""
+    counted node by node and edge by edge, for dense labels on a graph that
+    aggregate did not collapse, whose strengths are its rows' weights."""
     members = [[u for u, label in enumerate(labels) if label == c] for c in range(max(labels) + 1)]
     strength = [math.fsum(graph.strengths[u] for u in nodes) for nodes in members]
     indptr, indices, weights = graph.indptr.tolist(), graph.indices.tolist(), graph.weights.tolist()
@@ -57,6 +57,13 @@ def _counted_sums(graph, labels):
         for c, nodes in enumerate(members)
     ]
     return strength, internal
+
+
+def _inside_weights(collapsed):
+    """Each collapsed node's inside weight, (strength - row sum) / 2: its
+    strength counts that weight twice and its edges' weights once."""
+    rows = np.split(collapsed.weights, collapsed.indptr[1:-1])
+    return [(s - math.fsum(row)) / 2.0 for s, row in zip(collapsed.strengths.tolist(), rows)]
 
 
 def test_labels_are_compacted():
@@ -90,7 +97,7 @@ def test_aggregate_fields_consistent_on_randoms():
         p = Partition(g, _random_partition(rnd, g.node_count))
         m = g.total_weight
         agg = aggregate(g, p)
-        internal = agg.self_weights.tolist()
+        internal = _inside_weights(agg)
         assert sum(internal) <= m + 1e-9
         assert abs(sum(agg.strengths) - 2.0 * m) <= 1e-9 * max(1.0, 2.0 * m)
         # recount node by node and edge by edge and compare
@@ -123,7 +130,7 @@ def test_modularity_reads_the_graph_it_is_given():
         labels = _random_partition(rnd, n)
         if g2.total_weight > 0:
             check(g1, g2, labels)
-        # collapsed graphs, which carry self weights, against each other and
+        # collapsed graphs, whose strengths count inside weights, against each other and
         # against a plain graph of the same size
         groups = [u % k for u in range(n)]
         rnd.shuffle(groups)
@@ -240,7 +247,7 @@ def test_delta_q_matches_full_recompute_randomly():
             continue
         checked += 1
         graph, node_of = g, None
-        if checked % 2:  # a collapsed graph, which carries self weights
+        if checked % 2:  # a collapsed graph, whose strengths count inside weights
             graph, node_of = collapse(g, _random_partition(rnd, g.node_count, c_max=6))
         n = graph.node_count
         check_move_pass(graph, _random_partition(rnd, n), rnd.randrange(2**32), [rnd.random() < 0.7 for _ in range(n)],
@@ -263,7 +270,7 @@ def test_aggregate_singletons_is_isomorphic():
     assert agg.node_count == g.node_count
     for name in ("indptr", "indices", "weights"):
         assert np.array_equal(getattr(agg, name), getattr(g, name))
-    assert agg.self_weights.tolist() == [0.0] * g.node_count
+    assert _inside_weights(agg) == [0.0] * g.node_count
     assert agg.strengths.tolist() == g.strengths.tolist()
     assert agg.total_weight == g.total_weight
 
@@ -275,7 +282,7 @@ def test_aggregate_two_triangles_with_bridge():
     agg = aggregate(g, p)
     assert agg.node_count == 2
     assert [a.tolist() for a in agg.edge_arrays()] == [[0], [1], [1.0]]
-    assert agg.self_weights.tolist() == [3.0, 3.0]
+    assert _inside_weights(agg) == [3.0, 3.0]
     assert agg.strengths.tolist() == [7.0, 7.0]
     assert agg.total_weight == 7.0
 
@@ -345,7 +352,7 @@ def _assert_compact_value(graph, out):
     strength, internal = _counted_sums(graph, out.labels)
     collapsed = aggregate(graph, out)
     assert collapsed.strengths.tolist() == pytest.approx(strength, rel=1e-12, abs=1e-9)
-    assert collapsed.self_weights.tolist() == pytest.approx(internal, rel=1e-12, abs=1e-9)
+    assert _inside_weights(collapsed) == pytest.approx(internal, rel=1e-12, abs=1e-9)
 
 
 def test_partitions_are_values():

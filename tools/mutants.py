@@ -67,13 +67,20 @@ MUTANTS = [
     ("null-seed-is-the-run-seed", "src/qicd/bench.py",
      "    seed = mix(cfg.seed, 2)",
      "    seed = cfg.seed"),
+    # mrg runs its nulls before the observed run, which builds the graph's view.
+    ("mrg-observed-run-first", "src/qicd/bench.py",
+     "    *gaps, observed = run_seeded([*nulls, lambda: run_qicd(graph, cfg).mrg])",
+     "    observed, *gaps = run_seeded([lambda: run_qicd(graph, cfg).mrg, *nulls])"),
     # Q, aggregation, the stop rule, the proposal tie rule, hu sampling, replay and Welch's df.
     ("modularity-linear-penalty", "src/qicd/partition.py",
      "        q += e / m - frac * frac",
      "        q += e / m - frac"),
-    ("aggregate-self-weight-once", "src/qicd/partition.py",
-     "        strengths=collapsed.strengths + 2.0 * internal,",
-     "        strengths=collapsed.strengths + internal,"),
+    ("aggregate-drops-inside-weight", "src/qicd/partition.py",
+     "    strengths = np.bincount(lab, weights=graph.strengths, minlength=partition.community_count)",
+     "    strengths = collapsed.strengths"),
+    ("cut-counted-once", "src/qicd/partition.py",
+     "    cut = np.bincount(cu, weights=ws, minlength=c_count) + np.bincount(cv, weights=ws, minlength=c_count)",
+     "    cut = np.bincount(cu, weights=ws, minlength=c_count)"),
     ("min-gain-tenfold", "src/qicd/detect.py",
      "        if _move_pass(flat, labels, comm_strength, rng, active) < MIN_GAIN:",
      "        if _move_pass(flat, labels, comm_strength, rng, active) < 10 * MIN_GAIN:"),
